@@ -255,6 +255,7 @@ def main(argv: list[str] | None = None) -> int:
             summary = {
                 "graphs_tried": report.graphs_tried,
                 "refutations_found": report.refutations_found,
+                "skipped_shapes": report.skipped_shapes,
                 "unknown": len(ledger.unknown_pairs()),
                 "contradictions": report.contradictions,
             }

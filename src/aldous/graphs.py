@@ -13,6 +13,7 @@ upgrade a numeric check to an exact one.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,8 @@ class WeightedGraph:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValueError("weight matrix must be square")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         if not np.array_equal(weights, weights.T):
             raise ValueError("weight matrix must be symmetric")
         if np.any(weights < 0):
@@ -36,7 +39,11 @@ class WeightedGraph:
         self.n = weights.shape[0]
         self.weights = weights
         self.weights.setflags(write=False)
-        self.wt = float(np.sum(np.triu(weights, 1)))
+        with np.errstate(over="ignore"):
+            self.wt = float(np.sum(np.triu(weights, 1)))
+        # every eigenvalue of the swap operator lies in [0, 2 wt]
+        if not math.isfinite(2 * self.wt):
+            raise ValueError("weights too large: twice their total overflows a float")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":

@@ -442,6 +442,9 @@ class ScanReport:
     n: int
     graphs_tried: int = 0
     refutations_found: int = 0
+    # (shape, graph) evaluations dropped because the shape's dimension is
+    # above dim_cap; pairs with such a shape stay undecided by that graph
+    skipped_shapes: int = 0
     contradictions: list = field(default_factory=list)
 
     @property
@@ -494,6 +497,7 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
                 exact_flags = {}
                 for shape, outcome in zip(shapes, outcomes):
                     if outcome is None:
+                        report.skipped_shapes += 1
                         continue
                     values[shape], exact_flags[shape] = outcome
                 for sigma, tau in todo:

@@ -13,9 +13,9 @@ nested star operators on the canonical tableau basis:
   * the spectrum on a hook [n-k, 1^k] consists of the k-subset sums of
     the spectrum on [n-1, 1].
 
-The numeric solver is a cyclic Jacobi iteration: simple, accurate for the
-symmetric PSD matrices that show up here, and replaceable by any solver
-meeting the same residual contract.
+Everything else goes through `spectrum`, which checks its input (square,
+finite, symmetric) and hands the symmetrized matrix to LAPACK's symmetric
+eigensolver via numpy.linalg.eigvalsh / eigh.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ from .partitions import Partition, as_fraction, content_matrix, content_sum
 from .symrep import delta_matrix
 
 DEFAULT_TOL = 1e-12
-MAX_SWEEPS = 100
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal norm target."""
 
 
 class Spectrum:
@@ -83,73 +78,27 @@ class ExactSpectrum(Spectrum):
 
 def spectrum(m: np.ndarray, tol: float = DEFAULT_TOL,
              want_vectors: bool = False):
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """All eigenvalues of a symmetric matrix, by LAPACK through numpy.
 
-    Sweeps stop once the off-diagonal Frobenius norm falls below
-    tol * ||m||_F. Returns a Spectrum, or (Spectrum, V) with eigenvector
-    columns matching the sorted order when want_vectors is set.
+    The matrix must be square, finite and symmetric to within
+    tol * ||m||_F; it is symmetrized before the solve. Returns a Spectrum,
+    or (Spectrum, V) with eigenvector columns matching the sorted order
+    when want_vectors is set.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     norm = float(np.linalg.norm(m))
-    if not np.allclose(m, m.T, atol=max(tol * norm, 1e-300), rtol=0.0):
+    if m.size and np.abs(m - m.T).max() > max(tol * norm, 1e-300):
         raise ValueError("matrix must be symmetric")
-    n = m.shape[0]
-    a = (np.array(m) + np.array(m).T) / 2.0
-    v = np.eye(n)
-    if n == 1:
-        values = Spectrum([float(a[0, 0])])
-        return (values, v) if want_vectors else values
-
-    def off_norm() -> float:
-        # summed from the off-diagonal entries themselves: the subtraction
-        # form sqrt(sum(a^2) - sum(diag^2)) cancels catastrophically and
-        # cannot see below sqrt(eps) * ||m||
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    target = tol * norm
-    for _ in range(MAX_SWEEPS):
-        off = off_norm()
-        if off <= target:
-            break
-        # entries this small cannot dominate the sweep; the largest entry
-        # always exceeds off/n, so at least one rotation fires per sweep
-        skip = off / (2.0 * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                v[:, p] = c * vec_p - s * v[:, q]
-                v[:, q] = s * vec_p + c * v[:, q]
-    else:
-        raise ConvergenceError(
-            f"off-diagonal norm {off_norm():.3e} above target {target:.3e} "
-            f"after {MAX_SWEEPS} sweeps"
-        )
-    eigs = np.diag(a).copy()
-    order = np.argsort(eigs, kind="stable")
-    result = Spectrum(float(x) for x in eigs[order])
+    a = (m + m.T) / 2.0
     if want_vectors:
-        return result, v[:, order]
-    return result
+        # eigh returns ascending values with matching columns
+        values, vectors = np.linalg.eigh(a)
+        return Spectrum(values.tolist()), vectors
+    return Spectrum(np.linalg.eigvalsh(a).tolist())
 
 
 @lru_cache(maxsize=None)

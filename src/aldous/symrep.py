@@ -147,33 +147,50 @@ def check_dim(shape: Partition, cap: int = DEFAULT_DIM_CAP) -> int:
 
 
 @lru_cache(maxsize=None)
-def rep_adjacent(shape: Partition, i: int) -> np.ndarray:
-    """Image of the adjacent transposition (i, i+1) in Young's orthogonal form.
+def _adjacent_factors(shape: Partition, i: int):
+    """Young's orthogonal form of (i, i+1) as three per-row arrays.
 
-    For each tableau: labels i, i+1 in the same row fix the basis vector,
-    in the same column negate it; otherwise the pair {T, T with i and i+1
-    swapped} carries the block [[1/d, sqrt(1-1/d^2)], [., -1/d]] where
-    d = content(box of i+1) - content(box of i) read in T.
+    Row T of the image has at most two nonzeros: diag[T] on the diagonal
+    and off[T] in column partner[T]. Labels i, i+1 in the same row of T
+    give diag 1, in the same column diag -1 (both with off 0 and partner
+    T); otherwise T pairs with T' (i and i+1 swapped) through the block
+    [[1/d, sqrt(1-1/d^2)], [., -1/d]] with d = content(box of i+1) -
+    content(box of i) read in T. The image is symmetric: off[T] equals
+    off[partner[T]].
     """
     n = shape.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"adjacent index must satisfy 1 <= i <= {n - 1}, got {i}")
-    check_dim(shape)
     tabs, index = tableau_basis(shape)
-    m = np.zeros((len(tabs), len(tabs)))
+    diag = np.empty(len(tabs))
+    off = np.zeros(len(tabs))
+    partner = np.arange(len(tabs))
     for t_idx, tab in enumerate(tabs):
         lo, hi = tab.box_of(i), tab.box_of(i + 1)
         if lo.row == hi.row:
-            m[t_idx, t_idx] = 1.0
+            diag[t_idx] = 1.0
         elif lo.col == hi.col:
-            m[t_idx, t_idx] = -1.0
+            diag[t_idx] = -1.0
         else:
             d = hi.content - lo.content
             swapped = list(tab.boxes)
             swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            s_idx = index[tuple(swapped)]
-            m[t_idx, t_idx] = 1.0 / d
-            m[t_idx, s_idx] = math.sqrt(1.0 - 1.0 / d**2)
+            partner[t_idx] = index[tuple(swapped)]
+            diag[t_idx] = 1.0 / d
+            off[t_idx] = math.sqrt(1.0 - 1.0 / d**2)
+    for arr in (diag, off, partner):
+        arr.setflags(write=False)
+    return diag, off, partner
+
+
+@lru_cache(maxsize=None)
+def rep_adjacent(shape: Partition, i: int) -> np.ndarray:
+    """Image of the adjacent transposition (i, i+1) in Young's orthogonal
+    form, as a dense matrix (see _adjacent_factors)."""
+    dim = check_dim(shape)
+    diag, off, partner = _adjacent_factors(shape, i)
+    m = np.diag(diag)
+    m[np.arange(dim), partner] += off
     m.setflags(write=False)
     return m
 
@@ -208,19 +225,60 @@ def tensor_sign(m: np.ndarray, g: Permutation) -> np.ndarray:
     return g.sign() * m
 
 
+def _conjugate(x: np.ndarray, diag, off, partner) -> np.ndarray:
+    """S x S for the adjacent image S given by its factors, via one row and
+    one column gather: (S x)[T] = diag[T] x[T] + off[T] x[partner[T]].
+    Holds two matrices besides x."""
+    y = x * diag[:, None]
+    gathered = x.take(partner, axis=0)
+    gathered *= off[:, None]
+    y += gathered
+    y.take(partner, axis=1, out=gathered)
+    gathered *= off
+    y *= diag
+    y += gathered
+    return y
+
+
 def delta_matrix(shape: Partition, graph: WeightedGraph,
                  dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Matrix of the swap operator sum a_ij (id - (ij)) on the irreducible
-    labeled by shape. Symmetric positive semidefinite."""
+    labeled by shape. Symmetric positive semidefinite.
+
+    For each vertex i, C_r = sum_{j>r} a_ij (r j) obeys the backward
+    recursion C_r = a_{i,r+1} S_r + S_r C_{r+1} S_r, r = n-1 down to i,
+    since (r j) = S_r (r+1 j) S_r; C_i is vertex i's share of the sum.
+    Each step costs O(dim^2) through the two-nonzeros-per-row factors of
+    S_r, so assembly takes O(n^2 dim^2) time and O(dim^2) memory, with no
+    cached transposition images.
+    """
     if graph.n != shape.n:
         raise ValueError(f"graph on {graph.n} vertices vs shape of {shape.n}")
     dim = check_dim(shape, dim_cap)
+    n = shape.n
+    rows = np.arange(dim)
+    diagonal = rows * (dim + 1)  # flat positions of (T, T)
+    factors = {r: _adjacent_factors(shape, r) for r in range(1, n)}
     m = np.zeros((dim, dim))
-    total = 0.0
-    for i, j, w in graph.edges():
-        m -= w * rep_transposition(shape, i, j)
-        total += w
-    m += total * np.eye(dim)
+    for i in range(1, n):
+        weights = graph.weights[i - 1]
+        acc = None
+        for r in range(n - 1, i - 1, -1):
+            diag, off, partner = factors[r]
+            if acc is not None:
+                acc = _conjugate(acc, diag, off, partner)
+            w = weights[r]  # a_{i, r+1}
+            if w > 0:
+                if acc is None:
+                    acc = np.zeros((dim, dim))
+                flat = acc.reshape(-1)
+                flat[diagonal] += w * diag
+                flat[rows * dim + partner] += w * off
+        if acc is not None:
+            m -= acc
+    # the identity part goes in last: starting from wt * I rounds the
+    # integer diagonals of unit-weight star graphs away from their values
+    m.reshape(-1)[diagonal] += graph.wt
     return m
 
 

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import aldous
 from aldous.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from aldous.graphs import random_graph
 
@@ -125,3 +132,54 @@ def test_graph_shape_size_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, "spectrum", "--shape", "2,2", "--graph", str(path))
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+PAIR_3 = ["check-pair", "--sigma", "1,1,1", "--tau", "2,1"]
+PAIR_4 = ["check-pair", "--sigma", "2,2", "--tau", "3,1"]
+
+
+@pytest.mark.parametrize("argv, n, edges, message", [
+    # nested-star support: the exact path would convert the weight
+    (PAIR_3, 3, "[[1, 2, 1.0], [1, 3, Infinity], [2, 3, Infinity]]",
+     "weights must be finite"),
+    (PAIR_4, 4, "[[1, 2, 1.0], [2, 4, Infinity]]", "weights must be finite"),
+    (["spectrum", "--shape", "2,2"], 4, "[[1, 2, NaN], [3, 4, 1.0]]",
+     "weights must be finite"),
+    # finite, but the exact margin 3e308 does not fit in a float
+    (PAIR_3, 3, "[[1, 2, 1e308], [1, 3, 1e308], [2, 3, 1e308]]",
+     "weights too large"),
+])
+def test_non_finite_weights_are_usage_errors(capsys, tmp_path, argv, n, edges,
+                                             message):
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"n": {n}, "edges": {edges}}}', encoding="utf-8")
+    code, _, err = run(capsys, *argv, "--graph", str(path))
+    assert code == EXIT_USAGE
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_scan_summary_reports_skipped_shapes(capsys, tmp_path):
+    code, _, err = run(capsys, "--dim-cap", "4", "scan", "--n", "5",
+                       "--families", "random", "--budget", "2",
+                       "--out", str(tmp_path / "ledger.json"))
+    assert code == EXIT_OK
+    summary = json.loads(err.strip().splitlines()[-1])
+    # 3 shapes of 5 have dimension above 4; [5] >= p is proved for every p,
+    # so every shape stays in the audited pairs and each of the 2 graphs
+    # drops each of the 3 once
+    assert summary["skipped_shapes"] == 6
+    code, _, err = run(capsys, "scan", "--n", "5", "--families", "random",
+                       "--budget", "2", "--out", str(tmp_path / "ledger.json"))
+    assert json.loads(err.strip().splitlines()[-1])["skipped_shapes"] == 0
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(aldous.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "aldous", "print-config"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["tol"] == 1e-9

@@ -28,6 +28,7 @@ from aldous.order import (
     check_weightedstar_bound,
     export_dot,
     is_h_irreducible,
+    lambda_extremes,
     max_matching_size,
     recheck_witness,
     scan,
@@ -36,6 +37,7 @@ from aldous.order import (
     witness_graph,
 )
 from aldous.partitions import Partition, content_sum, partitions_of
+from aldous.symrep import rep_transposition
 
 
 def test_graph_families():
@@ -177,6 +179,14 @@ def test_scan_workers_merge_identically():
     serial, _ = scan(5, budget=10, seed=3, workers=1)
     parallel, _ = scan(5, budget=10, seed=3, workers=4)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_scan_leaves_transposition_cache_empty():
+    # assembly builds no per-transposition images, so memory stays O(dim^2)
+    rep_transposition.cache_clear()
+    lambda_extremes.cache_clear()
+    scan(6, families=("random",), budget=2, seed=11)
+    assert rep_transposition.cache_info().currsize == 0
 
 
 def test_incomparable_two_column_chain():

@@ -41,6 +41,14 @@ def test_spectrum_rejects_non_symmetric():
         spectrum(np.ones((2, 3)))
 
 
+def test_spectrum_rejects_non_finite():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            spectrum(np.array([[bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            spectrum(np.array([[1.0, bad], [bad, 1.0]]))
+
+
 def test_spectrum_accuracy_against_random_matrices():
     rng = np.random.default_rng(2)
     for n in (2, 5, 17, 40):

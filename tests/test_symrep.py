@@ -22,6 +22,7 @@ from aldous.symrep import (
     regular_delta,
     rep_adjacent,
     rep_permutation,
+    rep_transposition,
     tableau_basis,
     tensor_sign,
 )
@@ -122,6 +123,20 @@ def test_delta_matrix_examples():
     for shape in partitions_of(4):
         vals = spectrum(delta_matrix(shape, single)).values
         assert all(min(abs(v), abs(v - 2)) < 1e-10 for v in vals)
+
+
+def test_delta_matrix_matches_transposition_sum():
+    # the gather recursion against the dense product of cached images
+    for n in range(2, 8):
+        graphs = [random_graph(n, 500 + n), random_graph(n, 600 + n, density=0.9),
+                  complete_graph(n)]
+        for shape in partitions_of(n):
+            for g in graphs:
+                dim = num_standard_tableaux(shape)
+                ref = g.wt * np.eye(dim)
+                for i, j, w in g.edges():
+                    ref = ref - w * rep_transposition(shape, i, j)
+                assert np.abs(delta_matrix(shape, g) - ref).max() < 1e-12
 
 
 def test_delta_matrix_is_psd_and_symmetric():
