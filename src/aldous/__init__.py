@@ -49,7 +49,6 @@ from .symrep import (
     rep_adjacent,
     rep_permutation,
     rep_transposition,
-    tensor_sign,
 )
 from .characters import (
     ClassFunction,
@@ -69,7 +68,6 @@ from .order import (
     check_weightedstar_bound,
     export_dot,
     is_h_irreducible,
-    max_matching_size,
     scan,
     seed_known,
     star_decompose,

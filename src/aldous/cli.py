@@ -23,6 +23,7 @@ from .order import (
     RelationLedger,
     check_pair,
     export_dot,
+    recheck_witness,
     scan,
     SCAN_FAMILIES,
 )
@@ -37,7 +38,6 @@ EXIT_USAGE = 2
 class RunConfig:
     tol: float = 1e-9
     dim_cap: int = symrep.DEFAULT_DIM_CAP
-    tableau_cap: int = 10**7
     seed: int = 0
     budget: int = 100
     families: str = ",".join(SCAN_FAMILIES)
@@ -61,20 +61,19 @@ def _load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         override = getattr(args, key, None)
         if override is not None:
             setattr(config, key, override)
-    if config.dim_cap <= 0 or config.tableau_cap <= 0 or config.workers <= 0:
-        raise ValueError("caps and worker count must be positive")
-    pt.TABLEAU_CAP = config.tableau_cap
+    if config.dim_cap <= 0 or config.workers <= 0:
+        raise ValueError("dimension cap and worker count must be positive")
     return config
 
 
-def _load_graph(args: argparse.Namespace, n: int, config: RunConfig) -> tuple:
-    """(graph, witness descriptor or None) from --graph or --family flags."""
+def _load_graph(args: argparse.Namespace, n: int, config: RunConfig) -> WeightedGraph:
+    """The graph named by the --graph or --family flags."""
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as handle:
             graph = WeightedGraph.from_json(handle.read())
         if graph.n != n:
             raise ValueError(f"graph has n={graph.n}, shapes have n={n}")
-        return graph, None
+        return graph
     if not args.family:
         raise ValueError("need --graph FILE or --family NAME")
     if args.family in ("quasi", "weighted_star") and not args.weights:
@@ -89,15 +88,7 @@ def _load_graph(args: argparse.Namespace, n: int, config: RunConfig) -> tuple:
     if args.family == "random":
         params["seed"] = config.seed
         params["density"] = args.density
-    graph = graph_family(args.family, n, **params)
-    descriptor = None
-    if args.family in ("complete", "star", "clique", "cycle", "path", "matching"):
-        descriptor = {"kind": "family", "family": args.family, "n": n}
-        if params:
-            descriptor["params"] = {
-                key: value for key, value in params.items() if key in ("k", "m")
-            }
-    return graph, descriptor
+    return graph_family(args.family, n, **params)
 
 
 def _graph_flags(parser: argparse.ArgumentParser) -> None:
@@ -119,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--dim-cap", dest="dim_cap", type=int, default=None)
-    parser.add_argument("--tableau-cap", dest="tableau_cap", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--format", choices=("csv", "json", "dot"), default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,7 +168,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _spectrum_lines(args, config: RunConfig) -> str:
     shape = pt.parse_partition(args.shape)
-    graph, _ = _load_graph(args, shape.n, config)
+    graph = _load_graph(args, shape.n, config)
     numeric = spectral.spectrum(
         symrep.delta_matrix(shape, graph, dim_cap=config.dim_cap)
     )
@@ -229,9 +219,8 @@ def main(argv: list[str] | None = None) -> int:
             tau = pt.parse_partition(args.tau)
             if sigma.n != tau.n:
                 raise ValueError("sigma and tau must partition the same n")
-            graph, descriptor = _load_graph(args, sigma.n, config)
+            graph = _load_graph(args, sigma.n, config)
             refutation = check_pair(sigma, tau, graph, tol=config.tol,
-                                    descriptor=descriptor,
                                     dim_cap=config.dim_cap)
             if refutation is None:
                 print(f"no refutation: ({sigma}) >= ({tau}) consistent "
@@ -265,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "hasse":
             with open(args.infile, "r", encoding="utf-8") as handle:
                 ledger = RelationLedger.from_json(handle.read())
+            # stored witnesses are evidence, not trusted: decide them again
+            for pair in ledger.refuted_pairs():
+                recheck_witness(ledger.entry(*pair), tol=config.tol)
             _emit(export_dot(ledger), args.out)
             return EXIT_OK
 

@@ -181,7 +181,8 @@ def random_graph(n: int, seed: int, density: float = 0.5,
 
 
 def graph_family(name: str, n: int, **params) -> WeightedGraph:
-    """Constructor dispatch used by the CLI and the order scanner."""
+    """The one name -> constructor dispatch: CLI --family flags and stored
+    "family" witnesses both come through here."""
     if name == "complete":
         return complete_graph(n)
     if name == "star":

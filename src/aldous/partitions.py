@@ -15,7 +15,6 @@ conversely any prefix-sum gap can be closed one drop at a time).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple, Sequence
@@ -279,12 +278,3 @@ def content_matrix(p: Partition) -> np.ndarray:
         for k, box in enumerate(tab.boxes):
             mat[t, k] = box.content
     return mat
-
-
-def as_fraction(x) -> Fraction:
-    """Exact Fraction view of an int/Fraction/float weight."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)

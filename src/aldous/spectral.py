@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import WeightedGraph
-from .partitions import Partition, as_fraction, content_matrix, content_sum
+from .partitions import Partition, content_matrix, content_sum
 from .symrep import delta_matrix
 
 DEFAULT_TOL = 1e-12
@@ -125,7 +125,7 @@ def quasi_complete_spectrum(shape: Partition, a, exact: bool = False) -> Spectru
         raise ValueError("weights must be nonnegative")
     contents = content_matrix(shape)
     if exact:
-        weights = [as_fraction(x) for x in a]
+        weights = [Fraction(x) for x in a]
         wt = sum(w * k for k, w in enumerate(weights, start=1))
         values = [
             wt - sum(w * int(c) for w, c in zip(weights, row[1:]))

@@ -220,11 +220,6 @@ def rep_transposition(shape: Partition, i: int, j: int) -> np.ndarray:
     return m
 
 
-def tensor_sign(m: np.ndarray, g: Permutation) -> np.ndarray:
-    """Image of g in the sign-twisted representation: sign(g) times m."""
-    return g.sign() * m
-
-
 def _conjugate(x: np.ndarray, diag, off, partner) -> np.ndarray:
     """S x S for the adjacent image S given by its factors, via one row and
     one column gather: (S x)[T] = diag[T] x[T] + off[T] x[partner[T]].

@@ -76,6 +76,22 @@ def test_scan_then_hasse(capsys, tmp_path):
     assert '"4" -> "3,1";' in dot
 
 
+def test_hasse_rejects_tampered_witnesses(capsys, tmp_path):
+    ledger_path = tmp_path / "ledger.json"
+    assert run(capsys, "scan", "--n", "4", "--budget", "5",
+               "--out", str(ledger_path))[0] == EXIT_OK
+    data = json.loads(ledger_path.read_text(encoding="utf-8"))
+    for record in data["entries"]:
+        if record["status"] == "refuted":
+            record["margin"] = -5.0
+            record["witness"] = {"kind": "graph", "n": 4, "edges": []}
+    ledger_path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "hasse", "--in", str(ledger_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "no longer refutes" in err
+
+
 def test_scan_determinism(capsys, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -115,6 +131,20 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     code, out, _ = run(capsys, "--config", str(config), "--tol", "1e-3",
                        "print-config")
     assert json.loads(out)["tol"] == 1e-3
+
+
+def test_tableau_cap_option_is_gone(capsys, tmp_path):
+    from aldous.partitions import Partition, content_matrix
+
+    content_matrix.cache_clear()
+    assert run(capsys, "--tableau-cap", "1", "print-config")[0] == EXIT_USAGE
+    # the rejected flag leaves no process-wide cap behind
+    assert content_matrix(Partition([3, 1])).shape == (3, 4)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tableau_cap": 10}), encoding="utf-8")
+    code, _, err = run(capsys, "--config", str(config), "print-config")
+    assert code == EXIT_USAGE
+    assert "unknown config key 'tableau_cap'" in err
 
 
 def test_usage_errors(capsys):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -13,8 +14,10 @@ from aldous.graphs import (
     matching_graph,
     quasi_complete_graph,
     quasi_complete_weights,
+    path_graph,
     random_graph,
     star_graph,
+    support_matching_number,
     weighted_star_graph,
 )
 from aldous.order import (
@@ -29,8 +32,8 @@ from aldous.order import (
     export_dot,
     is_h_irreducible,
     lambda_extremes,
-    max_matching_size,
     recheck_witness,
+    refutes,
     scan,
     seed_known,
     star_decompose,
@@ -45,7 +48,7 @@ def test_graph_families():
     assert star.edges() == [(1, 4, 1.0), (2, 4, 1.0), (3, 4, 1.0)]
     m = matching_graph(8, 4)
     assert len(m.edges()) == 4
-    assert max_matching_size(m) == 4
+    assert support_matching_number(m) == 4
     qc = quasi_complete_graph(4, [2.0, 0.0, 1.0])
     expected = 2.0 * star_graph(4, 2).weights + 1.0 * star_graph(4, 4).weights
     assert np.array_equal(qc.weights, expected)
@@ -131,6 +134,21 @@ def test_seed_known_main_theorem_rows():
         "main", "clr", "cor:n1n", "bacher", "transitive",
     )
     assert ledger.status(Partition([7, 1]), Partition([2] + [1] * 6)) == "proved"
+
+
+def test_close_transitively_is_the_transitive_closure():
+    # a proved chain running against the partition order needs every middle
+    # element, not one sweep over the first
+    import networkx as nx
+
+    parts = partitions_of(6)
+    chain = [parts[i] for i in (9, 4, 7, 1, 10, 2)]
+    ledger = RelationLedger(6)
+    for a, b in zip(chain, chain[1:]):
+        ledger.set_proved(a, b, "main")
+    ledger.close_transitively()
+    closure = nx.transitive_closure(nx.DiGraph(list(zip(chain, chain[1:]))))
+    assert set(ledger.proved_pairs()) == set(closure.edges())
 
 
 def test_seeded_witnesses_recheck():
@@ -266,9 +284,9 @@ def test_check_reducing():
 
 
 def test_matching_and_irreducibility():
-    assert max_matching_size(matching_graph(8, 4)) == 4
-    assert max_matching_size(complete_graph(5)) == 2
-    assert max_matching_size(star_graph(6, 4)) == 1
+    assert support_matching_number(matching_graph(8, 4)) == 4
+    assert support_matching_number(complete_graph(5)) == 2
+    assert support_matching_number(star_graph(6, 4)) == 1
     assert is_h_irreducible(complete_graph(5), 2)
     assert not is_h_irreducible(matching_graph(8, 4), 2)
 
@@ -346,6 +364,36 @@ def test_witness_graph_round_trip():
     assert witness_graph(raw) == WeightedGraph.from_edges(3, [(1, 2, 0.5)])
     quasi = {"kind": "quasi", "n": 3, "weights": ["1/2", "1/4"]}
     assert witness_graph(quasi) == quasi_complete_graph(3, [0.5, 0.25])
+    families = [
+        ({"family": "complete"}, complete_graph(5)),
+        ({"family": "clique", "params": {"k": 3}}, complete_on_first(5, 3)),
+        ({"family": "cycle"}, cycle_graph(5)),
+        ({"family": "path"}, path_graph(5)),
+        ({"family": "matching", "params": {"m": 2}}, matching_graph(5, 2)),
+    ]
+    for fields, graph in families:
+        assert witness_graph({"kind": "family", "n": 5, **fields}) == graph
+
+
+def test_rescaled_graph_refutes_no_proved_pair():
+    # eigensolver noise grows with the operator norm; at 1e9 a fixed 10 * tol
+    # threshold let it refute the proved pair [5] >= [4,1]
+    base = random_graph(5, 3)
+    proved = seed_known(5).proved_pairs()
+    for scale in (1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12):
+        graph = WeightedGraph(base.weights * scale)
+        assert [pair for pair in proved if check_pair(*pair, graph)] == []
+
+
+def test_refutes_rule():
+    sigma, tau = Partition([3, 1]), Partition([2, 2])
+    assert refutes(Fraction(1, 10**40), True, sigma, tau, 1e12)
+    assert not refutes(0, True, sigma, tau, 0.0)
+    assert not refutes(1e-8, False, sigma, tau, 1.0)
+    assert refutes(2e-8, False, sigma, tau, 1.0)
+    # dim 3, ||M|| <= 2e9: the noise floor is 16 * eps * 3 * 2e9, about 2.1e-5
+    assert not refutes(2e-5, False, sigma, tau, 1e9)
+    assert refutes(3e-5, False, sigma, tau, 1e9)
 
 
 def test_remark2_even_split_consistency():

@@ -24,7 +24,6 @@ from aldous.symrep import (
     rep_permutation,
     rep_transposition,
     tableau_basis,
-    tensor_sign,
 )
 
 
@@ -167,15 +166,6 @@ def test_delta_matrix_input_validation():
         delta_matrix(Partition([3, 1]), complete_graph(5))
     with pytest.raises(DimensionCapExceeded):
         delta_matrix(Partition([3, 1]), complete_graph(4), dim_cap=2)
-
-
-def test_tensor_sign():
-    shape = Partition([2, 2])
-    t = Permutation.transposition(4, 1, 3)
-    m = rep_permutation(shape, t)
-    assert np.allclose(tensor_sign(m, t), -m)
-    ident = Permutation.identity(4)
-    assert np.allclose(tensor_sign(np.eye(2), ident), np.eye(2))
 
 
 def test_sign_twist_reverses_spectrum():
