@@ -34,6 +34,7 @@ from .spectral import (
     complete_graph_eigenvalue,
     hook_spectrum,
     laplacian_gap,
+    nested_star_extremes,
     quasi_complete_spectrum,
     remark_weights,
     spectrum,

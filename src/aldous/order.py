@@ -20,6 +20,7 @@ noise into a refutation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -48,11 +49,7 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
-from .spectral import (
-    quasi_complete_spectrum,
-    remark_weights,
-    spectrum,
-)
+from .spectral import nested_star_extremes, remark_weights, spectrum
 from .symrep import DEFAULT_DIM_CAP, DimensionCapExceeded, delta_matrix
 
 DEFAULT_TOL = 1e-9
@@ -61,6 +58,9 @@ EPS = float(np.finfo(float).eps)
 # pairs at n = 4..7, eight random graphs each, weights scaled by 1..1e12,
 # the measured noise margin stayed below 0.12 of that unit
 NOISE_FACTOR = 16
+# a stored numeric margin must match its re-evaluation to this relative
+# tolerance; exact margins must match exactly
+MARGIN_RTOL = 1e-6
 
 PROVED_TAGS = ("cor:n1n", "bacher", "clr", "main", "transitive")
 REFUTED_TAGS = ("ds81", "remark1", "cor:asympval", "scan")
@@ -79,14 +79,14 @@ def lambda_extremes(shape: Partition, graph: WeightedGraph,
     """(lambda_1, lambda_max, exact) on one irreducible.
 
     Nested-star graphs (stars, cliques on an initial segment, complete
-    graphs, any combination) are evaluated by the exact tableau formula;
-    everything else goes through the numeric eigensolver. Results are
-    cached; graphs are immutable after construction.
+    graphs, any combination) are evaluated exactly by
+    `nested_star_extremes`; everything else goes through the numeric
+    eigensolver. Results are cached; graphs are immutable after
+    construction.
     """
     a = quasi_complete_weights(graph)
     if a is not None:
-        spec = quasi_complete_spectrum(shape, a, exact=True)
-        return spec.lambda1, spec.lambda_max, True
+        return (*nested_star_extremes(shape, a), True)
     spec = spectrum(delta_matrix(shape, graph, dim_cap=dim_cap), tol)
     return spec.lambda1, spec.lambda_max, False
 
@@ -195,9 +195,6 @@ class RelationLedger:
                 margin=float(margin), exact=exact,
             )
 
-    def add_refutation(self, ref: Refutation, tag: str = "scan") -> None:
-        self.set_refuted(ref.sigma, ref.tau, ref.witness, ref.margin, ref.exact, tag)
-
     def close_transitively(self) -> None:
         """Add proved entries implied by chaining existing proved ones.
 
@@ -267,7 +264,9 @@ class RelationLedger:
 
 def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL) -> float:
     """Re-evaluate a refutation from its stored witness and decide it again
-    with `refutes`; returns the margin, raises LedgerConflict if it fails.
+    with `refutes`; returns the margin. Raises LedgerConflict if it fails,
+    or if the stored margin is not the recomputed one: exactly, for exact
+    witnesses, and to MARGIN_RTOL otherwise.
 
     A "quasi" witness is evaluated on its stored exact weights, which the
     float graph it materializes to may not carry.
@@ -276,8 +275,8 @@ def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL) -> float:
     graph = witness_graph(witness)
     if witness["kind"] == "quasi":
         weights = [Fraction(w) for w in witness["weights"]]
-        margin = (quasi_complete_spectrum(sigma, weights, exact=True).lambda1
-                  - quasi_complete_spectrum(tau, weights, exact=True).lambda1)
+        margin = (nested_star_extremes(sigma, weights)[0]
+                  - nested_star_extremes(tau, weights)[0])
         exact = True
     else:
         lam_s, _, exact_s = lambda_extremes(sigma, graph)
@@ -287,7 +286,14 @@ def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL) -> float:
         raise LedgerConflict(
             f"stored witness no longer refutes ({sigma}) >= ({tau}): margin {margin}"
         )
-    return float(margin)
+    margin = float(margin)
+    if not (entry.margin == margin if exact
+            else math.isclose(entry.margin, margin, rel_tol=MARGIN_RTOL)):
+        raise LedgerConflict(
+            f"stored margin {entry.margin!r} of ({sigma}) >= ({tau}) is not "
+            f"the recomputed {margin!r}"
+        )
+    return margin
 
 
 # -- seeding ------------------------------------------------------------------
@@ -346,10 +352,7 @@ def seed_known(n: int) -> RelationLedger:
         "n": n,
         "weights": [str(w) for w in exact_weights],
     }
-    lam1 = {
-        p: quasi_complete_spectrum(p, exact_weights, exact=True).lambda1
-        for p in parts
-    }
+    lam1 = {p: nested_star_extremes(p, exact_weights)[0] for p in parts}
     for alpha in parts:
         for beta in parts:
             if alpha == beta or lex_compare(alpha, beta) >= 0:
@@ -561,12 +564,12 @@ def check_matching_bound(sigma: Partition, k: int, trials: int = 1,
 
 def check_onestar_bound(sigma: Partition, k: int, l: int) -> BoundReport:
     """Largest star eigenvalue (l edges) stays at or below l + k, exactly."""
-    from .spectral import star_spectrum
-
     _require_row_class(sigma, k)
     if not 1 <= l <= sigma.n - 1:
         raise ValueError(f"need 1 <= l <= {sigma.n - 1}, got {l}")
-    lam_max = star_spectrum(sigma, l + 1).lambda_max
+    star = [0] * (sigma.n - 1)
+    star[l - 1] = 1  # the star at vertex l + 1
+    lam_max = nested_star_extremes(sigma, star)[1]
     return BoundReport("onestar", lam_max <= l + k, l + k, float(lam_max))
 
 

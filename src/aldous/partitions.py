@@ -36,7 +36,7 @@ class Box(NamedTuple):
 class Partition:
     """Nonincreasing positive integers; the label of an irreducible of S_n."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts: Sequence[int]):
         parts = tuple(int(p) for p in parts)
@@ -45,6 +45,8 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"partition parts must be nonincreasing: {parts}")
         self.parts = parts
+        # partitions key the ledger and every per-shape cache
+        self._hash = hash(parts)
 
     @property
     def n(self) -> int:
@@ -63,7 +65,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __repr__(self):
         return f"Partition({list(self.parts)})"
@@ -204,13 +206,16 @@ def standard_tableaux(p: Partition) -> Iterator[StandardTableau]:
 
 
 def _paths(parts: tuple[int, ...]) -> Iterator[tuple[Box, ...]]:
-    if sum(parts) == 1:
+    if parts == (1,):
         yield (Box(1, 1),)
         return
-    p = Partition(parts)
-    for box in reversed(corners(p)):
-        rest = remove_box(p, box)
-        for prefix in _paths(rest.parts):
+    for row in range(len(parts) - 1, -1, -1):  # corners, bottom row first
+        part = parts[row]
+        if row + 1 < len(parts) and parts[row + 1] == part:
+            continue
+        rest = parts[:row] + (part - 1,) + parts[row + 1:] if part > 1 else parts[:row]
+        box = Box(part, row + 1)
+        for prefix in _paths(rest):
             yield prefix + (box,)
 
 

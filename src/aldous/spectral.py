@@ -9,6 +9,11 @@ nested star operators on the canonical tableau basis:
   * a nonnegative combination of nested stars (weight a_k on the star at
     k) acts with eigenvalue wt - sum_k a_k (col - row of box k), again per
     tableau, evaluated exactly in rational arithmetic on request;
+  * a standard tableau is a saturated chain of diagrams from one box up to
+    the shape, so the lowest and highest of those nested-star eigenvalues
+    are wt minus the heaviest and the lightest chain: `nested_star_extremes`
+    finds both exactly by a memoized recursion over subdiagrams (corner
+    removal), never enumerating tableaux;
   * the complete graph acts by the scalar C(n,2) - content sum;
   * the spectrum on a hook [n-k, 1^k] consists of the k-subset sums of
     the spectrum on [n-1, 1].
@@ -111,18 +116,24 @@ def star_spectrum(shape: Partition, k: int) -> ExactSpectrum:
     return ExactSpectrum(int(k - 1 - c) for c in contents)
 
 
+def _checked_weights(shape: Partition, a) -> list:
+    a = list(a)
+    if len(a) != shape.n - 1:
+        raise ValueError(f"need {shape.n - 1} weights, got {len(a)}")
+    if any(x < 0 for x in a):
+        raise ValueError("weights must be nonnegative")
+    return a
+
+
 def quasi_complete_spectrum(shape: Partition, a, exact: bool = False) -> Spectrum:
     """Spectrum of the nested-star combination with weights a[2..n].
 
     Each tableau contributes wt - sum_k a_k * content(box of k) with
     wt = sum_k a_k (k-1). Exact mode runs in Fractions and is required for
     the fast-decaying weights used to separate lexicographic neighbors.
+    Callers that need only the extremes use `nested_star_extremes`.
     """
-    a = list(a)
-    if len(a) != shape.n - 1:
-        raise ValueError(f"need {shape.n - 1} weights, got {len(a)}")
-    if any(x < 0 for x in a):
-        raise ValueError("weights must be nonnegative")
+    a = _checked_weights(shape, a)
     contents = content_matrix(shape)
     if exact:
         weights = [Fraction(x) for x in a]
@@ -136,6 +147,48 @@ def quasi_complete_spectrum(shape: Partition, a, exact: bool = False) -> Spectru
     wt = float(np.dot(weights, np.arange(1, shape.n)))
     values = wt - contents[:, 1:].astype(float) @ weights
     return Spectrum(float(x) for x in values)
+
+
+def nested_star_extremes(shape: Partition, a) -> tuple[Fraction, Fraction]:
+    """(lambda_1, lambda_max) of the nested-star combination with weights
+    a[2..n], in exact rationals: the extremes of quasi_complete_spectrum's
+    exact mode, from the chain recursion instead of the tableaux."""
+    weights = tuple(Fraction(x) for x in _checked_weights(shape, a))
+    wt, table = _chain_table(weights)
+    heaviest, lightest = _chains(shape.parts, shape.n, weights, table)
+    return wt - heaviest, wt - lightest
+
+
+@lru_cache(maxsize=16)
+def _chain_table(weights: tuple[Fraction, ...]) -> tuple[Fraction, dict]:
+    """wt and the chain extremes per subdiagram under one weighting, shared
+    by every shape that weighting is evaluated on."""
+    wt = sum((w * k for k, w in enumerate(weights, start=1)), Fraction(0))
+    return wt, {(1,): (Fraction(0), Fraction(0))}
+
+
+def _chains(parts: tuple[int, ...], size: int, weights, table: dict):
+    """(max, min) over standard tableaux of the diagram `parts` (size boxes)
+    of sum_{k >= 2} a_k * content(box of k): the box of label `size` is one
+    of the corners, and the rest is a chain of the diagram without it."""
+    found = table.get(parts)
+    if found is not None:
+        return found
+    weight = weights[size - 2]
+    heaviest = lightest = None
+    last = len(parts) - 1
+    for row, part in enumerate(parts):
+        if row < last and parts[row + 1] == part:
+            continue
+        rest = parts[:row] + (part - 1,) + parts[row + 1:] if part > 1 else parts[:row]
+        hi, lo = _chains(rest, size - 1, weights, table)
+        step = weight * (part - 1 - row)  # content of the corner (part, row + 1)
+        if heaviest is None or hi + step > heaviest:
+            heaviest = hi + step
+        if lightest is None or lo + step < lightest:
+            lightest = lo + step
+    table[parts] = heaviest, lightest
+    return heaviest, lightest
 
 
 def remark_weights(n: int) -> list[Fraction]:

@@ -47,6 +47,7 @@ from .spectral import (
     hook_spectrum,
     laplacian_gap,
     multiset_distance,
+    nested_star_extremes,
     quasi_complete_spectrum,
     remark_weights,
     spectrum,
@@ -99,10 +100,7 @@ def suite_qc(n: int, samples: int = 50, seed: int = 0, tol: float = 1e-8) -> Sui
             result.add(f"qc formula n={size}", worst < tol, distance=worst)
     for size in range(2, min(n, 7) + 1):
         weights = remark_weights(size)
-        lam1 = {
-            p: quasi_complete_spectrum(p, weights, exact=True).lambda1
-            for p in partitions_of(size)
-        }
+        lam1 = {p: nested_star_extremes(p, weights)[0] for p in partitions_of(size)}
         bad = [
             (str(alpha), str(beta))
             for alpha in partitions_of(size)
@@ -332,10 +330,10 @@ def game_consistency_run(n: int, samples: int = 1000, seed: int = 0) -> SuiteRes
     for size in range(2, n + 1):
         parts = partitions_of(size)
         vectors = _sample_weight_vectors(size, samples, seed + size)
-        lam1 = {
-            p: [quasi_complete_spectrum(p, a, exact=True).lambda1 for a in vectors]
-            for p in parts
-        }
+        lam1 = {p: [] for p in parts}
+        for a in vectors:  # weighting outermost: its chain table serves every shape
+            for p in parts:
+                lam1[p].append(nested_star_extremes(p, a)[0])
         bad = []
         for sigma in parts:
             for tau in parts:

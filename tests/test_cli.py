@@ -92,6 +92,27 @@ def test_hasse_rejects_tampered_witnesses(capsys, tmp_path):
     assert "no longer refutes" in err
 
 
+def test_hasse_rejects_tampered_margins(capsys, tmp_path):
+    from aldous.order import seed_known
+
+    ledger_path = tmp_path / "ledger.json"
+    data = json.loads(seed_known(4).to_json())
+    for record in data["entries"]:
+        if record["status"] == "refuted":
+            record["margin"] = -5.0  # witness kept
+    ledger_path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "hasse", "--in", str(ledger_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "stored margin -5.0" in err
+
+    assert run(capsys, "scan", "--n", "4", "--budget", "5",
+               "--out", str(ledger_path))[0] == EXIT_OK
+    code, out, _ = run(capsys, "hasse", "--in", str(ledger_path))
+    assert code == EXIT_OK
+    assert out.startswith("digraph")
+
+
 def test_scan_determinism(capsys, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

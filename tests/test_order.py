@@ -158,6 +158,38 @@ def test_seeded_witnesses_recheck():
         assert margin > 0
 
 
+def test_recheck_witness_compares_the_stored_margin():
+    ledger = seed_known(5)
+    for pair in ledger.refuted_pairs():
+        entry = ledger.entry(*pair)
+        stored = entry.margin
+        # exact margins must match to the last bit
+        entry.margin = stored * (1 + 1e-12)
+        with pytest.raises(LedgerConflict, match="stored margin"):
+            recheck_witness(entry)
+        entry.margin = stored
+    ledger, _ = scan(6, families=("cycles", "paths"), budget=1)
+    numeric = [ledger.entry(*p) for p in ledger.refuted_pairs()
+               if not ledger.entry(*p).exact]
+    assert numeric
+    for entry in numeric:
+        stored = entry.margin
+        entry.margin = stored * (1 + 1e-8)
+        assert recheck_witness(entry) == stored
+        entry.margin = stored * (1 + 1e-4)
+        with pytest.raises(LedgerConflict, match="stored margin"):
+            recheck_witness(entry)
+        entry.margin = stored
+
+
+def test_seed_known_reaches_n16():
+    ledger = seed_known(16)
+    separators = [ledger.entry(*p) for p in ledger.refuted_pairs()
+                  if ledger.entry(*p).tag in ("remark1", "ds81")]
+    assert len(separators) == 231 * 230 // 2
+    assert all(entry.margin > 0 for entry in separators)
+
+
 def test_ledger_conflict_detection():
     ledger = seed_known(4)
     with pytest.raises(LedgerConflict):

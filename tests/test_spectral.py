@@ -7,6 +7,7 @@ from aldous.graphs import (
     WeightedGraph,
     complete_graph,
     quasi_complete_graph,
+    quasi_complete_weights,
     random_graph,
     star_graph,
 )
@@ -18,6 +19,7 @@ from aldous.spectral import (
     hook_spectrum,
     laplacian_gap,
     multiset_distance,
+    nested_star_extremes,
     quasi_complete_spectrum,
     remark_weights,
     spectrum,
@@ -126,6 +128,49 @@ def test_quasi_complete_matches_eigensolver():
                 formula = quasi_complete_spectrum(shape, list(a))
                 numeric = spectrum(delta_matrix(shape, graph))
                 assert multiset_distance(formula.values, numeric.values) < 1e-8
+
+
+def test_nested_star_extremes_match_the_full_spectrum():
+    rng = np.random.default_rng(21)
+    for n in range(1, 10):
+        weightings = [
+            remark_weights(n),
+            [int(x) for x in rng.integers(0, 3, size=n - 1)],  # zeros included
+            quasi_complete_weights(quasi_complete_graph(n, rng.random(n - 1))),
+        ]
+        for a in weightings:
+            for shape in partitions_of(n):
+                full = quasi_complete_spectrum(shape, a, exact=True)
+                assert nested_star_extremes(shape, a) == (full.lambda1,
+                                                          full.lambda_max)
+
+
+def test_nested_star_extremes_share_one_table_across_threads():
+    # scan workers evaluate shapes of one weighting on threads that fill
+    # the same memo table; a fresh weighting makes them race on it
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    weights = [Fraction(k, 7) for k in range(1, 8)]
+    shapes = partitions_of(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda s: nested_star_extremes(s, weights),
+                                shapes * 8, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    full = {s: quasi_complete_spectrum(s, weights, exact=True) for s in shapes}
+    for shape, extremes in zip(shapes * 8, got):
+        assert extremes == (full[shape].lambda1, full[shape].lambda_max)
+
+
+def test_nested_star_extremes_rejects_bad_weights():
+    with pytest.raises(ValueError, match="need 3 weights"):
+        nested_star_extremes(Partition([2, 2]), [1, 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        nested_star_extremes(Partition([2, 2]), [1, -1, 1])
 
 
 def test_remark_weights_rank_by_lex():
