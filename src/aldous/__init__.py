@@ -35,6 +35,7 @@ from .spectral import (
     hook_spectrum,
     laplacian_gap,
     nested_star_extremes,
+    nested_star_lambda1_scaled,
     quasi_complete_spectrum,
     remark_weights,
     spectrum,

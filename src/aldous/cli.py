@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass
 
 from . import partitions as pt
@@ -284,17 +285,19 @@ def main(argv: list[str] | None = None) -> int:
                 value = getattr(args, key)
                 if value is not None:
                     params[key] = value
+            start = time.perf_counter()
             result = run_suite(args.suite, args.n, **params)
+            elapsed = time.perf_counter() - start
             for check in result.checks:
                 status = "ok" if check["ok"] else "FAIL"
                 print(f"{status} {check['name']}")
-            if not result.passed:
-                sys.stderr.write(json.dumps(
-                    {"suite": result.suite, "failures": result.failures()},
-                    sort_keys=True, default=str,
-                ) + "\n")
-                return EXIT_VIOLATION
-            return EXIT_OK
+            failures = result.failures()
+            summary = {"suite": result.suite, "checks": len(result.checks),
+                       "failed": len(failures), "elapsed_s": elapsed}
+            if failures:
+                summary["failures"] = failures
+            sys.stderr.write(json.dumps(summary, sort_keys=True, default=str) + "\n")
+            return EXIT_OK if result.passed else EXIT_VIOLATION
 
         if args.command == "characters":
             from .characters import character_table_rows

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .partitions import Box, Partition, corners, remove_box
-from .spectral import nested_star_extremes, remark_weights
+from .spectral import nested_star_lambda1_scaled, remark_weights
 
 
 @lru_cache(maxsize=None)
@@ -152,12 +152,11 @@ def game_vs_spectra(sigma: Partition, tau: Partition, samples: int = 100,
     winner = game_winner(sigma, tau)
     report = GameSpectraReport(sigma, tau, winner)
     for a in _sample_weight_vectors(sigma.n, samples, seed):
-        lam_s = nested_star_extremes(sigma, a)[0]
-        lam_t = nested_star_extremes(tau, a)[0]
+        scale, (lam_s, lam_t) = nested_star_lambda1_scaled((sigma, tau), a)
         report.samples += 1
         if lam_s > lam_t:
             record = {"weights": [str(x) for x in a],
-                      "margin": float(lam_s - lam_t)}
+                      "margin": float(Fraction(lam_s - lam_t, scale))}
             if winner:
                 report.violations.append(record)
             elif report.witness is None:

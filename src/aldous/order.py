@@ -227,10 +227,11 @@ class RelationLedger:
         return [p for p in self.pairs() if self.status(*p) == "refuted"]
 
     def to_json(self) -> str:
+        names = {p: str(p) for p in partitions_of(self.n)}
         entries = []
         for sigma, tau in self.pairs():
             entry = self.entries.get((sigma, tau))
-            record: dict = {"sigma": str(sigma), "tau": str(tau)}
+            record: dict = {"sigma": names[sigma], "tau": names[tau]}
             if entry is None:
                 record["status"] = "unknown"
             else:

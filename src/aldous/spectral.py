@@ -13,7 +13,11 @@ nested star operators on the canonical tableau basis:
     the shape, so the lowest and highest of those nested-star eigenvalues
     are wt minus the heaviest and the lightest chain: `nested_star_extremes`
     finds both exactly by a memoized recursion over subdiagrams (corner
-    removal), never enumerating tableaux;
+    removal), never enumerating tableaux. The recursion runs in integers:
+    each weighting is scaled once by the common denominator of its
+    weights, and Fractions are built only for the returned values.
+    `nested_star_lambda1_scaled` hands out the scaled integers themselves
+    for sweeps that only compare lambda_1 across shapes;
   * the complete graph acts by the scalar C(n,2) - content sum;
   * the spectrum on a hook [n-k, 1^k] consists of the k-subset sums of
     the spectrum on [n-1, 1].
@@ -25,6 +29,7 @@ eigensolver via numpy.linalg.eigvalsh / eigh.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -116,11 +121,13 @@ def star_spectrum(shape: Partition, k: int) -> ExactSpectrum:
     return ExactSpectrum(int(k - 1 - c) for c in contents)
 
 
-def _checked_weights(shape: Partition, a) -> list:
+def _checked_weights(n: int, a) -> list:
     a = list(a)
-    if len(a) != shape.n - 1:
-        raise ValueError(f"need {shape.n - 1} weights, got {len(a)}")
-    if any(x < 0 for x in a):
+    if len(a) != n - 1:
+        raise ValueError(f"need {n - 1} weights, got {len(a)}")
+    if not all(0 <= x < math.inf for x in a):
+        if any(x != x or abs(x) == math.inf for x in a):
+            raise ValueError("weights must be finite")
         raise ValueError("weights must be nonnegative")
     return a
 
@@ -133,7 +140,7 @@ def quasi_complete_spectrum(shape: Partition, a, exact: bool = False) -> Spectru
     the fast-decaying weights used to separate lexicographic neighbors.
     Callers that need only the extremes use `nested_star_extremes`.
     """
-    a = _checked_weights(shape, a)
+    a = _checked_weights(shape.n, a)
     contents = content_matrix(shape)
     if exact:
         weights = [Fraction(x) for x in a]
@@ -153,18 +160,37 @@ def nested_star_extremes(shape: Partition, a) -> tuple[Fraction, Fraction]:
     """(lambda_1, lambda_max) of the nested-star combination with weights
     a[2..n], in exact rationals: the extremes of quasi_complete_spectrum's
     exact mode, from the chain recursion instead of the tableaux."""
-    weights = tuple(Fraction(x) for x in _checked_weights(shape, a))
-    wt, table = _chain_table(weights)
+    scale, weights, wt, table = _chain_table(tuple(_checked_weights(shape.n, a)))
     heaviest, lightest = _chains(shape.parts, shape.n, weights, table)
-    return wt - heaviest, wt - lightest
+    return Fraction(wt - heaviest, scale), Fraction(wt - lightest, scale)
+
+
+def nested_star_lambda1_scaled(shapes, a) -> tuple[int, list[int]]:
+    """(scale, [lambda_1 * scale per shape]) under one nested-star weighting
+    of the shapes' common size, in integers: scale is the common denominator
+    of the weights, so the numerators order the shapes as their lambda_1 do
+    and Fraction(numerator, scale) is nested_star_extremes(shape, a)[0]."""
+    a = list(a)
+    n = len(a) + 1
+    if any(shape.n != n for shape in shapes):
+        raise ValueError(f"{len(a)} weights need shapes of size {n}")
+    scale, weights, wt, table = _chain_table(tuple(_checked_weights(n, a)))
+    return scale, [wt - _chains(shape.parts, n, weights, table)[0]
+                   for shape in shapes]
 
 
 @lru_cache(maxsize=16)
-def _chain_table(weights: tuple[Fraction, ...]) -> tuple[Fraction, dict]:
-    """wt and the chain extremes per subdiagram under one weighting, shared
-    by every shape that weighting is evaluated on."""
-    wt = sum((w * k for k, w in enumerate(weights, start=1)), Fraction(0))
-    return wt, {(1,): (Fraction(0), Fraction(0))}
+def _chain_table(a: tuple) -> tuple[int, tuple[int, ...], int, dict]:
+    """One weighting in integers, shared by every shape it is evaluated on:
+    the common denominator `scale` of the weights, the weights and wt times
+    scale, and the chain extremes per subdiagram (also times scale). Equal
+    weights hash equal whatever their type, so 0.5 and Fraction(1, 2) share
+    an entry."""
+    fractions = [Fraction(x) for x in a]
+    scale = math.lcm(*(f.denominator for f in fractions))
+    weights = tuple(f.numerator * (scale // f.denominator) for f in fractions)
+    wt = sum(w * k for k, w in enumerate(weights, start=1))
+    return scale, weights, wt, {(1,): (0, 0)}
 
 
 def _chains(parts: tuple[int, ...], size: int, weights, table: dict):

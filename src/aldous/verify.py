@@ -48,6 +48,7 @@ from .spectral import (
     laplacian_gap,
     multiset_distance,
     nested_star_extremes,
+    nested_star_lambda1_scaled,
     quasi_complete_spectrum,
     remark_weights,
     spectrum,
@@ -330,17 +331,16 @@ def game_consistency_run(n: int, samples: int = 1000, seed: int = 0) -> SuiteRes
     for size in range(2, n + 1):
         parts = partitions_of(size)
         vectors = _sample_weight_vectors(size, samples, seed + size)
-        lam1 = {p: [] for p in parts}
-        for a in vectors:  # weighting outermost: its chain table serves every shape
-            for p in parts:
-                lam1[p].append(nested_star_extremes(p, a)[0])
+        # one column per weighting: lambda_1 of each shape times the
+        # weighting's common denominator, so a column orders like lambda_1
+        columns = [nested_star_lambda1_scaled(parts, a)[1] for a in vectors]
         bad = []
-        for sigma in parts:
-            for tau in parts:
+        for i, sigma in enumerate(parts):
+            for j, tau in enumerate(parts):
                 if not game_winner(sigma, tau):
                     continue
-                for idx in range(len(vectors)):
-                    if lam1[sigma][idx] > lam1[tau][idx]:
+                for idx, lam1 in enumerate(columns):
+                    if lam1[i] > lam1[j]:
                         bad.append({"sigma": str(sigma), "tau": str(tau),
                                     "sample": idx})
                         break

@@ -121,10 +121,31 @@ def test_scan_determinism(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_verify_suite_exit_codes(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "characters", "--n", "4")
+def test_verify_suite_exit_codes(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "--suite", "characters", "--n", "4")
     assert code == EXIT_OK
     assert "ok" in out and "FAIL" not in out
+    summary = json.loads(err.strip().splitlines()[-1])
+    assert set(summary) == {"suite", "checks", "failed", "elapsed_s"}
+    assert summary["suite"] == "characters" and summary["failed"] == 0
+    assert summary["checks"] == len(out.strip().splitlines())
+    assert summary["elapsed_s"] >= 0
+
+    import aldous.verify as verify
+
+    def failing(n):
+        result = verify.SuiteResult("characters")
+        result.add("holds", True)
+        result.add("breaks", False, excess=1.5)
+        return result
+
+    monkeypatch.setitem(verify.SUITES, "characters", failing)
+    code, out, err = run(capsys, "verify", "--suite", "characters", "--n", "4")
+    assert code == EXIT_VIOLATION
+    assert out.splitlines() == ["ok holds", "FAIL breaks"]
+    summary = json.loads(err.strip().splitlines()[-1])
+    assert (summary["checks"], summary["failed"]) == (2, 1)
+    assert summary["failures"] == [{"name": "breaks", "ok": False, "excess": 1.5}]
 
 
 def test_characters_csv(capsys):

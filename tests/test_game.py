@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from aldous.game import (
@@ -7,6 +9,7 @@ from aldous.game import (
     game_winner_brute,
 )
 from aldous.partitions import Partition, partitions_of
+from aldous.spectral import nested_star_extremes
 
 
 def test_mirror_strategy_wins():
@@ -67,3 +70,37 @@ def test_game_vs_spectra_all_pairs_small():
             for tau in partitions_of(n):
                 report = game_vs_spectra(sigma, tau, samples=40)
                 assert report.consistent, (str(sigma), str(tau), report.violations)
+
+
+def test_game_vs_spectra_witness_margin_is_the_exact_gap():
+    sigma, tau = Partition([2, 1]), Partition([3])
+    report = game_vs_spectra(sigma, tau, samples=50)
+    weights = [Fraction(w) for w in report.witness["weights"]]
+    gap = nested_star_extremes(sigma, weights)[0] - nested_star_extremes(tau, weights)[0]
+    assert gap > 0 and report.witness["margin"] == float(gap)
+
+
+def test_game_consistency_run_reports_the_first_exact_violation(monkeypatch):
+    # negative control: if A won every game, each pair must be reported at
+    # the first sampled weighting whose exact lambda_1 orders it the other way
+    import aldous.verify as verify
+    from aldous.game import _sample_weight_vectors
+
+    monkeypatch.setattr(verify, "game_winner", lambda s, t: True)
+    n, samples, seed = 4, 40, 3
+    result = verify.game_consistency_run(n, samples=samples, seed=seed)
+    assert not result.passed
+    for size, check in zip(range(2, n + 1), result.checks):
+        vectors = _sample_weight_vectors(size, samples, seed + size)
+        lam1 = {p: [nested_star_extremes(p, a)[0] for a in vectors]
+                for p in partitions_of(size)}
+        expected = []
+        for sigma in partitions_of(size):
+            for tau in partitions_of(size):
+                first = next((i for i, (s, t) in enumerate(zip(lam1[sigma], lam1[tau]))
+                              if s > t), None)
+                if first is not None:
+                    expected.append({"sigma": str(sigma), "tau": str(tau),
+                                     "sample": first})
+        assert check["inconsistencies"] == expected
+        assert expected

@@ -20,6 +20,7 @@ from aldous.spectral import (
     laplacian_gap,
     multiset_distance,
     nested_star_extremes,
+    nested_star_lambda1_scaled,
     quasi_complete_spectrum,
     remark_weights,
     spectrum,
@@ -131,18 +132,45 @@ def test_quasi_complete_matches_eigensolver():
 
 
 def test_nested_star_extremes_match_the_full_spectrum():
+    # the chain runs in integers over one denominator per weighting; raw
+    # floats, dyadic ones included, convert exactly
     rng = np.random.default_rng(21)
+    mixed = (Fraction(1, 3), 2.0 ** -60, 0.1, 2, np.float64(0.75))
     for n in range(1, 10):
         weightings = [
             remark_weights(n),
             [int(x) for x in rng.integers(0, 3, size=n - 1)],  # zeros included
             quasi_complete_weights(quasi_complete_graph(n, rng.random(n - 1))),
+            [float(x) for x in rng.random(n - 1)],
+            [2.0 ** -(60 + 3 * k) for k in range(n - 1)],
+            [mixed[k % len(mixed)] for k in range(n - 1)],
         ]
         for a in weightings:
             for shape in partitions_of(n):
                 full = quasi_complete_spectrum(shape, a, exact=True)
-                assert nested_star_extremes(shape, a) == (full.lambda1,
-                                                          full.lambda_max)
+                got = nested_star_extremes(shape, a)
+                assert all(type(x) is Fraction for x in got)
+                assert got == (full.lambda1, full.lambda_max)
+
+
+def test_nested_star_extremes_equal_weights_of_any_type_agree():
+    for shape in partitions_of(3):
+        assert (nested_star_extremes(shape, [0.5, 0.25])
+                == nested_star_extremes(shape, [Fraction(1, 2), Fraction(1, 4)]))
+
+
+def test_nested_star_lambda1_scaled_orders_like_lambda1():
+    rng = np.random.default_rng(8)
+    for n in range(1, 8):
+        shapes = partitions_of(n)
+        for a in ([float(x) for x in rng.random(n - 1)], remark_weights(n),
+                  [Fraction(int(x), 1000) for x in rng.integers(0, 1001, n - 1)]):
+            scale, numerators = nested_star_lambda1_scaled(shapes, a)
+            assert all(type(x) is int for x in [scale, *numerators])
+            for shape, numerator in zip(shapes, numerators):
+                assert Fraction(numerator, scale) == nested_star_extremes(shape, a)[0]
+    with pytest.raises(ValueError, match="size 3"):
+        nested_star_lambda1_scaled([Partition([3]), Partition([2, 2])], [1, 1])
 
 
 def test_nested_star_extremes_share_one_table_across_threads():
@@ -171,6 +199,14 @@ def test_nested_star_extremes_rejects_bad_weights():
         nested_star_extremes(Partition([2, 2]), [1, 1])
     with pytest.raises(ValueError, match="nonnegative"):
         nested_star_extremes(Partition([2, 2]), [1, -1, 1])
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        for a in ([bad, 1.0], [Fraction(1, 2), bad]):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                nested_star_extremes(Partition([2, 1]), a)
+            with pytest.raises(ValueError, match="weights must be finite"):
+                quasi_complete_spectrum(Partition([2, 1]), a, exact=True)
+            with pytest.raises(ValueError, match="weights must be finite"):
+                nested_star_lambda1_scaled([Partition([2, 1])], a)
 
 
 def test_remark_weights_rank_by_lex():
