@@ -33,11 +33,13 @@ from .spectral import (
     Spectrum,
     complete_graph_eigenvalue,
     hook_spectrum,
+    irrep_spectra,
     laplacian_gap,
     nested_star_extremes,
     nested_star_lambda1_scaled,
     quasi_complete_spectrum,
     remark_weights,
+    spectra,
     spectrum,
     star_spectrum,
 )
@@ -45,6 +47,7 @@ from .symrep import (
     ColoringSpace,
     Permutation,
     cycle_type,
+    delta_matrices,
     delta_matrix,
     l2q_delta,
     regular_delta,

@@ -246,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
                 "graphs_tried": report.graphs_tried,
                 "refutations_found": report.refutations_found,
                 "skipped_shapes": report.skipped_shapes,
+                "refutations_exact": report.refutations_exact,
+                "refutations_numeric": report.refutations_numeric,
+                "min_numeric_margin": report.min_numeric_margin,
                 "unknown": len(ledger.unknown_pairs()),
                 "contradictions": report.contradictions,
             }
@@ -284,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
             for key in ("budget", "trials", "samples", "graphs"):
                 value = getattr(args, key)
                 if value is not None:
+                    if value <= 0:
+                        raise ValueError(f"--{key} must be positive")
                     params[key] = value
             start = time.perf_counter()
             result = run_suite(args.suite, args.n, **params)

@@ -49,7 +49,7 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
-from .spectral import nested_star_extremes, remark_weights, spectrum
+from .spectral import irrep_spectra, nested_star_extremes, remark_weights, spectrum
 from .symrep import DEFAULT_DIM_CAP, DimensionCapExceeded, delta_matrix
 
 DEFAULT_TOL = 1e-9
@@ -84,11 +84,37 @@ def lambda_extremes(shape: Partition, graph: WeightedGraph,
     eigensolver. Results are cached; graphs are immutable after
     construction.
     """
-    a = quasi_complete_weights(graph)
-    if a is not None:
-        return (*nested_star_extremes(shape, a), True)
+    exact = _exact_extremes(shape, graph)
+    if exact is not None:
+        return exact
     spec = spectrum(delta_matrix(shape, graph, dim_cap=dim_cap), tol)
     return spec.lambda1, spec.lambda_max, False
+
+
+def _exact_extremes(shape: Partition, graph: WeightedGraph):
+    """(lambda_1, lambda_max, True) of a nested-star graph; None otherwise."""
+    a = quasi_complete_weights(graph)
+    return None if a is None else (*nested_star_extremes(shape, a), True)
+
+
+def lambda_extremes_many(shapes: Sequence[Partition],
+                         graphs: Sequence[WeightedGraph],
+                         dim_cap: int = DEFAULT_DIM_CAP) -> list:
+    """lambda_extremes(shape, graph) for each (shape, graph) pair of the two
+    lists, by the same rule: nested-star graphs exactly, and the other
+    graphs of each shape stacked through `irrep_spectra` (same floats, one
+    assembly and one solve per stack instead of per graph). Not cached."""
+    results = [_exact_extremes(shape, graph)
+               for shape, graph in zip(shapes, graphs, strict=True)]
+    pending: dict[Partition, list[int]] = {}
+    for idx, found in enumerate(results):
+        if found is None:
+            pending.setdefault(shapes[idx], []).append(idx)
+    for shape, indices in pending.items():
+        solved = irrep_spectra(shape, [graphs[idx] for idx in indices], dim_cap=dim_cap)
+        for idx, spec in zip(indices, solved):
+            results[idx] = spec.lambda1, spec.lambda_max, False
+    return results
 
 
 @dataclass
@@ -439,6 +465,10 @@ class ScanReport:
     # (shape, graph) evaluations dropped because the shape's dimension is
     # above dim_cap; pairs with such a shape stay undecided by that graph
     skipped_shapes: int = 0
+    # over every refuted entry of the returned ledger, seeded or scanned
+    refutations_exact: int = 0
+    refutations_numeric: int = 0
+    min_numeric_margin: Optional[float] = None
     contradictions: list = field(default_factory=list)
 
     @property
@@ -518,6 +548,11 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     finally:
         if pool:
             pool.shutdown()
+    refuted = [e for e in ledger.entries.values() if e.status == "refuted"]
+    numeric = [e.margin for e in refuted if not e.exact]
+    report.refutations_exact = len(refuted) - len(numeric)
+    report.refutations_numeric = len(numeric)
+    report.min_numeric_margin = min(numeric, default=None)
     return ledger, report
 
 
@@ -577,29 +612,48 @@ def check_onestar_bound(sigma: Partition, k: int, l: int) -> BoundReport:
 def check_weightedstar_bound(sigma: Partition, k: int, a,
                              tol: float = DEFAULT_TOL) -> BoundReport:
     """Weighted-star bound: twice the k heaviest edges plus the rest."""
-    _require_row_class(sigma, k)
-    a = [float(x) for x in a]
-    if len(a) != sigma.n - 1:
-        raise ValueError(f"need {sigma.n - 1} weights")
-    if any(a[i] < a[i + 1] for i in range(len(a) - 1)) or a[-1] < 0:
-        raise ValueError("weights must be sorted nonincreasing and nonnegative")
-    graph = weighted_star_graph(sigma.n, a)
-    _, lam_max, _ = lambda_extremes(sigma, graph)
-    bound = 2 * sum(a[:k]) + sum(a[k:])
-    return BoundReport("weightedstar", lam_max <= bound + tol, bound, float(lam_max))
+    return check_weightedstar_bounds([(sigma, k, a)], tol)[0]
+
+
+def check_weightedstar_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
+    """check_weightedstar_bound for each (sigma, k, a) instance, the graphs
+    evaluated together by lambda_extremes_many."""
+    shapes, graphs, bounds = [], [], []
+    for sigma, k, a in instances:
+        _require_row_class(sigma, k)
+        a = [float(x) for x in a]
+        if len(a) != sigma.n - 1:
+            raise ValueError(f"need {sigma.n - 1} weights")
+        if any(a[i] < a[i + 1] for i in range(len(a) - 1)) or a[-1] < 0:
+            raise ValueError("weights must be sorted nonincreasing and nonnegative")
+        shapes.append(sigma)
+        graphs.append(weighted_star_graph(sigma.n, a))
+        bounds.append(2 * sum(a[:k]) + sum(a[k:]))
+    return [BoundReport("weightedstar", lam_max <= bound + tol, bound, float(lam_max))
+            for (_, lam_max, _), bound in zip(lambda_extremes_many(shapes, graphs), bounds)]
 
 
 def check_invariant_vector_bound(sigma: Partition, k: int, graph: WeightedGraph,
                                  vertices: Sequence[int],
                                  tol: float = DEFAULT_TOL) -> BoundReport:
     """Lowest eigenvalue at or below twice the chosen vertices' weight."""
-    _require_row_class(sigma, k)
-    vertices = list(vertices)
-    if len(set(vertices)) != k or not all(1 <= v <= graph.n for v in vertices):
-        raise ValueError(f"need {k} distinct vertices in 1..{graph.n}")
-    lam1, _, _ = lambda_extremes(sigma, graph)
-    bound = 2.0 * sum(float(graph.weights[v - 1].sum()) for v in vertices)
-    return BoundReport("invariant_vector", lam1 <= bound + tol, bound, float(lam1))
+    return check_invariant_vector_bounds([(sigma, k, graph, vertices)], tol)[0]
+
+
+def check_invariant_vector_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
+    """check_invariant_vector_bound for each (sigma, k, graph, vertices)
+    instance, the graphs evaluated together by lambda_extremes_many."""
+    shapes, graphs, bounds = [], [], []
+    for sigma, k, graph, vertices in instances:
+        _require_row_class(sigma, k)
+        vertices = list(vertices)
+        if len(set(vertices)) != k or not all(1 <= v <= graph.n for v in vertices):
+            raise ValueError(f"need {k} distinct vertices in 1..{graph.n}")
+        shapes.append(sigma)
+        graphs.append(graph)
+        bounds.append(2.0 * sum(float(graph.weights[v - 1].sum()) for v in vertices))
+    return [BoundReport("invariant_vector", lam1 <= bound + tol, bound, float(lam1))
+            for (lam1, _, _), bound in zip(lambda_extremes_many(shapes, graphs), bounds)]
 
 
 # -- reducing machinery -------------------------------------------------------

@@ -24,7 +24,11 @@ nested star operators on the canonical tableau basis:
 
 Everything else goes through `spectrum`, which checks its input (square,
 finite, symmetric) and hands the symmetrized matrix to LAPACK's symmetric
-eigensolver via numpy.linalg.eigvalsh / eigh.
+eigensolver via numpy.linalg.eigvalsh / eigh. `spectra` does the same for a
+(G, d, d) stack in one call, and `irrep_spectra` solves one irreducible for
+a list of graphs by stacking their operators (`symrep.delta_matrices`),
+which is how the verify suites spend little per-call overhead on the
+thousands of tiny operators they check.
 """
 
 from __future__ import annotations
@@ -39,7 +43,13 @@ import numpy as np
 
 from .graphs import WeightedGraph
 from .partitions import Partition, content_matrix, content_sum
-from .symrep import delta_matrix
+from .symrep import (
+    DEFAULT_DIM_CAP,
+    STACK_FLOATS,
+    check_dim,
+    delta_matrices,
+    delta_matrix,
+)
 
 DEFAULT_TOL = 1e-12
 
@@ -86,6 +96,25 @@ class ExactSpectrum(Spectrum):
         return Spectrum(float(v) for v in self.values)
 
 
+def _symmetrized(m: np.ndarray, tol: float) -> np.ndarray:
+    """(m + m^T) / 2 for a matrix or each matrix of a (G, d, d) stack, after
+    checking that it is square, finite and symmetric to within
+    tol * ||m_g||_F per matrix. Shared by spectrum and spectra rather than
+    spectrum calling spectra, so per-function timings of spectrum still
+    cover its own eigensolve."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    mt = m.swapaxes(-1, -2)
+    if m.size:
+        per_matrix = (-2, -1) if m.ndim == 3 else None
+        limit = np.maximum(tol * np.linalg.norm(m, axis=per_matrix), 1e-300)
+        if np.count_nonzero(np.abs(m - mt).max(axis=per_matrix) > limit):
+            raise ValueError("matrix must be symmetric")
+    return (m + mt) / 2.0
+
+
 def spectrum(m: np.ndarray, tol: float = DEFAULT_TOL,
              want_vectors: bool = False):
     """All eigenvalues of a symmetric matrix, by LAPACK through numpy.
@@ -93,22 +122,39 @@ def spectrum(m: np.ndarray, tol: float = DEFAULT_TOL,
     The matrix must be square, finite and symmetric to within
     tol * ||m||_F; it is symmetrized before the solve. Returns a Spectrum,
     or (Spectrum, V) with eigenvector columns matching the sorted order
-    when want_vectors is set.
+    when want_vectors is set. The one-matrix case of `spectra`.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise ValueError("matrix must be square")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    norm = float(np.linalg.norm(m))
-    if m.size and np.abs(m - m.T).max() > max(tol * norm, 1e-300):
-        raise ValueError("matrix must be symmetric")
-    a = (m + m.T) / 2.0
+    a = _symmetrized(m, tol)
     if want_vectors:
         # eigh returns ascending values with matching columns
         values, vectors = np.linalg.eigh(a)
         return Spectrum(values.tolist()), vectors
     return Spectrum(np.linalg.eigvalsh(a).tolist())
+
+
+def spectra(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list[Spectrum]:
+    """spectrum(m) of each matrix m of a (G, d, d) stack, from one checked
+    stack and one stacked eigvalsh; LAPACK solves the matrices one by one,
+    so each value is the one spectrum(m) returns."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or not len(stack):
+        raise ValueError("need a nonempty (G, d, d) stack")
+    return [Spectrum(values) for values in np.linalg.eigvalsh(_symmetrized(stack, tol)).tolist()]
+
+
+def irrep_spectra(shape: Partition, graphs: Sequence[WeightedGraph],
+                  tol: float = DEFAULT_TOL,
+                  dim_cap: int = DEFAULT_DIM_CAP) -> list[Spectrum]:
+    """spectrum(delta_matrix(shape, graph)) for each graph of a list, the
+    graphs stacked STACK_FLOATS floats at a time: one assembly recursion
+    and one stacked solve per stack."""
+    step = max(1, STACK_FLOATS // check_dim(shape, dim_cap) ** 2)
+    return [spec for start in range(0, len(graphs), step)
+            for spec in spectra(delta_matrices(shape, graphs[start:start + step],
+                                               dim_cap), tol)]
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +293,12 @@ def hook_spectrum(graph: WeightedGraph, k: int, tol: float = DEFAULT_TOL) -> Spe
     n = graph.n
     if not 0 <= k <= n - 1:
         raise ValueError(f"hook leg must satisfy 0 <= k <= {n - 1}, got {k}")
-    base = standard_rep_spectrum(graph, tol)
+    return subset_sum_spectrum(standard_rep_spectrum(graph, tol), k)
+
+
+def subset_sum_spectrum(base: Spectrum, k: int) -> Spectrum:
+    """The k-subset sums of a spectrum on [n-1, 1]: the spectrum on the hook
+    [n-k, 1^k] of the same graph."""
     return Spectrum(sum(combo) for combo in combinations(base.values, k))
 
 

@@ -28,6 +28,12 @@ from .partitions import (
 )
 
 DEFAULT_DIM_CAP = 5000
+# floats in one stack of operators (G graphs of dimension d take G d^2):
+# 64 or more graphs at d <= 16, one at a time from d = 128 on. The four
+# stacks assembly holds (512 KB) stay within a core's L2 cache. At 1 << 16
+# they did not: on a Xeon with 2 MB of L2 per core, dims 42..168 assembled
+# 1.5-2x slower stacked than one graph at a time
+STACK_FLOATS = 1 << 14
 
 
 class DimensionCapExceeded(ValueError):
@@ -184,6 +190,22 @@ def _adjacent_factors(shape: Partition, i: int):
 
 
 @lru_cache(maxsize=None)
+def _adjacent_entries(shape: Partition, i: int):
+    """The nonzeros of the image of (i, i+1) as flat positions in a
+    dim x dim matrix (a 1 x nnz row) and their values: diag[T] at (T, T),
+    and off[T] at (T, partner[T]) for the rows T that pair with another."""
+    diag, off, partner = _adjacent_factors(shape, i)
+    rows = np.arange(len(diag))
+    paired = partner != rows
+    positions = np.concatenate([rows * (len(diag) + 1),
+                                rows[paired] * len(diag) + partner[paired]])[None]
+    values = np.concatenate([diag, off[paired]])
+    for arr in (positions, values):
+        arr.setflags(write=False)
+    return positions, values
+
+
+@lru_cache(maxsize=None)
 def rep_adjacent(shape: Partition, i: int) -> np.ndarray:
     """Image of the adjacent transposition (i, i+1) in Young's orthogonal
     form, as a dense matrix (see _adjacent_factors)."""
@@ -220,19 +242,71 @@ def rep_transposition(shape: Partition, i: int, j: int) -> np.ndarray:
     return m
 
 
-def _conjugate(x: np.ndarray, diag, off, partner) -> np.ndarray:
-    """S x S for the adjacent image S given by its factors, via one row and
-    one column gather: (S x)[T] = diag[T] x[T] + off[T] x[partner[T]].
-    Holds two matrices besides x."""
-    y = x * diag[:, None]
-    gathered = x.take(partner, axis=0)
-    gathered *= off[:, None]
+def _conjugate(x: np.ndarray, row_factors, diag, off, partner) -> np.ndarray:
+    """S x S for each d x d block of the (G*d, d) stack x, with S the
+    adjacent image given by its factors, via one row and one column gather:
+    (S x)[T] = diag[T] x[T] + off[T] x[partner[T]]. row_factors are the
+    factors repeated for the G blocks of rows. Holds two stacks besides x."""
+    row_diag, row_off, row_partner = row_factors
+    y = x * row_diag[:, None]
+    gathered = x.take(row_partner, axis=0)
+    gathered *= row_off[:, None]
     y += gathered
     y.take(partner, axis=1, out=gathered)
     gathered *= off
     y *= diag
     y += gathered
     return y
+
+
+def _assemble(shape: Partition, graphs: Sequence[WeightedGraph],
+              dim_cap: int) -> np.ndarray:
+    """The (G, d, d) stack of swap operators of G graphs on one irreducible,
+    by one backward recursion (see delta_matrix) with a leading graph axis.
+    A step whose weight is zero on every graph is skipped; on part of the
+    stack it adds zeros. delta_matrix calls this directly rather than
+    through delta_matrices, so per-function timings keep one-graph and
+    stacked assembly apart."""
+    sizes = {graph.n for graph in graphs}
+    if len(sizes) != 1:
+        raise ValueError("need one or more graphs, all on the same vertices")
+    if shape.n not in sizes:
+        raise ValueError(f"graph on {sizes.pop()} vertices vs shape of {shape.n}")
+    dim = check_dim(shape, dim_cap)
+    n, count = shape.n, len(graphs)
+    weights = graphs[0].weights[None] if count == 1 else np.stack(
+        [graph.weights for graph in graphs])
+    used = (np.maximum.reduce(weights) > 0).tolist()  # weights are >= 0
+    # flat offset of each block of the stack
+    blocks = np.arange(0, count * dim * dim, dim * dim)[:, None]
+    factors = {}
+    for r in range(1, n):
+        diag, off, partner = _adjacent_factors(shape, r)
+        positions, values = _adjacent_entries(shape, r)
+        row_factors = diag, off, partner
+        if count > 1:
+            row_factors = (np.tile(diag, count), np.tile(off, count),
+                           (partner + blocks // dim).ravel())
+            positions = blocks + positions
+        factors[r] = diag, off, partner, row_factors, positions, values
+    m = np.zeros((count * dim, dim))
+    for i in range(1, n):
+        acc = None
+        for r in range(n - 1, i - 1, -1):
+            diag, off, partner, row_factors, positions, values = factors[r]
+            if acc is not None:
+                acc = _conjugate(acc, row_factors, diag, off, partner)
+            if used[i - 1][r]:
+                if acc is None:
+                    acc = np.zeros((count * dim, dim))
+                # a_{i, r+1} S_r, per graph
+                acc.reshape(-1)[positions] += weights[:, i - 1, r, None] * values
+        if acc is not None:
+            m -= acc
+    # the identity part goes in last: starting from wt * I rounds the
+    # integer diagonals of unit-weight star graphs away from their values
+    m.reshape(count, dim * dim)[:, ::dim + 1] += [[graph.wt] for graph in graphs]
+    return m.reshape(count, dim, dim)
 
 
 def delta_matrix(shape: Partition, graph: WeightedGraph,
@@ -246,35 +320,20 @@ def delta_matrix(shape: Partition, graph: WeightedGraph,
     Each step costs O(dim^2) through the two-nonzeros-per-row factors of
     S_r, so assembly takes O(n^2 dim^2) time and O(dim^2) memory, with no
     cached transposition images.
+
+    This is the one-graph case of delta_matrices, which runs the same
+    recursion over a stack of G graphs in about 4 G dim^2 floats; callers
+    that stack graphs keep G dim^2 under STACK_FLOATS per stack.
     """
-    if graph.n != shape.n:
-        raise ValueError(f"graph on {graph.n} vertices vs shape of {shape.n}")
-    dim = check_dim(shape, dim_cap)
-    n = shape.n
-    rows = np.arange(dim)
-    diagonal = rows * (dim + 1)  # flat positions of (T, T)
-    factors = {r: _adjacent_factors(shape, r) for r in range(1, n)}
-    m = np.zeros((dim, dim))
-    for i in range(1, n):
-        weights = graph.weights[i - 1]
-        acc = None
-        for r in range(n - 1, i - 1, -1):
-            diag, off, partner = factors[r]
-            if acc is not None:
-                acc = _conjugate(acc, diag, off, partner)
-            w = weights[r]  # a_{i, r+1}
-            if w > 0:
-                if acc is None:
-                    acc = np.zeros((dim, dim))
-                flat = acc.reshape(-1)
-                flat[diagonal] += w * diag
-                flat[rows * dim + partner] += w * off
-        if acc is not None:
-            m -= acc
-    # the identity part goes in last: starting from wt * I rounds the
-    # integer diagonals of unit-weight star graphs away from their values
-    m.reshape(-1)[diagonal] += graph.wt
-    return m
+    return _assemble(shape, (graph,), dim_cap)[0]
+
+
+def delta_matrices(shape: Partition, graphs: Sequence[WeightedGraph],
+                   dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    """The (G, dim, dim) stack of delta_matrix(shape, graph) over G graphs
+    on shape.n vertices, slice for slice the same floats, from one
+    recursion whose gathers each serve the whole stack."""
+    return _assemble(shape, graphs, dim_cap)
 
 
 class ColoringSpace:

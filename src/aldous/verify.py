@@ -25,11 +25,11 @@ from .characters import (
 from .game import game_winner
 from .graphs import quasi_complete_graph, random_graph, star_graph
 from .order import (
-    check_invariant_vector_bound,
+    check_invariant_vector_bounds,
     check_matching_bound,
     check_onestar_bound,
     check_pair,
-    check_weightedstar_bound,
+    check_weightedstar_bounds,
     hook,
     recheck_witness,
     scan,
@@ -44,7 +44,7 @@ from .partitions import (
     partitions_of,
 )
 from .spectral import (
-    hook_spectrum,
+    irrep_spectra,
     laplacian_gap,
     multiset_distance,
     nested_star_extremes,
@@ -53,8 +53,9 @@ from .spectral import (
     remark_weights,
     spectrum,
     star_spectrum,
+    subset_sum_spectrum,
 )
-from .symrep import delta_matrix, regular_delta
+from .symrep import regular_delta
 
 
 @dataclass
@@ -75,10 +76,10 @@ def suite_lemma9(n: int, tol: float = 1e-8) -> SuiteResult:
     """Star spectra from the tableau formula against the eigensolver."""
     result = SuiteResult("lemma9")
     for size in range(4, n + 1):
+        stars = [star_graph(size, k) for k in range(2, size + 1)]
         for shape in partitions_of(size):
-            for k in range(2, size + 1):
+            for k, numeric in enumerate(irrep_spectra(shape, stars), start=2):
                 exact = star_spectrum(shape, k).as_spectrum()
-                numeric = spectrum(delta_matrix(shape, star_graph(size, k)))
                 dist = multiset_distance(exact.values, numeric.values)
                 result.add(f"lemma9 n={size} shape={shape} k={k}", dist < tol,
                            distance=dist)
@@ -91,14 +92,16 @@ def suite_qc(n: int, samples: int = 50, seed: int = 0, tol: float = 1e-8) -> Sui
     result = SuiteResult("qc")
     rng = np.random.default_rng(seed)
     for size in range(3, min(n, 6) + 1):
-        for _ in range(samples):
-            a = rng.random(size - 1)
-            worst = 0.0
-            for shape in partitions_of(size):
-                formula = quasi_complete_spectrum(shape, list(a))
-                numeric = spectrum(delta_matrix(shape, quasi_complete_graph(size, a)))
-                worst = max(worst, multiset_distance(formula.values, numeric.values))
-            result.add(f"qc formula n={size}", worst < tol, distance=worst)
+        weights = [rng.random(size - 1) for _ in range(samples)]
+        graphs = [quasi_complete_graph(size, a) for a in weights]
+        worst = [0.0] * samples
+        for shape in partitions_of(size):
+            for sample, numeric in enumerate(irrep_spectra(shape, graphs)):
+                formula = quasi_complete_spectrum(shape, list(weights[sample]))
+                worst[sample] = max(worst[sample],
+                                    multiset_distance(formula.values, numeric.values))
+        for dist in worst:
+            result.add(f"qc formula n={size}", dist < tol, distance=dist)
     for size in range(2, min(n, 7) + 1):
         weights = remark_weights(size)
         lam1 = {p: nested_star_extremes(p, weights)[0] for p in partitions_of(size)}
@@ -117,13 +120,14 @@ def suite_hooks(n: int, graphs: int = 20, seed: int = 0, tol: float = 1e-6) -> S
     """Subset-sum hook spectra against the eigensolver."""
     result = SuiteResult("hooks")
     for size in range(3, n + 1):
+        batch = [random_graph(size, seed + 1000 * size + g) for g in range(graphs)]
+        numeric = [irrep_spectra(hook(size, k), batch) for k in range(size)]
         for g in range(graphs):
-            graph = random_graph(size, seed + 1000 * size + g)
+            base = numeric[1][g]  # the hook [size-1, 1] itself
             worst = 0.0
             for k in range(size):
-                expected = hook_spectrum(graph, k)
-                numeric = spectrum(delta_matrix(hook(size, k), graph))
-                worst = max(worst, multiset_distance(expected.values, numeric.values))
+                expected = subset_sum_spectrum(base, k)
+                worst = max(worst, multiset_distance(expected.values, numeric[k][g].values))
             result.add(f"hooks n={size} graph={g}", worst < tol, distance=worst)
     return result
 
@@ -164,14 +168,13 @@ def suite_oracle(n: int, graphs: int = 10, seed: int = 0, tol: float = 1e-7) -> 
     """Regular-representation spectrum against the per-irreducible union."""
     result = SuiteResult("oracle")
     for size in range(3, min(n, 5) + 1):
-        for g in range(graphs):
-            graph = random_graph(size, seed + 100 * size + g)
+        batch = [random_graph(size, seed + 100 * size + g) for g in range(graphs)]
+        irreps = {shape: irrep_spectra(shape, batch) for shape in partitions_of(size)}
+        for g, graph in enumerate(batch):
             full = spectrum(regular_delta(graph))
             expected: list[float] = []
-            for shape in partitions_of(size):
-                dim = num_standard_tableaux(shape)
-                values = spectrum(delta_matrix(shape, graph)).values
-                expected.extend(list(values) * dim)
+            for shape, found in irreps.items():
+                expected.extend(list(found[g].values) * num_standard_tableaux(shape))
             dist = multiset_distance(full.values, expected)
             result.add(f"oracle n={size} graph={g}", dist < tol, distance=dist)
     return result
@@ -185,6 +188,8 @@ def _random_row_class_shape(rng, size: int, k: int) -> Partition:
 def suite_bounds(n: int, trials: int = 1000, seed: int = 0,
                  tol: float = 1e-9) -> SuiteResult:
     """Randomized instances of the four bound lemmas."""
+    if n < 5:
+        raise ValueError("the bounds suite needs n >= 5")
     result = SuiteResult("bounds")
     rng = np.random.default_rng(seed)
     analytic_max = min(n, 12)
@@ -212,25 +217,27 @@ def suite_bounds(n: int, trials: int = 1000, seed: int = 0,
         failures += 0 if report.ok else 1
     result.add("matching bound", failures == 0, violations=failures)
 
-    failures = 0
+    # the last two lemmas draw all their instances first, then evaluate
+    # each shape's graphs together
+    instances = []
     for _ in range(trials):
         size = int(rng.integers(4, numeric_max + 1))
         k = int(rng.integers(1, (3 if size <= 6 else 2) + 1))
         sigma = _random_row_class_shape(rng, size, k)
         a = sorted((float(x) for x in rng.random(size - 1)), reverse=True)
-        report = check_weightedstar_bound(sigma, k, a, tol=tol)
-        failures += 0 if report.ok else 1
+        instances.append((sigma, k, a))
+    failures = sum(not r.ok for r in check_weightedstar_bounds(instances, tol=tol))
     result.add("weightedstar bound", failures == 0, violations=failures)
 
-    failures = 0
+    instances = []
     for _ in range(trials):
         size = int(rng.integers(4, numeric_max + 1))
         k = int(rng.integers(1, 3))
         sigma = _random_row_class_shape(rng, size, k)
         graph = random_graph(size, int(rng.integers(0, 2**31)))
         vertices = [int(v) + 1 for v in rng.choice(size, size=k, replace=False)]
-        report = check_invariant_vector_bound(sigma, k, graph, vertices, tol=tol)
-        failures += 0 if report.ok else 1
+        instances.append((sigma, k, graph, vertices))
+    failures = sum(not r.ok for r in check_invariant_vector_bounds(instances, tol=tol))
     result.add("invariant vector bound", failures == 0, violations=failures)
     return result
 
@@ -242,15 +249,16 @@ def suite_dual(n: int, graphs: int = 50, seed: int = 0, tol: float = 1e-8,
     for size in range(2, n + 1):
         worst_dual = 0.0
         worst_triv = -float("inf")
-        for g in range(graphs):
-            graph = random_graph(size, seed + 997 * size + g)
-            spectra = {
-                shape: spectrum(delta_matrix(shape, graph))
-                for shape in partitions_of(size)
-            }
+        batch = [random_graph(size, seed + 997 * size + g) for g in range(graphs)]
+        # (lambda_1, lambda_max) per shape and graph
+        extremes = {
+            shape: [(s.lambda1, s.lambda_max) for s in irrep_spectra(shape, batch)]
+            for shape in partitions_of(size)
+        }
+        for g, graph in enumerate(batch):
             for shape in partitions_of(size):
-                lam_max = spectra[shape].lambda_max
-                lam1_conj = spectra[conjugate(shape)].lambda1
+                lam_max = extremes[shape][g][1]
+                lam1_conj = extremes[conjugate(shape)][g][0]
                 worst_dual = max(worst_dual,
                                  abs(lam_max - (2 * graph.wt - lam1_conj)))
                 worst_triv = max(worst_triv, lam_max - 2 * graph.wt)
@@ -304,19 +312,22 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
         result.add(f"even split remark n={n}", worst <= tol, excess=worst)
 
     rng = np.random.default_rng(seed + 1)
+    by_size: dict[int, list] = {}
+    for _ in range(graphs):
+        size = int(rng.integers(3, min(n, 7) + 1))
+        by_size.setdefault(size, []).append(random_graph(size, int(rng.integers(0, 2**31))))
     worst_gap = 0.0
     argmin_ok = True
-    for g in range(graphs):
-        size = int(rng.integers(3, min(n, 7) + 1))
-        graph = random_graph(size, int(rng.integers(0, 2**31)))
-        lam_std = spectrum(delta_matrix(Partition([size - 1, 1]), graph)).lambda1
+    for size, batch in by_size.items():
+        lam_std = [s.lambda1 for s in irrep_spectra(Partition([size - 1, 1]), batch)]
         for shape in partitions_of(size):
             if shape == Partition([size]):
                 continue
-            lam = spectrum(delta_matrix(shape, graph)).lambda1
-            if lam < lam_std - tol:
-                argmin_ok = False
-        worst_gap = max(worst_gap, abs(lam_std - laplacian_gap(graph)))
+            for lam, std in zip((s.lambda1 for s in irrep_spectra(shape, batch)), lam_std):
+                if lam < std - tol:
+                    argmin_ok = False
+        for graph, std in zip(batch, lam_std):
+            worst_gap = max(worst_gap, abs(std - laplacian_gap(graph)))
     result.add("gap attained at standard rep", argmin_ok and worst_gap < tol,
                worst_gap=worst_gap)
     return result

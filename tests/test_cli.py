@@ -246,6 +246,40 @@ def test_scan_summary_reports_skipped_shapes(capsys, tmp_path):
     assert json.loads(err.strip().splitlines()[-1])["skipped_shapes"] == 0
 
 
+@pytest.mark.parametrize("n, budget, numeric", [(6, 30, True), (4, 5, False)])
+def test_scan_summary_counts_the_ledger_refutations(capsys, tmp_path, n, budget,
+                                                    numeric):
+    ledger_path = tmp_path / "ledger.json"
+    code, _, err = run(capsys, "scan", "--n", str(n), "--budget", str(budget),
+                       "--out", str(ledger_path))
+    assert code == EXIT_OK
+    summary = json.loads(err.strip().splitlines()[-1])
+    refuted = [record for record in json.loads(ledger_path.read_text())["entries"]
+               if record["status"] == "refuted"]
+    margins = [record["margin"] for record in refuted if not record["exact"]]
+    assert bool(margins) == numeric
+    assert summary["refutations_exact"] == len(refuted) - len(margins)
+    assert summary["refutations_numeric"] == len(margins)
+    assert summary["min_numeric_margin"] == min(margins, default=None)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "dual", "--n", "6", "--graphs", "0"], "--graphs must be positive"),
+    (["--suite", "qc", "--n", "4", "--samples", "-1"], "--samples must be positive"),
+    (["--suite", "bounds", "--n", "6", "--trials", "0"], "--trials must be positive"),
+    (["--suite", "consistency", "--n", "4", "--budget", "0"],
+     "--budget must be positive"),
+    (["--suite", "bounds", "--n", "4"], "the bounds suite needs n >= 5"),
+    (["--suite", "bounds", "--n", "3"], "the bounds suite needs n >= 5"),
+])
+def test_verify_rejects_bad_counts(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_python_dash_m_entry_point():
     src = str(Path(aldous.__file__).resolve().parents[1])
     env = dict(os.environ)

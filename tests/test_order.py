@@ -24,14 +24,17 @@ from aldous.order import (
     LedgerConflict,
     RelationLedger,
     check_invariant_vector_bound,
+    check_invariant_vector_bounds,
     check_matching_bound,
     check_onestar_bound,
     check_pair,
     check_reducing,
     check_weightedstar_bound,
+    check_weightedstar_bounds,
     export_dot,
     is_h_irreducible,
     lambda_extremes,
+    lambda_extremes_many,
     recheck_witness,
     refutes,
     scan,
@@ -302,6 +305,63 @@ def test_check_invariant_vector_bound():
     g = random_graph(6, 5)
     v = int(np.argmin(g.weights.sum(axis=1))) + 1
     assert check_invariant_vector_bound(Partition([5, 1]), 1, g, [v]).ok
+
+
+def test_lambda_extremes_many_is_lambda_extremes_per_pair():
+    shapes, graphs = [], []
+    for n in (4, 5, 6):
+        candidates = [random_graph(n, 10 + n), random_graph(n, 20 + n, density=0.3),
+                      star_graph(n, n), quasi_complete_graph(n, [1] + [0] * (n - 2)),
+                      weighted_star_graph(n, [1.0] + [0.0] * (n - 2)), cycle_graph(n)]
+        for i, shape in enumerate(partitions_of(n)):
+            for graph in candidates[i % 3:]:
+                shapes.append(shape)
+                graphs.append(graph)
+    found = lambda_extremes_many(shapes, graphs)
+    assert found == [lambda_extremes(s, g) for s, g in zip(shapes, graphs)]
+    exact = [f for f, g in zip(found, graphs) if quasi_complete_weights(g) is not None]
+    assert exact and all(e[2] and isinstance(e[0], Fraction) for e in exact)
+    assert all(not f[2] for f, g in zip(found, graphs)
+               if quasi_complete_weights(g) is None)
+    assert lambda_extremes_many([], []) == []
+
+
+def test_bound_checks_over_many_instances_match_single_checks():
+    rng = np.random.default_rng(5)
+    stars, vectors = [], []
+    for size in (5, 6, 7):
+        for k in (1, 2):
+            sigma = Partition([size - k] + [1] * k)
+            for _ in range(3):
+                a = sorted(rng.random(size - 1).tolist(), reverse=True)
+                stars.append((sigma, k, a))
+                graph = random_graph(size, int(rng.integers(0, 1000)))
+                vertices = [int(v) + 1 for v in rng.choice(size, size=k, replace=False)]
+                vectors.append((sigma, k, graph, vertices))
+    # a nested-star weighted star (one edge (1,2)) is still evaluated exactly
+    stars.append((Partition([4, 1]), 1, [1, 0, 0, 0]))
+    reports = check_weightedstar_bounds(stars)
+    assert reports == [check_weightedstar_bound(*inst) for inst in stars]
+    assert reports[-1].worst == float(lambda_extremes(
+        Partition([4, 1]), weighted_star_graph(5, [1, 0, 0, 0]))[1])
+    reports = check_invariant_vector_bounds(vectors)
+    assert reports == [check_invariant_vector_bound(*inst) for inst in vectors]
+    assert all(r.ok for r in reports)
+    with pytest.raises(ValueError):
+        check_weightedstar_bounds(stars + [(Partition([5, 1]), 1, [1.0, 2.0, 1.0, 1.0, 1.0])])
+
+
+def test_scan_report_counts_the_ledger_refutations():
+    ledger, report = scan(6, budget=30, seed=0)
+    refuted = [ledger.entry(*pair) for pair in ledger.refuted_pairs()]
+    numeric = [e.margin for e in refuted if not e.exact]
+    assert numeric  # random graphs refute some pairs numerically at n = 6
+    assert report.refutations_exact + report.refutations_numeric == len(refuted)
+    assert report.refutations_numeric == len(numeric)
+    assert report.min_numeric_margin == min(numeric, default=None)
+    _, seeded_only = scan(4, families=(), budget=0)
+    assert seeded_only.refutations_exact == len(seed_known(4).refuted_pairs())
+    assert (seeded_only.refutations_numeric, seeded_only.min_numeric_margin) == (0, None)
 
 
 def test_check_reducing():

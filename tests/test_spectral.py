@@ -12,21 +12,24 @@ from aldous.graphs import (
     star_graph,
 )
 from aldous.partitions import Partition, partitions_of
+from aldous import spectral
 from aldous.spectral import (
     ExactSpectrum,
     Spectrum,
     complete_graph_eigenvalue,
     hook_spectrum,
+    irrep_spectra,
     laplacian_gap,
     multiset_distance,
     nested_star_extremes,
     nested_star_lambda1_scaled,
     quasi_complete_spectrum,
     remark_weights,
+    spectra,
     spectrum,
     star_spectrum,
 )
-from aldous.symrep import delta_matrix
+from aldous.symrep import DimensionCapExceeded, delta_matrices, delta_matrix
 
 
 def test_spectrum_small_examples():
@@ -76,6 +79,56 @@ def test_spectrum_residual_certificate():
 
 def test_spectrum_zero_matrix():
     assert spectrum(np.zeros((3, 3))).values == (0.0, 0.0, 0.0)
+
+
+def test_spectra_equal_spectrum_per_slice():
+    for n in range(2, 8):
+        graphs = [random_graph(n, 70 + s) for s in range(4)] + [star_graph(n, n)]
+        for shape in partitions_of(n):
+            found = spectra(delta_matrices(shape, graphs))
+            assert [s.values for s in found] == [
+                spectrum(delta_matrix(shape, g)).values for g in graphs]
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(6, 9, 9))
+    stack = stack + stack.swapaxes(1, 2)
+    assert [s.values for s in spectra(stack)] == [spectrum(m).values for m in stack]
+
+
+def test_spectra_rejects_bad_stacks():
+    good = np.stack([np.eye(3), 2 * np.eye(3)])
+    assert [s.values for s in spectra(good)] == [(1.0,) * 3, (2.0,) * 3]
+    asymmetric = good.copy()
+    asymmetric[1, 0, 2] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        spectra(asymmetric)
+    # the tolerance is per slice: a large slice does not excuse a small one
+    scaled = np.stack([1e8 * np.eye(3), np.eye(3)])
+    scaled[1, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        spectra(scaled)
+    for bad in (np.inf, np.nan):
+        broken = good.copy()
+        broken[1, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spectra(broken)
+    for shape in ((0, 3, 3), (2, 3, 4), (3, 3)):
+        with pytest.raises(ValueError):
+            spectra(np.zeros(shape))
+
+
+def test_irrep_spectra_over_several_stacks(monkeypatch):
+    shape = Partition([4, 2, 1])  # dim 35: 13 graphs per stack
+    graphs = [random_graph(7, 900 + s) for s in range(120)]
+    graphs.append(quasi_complete_graph(7, [1, 0, 2, 0, 0, 1]))
+    singles = [spectrum(delta_matrix(shape, g)).values for g in graphs]
+    assert spectral.STACK_FLOATS // 35 ** 2 < len(graphs)
+    assert [s.values for s in irrep_spectra(shape, graphs)] == singles
+    # stacks of 2 leave a stack of 1 at the end
+    monkeypatch.setattr(spectral, "STACK_FLOATS", 2 * 35 ** 2)
+    assert [s.values for s in irrep_spectra(shape, graphs)] == singles
+    assert irrep_spectra(shape, []) == []
+    with pytest.raises(DimensionCapExceeded):
+        irrep_spectra(shape, graphs, dim_cap=34)
 
 
 def test_star_spectrum_examples():

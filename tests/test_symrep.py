@@ -7,6 +7,7 @@ import pytest
 from aldous.graphs import (
     WeightedGraph,
     complete_graph,
+    matching_graph,
     random_graph,
     star_graph,
 )
@@ -17,6 +18,7 @@ from aldous.symrep import (
     DimensionCapExceeded,
     Permutation,
     cycle_type,
+    delta_matrices,
     delta_matrix,
     l2q_delta,
     regular_delta,
@@ -166,6 +168,45 @@ def test_delta_matrix_input_validation():
         delta_matrix(Partition([3, 1]), complete_graph(5))
     with pytest.raises(DimensionCapExceeded):
         delta_matrix(Partition([3, 1]), complete_graph(4), dim_cap=2)
+
+
+def _mixed_stack(n: int) -> list:
+    """Random, star, zero and matching graphs, and graphs with isolated
+    vertices, so that a step's weight is zero on only part of the stack."""
+    graphs = [random_graph(n, 40 + n), random_graph(n, 50 + n, density=0.2),
+              star_graph(n, n), WeightedGraph(np.zeros((n, n))),
+              matching_graph(n, n // 2)]
+    for isolated in (1, n):
+        weights = random_graph(n, 60 + isolated, density=0.9).weights.copy()
+        weights[isolated - 1, :] = 0.0
+        weights[:, isolated - 1] = 0.0
+        graphs.append(WeightedGraph(weights))
+    return graphs
+
+
+def test_delta_matrices_slices_equal_delta_matrix_bit_for_bit():
+    for n in range(2, 8):
+        graphs = _mixed_stack(n)
+        for shape in partitions_of(n):
+            stack = delta_matrices(shape, graphs)
+            dim = num_standard_tableaux(shape)
+            assert stack.shape == (len(graphs), dim, dim)
+            for m, g in zip(stack, graphs):
+                assert m.tobytes() == delta_matrix(shape, g).tobytes()
+            # one graph alone is the same as the delta_matrix call
+            assert delta_matrices(shape, graphs[:1])[0].tobytes() == stack[0].tobytes()
+
+
+def test_delta_matrices_input_validation():
+    shape = Partition([3, 1])
+    with pytest.raises(ValueError):
+        delta_matrices(shape, [])
+    with pytest.raises(ValueError):
+        delta_matrices(shape, [random_graph(4, 1), random_graph(5, 1)])
+    with pytest.raises(ValueError):
+        delta_matrices(shape, [random_graph(5, 1), random_graph(5, 2)])
+    with pytest.raises(DimensionCapExceeded):
+        delta_matrices(shape, [random_graph(4, 1), complete_graph(4)], dim_cap=2)
 
 
 def test_sign_twist_reverses_spectrum():
