@@ -41,7 +41,6 @@ from .spectral import (
     remark_weights,
     spectra,
     spectrum,
-    star_spectrum,
 )
 from .symrep import (
     ColoringSpace,

@@ -176,7 +176,7 @@ def _spectrum_lines(args, config: RunConfig) -> str:
     exact_values = None
     weights = quasi_complete_weights(graph)
     if args.exact and weights is not None:
-        exact_values = spectral.quasi_complete_spectrum(shape, weights, exact=True)
+        exact_values = spectral.quasi_complete_spectrum(shape, weights)
     if config.format == "json":
         payload = {
             "shape": str(shape),

@@ -41,7 +41,6 @@ from .graphs import (
 from .partitions import (
     Partition,
     conjugate,
-    content_sum,
     dominates,
     in_row_class,
     lex_compare,
@@ -49,7 +48,13 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
-from .spectral import irrep_spectra, nested_star_extremes, remark_weights, spectrum
+from .spectral import (
+    irrep_spectra,
+    nested_star_extremes,
+    nested_star_lambda1_scaled,
+    remark_weights,
+    spectrum,
+)
 from .symrep import DEFAULT_DIM_CAP, DimensionCapExceeded, delta_matrix
 
 DEFAULT_TOL = 1e-9
@@ -334,12 +339,12 @@ def seed_known(n: int) -> RelationLedger:
 
     Proved: the top and bottom elements, the hook chain, the standard
     representation below the top, and the row-class/column-class pairs at
-    every k with n >= 4k^2 + 4k, closed transitively. Refuted: dominance-
-    comparable pairs through the complete graph (exact content sums),
+    every k with n >= 4k^2 + 4k, closed transitively. Refuted, all exactly:
+    dominance-comparable pairs through the complete graph and
     lexicographically ordered pairs through the fast-decaying nested-star
-    weights (exact rationals), and the two-column against one-column hook
-    family through the full star, which also separates the pair the
-    dominance order cannot.
+    weights (both from one exact lambda_1 table per weighting), and the
+    two-column against one-column hook family through the full star, which
+    also separates the pair the dominance order cannot.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -372,36 +377,25 @@ def seed_known(n: int) -> RelationLedger:
         k += 1
     ledger.close_transitively()
 
-    # refutations on every lexicographically ascending pair
-    exact_weights = remark_weights(n)
-    quasi_witness = {
-        "kind": "quasi",
-        "n": n,
-        "weights": [str(w) for w in exact_weights],
+    # every lexicographically ascending pair is refuted: through the complete
+    # graph (all-ones weights) if dominance orders it, else the separator
+    separator = remark_weights(n)
+    witnesses = {
+        "ds81": ({"kind": "family", "family": "complete", "n": n},
+                 nested_star_lambda1_scaled(parts, [1] * (n - 1))),
+        "remark1": ({"kind": "quasi", "n": n, "weights": [str(w) for w in separator]},
+                    nested_star_lambda1_scaled(parts, separator)),
     }
-    lam1 = {p: nested_star_extremes(p, exact_weights)[0] for p in parts}
-    for alpha in parts:
-        for beta in parts:
+    for i, alpha in enumerate(parts):
+        for j, beta in enumerate(parts):
             if alpha == beta or lex_compare(alpha, beta) >= 0:
                 continue
-            if dominates(beta, alpha):
-                margin = content_sum(beta) - content_sum(alpha)
-                if margin <= 0:
-                    raise LedgerConflict("content sums must strictly drop")
-                ledger.set_refuted(
-                    alpha, beta,
-                    {"kind": "family", "family": "complete", "n": n},
-                    float(margin), True, "ds81",
-                )
-            else:
-                margin = lam1[alpha] - lam1[beta]
-                if margin <= 0:
-                    raise LedgerConflict(
-                        f"separator weights fail on {alpha} vs {beta}"
-                    )
-                ledger.set_refuted(
-                    alpha, beta, quasi_witness, float(margin), True, "remark1"
-                )
+            tag = "ds81" if dominates(beta, alpha) else "remark1"
+            witness, (scale, lam1) = witnesses[tag]
+            margin = lam1[i] - lam1[j]  # times scale, exact until the division
+            if margin <= 0:
+                raise LedgerConflict(f"{tag} witness fails on {alpha} vs {beta}")
+            ledger.set_refuted(alpha, beta, witness, margin / scale, True, tag)
 
     if n >= 4:
         two_two = Partition([2, 2] + [1] * (n - 4))
@@ -662,18 +656,16 @@ def check_reducing(h: WeightedGraph, sigma: Partition, tau: Partition,
                    tol: float = DEFAULT_TOL) -> bool:
     """Is h a reducing graph for (sigma, tau)?
 
-    Evaluated in the dual form: lambda_max(h; sigma) plus lambda_max on the
-    conjugate of tau must not exceed twice the total weight. The matching
-    graphs this gets used on meet the bound with equality, so the exact
-    route compares rationals with no slack and the numeric route gets tol.
+    The dual form of the test, lambda_max(h; sigma) plus lambda_max on the
+    conjugate of tau at most twice the total weight, is lambda_max(h; sigma)
+    <= lambda_1(h; tau), since the operator on the conjugate is exactly
+    2 wt I minus the one on tau. The matching graphs this gets used on meet
+    the bound with equality, so the exact route compares rationals with no
+    slack and the numeric route gets tol.
     """
     _, lam_s, exact_s = lambda_extremes(sigma, h)
-    _, lam_t, exact_t = lambda_extremes(conjugate(tau), h)
-    weights = quasi_complete_weights(h)
-    if exact_s and exact_t and weights is not None:
-        wt = sum(w * k for k, w in enumerate(weights, start=1))
-        return lam_s + lam_t <= 2 * wt
-    return lam_s + lam_t <= 2 * h.wt + tol
+    lam_t, _, exact_t = lambda_extremes(tau, h)
+    return lam_s <= lam_t if exact_s and exact_t else lam_s <= lam_t + tol
 
 
 def is_h_irreducible(graph: WeightedGraph, k: int) -> bool:

@@ -140,12 +140,21 @@ def lex_compare(p: Partition, q: Partition) -> int:
 
 def corners(p: Partition) -> list[Box]:
     """Boxes whose removal leaves a valid diagram, top row first."""
+    return [box for _, box in reversed(_removals(p.parts))]
+
+
+@lru_cache(maxsize=None)
+def _removals(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Box], ...]:
+    """(diagram without the box, box) per corner of `parts`, bottom row first:
+    the corner walk of `corners`, `_paths` and the chain recursions."""
     out = []
-    for i, part in enumerate(p.parts):
-        below = p.parts[i + 1] if i + 1 < len(p.parts) else 0
-        if part > below:
-            out.append(Box(col=part, row=i + 1))
-    return out
+    for row in range(len(parts) - 1, -1, -1):
+        part = parts[row]
+        if row + 1 < len(parts) and parts[row + 1] == part:
+            continue
+        rest = parts[:row] + (part - 1,) + parts[row + 1:] if part > 1 else parts[:row]
+        out.append((rest, Box(part, row + 1)))
+    return tuple(out)
 
 
 def remove_box(p: Partition, box: Box) -> Partition:
@@ -209,12 +218,7 @@ def _paths(parts: tuple[int, ...]) -> Iterator[tuple[Box, ...]]:
     if parts == (1,):
         yield (Box(1, 1),)
         return
-    for row in range(len(parts) - 1, -1, -1):  # corners, bottom row first
-        part = parts[row]
-        if row + 1 < len(parts) and parts[row + 1] == part:
-            continue
-        rest = parts[:row] + (part - 1,) + parts[row + 1:] if part > 1 else parts[:row]
-        box = Box(part, row + 1)
+    for rest, box in _removals(parts):
         for prefix in _paths(rest):
             yield prefix + (box,)
 
@@ -271,13 +275,19 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 TABLEAU_CAP = 10**7
 
 
-@lru_cache(maxsize=None)
-def content_matrix(p: Partition) -> np.ndarray:
-    """f x n integer array; row t, column k-1 is the content of box k in
-    tableau t (canonical order). Backs the star / nested-star spectra."""
+def capped_tableau_count(p: Partition) -> int:
+    """num_standard_tableaux(p); shapes above TABLEAU_CAP are refused."""
     count = num_standard_tableaux(p)
     if count > TABLEAU_CAP:
         raise ValueError(f"shape {p} has {count} tableaux, above cap {TABLEAU_CAP}")
+    return count
+
+
+@lru_cache(maxsize=None)
+def content_matrix(p: Partition) -> np.ndarray:
+    """f x n integer array; row t, column k-1 is the content of box k in
+    tableau t (canonical order); the reference for the spectral recursions."""
+    count = capped_tableau_count(p)
     mat = np.empty((count, p.n), dtype=np.int64)
     for t, tab in enumerate(standard_tableaux(p)):
         for k, box in enumerate(tab.boxes):

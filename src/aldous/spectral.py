@@ -3,21 +3,22 @@
 The closed forms all come from the simultaneous diagonalization of the
 nested star operators on the canonical tableau basis:
 
-  * a star joining vertex k to 1..k-1 acts with eigenvalue
-    (k-1) + row - col of the box holding label k, one eigenvalue per
-    standard tableau;
-  * a nonnegative combination of nested stars (weight a_k on the star at
-    k) acts with eigenvalue wt - sum_k a_k (col - row of box k), again per
-    tableau, evaluated exactly in rational arithmetic on request;
+  * a nonnegative combination of nested stars (weight a_k on the star
+    joining k to 1..k-1) acts on the basis vector of a standard tableau
+    with eigenvalue wt - sum_k a_k (col - row of the box holding label k),
+    wt = sum_k a_k (k-1). A plain star is the indicator weighting and the
+    complete graph the all-ones one;
   * a standard tableau is a saturated chain of diagrams from one box up to
-    the shape, so the lowest and highest of those nested-star eigenvalues
-    are wt minus the heaviest and the lightest chain: `nested_star_extremes`
-    finds both exactly by a memoized recursion over subdiagrams (corner
-    removal), never enumerating tableaux. The recursion runs in integers:
-    each weighting is scaled once by the common denominator of its
-    weights, and Fractions are built only for the returned values.
-    `nested_star_lambda1_scaled` hands out the scaled integers themselves
-    for sweeps that only compare lambda_1 across shapes;
+    the shape, so those eigenvalues are wt minus sums along chains, and one
+    memoized recursion over subdiagrams (corner removal) finds them without
+    listing a tableau: `nested_star_extremes` keeps the heaviest and the
+    lightest chain of each subdiagram, `quasi_complete_spectrum` every
+    chain sum with its multiplicity. Both run in integers: each weighting
+    is scaled once by the common denominator of its weights, its tables
+    are shared by every shape it is evaluated on, and Fractions are built
+    only for the returned values. `nested_star_lambda1_scaled` hands out
+    the scaled integers themselves for sweeps that only compare lambda_1
+    across shapes;
   * the complete graph acts by the scalar C(n,2) - content sum;
   * the spectrum on a hook [n-k, 1^k] consists of the k-subset sums of
     the spectrum on [n-1, 1].
@@ -42,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import WeightedGraph
-from .partitions import Partition, content_matrix, content_sum
+from .partitions import Partition, _removals, capped_tableau_count, content_sum
 from .symrep import (
     DEFAULT_DIM_CAP,
     STACK_FLOATS,
@@ -157,16 +158,6 @@ def irrep_spectra(shape: Partition, graphs: Sequence[WeightedGraph],
                                                dim_cap), tol)]
 
 
-@lru_cache(maxsize=None)
-def star_spectrum(shape: Partition, k: int) -> ExactSpectrum:
-    """Spectrum of the star joining k to 1..k-1, one value per tableau:
-    (k-1) + row - col of the box holding label k."""
-    if not 2 <= k <= shape.n:
-        raise ValueError(f"star index must satisfy 2 <= k <= {shape.n}, got {k}")
-    contents = content_matrix(shape)[:, k - 1]
-    return ExactSpectrum(int(k - 1 - c) for c in contents)
-
-
 def _checked_weights(n: int, a) -> list:
     a = list(a)
     if len(a) != n - 1:
@@ -178,35 +169,26 @@ def _checked_weights(n: int, a) -> list:
     return a
 
 
-def quasi_complete_spectrum(shape: Partition, a, exact: bool = False) -> Spectrum:
-    """Spectrum of the nested-star combination with weights a[2..n].
-
-    Each tableau contributes wt - sum_k a_k * content(box of k) with
-    wt = sum_k a_k (k-1). Exact mode runs in Fractions and is required for
-    the fast-decaying weights used to separate lexicographic neighbors.
-    Callers that need only the extremes use `nested_star_extremes`.
-    """
+def quasi_complete_spectrum(shape: Partition, a) -> ExactSpectrum:
+    """Spectrum of the nested-star combination with weights a[2..n], exact
+    (float callers use `.as_spectrum()`): wt - sum_k a_k * content(box of k)
+    per standard tableau, counted by the chain recursion. It lists one value
+    per tableau, so shapes above partitions.TABLEAU_CAP tableaux are refused."""
     a = _checked_weights(shape.n, a)
-    contents = content_matrix(shape)
-    if exact:
-        weights = [Fraction(x) for x in a]
-        wt = sum(w * k for k, w in enumerate(weights, start=1))
-        values = [
-            wt - sum(w * int(c) for w, c in zip(weights, row[1:]))
-            for row in contents
-        ]
-        return ExactSpectrum(values)
-    weights = np.asarray(a, dtype=float)
-    wt = float(np.dot(weights, np.arange(1, shape.n)))
-    values = wt - contents[:, 1:].astype(float) @ weights
-    return Spectrum(float(x) for x in values)
+    capped_tableau_count(shape)
+    scale, weights, wt, _, counts = _chain_table(tuple(a))
+    sums = _chain_counts(shape.parts, shape.n, weights, counts)
+    values = []
+    for total in sorted(sums, reverse=True):
+        values += [Fraction(wt - total, scale)] * sums[total]
+    return ExactSpectrum(values)
 
 
 def nested_star_extremes(shape: Partition, a) -> tuple[Fraction, Fraction]:
     """(lambda_1, lambda_max) of the nested-star combination with weights
-    a[2..n], in exact rationals: the extremes of quasi_complete_spectrum's
-    exact mode, from the chain recursion instead of the tableaux."""
-    scale, weights, wt, table = _chain_table(tuple(_checked_weights(shape.n, a)))
+    a[2..n], in exact rationals: the extremes of quasi_complete_spectrum,
+    from the heaviest and lightest chains alone."""
+    scale, weights, wt, table, _ = _chain_table(tuple(_checked_weights(shape.n, a)))
     heaviest, lightest = _chains(shape.parts, shape.n, weights, table)
     return Fraction(wt - heaviest, scale), Fraction(wt - lightest, scale)
 
@@ -220,23 +202,23 @@ def nested_star_lambda1_scaled(shapes, a) -> tuple[int, list[int]]:
     n = len(a) + 1
     if any(shape.n != n for shape in shapes):
         raise ValueError(f"{len(a)} weights need shapes of size {n}")
-    scale, weights, wt, table = _chain_table(tuple(_checked_weights(n, a)))
+    scale, weights, wt, table, _ = _chain_table(tuple(_checked_weights(n, a)))
     return scale, [wt - _chains(shape.parts, n, weights, table)[0]
                    for shape in shapes]
 
 
 @lru_cache(maxsize=16)
-def _chain_table(a: tuple) -> tuple[int, tuple[int, ...], int, dict]:
+def _chain_table(a: tuple) -> tuple[int, tuple[int, ...], int, dict, dict]:
     """One weighting in integers, shared by every shape it is evaluated on:
     the common denominator `scale` of the weights, the weights and wt times
-    scale, and the chain extremes per subdiagram (also times scale). Equal
-    weights hash equal whatever their type, so 0.5 and Fraction(1, 2) share
-    an entry."""
+    scale, and the memo tables of `_chains` and `_chain_counts` (also times
+    scale). Equal weights hash equal whatever their type, so 0.5 and
+    Fraction(1, 2) share an entry."""
     fractions = [Fraction(x) for x in a]
     scale = math.lcm(*(f.denominator for f in fractions))
     weights = tuple(f.numerator * (scale // f.denominator) for f in fractions)
     wt = sum(w * k for k, w in enumerate(weights, start=1))
-    return scale, weights, wt, {(1,): (0, 0)}
+    return scale, weights, wt, {(1,): (0, 0)}, {(1,): {0: 1}}
 
 
 def _chains(parts: tuple[int, ...], size: int, weights, table: dict):
@@ -248,19 +230,31 @@ def _chains(parts: tuple[int, ...], size: int, weights, table: dict):
         return found
     weight = weights[size - 2]
     heaviest = lightest = None
-    last = len(parts) - 1
-    for row, part in enumerate(parts):
-        if row < last and parts[row + 1] == part:
-            continue
-        rest = parts[:row] + (part - 1,) + parts[row + 1:] if part > 1 else parts[:row]
+    for rest, (col, row) in _removals(parts):
         hi, lo = _chains(rest, size - 1, weights, table)
-        step = weight * (part - 1 - row)  # content of the corner (part, row + 1)
+        step = weight * (col - row)
         if heaviest is None or hi + step > heaviest:
             heaviest = hi + step
         if lightest is None or lo + step < lightest:
             lightest = lo + step
     table[parts] = heaviest, lightest
     return heaviest, lightest
+
+
+def _chain_counts(parts: tuple[int, ...], size: int, weights, table: dict) -> dict:
+    """{sum_{k >= 2} a_k * content(box of k): number of standard tableaux}
+    of the diagram `parts` (size boxes), by the corner split of `_chains`."""
+    found = table.get(parts)
+    if found is not None:
+        return found
+    weight = weights[size - 2]
+    counts: dict[int, int] = {}
+    for rest, (col, row) in _removals(parts):
+        step = weight * (col - row)
+        for total, multiplicity in _chain_counts(rest, size - 1, weights, table).items():
+            counts[total + step] = counts.get(total + step, 0) + multiplicity
+    table[parts] = counts
+    return counts
 
 
 def remark_weights(n: int) -> list[Fraction]:
@@ -279,21 +273,14 @@ def complete_graph_eigenvalue(shape: Partition) -> int:
     return n * (n - 1) // 2 - content_sum(shape)
 
 
-def standard_rep_spectrum(graph: WeightedGraph, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Numeric spectrum on [n-1, 1]."""
-    n = graph.n
-    shape = Partition([n - 1, 1]) if n > 1 else Partition([1])
-    if n == 1:
-        return Spectrum([0.0])
-    return spectrum(delta_matrix(shape, graph), tol)
-
-
 def hook_spectrum(graph: WeightedGraph, k: int, tol: float = DEFAULT_TOL) -> Spectrum:
     """Spectrum on the hook [n-k, 1^k]: k-subset sums of the [n-1,1] one."""
     n = graph.n
     if not 0 <= k <= n - 1:
         raise ValueError(f"hook leg must satisfy 0 <= k <= {n - 1}, got {k}")
-    return subset_sum_spectrum(standard_rep_spectrum(graph, tol), k)
+    base = (Spectrum([0.0]) if n == 1
+            else spectrum(delta_matrix(Partition([n - 1, 1]), graph), tol))
+    return subset_sum_spectrum(base, k)
 
 
 def subset_sum_spectrum(base: Spectrum, k: int) -> Spectrum:

@@ -23,7 +23,7 @@ from aldous.order import (
     star_decompose,
 )
 from aldous.partitions import Partition, conjugate, partitions_of
-from aldous.spectral import star_spectrum
+from aldous.spectral import quasi_complete_spectrum
 from aldous.verify import (
     game_consistency_run,
     suite_bounds,
@@ -58,9 +58,10 @@ def test_criterion_2_asymptotic_counterexample_values():
     for n in range(4, 13):
         two_two = Partition([2, 2] + [1] * (n - 4))
         one_col = Partition([2] + [1] * (n - 2))
-        if star_spectrum(two_two, n).lambda1 != n - 1:
+        full_star = [0] * (n - 2) + [1]  # nested-star weights of the star at n
+        if quasi_complete_spectrum(two_two, full_star).lambda1 != n - 1:
             ok = False
-        if star_spectrum(one_col, n).lambda1 != n - 2:
+        if quasi_complete_spectrum(one_col, full_star).lambda1 != n - 2:
             ok = False
         ref = check_pair(two_two, one_col, star_graph(n, n))
         if ref is None or not ref.exact or ref.margin != 1.0:

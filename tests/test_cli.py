@@ -280,6 +280,41 @@ def test_verify_rejects_bad_counts(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, unused", [
+    (["--suite", "characters", "--n", "4", "--graphs", "2", "--budget", "7"],
+     ["budget", "graphs"]),
+    (["--suite", "lemma9", "--n", "4", "--samples", "3"], ["samples"]),
+    (["--suite", "oracle", "--n", "4", "--graphs", "2", "--trials", "5"], ["trials"]),
+])
+def test_verify_rejects_counts_the_suite_does_not_take(capsys, argv, unused):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"does not take {', '.join(unused)}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "characters", "--n", "3", "--seed", "4"],  # seed dropped
+    ["--suite", "lemma9", "--n", "4", "--seed", "1"],
+    ["--suite", "hooks", "--n", "3", "--graphs", "2", "--seed", "1"],
+    ["--suite", "qc", "--n", "3", "--samples", "2"],
+    ["--suite", "dual", "--n", "3", "--graphs", "2"],
+])
+def test_verify_accepts_counts_the_suite_takes(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_OK
+    assert json.loads(err.strip().splitlines()[-1])["failed"] == 0
+
+
+def test_run_suite_drops_only_the_seed():
+    from aldous.verify import run_suite
+
+    assert run_suite("characters", 3, seed=5).passed
+    with pytest.raises(ValueError, match="does not take samples"):
+        run_suite("lemma9", 4, seed=5, samples=3)
+
+
 def test_python_dash_m_entry_point():
     src = str(Path(aldous.__file__).resolve().parents[1])
     env = dict(os.environ)

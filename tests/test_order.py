@@ -42,7 +42,7 @@ from aldous.order import (
     star_decompose,
     witness_graph,
 )
-from aldous.partitions import Partition, content_sum, partitions_of
+from aldous.partitions import Partition, conjugate, content_sum, partitions_of
 from aldous.symrep import rep_transposition
 
 
@@ -375,6 +375,38 @@ def test_check_reducing():
     check_reducing(complete_graph(4), Partition([2, 2]), Partition([2, 1, 1]))
 
 
+def reducing_by_conjugate(h, sigma, tau, tol=1e-9):
+    """The reducing test as first written: lambda_max on sigma plus
+    lambda_max on the conjugate of tau against twice the total weight,
+    re-summed from the exact weights on the exact route."""
+    _, lam_s, exact_s = lambda_extremes(sigma, h)
+    _, lam_t, exact_t = lambda_extremes(conjugate(tau), h)
+    weights = quasi_complete_weights(h)
+    if exact_s and exact_t and weights is not None:
+        wt = sum(w * k for k, w in enumerate(weights, start=1))
+        return lam_s + lam_t <= 2 * wt
+    return lam_s + lam_t <= 2 * h.wt + tol
+
+
+def test_check_reducing_equals_the_conjugate_form():
+    # lambda_max(sigma) <= lambda_1(tau) is the conjugate form, since the
+    # operator on tau' is 2 wt I minus the one on tau
+    rng = np.random.default_rng(17)
+    decisions = {True: 0, False: 0}
+    for n in range(2, 7):
+        graphs = [complete_graph(n), star_graph(n, n), path_graph(n)]
+        graphs += [matching_graph(n, m) for m in range(1, n // 2 + 1)]
+        graphs += [random_graph(n, 40 * n + i) for i in range(3)]
+        graphs.append(quasi_complete_graph(n, [float(x) for x in rng.random(n - 1)]))
+        for h in graphs:
+            for sigma in partitions_of(n):
+                for tau in partitions_of(n):
+                    found = check_reducing(h, sigma, tau)
+                    assert found == reducing_by_conjugate(h, sigma, tau), (h, sigma, tau)
+                    decisions[found] += 1
+    assert min(decisions.values()) > 100
+
+
 def test_matching_and_irreducibility():
     assert support_matching_number(matching_graph(8, 4)) == 4
     assert support_matching_number(complete_graph(5)) == 2
@@ -517,3 +549,13 @@ def test_scan_never_promotes_to_proved():
 def test_weighted_star_bound_is_not_quasi_complete():
     g = weighted_star_graph(5, [4.0, 3.0, 2.0, 1.0])
     assert quasi_complete_weights(g) is None
+
+
+def test_perfbench_caches_still_expose_cache_info():
+    # the benchmark reads these caches' sizes after every run
+    from aldous import game, order, partitions, symrep
+
+    for cached in (order.lambda_extremes, symrep.rep_transposition,
+                   partitions.content_matrix, game._a_wins):
+        info = cached.cache_info()
+        assert info.currsize >= 0

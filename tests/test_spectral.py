@@ -11,7 +11,8 @@ from aldous.graphs import (
     random_graph,
     star_graph,
 )
-from aldous.partitions import Partition, partitions_of
+from aldous import partitions
+from aldous.partitions import Partition, content_matrix, partitions_of
 from aldous import spectral
 from aldous.spectral import (
     ExactSpectrum,
@@ -27,7 +28,6 @@ from aldous.spectral import (
     remark_weights,
     spectra,
     spectrum,
-    star_spectrum,
 )
 from aldous.symrep import DimensionCapExceeded, delta_matrices, delta_matrix
 
@@ -131,45 +131,88 @@ def test_irrep_spectra_over_several_stacks(monkeypatch):
         irrep_spectra(shape, graphs, dim_cap=34)
 
 
+def star(n, k):
+    """The nested-star weighting of the star joining k to 1..k-1."""
+    a = [0] * (n - 1)
+    a[k - 2] = 1
+    return a
+
+
 def test_star_spectrum_examples():
-    spec = star_spectrum(Partition([2, 1, 1]), 4)
+    spec = quasi_complete_spectrum(Partition([2, 1, 1]), star(4, 4))
     assert spec.values == (2, 5, 5)
     for n in range(4, 9):
-        assert star_spectrum(Partition([2, 2] + [1] * (n - 4), ), n).lambda1 == n - 1
-        assert star_spectrum(Partition([2] + [1] * (n - 2)), n).lambda1 == n - 2
+        assert quasi_complete_spectrum(Partition([2, 2] + [1] * (n - 4), ),
+                                       star(n, n)).lambda1 == n - 1
+        assert quasi_complete_spectrum(Partition([2] + [1] * (n - 2)),
+                                       star(n, n)).lambda1 == n - 2
     for n in range(2, 7):
         for k in range(2, n + 1):
-            assert star_spectrum(Partition([n]), k).values == (0,)
+            assert quasi_complete_spectrum(Partition([n]), star(n, k)).values == (0,)
     with pytest.raises(ValueError):
-        star_spectrum(Partition([3, 1]), 5)
+        quasi_complete_spectrum(Partition([3, 1]), star(5, 5))
 
 
 def test_star_spectrum_matches_eigensolver():
     for n in range(4, 7):
         for shape in partitions_of(n):
             for k in range(2, n + 1):
-                exact = star_spectrum(shape, k).as_spectrum()
+                exact = quasi_complete_spectrum(shape, star(n, k)).as_spectrum()
                 numeric = spectrum(delta_matrix(shape, star_graph(n, k)))
                 assert multiset_distance(exact.values, numeric.values) < 1e-8
 
 
 def test_quasi_complete_unit_weights_complete_graph():
     for n in range(3, 8):
-        spec = quasi_complete_spectrum(Partition([n - 1, 1]), [1] * (n - 1),
-                                       exact=True)
+        spec = quasi_complete_spectrum(Partition([n - 1, 1]), [1] * (n - 1))
         assert all(v == n for v in spec.values)
 
 
 def test_quasi_complete_indicator_reduces_to_star():
+    # the star at m acts by (m-1) + row - col of the box holding label m
     for n in range(3, 7):
         for shape in partitions_of(n):
             for m in range(2, n + 1):
-                a = [0] * (n - 1)
-                a[m - 2] = 1
                 assert (
-                    quasi_complete_spectrum(shape, a, exact=True).values
-                    == star_spectrum(shape, m).values
+                    quasi_complete_spectrum(shape, star(n, m)).values
+                    == tuple(sorted(m - 1 - int(c) for c in content_matrix(shape)[:, m - 1]))
                 )
+
+
+def enumerated_spectrum(shape, a):
+    """wt - sum_k a_k * content(box of k), tableau by tableau, in Fractions."""
+    weights = [Fraction(x) for x in a]
+    wt = sum(w * k for k, w in enumerate(weights, start=1))
+    return tuple(sorted(wt - sum(w * int(c) for w, c in zip(weights, row[1:]))
+                        for row in content_matrix(shape)))
+
+
+def test_quasi_complete_recursion_matches_tableau_enumeration():
+    # the same multiset, value and multiplicity, as listing every tableau
+    rng = np.random.default_rng(31)
+    for n in range(1, 10):
+        weightings = [
+            [int(x) for x in rng.integers(0, 3, size=n - 1)],  # zeros included
+            [Fraction(int(p), int(q)) for p, q in rng.integers(1, 9, size=(n - 1, 2))],
+            [float(x) for x in rng.random(n - 1)],
+        ] + [star(n, k) for k in range(2, n + 1)]
+        for a in weightings:
+            for shape in partitions_of(n):
+                got = quasi_complete_spectrum(shape, a)
+                assert type(got) is ExactSpectrum
+                assert all(type(v) is Fraction for v in got.values)
+                assert got.values == enumerated_spectrum(shape, a)
+
+
+def test_quasi_complete_spectrum_keeps_the_tableau_cap():
+    shape = Partition([6, 5, 4, 3, 2, 1])  # 1100742656 tableaux
+    assert partitions.num_standard_tableaux(shape) > partitions.TABLEAU_CAP
+    with pytest.raises(ValueError) as listed:
+        content_matrix(shape)
+    with pytest.raises(ValueError) as recursed:
+        quasi_complete_spectrum(shape, [1] * (shape.n - 1))
+    assert str(recursed.value) == str(listed.value)
+    assert "above cap" in str(listed.value)
 
 
 def test_quasi_complete_matches_eigensolver():
@@ -200,10 +243,11 @@ def test_nested_star_extremes_match_the_full_spectrum():
         ]
         for a in weightings:
             for shape in partitions_of(n):
-                full = quasi_complete_spectrum(shape, a, exact=True)
+                full = enumerated_spectrum(shape, a)
                 got = nested_star_extremes(shape, a)
                 assert all(type(x) is Fraction for x in got)
-                assert got == (full.lambda1, full.lambda_max)
+                assert got == (full[0], full[-1])
+                assert quasi_complete_spectrum(shape, a).values == full
 
 
 def test_nested_star_extremes_equal_weights_of_any_type_agree():
@@ -242,22 +286,23 @@ def test_nested_star_extremes_share_one_table_across_threads():
                                 shapes * 8, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    full = {s: quasi_complete_spectrum(s, weights, exact=True) for s in shapes}
+    full = {s: quasi_complete_spectrum(s, weights) for s in shapes}
     for shape, extremes in zip(shapes * 8, got):
         assert extremes == (full[shape].lambda1, full[shape].lambda_max)
 
 
 def test_nested_star_extremes_rejects_bad_weights():
-    with pytest.raises(ValueError, match="need 3 weights"):
-        nested_star_extremes(Partition([2, 2]), [1, 1])
-    with pytest.raises(ValueError, match="nonnegative"):
-        nested_star_extremes(Partition([2, 2]), [1, -1, 1])
+    for evaluate in (nested_star_extremes, quasi_complete_spectrum):
+        with pytest.raises(ValueError, match="need 3 weights"):
+            evaluate(Partition([2, 2]), [1, 1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            evaluate(Partition([2, 2]), [1, -1, 1])
     for bad in (float("inf"), float("-inf"), float("nan")):
         for a in ([bad, 1.0], [Fraction(1, 2), bad]):
             with pytest.raises(ValueError, match="weights must be finite"):
                 nested_star_extremes(Partition([2, 1]), a)
             with pytest.raises(ValueError, match="weights must be finite"):
-                quasi_complete_spectrum(Partition([2, 1]), a, exact=True)
+                quasi_complete_spectrum(Partition([2, 1]), a)
             with pytest.raises(ValueError, match="weights must be finite"):
                 nested_star_lambda1_scaled([Partition([2, 1])], a)
 
@@ -269,7 +314,7 @@ def test_remark_weights_rank_by_lex():
         weights = remark_weights(n)
         assert weights[0] == Fraction(1, n**4)
         lam1 = {
-            p: quasi_complete_spectrum(p, weights, exact=True).lambda1
+            p: quasi_complete_spectrum(p, weights).lambda1
             for p in partitions_of(n)
         }
         for alpha in partitions_of(n):
@@ -331,7 +376,7 @@ def test_zero_graph_spectra():
     for shape in partitions_of(5):
         spec = spectrum(delta_matrix(shape, zero))
         assert spec.lambda1 == 0.0 and spec.lambda_max == 0.0
-    assert quasi_complete_spectrum(Partition([3, 2]), [0] * 4, exact=True).values == (
+    assert quasi_complete_spectrum(Partition([3, 2]), [0] * 4).values == (
         Fraction(0),
     ) * 5
 
