@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import partitions as pt
 from . import spectral, symrep
@@ -46,14 +47,26 @@ class RunConfig:
     format: str = "csv"
 
 
+# JSON types a config file may give each RunConfig field; bools are never
+# numbers here, although Python counts them as ints
+_CONFIG_TYPES = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
+                 "str": ((str,), "a string")}
+
+
 def _load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if path:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+        types = {f.name: f.type for f in fields(RunConfig)}
         for key, value in data.items():
-            if not hasattr(config, key):
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
+            allowed, kind = _CONFIG_TYPES[types[key]]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
             setattr(config, key, value)
     env_cap = os.environ.get("ALDOUS_DIM_CAP")
     if env_cap:
@@ -64,6 +77,10 @@ def _load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
             setattr(config, key, override)
     if config.dim_cap <= 0 or config.workers <= 0:
         raise ValueError("dimension cap and worker count must be positive")
+    if not (math.isfinite(config.tol) and config.tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {config.tol!r}")
+    if config.budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {config.budget!r}")
     return config
 
 

@@ -15,8 +15,17 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+
+
+@lru_cache(maxsize=None)
+def _strict_upper(n: int) -> np.ndarray:
+    """The n x n mask of the entries above the diagonal."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 class WeightedGraph:
@@ -28,19 +37,26 @@ class WeightedGraph:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValueError("weight matrix must be square")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if not np.array_equal(weights, weights.T):
-            raise ValueError("weight matrix must be symmetric")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if np.any(np.diag(weights) != 0):
+        # one combined test for the common case; a failure reruns the checks
+        # in order so each bad input keeps its message
+        valid = not weights.size or (
+            np.isfinite(weights).all() and (weights == weights.T).all()
+            and weights.min() >= 0 and not weights.diagonal().any()
+        )
+        if not valid:
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("weights must be finite")
+            if not np.array_equal(weights, weights.T):
+                raise ValueError("weight matrix must be symmetric")
+            if np.any(weights < 0):
+                raise ValueError("weights must be nonnegative")
             raise ValueError("diagonal must be zero")
         self.n = weights.shape[0]
         self.weights = weights
         self.weights.setflags(write=False)
         with np.errstate(over="ignore"):
-            self.wt = float(np.sum(np.triu(weights, 1)))
+            # the sum np.triu(weights, 1) gives, without building its mask
+            self.wt = float(np.sum(np.where(_strict_upper(self.n), weights, 0.0)))
         # every eigenvalue of the swap operator lies in [0, 2 wt]
         if not math.isfinite(2 * self.wt):
             raise ValueError("weights too large: twice their total overflows a float")

@@ -55,7 +55,14 @@ from .spectral import (
     remark_weights,
     spectrum,
 )
-from .symrep import DEFAULT_DIM_CAP, DimensionCapExceeded, delta_matrix
+from .symrep import (
+    DEFAULT_DIM_CAP,
+    STACK_FLOATS,
+    DimensionCapExceeded,
+    check_dim,
+    delta_matrices,
+    delta_matrix,
+)
 
 DEFAULT_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
@@ -89,17 +96,19 @@ def lambda_extremes(shape: Partition, graph: WeightedGraph,
     eigensolver. Results are cached; graphs are immutable after
     construction.
     """
-    exact = _exact_extremes(shape, graph)
-    if exact is not None:
-        return exact
-    spec = spectrum(delta_matrix(shape, graph, dim_cap=dim_cap), tol)
+    return _extremes(shape, quasi_complete_weights(graph),
+                     lambda: spectrum(delta_matrix(shape, graph, dim_cap=dim_cap), tol))
+
+
+def _extremes(shape: Partition, nested, solve):
+    """(lambda_1, lambda_max, exact) of a graph on one irreducible, given the
+    graph's nested-star weights `nested` (None if it has none): exactly from
+    those weights, else from solve(), the numeric Spectrum. The one place the
+    rule is written; its callers differ only in how they assemble and solve."""
+    if nested is not None:
+        return (*nested_star_extremes(shape, nested), True)
+    spec = solve()
     return spec.lambda1, spec.lambda_max, False
-
-
-def _exact_extremes(shape: Partition, graph: WeightedGraph):
-    """(lambda_1, lambda_max, True) of a nested-star graph; None otherwise."""
-    a = quasi_complete_weights(graph)
-    return None if a is None else (*nested_star_extremes(shape, a), True)
 
 
 def lambda_extremes_many(shapes: Sequence[Partition],
@@ -109,17 +118,17 @@ def lambda_extremes_many(shapes: Sequence[Partition],
     lists, by the same rule: nested-star graphs exactly, and the other
     graphs of each shape stacked through `irrep_spectra` (same floats, one
     assembly and one solve per stack instead of per graph). Not cached."""
-    results = [_exact_extremes(shape, graph)
-               for shape, graph in zip(shapes, graphs, strict=True)]
+    nested = [quasi_complete_weights(graph) for graph in graphs]
     pending: dict[Partition, list[int]] = {}
-    for idx, found in enumerate(results):
-        if found is None:
-            pending.setdefault(shapes[idx], []).append(idx)
+    for idx, (shape, a) in enumerate(zip(shapes, nested, strict=True)):
+        if a is None:
+            pending.setdefault(shape, []).append(idx)
+    solved = {}
     for shape, indices in pending.items():
-        solved = irrep_spectra(shape, [graphs[idx] for idx in indices], dim_cap=dim_cap)
-        for idx, spec in zip(indices, solved):
-            results[idx] = spec.lambda1, spec.lambda_max, False
-    return results
+        solved.update(zip(indices, irrep_spectra(shape, [graphs[idx] for idx in indices],
+                                                 dim_cap=dim_cap)))
+    return [_extremes(shape, a, lambda idx=idx: solved[idx])
+            for idx, (shape, a) in enumerate(zip(shapes, nested))]
 
 
 @dataclass
@@ -478,15 +487,47 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     Starts from the seeded ledger. Every graph is also audited against the
     proved entries; a margin there is a contradiction and lands in the
     report instead of the ledger. Deterministic for a fixed seed.
+
+    Graph by graph, each shape of a pair still undecided is evaluated by the
+    rule of `lambda_extremes`, with no cache: nested-star graphs exactly,
+    from one detection per graph. The numeric graphs are assembled ahead
+    and solved per evaluation: when a shape first needs a numeric graph,
+    one `delta_matrices` recursion builds its operators for that graph and
+    the numeric graphs after it, as many as one irrep_spectra stack holds
+    (STACK_FLOATS floats), and each evaluation then solves only its own
+    slice. A shape whose pairs are all refuted is solved no further, so
+    the solves, and the values, are those of evaluating one graph at a time.
     """
     ledger = seed_known(n)
     report = ScanReport(n)
     parts = partitions_of(n)
+    candidates = [c for family in families for c in _family_graphs(family, n, budget, seed)]
+    report.graphs_tried = len(candidates)
+    nested = [quasi_complete_weights(graph) for graph, _ in candidates]
+    # slot[k]: the place of candidate k among the numeric graphs
+    numeric_graphs, slot = [], []
+    for (graph, _), a in zip(candidates, nested):
+        slot.append(len(numeric_graphs))
+        if a is None:
+            numeric_graphs.append(graph)
+    # shape -> (slot of its first graph, operator stack); one job per shape
+    # touches an entry, so worker threads never share one
+    held: dict[Partition, tuple] = {}
 
     def evaluate(args):
-        shape, graph = args
+        shape, k = args
+
+        def solve():
+            start, stack = held.get(shape, (0, ()))
+            if not start <= slot[k] < start + len(stack):
+                step = max(1, STACK_FLOATS // check_dim(shape, dim_cap) ** 2)
+                start = slot[k]
+                stack = delta_matrices(shape, numeric_graphs[start:start + step], dim_cap)
+                held[shape] = start, stack
+            return spectrum(stack[slot[k] - start])
+
         try:
-            lam, _, exact = lambda_extremes(shape, graph, dim_cap=dim_cap)
+            lam, _, exact = _extremes(shape, nested[k], solve)
         except DimensionCapExceeded:
             return None
         return lam, exact
@@ -503,42 +544,40 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
 
         pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        for family in families:
-            for graph, witness in _family_graphs(family, n, budget, seed):
-                report.graphs_tried += 1
-                if not todo:
+        for k, (graph, witness) in enumerate(candidates):
+            if not todo:
+                break
+            jobs = [(shape, k) for shape in shapes]
+            # ordered map keeps the merge deterministic for any pool size
+            outcomes = list(pool.map(evaluate, jobs)) if pool else [
+                evaluate(job) for job in jobs
+            ]
+            values = {}
+            exact_flags = {}
+            for shape, outcome in zip(shapes, outcomes):
+                if outcome is None:
+                    report.skipped_shapes += 1
                     continue
-                jobs = [(shape, graph) for shape in shapes]
-                # ordered map keeps the merge deterministic for any pool size
-                outcomes = list(pool.map(evaluate, jobs)) if pool else [
-                    evaluate(job) for job in jobs
-                ]
-                values = {}
-                exact_flags = {}
-                for shape, outcome in zip(shapes, outcomes):
-                    if outcome is None:
-                        report.skipped_shapes += 1
-                        continue
-                    values[shape], exact_flags[shape] = outcome
-                found = report.refutations_found
-                for sigma, tau in todo:
-                    if sigma not in values or tau not in values:
-                        continue
-                    exact = exact_flags[sigma] and exact_flags[tau]
-                    margin = values[sigma] - values[tau]
-                    if not refutes(margin, exact, sigma, tau, graph.wt, tol):
-                        continue
-                    witness = witness or graph_witness(graph)
-                    if ledger.status(sigma, tau) == "proved":
-                        report.contradictions.append(
-                            {"sigma": str(sigma), "tau": str(tau),
-                             "margin": float(margin), "witness": witness}
-                        )
-                        continue
-                    ledger.set_refuted(sigma, tau, witness, float(margin), exact, "scan")
-                    report.refutations_found += 1
-                if report.refutations_found > found:
-                    todo, shapes = undecided(todo)
+                values[shape], exact_flags[shape] = outcome
+            found = report.refutations_found
+            for sigma, tau in todo:
+                if sigma not in values or tau not in values:
+                    continue
+                exact = exact_flags[sigma] and exact_flags[tau]
+                margin = values[sigma] - values[tau]
+                if not refutes(margin, exact, sigma, tau, graph.wt, tol):
+                    continue
+                witness = witness or graph_witness(graph)
+                if ledger.status(sigma, tau) == "proved":
+                    report.contradictions.append(
+                        {"sigma": str(sigma), "tau": str(tau),
+                         "margin": float(margin), "witness": witness}
+                    )
+                    continue
+                ledger.set_refuted(sigma, tau, witness, float(margin), exact, "scan")
+                report.refutations_found += 1
+            if report.refutations_found > found:
+                todo, shapes = undecided(todo)
     finally:
         if pool:
             pool.shutdown()

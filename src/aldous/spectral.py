@@ -91,7 +91,7 @@ class ExactSpectrum(Spectrum):
     """Spectrum holding exact rationals."""
 
     def __init__(self, values):
-        super().__init__(Fraction(v) for v in values)
+        super().__init__(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
     def as_spectrum(self) -> Spectrum:
         return Spectrum(float(v) for v in self.values)

@@ -189,6 +189,52 @@ def test_tableau_cap_option_is_gone(capsys, tmp_path):
     assert "unknown config key 'tableau_cap'" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ('{"tol": "x"}', "config key 'tol' must be a number, got 'x'"),
+    ('{"tol": true}', "config key 'tol' must be a number, got True"),
+    ('{"budget": 2.5}', "config key 'budget' must be an integer, got 2.5"),
+    ('{"budget": false}', "config key 'budget' must be an integer, got False"),
+    ('{"dim_cap": "big"}', "config key 'dim_cap' must be an integer, got 'big'"),
+    ('{"workers": null}', "config key 'workers' must be an integer, got None"),
+    ('{"families": 3}', "config key 'families' must be a string, got 3"),
+    ('[{"budget": 2}]', "config file must hold a JSON object"),
+    ('{"tol": NaN}', "tol must be finite and nonnegative, got nan"),
+    ('{"budget": -1}', "budget must be nonnegative, got -1"),
+])
+def test_bad_config_values_are_usage_errors(capsys, tmp_path, content, message):
+    config = tmp_path / "config.json"
+    config.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), "scan", "--n", "4")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tol", "nan"], "tol must be finite and nonnegative, got nan"),
+    (["--tol", "inf"], "tol must be finite and nonnegative, got inf"),
+    (["--tol", "-1"], "tol must be finite and nonnegative, got -1.0"),
+    (["scan", "--n", "4", "--budget", "-3"], "budget must be nonnegative, got -3"),
+])
+def test_bad_tol_and_budget_flags_are_usage_errors(capsys, argv, message):
+    if argv[0] != "scan":
+        argv = argv + ["scan", "--n", "4", "--budget", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+
+
+def test_config_accepts_integer_tol_and_zero_budget(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"tol": 0, "budget": 0, "seed": 3}', encoding="utf-8")
+    code, out, _ = run(capsys, "--config", str(config), "print-config")
+    assert code == EXIT_OK
+    assert json.loads(out)["tol"] == 0 and json.loads(out)["budget"] == 0
+    assert run(capsys, "--config", str(config), "scan", "--n", "4")[0] == EXIT_OK
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "spectrum", "--shape", "1,2",
                "--family", "complete")[0] == EXIT_USAGE

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,9 +21,13 @@ from aldous.graphs import (
     support_matching_number,
     weighted_star_graph,
 )
+import aldous.order as order
 from aldous.order import (
+    SCAN_FAMILIES,
     LedgerConflict,
     RelationLedger,
+    ScanReport,
+    _family_graphs,
     check_invariant_vector_bound,
     check_invariant_vector_bounds,
     check_matching_bound,
@@ -32,6 +37,7 @@ from aldous.order import (
     check_weightedstar_bound,
     check_weightedstar_bounds,
     export_dot,
+    graph_witness,
     is_h_irreducible,
     lambda_extremes,
     lambda_extremes_many,
@@ -43,7 +49,12 @@ from aldous.order import (
     witness_graph,
 )
 from aldous.partitions import Partition, conjugate, content_sum, partitions_of
-from aldous.symrep import rep_transposition
+from aldous.symrep import (
+    DEFAULT_DIM_CAP,
+    STACK_FLOATS,
+    DimensionCapExceeded,
+    rep_transposition,
+)
 
 
 def test_graph_families():
@@ -74,6 +85,39 @@ def test_graph_validation_and_json():
         WeightedGraph.from_edges(3, [(1, 2, -1.0)])
     g = random_graph(5, 13)
     assert WeightedGraph.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("weights", [
+    random_graph(6, 3).weights,
+    random_graph(9, 4, density=0.2, distribution="exponential").weights,
+    star_graph(7, 5).weights,
+    matching_graph(8, 3).weights,
+    np.zeros((5, 5)),
+    np.zeros((0, 0)),
+    quasi_complete_graph(4, [1e300, 0.0, 1e300]).weights / 2,
+    complete_graph(6).weights * 0.1,
+])
+def test_graph_total_weight_is_the_upper_triangle_sum(weights):
+    graph = WeightedGraph(weights.copy())
+    assert graph.wt.hex() == float(np.sum(np.triu(weights, 1))).hex()
+    assert graph.n == weights.shape[0] and not graph.weights.flags.writeable
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], "weight matrix must be square"),
+    ([[0.0, np.nan], [-1.0, 5.0]], "weights must be finite"),
+    ([[0.0, np.inf], [np.inf, 0.0]], "weights must be finite"),
+    ([[0.0, 1.0], [-1.0, 5.0]], "weight matrix must be symmetric"),
+    ([[0.0, 1.0], [2.0, 0.0]], "weight matrix must be symmetric"),
+    ([[-1.0, -2.0], [-2.0, 0.0]], "weights must be nonnegative"),
+    ([[0.0, -1.0], [-1.0, 3.0]], "weights must be nonnegative"),
+    ([[1.0, 0.0], [0.0, 0.0]], "diagonal must be zero"),
+    ([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]],
+     "weights too large"),
+])
+def test_graph_validation_messages(weights, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph(np.array(weights))
 
 
 def test_quasi_complete_detection():
@@ -232,6 +276,12 @@ def test_scan_workers_merge_identically():
     serial, _ = scan(5, budget=10, seed=3, workers=1)
     parallel, _ = scan(5, budget=10, seed=3, workers=4)
     assert serial.to_json() == parallel.to_json()
+    # each job touches its own shape's held stack, skipped shapes included
+    serial, serial_report = scan(6, budget=60, seed=5, dim_cap=9)
+    parallel, parallel_report = scan(6, budget=60, seed=5, dim_cap=9, workers=4)
+    assert parallel.to_json() == serial.to_json()
+    assert asdict(parallel_report) == asdict(serial_report)
+    assert serial_report.skipped_shapes > 0
 
 
 def test_scan_leaves_transposition_cache_empty():
@@ -240,6 +290,205 @@ def test_scan_leaves_transposition_cache_empty():
     lambda_extremes.cache_clear()
     scan(6, families=("random",), budget=2, seed=11)
     assert rep_transposition.cache_info().currsize == 0
+
+
+def reference_scan(n, families=SCAN_FAMILIES, budget=100, tol=1e-9, seed=0,
+                   dim_cap=DEFAULT_DIM_CAP):
+    """The scan one (shape, graph) evaluation at a time through the cached
+    lambda_extremes, with the per-graph merge scan keeps. The report also
+    counts the numeric evaluations, as numeric_evaluations."""
+    ledger = order.seed_known(n)
+    report = ScanReport(n)
+    parts = partitions_of(n)
+
+    def undecided(pairs):
+        todo = [p for p in pairs if ledger.status(*p) != "refuted"]
+        return todo, sorted({s for pair in todo for s in pair}, key=parts.index)
+
+    todo, shapes = undecided(ledger.pairs())
+    report.numeric_evaluations = 0
+    for family in families:
+        for graph, witness in _family_graphs(family, n, budget, seed):
+            report.graphs_tried += 1
+            if not todo:
+                continue
+            values, exact_flags = {}, {}
+            for shape in shapes:
+                try:
+                    values[shape], _, exact_flags[shape] = lambda_extremes(
+                        shape, graph, dim_cap=dim_cap)
+                except DimensionCapExceeded:
+                    report.skipped_shapes += 1
+                    continue
+                report.numeric_evaluations += not exact_flags[shape]
+            found = report.refutations_found
+            for sigma, tau in todo:
+                if sigma not in values or tau not in values:
+                    continue
+                exact = exact_flags[sigma] and exact_flags[tau]
+                margin = values[sigma] - values[tau]
+                if not refutes(margin, exact, sigma, tau, graph.wt, tol):
+                    continue
+                witness = witness or graph_witness(graph)
+                if ledger.status(sigma, tau) == "proved":
+                    report.contradictions.append(
+                        {"sigma": str(sigma), "tau": str(tau),
+                         "margin": float(margin), "witness": witness})
+                    continue
+                ledger.set_refuted(sigma, tau, witness, float(margin), exact, "scan")
+                report.refutations_found += 1
+            if report.refutations_found > found:
+                todo, shapes = undecided(todo)
+    refuted = [e for e in ledger.entries.values() if e.status == "refuted"]
+    numeric = [e.margin for e in refuted if not e.exact]
+    report.refutations_exact = len(refuted) - len(numeric)
+    report.refutations_numeric = len(numeric)
+    report.min_numeric_margin = min(numeric, default=None)
+    return ledger, report
+
+
+class ScanRecorder:
+    """Counts scan's spectrum calls and records its assemblies as
+    (shape, graphs) through the order module's bindings."""
+
+    def __init__(self, monkeypatch):
+        self.solves = []
+        self.stacks = []
+        spectrum, delta_matrices = order.spectrum, order.delta_matrices
+
+        def counted(m, *args, **kwargs):
+            self.solves.append(len(m))
+            return spectrum(m, *args, **kwargs)
+
+        def recorded(shape, graphs, *args, **kwargs):
+            self.stacks.append((shape, list(graphs)))
+            return delta_matrices(shape, graphs, *args, **kwargs)
+
+        monkeypatch.setattr(order, "spectrum", counted)
+        monkeypatch.setattr(order, "delta_matrices", recorded)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, budget, dim_cap", [
+    (4, 30, DEFAULT_DIM_CAP),
+    (5, 60, DEFAULT_DIM_CAP),
+    (6, 10, DEFAULT_DIM_CAP),  # below every shape's stack step at n = 6
+    (6, 150, DEFAULT_DIM_CAP),  # above the step of the dim-16 shapes
+    (7, 20, DEFAULT_DIM_CAP),
+    (7, 15, 20),  # shapes of dim 21 and 35 skipped
+])
+def test_scan_equals_the_one_graph_at_a_time_loop(monkeypatch, n, budget, dim_cap, seed):
+    lambda_extremes.cache_clear()
+    expected, expected_report = reference_scan(n, budget=budget, seed=seed, dim_cap=dim_cap)
+    recorder = ScanRecorder(monkeypatch)
+    ledger, report = scan(n, budget=budget, seed=seed, dim_cap=dim_cap)
+    assert ledger.to_json() == expected.to_json()
+    assert asdict(report) == asdict(expected_report)
+    assert (report.skipped_shapes > 0) == (dim_cap < DEFAULT_DIM_CAP)
+    # one solve per numeric evaluation of the reference, and only numeric
+    # graphs assembled
+    assert len(recorder.solves) == expected_report.numeric_evaluations
+    assert all(quasi_complete_weights(graph) is None
+               for _, graphs in recorder.stacks for graph in graphs)
+
+
+def test_scan_assembles_a_block_ahead_and_solves_per_evaluation(monkeypatch):
+    from aldous.partitions import num_standard_tableaux
+
+    recorder = ScanRecorder(monkeypatch)
+    ledger, report = scan(6, budget=150, seed=0)
+    candidates = [c for family in SCAN_FAMILIES for c in _family_graphs(family, 6, 150, 0)]
+    numeric = [graph for graph, _ in candidates if quasi_complete_weights(graph) is None]
+    # exact graphs sit between numeric ones: a stack runs across them
+    kinds = [quasi_complete_weights(graph) is None for graph, _ in candidates]
+    assert any(kinds[k] and not kinds[k + 1] and any(kinds[k + 2:])
+               for k in range(len(kinds) - 1))
+    stacks_of = {}
+    for shape, graphs in recorder.stacks:
+        stacks_of.setdefault(shape, []).append(graphs)
+    for shape, stacks in stacks_of.items():
+        step = max(1, STACK_FLOATS // num_standard_tableaux(shape) ** 2)
+        # consecutive runs of the numeric graphs, each a full step but the
+        # one reaching the end of the candidates
+        start = numeric.index(stacks[0][0])
+        for graphs in stacks:
+            assert graphs == numeric[start:start + step]
+            start += len(graphs)
+    # the budget is above the step of the dim-16 shapes: they assemble again
+    assert max(len(stacks) for stacks in stacks_of.values()) > 1
+    # every shape stays in a proved pair, so every assembled operator is solved
+    assert sum(len(g) for _, g in recorder.stacks) == len(recorder.solves)
+    assert report.refutations_found > 0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_scan_stops_solving_a_shape_whose_pairs_are_refuted(monkeypatch, n):
+    # seeded ledgers keep every shape in a proved pair; this one leaves open
+    # only the false bottom >= top and hook >= standard, refuted by the
+    # first graph, and the true standard >= hook, so every other shape
+    # drops out in the middle of its first block
+    bottom, top = Partition([1] * n), Partition([n])
+    std, hook = Partition([n - 1, 1]), Partition([n - 2, 1, 1])
+    open_pairs = {(bottom, top), (hook, std), (std, hook)}
+
+    def seeded(size):
+        ledger = RelationLedger(size)
+        for pair in ledger.pairs():
+            if pair not in open_pairs:
+                ledger.set_refuted(*pair, {"kind": "family", "family": "complete",
+                                           "n": size}, 1.0, True, "ds81")
+        return ledger
+
+    monkeypatch.setattr(order, "seed_known", seeded)
+    families = ("paths", "matchings", "random")
+    lambda_extremes.cache_clear()
+    expected, expected_report = reference_scan(n, families, budget=30, seed=4)
+    recorder = ScanRecorder(monkeypatch)
+    ledger, report = scan(n, families, budget=30, seed=4)
+    assert ledger.to_json() == expected.to_json()
+    assert asdict(report) == asdict(expected_report)
+    assert report.refutations_found == 2
+    assert {pair for pair in ledger.refuted_pairs() if pair in open_pairs} == {
+        (bottom, top), (hook, std)}
+    assert len(recorder.solves) == expected_report.numeric_evaluations
+    solved_shapes = {shape for shape, _ in recorder.stacks}
+    assert solved_shapes == {bottom, top, std, hook}
+    # bottom and top were assembled for a whole block and solved once
+    assert sum(len(g) for _, g in recorder.stacks) > len(recorder.solves)
+
+
+def replayed_evaluations(ledger, n, budget, seed):
+    """Evaluations a random-only scan had to make, replayed from its ledger
+    by the rule of the benchmark's check: graph i evaluates every shape of a
+    pair not refuted before it."""
+    seeded = seed_known(n)
+    graph_of = {json.dumps(graph_witness(random_graph(n, seed + i)), sort_keys=True): i
+                for i in range(budget)}
+    found_by = {}
+    for pair in ledger.refuted_pairs():
+        entry = ledger.entry(*pair)
+        if entry.tag == "scan":
+            found_by.setdefault(graph_of[json.dumps(entry.witness, sort_keys=True)],
+                                set()).add(pair)
+    refuted = set(seeded.refuted_pairs())
+    total = 0
+    for i in range(budget):
+        total += len({s for pair in seeded.pairs() if pair not in refuted for s in pair})
+        refuted |= found_by.get(i, set())
+    return total
+
+
+@pytest.mark.parametrize("n, budget, seed", [(6, 40, 0), (7, 10, 42), (8, 2, 1)])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_scan_solves_match_the_replayed_evaluations(monkeypatch, n, budget, seed, workers):
+    recorder = ScanRecorder(monkeypatch)
+    ledger, report = scan(n, ("random",), budget=budget, seed=seed, workers=workers)
+    assert report.refutations_found > 0
+    assert len(recorder.solves) == replayed_evaluations(ledger, n, budget, seed)
+    monkeypatch.undo()
+    serial, serial_report = scan(n, ("random",), budget=budget, seed=seed)
+    assert ledger.to_json() == serial.to_json()
+    assert asdict(report) == asdict(serial_report)
 
 
 def test_incomparable_two_column_chain():

@@ -387,3 +387,12 @@ def test_spectrum_types():
     e = ExactSpectrum([Fraction(1, 3), Fraction(1, 4)])
     assert e.lambda1 == Fraction(1, 4)
     assert e.as_spectrum().values == (0.25, 1 / 3)
+
+
+def test_exact_spectrum_keeps_fractions_and_converts_the_rest():
+    third = Fraction(1, 3)
+    e = ExactSpectrum([2, third, "3/4", 0.5, Fraction(-1, 2), True])
+    assert e.values == (Fraction(-1, 2), third, Fraction(1, 2), Fraction(3, 4), 1, 2)
+    assert all(type(v) is Fraction for v in e.values)
+    assert any(v is third for v in e.values)
+    assert e == ExactSpectrum(Fraction(v) for v in [2, third, "3/4", 0.5, Fraction(-1, 2), 1])
