@@ -37,19 +37,13 @@ class WeightedGraph:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValueError("weight matrix must be square")
-        # one combined test for the common case; a failure reruns the checks
-        # in order so each bad input keeps its message
-        valid = not weights.size or (
-            np.isfinite(weights).all() and (weights == weights.T).all()
-            and weights.min() >= 0 and not weights.diagonal().any()
-        )
-        if not valid:
-            if not np.all(np.isfinite(weights)):
-                raise ValueError("weights must be finite")
-            if not np.array_equal(weights, weights.T):
-                raise ValueError("weight matrix must be symmetric")
-            if np.any(weights < 0):
-                raise ValueError("weights must be nonnegative")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
+        if not (weights == weights.T).all():
+            raise ValueError("weight matrix must be symmetric")
+        if weights.size and weights.min() < 0:
+            raise ValueError("weights must be nonnegative")
+        if weights.diagonal().any():
             raise ValueError("diagonal must be zero")
         self.n = weights.shape[0]
         self.weights = weights

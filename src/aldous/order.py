@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -491,43 +494,70 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     Graph by graph, each shape of a pair still undecided is evaluated by the
     rule of `lambda_extremes`, with no cache: nested-star graphs exactly,
     from one detection per graph. The numeric graphs are assembled ahead
-    and solved per evaluation: when a shape first needs a numeric graph,
-    one `delta_matrices` recursion builds its operators for that graph and
-    the numeric graphs after it, as many as one irrep_spectra stack holds
-    (STACK_FLOATS floats), and each evaluation then solves only its own
-    slice. A shape whose pairs are all refuted is solved no further, so
+    and solved per evaluation: when a shape needs a numeric graph its held
+    operators do not cover, one `delta_matrices` recursion builds them for
+    that graph and the numeric graphs after it, at most STACK_FLOATS
+    floats of operators (and of graph weights), and each evaluation then
+    solves only its own slice. A stack is dropped once its last slice is
+    solved or its shape leaves, and candidates are read from the families
+    only as far ahead as a stack needs, so memory does not grow with the
+    budget. A shape whose pairs are all refuted is solved no further, so
     the solves, and the values, are those of evaluating one graph at a time.
     """
     ledger = seed_known(n)
     report = ScanReport(n)
     parts = partitions_of(n)
-    candidates = [c for family in families for c in _family_graphs(family, n, budget, seed)]
-    report.graphs_tried = len(candidates)
-    nested = [quasi_complete_weights(graph) for graph, _ in candidates]
-    # slot[k]: the place of candidate k among the numeric graphs
-    numeric_graphs, slot = [], []
-    for (graph, _), a in zip(candidates, nested):
-        slot.append(len(numeric_graphs))
-        if a is None:
-            numeric_graphs.append(graph)
-    # shape -> (slot of its first graph, operator stack); one job per shape
-    # touches an entry, so worker threads never share one
-    held: dict[Partition, tuple] = {}
+    stream = (c for family in families for c in _family_graphs(family, n, budget, seed))
+    # (graph, witness, nested-star weights or None): the candidate being
+    # scanned, then those read ahead of it; worker threads read ahead too
+    ahead = deque()
+    reading = threading.Lock()
+
+    def read():
+        candidate = next(stream, None)
+        if candidate is None:
+            return False
+        report.graphs_tried += 1
+        ahead.append((*candidate, quasi_complete_weights(candidate[0])))
+        return True
+
+    def numeric_run(size):
+        """The first `size` numeric graphs from the scanned candidate on,
+        fewer if the candidates end first."""
+        with reading:
+            run = list(islice((g for g, _, a in ahead if a is None), size))
+            while len(run) < size and read():
+                if ahead[-1][2] is None:
+                    run.append(ahead[-1][0])
+        return run
+
+    def operators(shape, dim):
+        """The shape's operators on the numeric graphs from the scanned one
+        on. A shape still in play is evaluated on every candidate, so each
+        next() lands on the candidate being scanned. A stack's operators,
+        and the weights of the graphs read ahead for it, each come to at
+        most STACK_FLOATS floats."""
+        step = max(1, STACK_FLOATS // max(dim, n) ** 2)
+        while True:
+            stack = list(delta_matrices(shape, numeric_run(step), dim_cap))[::-1]
+            # popped, so a stack is freed once its last slice is solved
+            while stack:
+                yield stack.pop()
+
+    # shape -> its operators; one job per shape advances an entry, so
+    # worker threads never share one
+    held = {}
 
     def evaluate(args):
-        shape, k = args
+        shape, nested = args
 
         def solve():
-            start, stack = held.get(shape, (0, ()))
-            if not start <= slot[k] < start + len(stack):
-                step = max(1, STACK_FLOATS // check_dim(shape, dim_cap) ** 2)
-                start = slot[k]
-                stack = delta_matrices(shape, numeric_graphs[start:start + step], dim_cap)
-                held[shape] = start, stack
-            return spectrum(stack[slot[k] - start])
+            if shape not in held:
+                held[shape] = operators(shape, check_dim(shape, dim_cap))
+            return spectrum(next(held[shape]))
 
         try:
-            lam, _, exact = _extremes(shape, nested[k], solve)
+            lam, _, exact = _extremes(shape, nested, solve)
         except DimensionCapExceeded:
             return None
         return lam, exact
@@ -544,10 +574,9 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
 
         pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        for k, (graph, witness) in enumerate(candidates):
-            if not todo:
-                break
-            jobs = [(shape, k) for shape in shapes]
+        while todo and (ahead or read()):
+            graph, witness, nested = ahead[0]
+            jobs = [(shape, nested) for shape in shapes]
             # ordered map keeps the merge deterministic for any pool size
             outcomes = list(pool.map(evaluate, jobs)) if pool else [
                 evaluate(job) for job in jobs
@@ -578,6 +607,10 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
                 report.refutations_found += 1
             if report.refutations_found > found:
                 todo, shapes = undecided(todo)
+                held = {shape: held[shape] for shape in shapes if shape in held}
+            ahead.popleft()
+        # candidates left unscanned once every pair is decided still count
+        report.graphs_tried += sum(1 for _ in stream)
     finally:
         if pool:
             pool.shutdown()

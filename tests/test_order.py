@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
@@ -349,23 +350,40 @@ def reference_scan(n, families=SCAN_FAMILIES, budget=100, tol=1e-9, seed=0,
 
 class ScanRecorder:
     """Counts scan's spectrum calls and records its assemblies as
-    (shape, graphs) through the order module's bindings."""
+    (shape, graphs) through the order module's bindings. At each solve it
+    also notes, as (shape, slices solved, slices), every other stack still
+    alive."""
 
     def __init__(self, monkeypatch):
         self.solves = []
         self.stacks = []
+        self.alive = []
+        live = []
         spectrum, delta_matrices = order.spectrum, order.delta_matrices
 
         def counted(m, *args, **kwargs):
             self.solves.append(len(m))
+            alive = [entry for entry in live if entry[1]() is not None]
+            own, = [entry for entry in alive if np.shares_memory(m, entry[1]())]
+            own[2] += 1
+            self.alive.append([(shape, solved, size) for shape, _, solved, size in
+                               (entry for entry in alive if entry is not own)])
             return spectrum(m, *args, **kwargs)
 
         def recorded(shape, graphs, *args, **kwargs):
             self.stacks.append((shape, list(graphs)))
-            return delta_matrices(shape, graphs, *args, **kwargs)
+            stack = delta_matrices(shape, graphs, *args, **kwargs)
+            # the array owning the floats lives as long as any slice does
+            owner = stack if stack.base is None else stack.base
+            live.append([shape, weakref.ref(owner), 0, len(stack)])
+            return stack
 
         monkeypatch.setattr(order, "spectrum", counted)
         monkeypatch.setattr(order, "delta_matrices", recorded)
+
+    def no_solved_stack_kept(self):
+        """No stack outlived the solve of its last slice."""
+        return all(solved < size for alive in self.alive for _, solved, size in alive)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -407,7 +425,7 @@ def test_scan_assembles_a_block_ahead_and_solves_per_evaluation(monkeypatch):
     for shape, graphs in recorder.stacks:
         stacks_of.setdefault(shape, []).append(graphs)
     for shape, stacks in stacks_of.items():
-        step = max(1, STACK_FLOATS // num_standard_tableaux(shape) ** 2)
+        step = max(1, STACK_FLOATS // max(num_standard_tableaux(shape), 6) ** 2)
         # consecutive runs of the numeric graphs, each a full step but the
         # one reaching the end of the candidates
         start = numeric.index(stacks[0][0])
@@ -419,6 +437,57 @@ def test_scan_assembles_a_block_ahead_and_solves_per_evaluation(monkeypatch):
     # every shape stays in a proved pair, so every assembled operator is solved
     assert sum(len(g) for _, g in recorder.stacks) == len(recorder.solves)
     assert report.refutations_found > 0
+    assert recorder.no_solved_stack_kept()
+
+
+def test_scan_keeps_no_stack_past_its_last_solve(monkeypatch):
+    # one graph per stack for the shapes of dimension 9 and more, two for
+    # the others: a stack is freed right after its last solve, not when
+    # the next stack replaces it
+    monkeypatch.setattr(order, "STACK_FLOATS", 100)
+    expected, _ = scan(6, budget=12, seed=3)
+    recorder = ScanRecorder(monkeypatch)
+    ledger, _ = scan(6, budget=12, seed=3)
+    assert ledger.to_json() == expected.to_json()
+    assert {len(graphs) for _, graphs in recorder.stacks} == {1, 2}
+    assert recorder.no_solved_stack_kept()
+    # at most one stack per shape, and no single-graph stack, outlives a solve
+    assert max(len(alive) for alive in recorder.alive) < len(partitions_of(6))
+    assert all(size == 2 for alive in recorder.alive for _, _, size in alive)
+
+
+def test_scan_reads_candidates_only_as_far_as_a_stack_reaches(monkeypatch):
+    # stacks of one and two graphs; the scan reads a random graph only when
+    # a stack needs it, or when it scans it
+    n, budget = 5, 40
+    expected, expected_report = scan(n, ("random",), budget=budget, seed=7)
+    monkeypatch.setattr(order, "STACK_FLOATS", 2 * n * n)
+    read = []
+    make = order.random_graph
+
+    def counted_graph(*args):
+        read.append(make(*args))
+        return read[-1]
+
+    reach = []
+    assemble = order.delta_matrices
+
+    def recorded(shape, graphs, *args):
+        index = {id(graph): i for i, graph in enumerate(read)}
+        reach.append((len(read), max(index[id(graph)] for graph in graphs) + 1))
+        return assemble(shape, graphs, *args)
+
+    monkeypatch.setattr(order, "random_graph", counted_graph)
+    monkeypatch.setattr(order, "delta_matrices", recorded)
+    ledger, report = scan(n, ("random",), budget=budget, seed=7)
+    assert ledger.to_json() == expected.to_json()
+    assert asdict(report) == asdict(expected_report)
+    furthest = 0
+    for count, end in reach:
+        furthest = max(furthest, end)
+        assert count == furthest
+    assert reach[0][0] <= 2 and furthest == budget
+    assert len(read) == report.graphs_tried == budget
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -455,6 +524,39 @@ def test_scan_stops_solving_a_shape_whose_pairs_are_refuted(monkeypatch, n):
     assert solved_shapes == {bottom, top, std, hook}
     # bottom and top were assembled for a whole block and solved once
     assert sum(len(g) for _, g in recorder.stacks) > len(recorder.solves)
+    # their stacks, still half full, were dropped as they left
+    assert recorder.solves.count(1) == 2
+    assert all(shape in (std, hook) for alive in recorder.alive[4:] for shape, _, _ in alive)
+    assert any(shape in (bottom, top) for alive in recorder.alive[:4] for shape, _, _ in alive)
+    assert recorder.no_solved_stack_kept()
+
+
+def test_scan_counts_the_candidates_left_once_every_pair_is_decided(monkeypatch):
+    # only the false bottom >= top is open; the first graph, a star,
+    # refutes it exactly and the scan stops evaluating, but still counts
+    # every candidate
+    n = 5
+    bottom, top = Partition([1] * n), Partition([n])
+
+    def seeded(size):
+        ledger = RelationLedger(size)
+        for pair in ledger.pairs():
+            if pair != (bottom, top):
+                ledger.set_refuted(*pair, {"kind": "family", "family": "complete",
+                                           "n": size}, 1.0, True, "ds81")
+        return ledger
+
+    monkeypatch.setattr(order, "seed_known", seeded)
+    lambda_extremes.cache_clear()
+    expected, expected_report = reference_scan(n, budget=30, seed=2)
+    recorder = ScanRecorder(monkeypatch)
+    ledger, report = scan(n, budget=30, seed=2)
+    assert ledger.to_json() == expected.to_json()
+    assert asdict(report) == asdict(expected_report)
+    assert report.refutations_found == 1 and report.refutations_numeric == 0
+    assert report.graphs_tried == sum(
+        1 for family in SCAN_FAMILIES for _ in _family_graphs(family, n, 30, 2))
+    assert recorder.solves == [] and expected_report.numeric_evaluations == 0
 
 
 def replayed_evaluations(ledger, n, budget, seed):
