@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .partitions import Box, Partition, corners, remove_box
-from .spectral import nested_star_lambda1_scaled, remark_weights
+from .spectral import nested_star_lambda1_scaled
 
 
 @lru_cache(maxsize=None)
@@ -121,23 +122,22 @@ class GameSpectraReport:
 
 
 def _sample_weight_vectors(n: int, samples: int, seed: int, grid_max: int = 1):
-    """Exact rational weight vectors: seeded randoms, a small integer grid
-    and the fast-decaying separator weights."""
+    """Exact rational weight vectors as (rows, scales): weighting w has
+    weights rows[w][k] / scales[w], integer numerators over its own scale.
+    They are seeded randoms k / 1000, a small integer grid and the
+    fast-decaying separator weights n^(-2k) = n^(2n-2k) / n^(2n)."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     rng = np.random.default_rng(seed)
-    vectors = []
-    for _ in range(samples):
-        vectors.append([Fraction(int(x), 1000) for x in rng.integers(0, 1001, n - 1)])
+    rows = rng.integers(0, 1001, (samples, n - 1)).tolist()
+    scales = [1000] * samples
     if (grid_max + 1) ** (n - 1) <= 256:
-        def grids(prefix):
-            if len(prefix) == n - 1:
-                vectors.append([Fraction(x) for x in prefix])
-                return
-            for x in range(grid_max + 1):
-                grids(prefix + [x])
-
-        grids([])
-    vectors.append(remark_weights(n))
-    return vectors
+        grid = [list(x) for x in product(range(grid_max + 1), repeat=n - 1)]
+        rows += grid
+        scales += [1] * len(grid)
+    rows.append([n ** (2 * (n - k)) for k in range(2, n + 1)])
+    scales.append(n ** (2 * n))
+    return rows, scales
 
 
 def game_vs_spectra(sigma: Partition, tau: Partition, samples: int = 100,
@@ -147,18 +147,20 @@ def game_vs_spectra(sigma: Partition, tau: Partition, samples: int = 100,
     If A wins, every sampled nested-star graph must order the lowest
     eigenvalues her way (exact arithmetic, so no tolerance); a violation
     is an inconsistency. If A loses, the samples are searched for a
-    witness graph and the report says whether one turned up.
+    witness graph and the report says whether one turned up. All samples
+    are evaluated in one walk; lambda_1 is homogeneous in the weights, so
+    the integer numerators order the shapes as the weights do.
     """
     winner = game_winner(sigma, tau)
     report = GameSpectraReport(sigma, tau, winner)
-    for a in _sample_weight_vectors(sigma.n, samples, seed):
-        scale, (lam_s, lam_t) = nested_star_lambda1_scaled((sigma, tau), a)
-        report.samples += 1
-        if lam_s > lam_t:
-            record = {"weights": [str(x) for x in a],
-                      "margin": float(Fraction(lam_s - lam_t, scale))}
-            if winner:
-                report.violations.append(record)
-            elif report.witness is None:
-                report.witness = record
+    rows, scales = _sample_weight_vectors(sigma.n, samples, seed)
+    _, (lam_s, lam_t) = nested_star_lambda1_scaled((sigma, tau), rows)
+    report.samples = len(rows)
+    for w in np.flatnonzero(lam_s > lam_t).tolist():
+        record = {"weights": [str(Fraction(x, scales[w])) for x in rows[w]],
+                  "margin": float(Fraction(lam_s[w] - lam_t[w], scales[w]))}
+        if not winner:
+            report.witness = record
+            break
+        report.violations.append(record)
     return report

@@ -391,19 +391,21 @@ def seed_known(n: int) -> RelationLedger:
 
     # every lexicographically ascending pair is refuted: through the complete
     # graph (all-ones weights) if dominance orders it, else the separator
+    # both lambda_1 tables come from one walk over the two weightings
     separator = remark_weights(n)
+    scales, rows = nested_star_lambda1_scaled(parts, [[1] * (n - 1), separator])
     witnesses = {
         "ds81": ({"kind": "family", "family": "complete", "n": n},
-                 nested_star_lambda1_scaled(parts, [1] * (n - 1))),
+                 scales[0], [row[0] for row in rows]),
         "remark1": ({"kind": "quasi", "n": n, "weights": [str(w) for w in separator]},
-                    nested_star_lambda1_scaled(parts, separator)),
+                    scales[1], [row[1] for row in rows]),
     }
     for i, alpha in enumerate(parts):
         for j, beta in enumerate(parts):
             if alpha == beta or lex_compare(alpha, beta) >= 0:
                 continue
             tag = "ds81" if dominates(beta, alpha) else "remark1"
-            witness, (scale, lam1) = witnesses[tag]
+            witness, scale, lam1 = witnesses[tag]
             margin = lam1[i] - lam1[j]  # times scale, exact until the division
             if margin <= 0:
                 raise LedgerConflict(f"{tag} witness fails on {alpha} vs {beta}")

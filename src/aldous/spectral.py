@@ -14,11 +14,14 @@ nested star operators on the canonical tableau basis:
     listing a tableau: `nested_star_extremes` keeps the heaviest and the
     lightest chain of each subdiagram, `quasi_complete_spectrum` every
     chain sum with its multiplicity. Both run in integers: each weighting
-    is scaled once by the common denominator of its weights, its tables
-    are shared by every shape it is evaluated on, and Fractions are built
-    only for the returned values. `nested_star_lambda1_scaled` hands out
-    the scaled integers themselves for sweeps that only compare lambda_1
-    across shapes;
+    is scaled once by the common denominator of its weights, and
+    Fractions are built only for the returned values. The extremes walk
+    (`_chains`) runs on integer columns, one entry per weighting, so
+    `nested_star_lambda1_scaled` gives lambda_1 of every shape under every
+    weighting of a sweep from one walk, as the scaled integers themselves
+    for sweeps that only compare lambda_1 across shapes, and
+    `nested_star_extremes` is its one-column case, with the tables of a
+    weighting shared by every shape it is evaluated on;
   * the complete graph acts by the scalar C(n,2) - content sum;
   * the spectrum on a hook [n-k, 1^k] consists of the k-subset sums of
     the spectrum on [n-1, 1].
@@ -158,15 +161,17 @@ def irrep_spectra(shape: Partition, graphs: Sequence[WeightedGraph],
                                                dim_cap), tol)]
 
 
-def _checked_weights(n: int, a) -> list:
-    a = list(a)
-    if len(a) != n - 1:
-        raise ValueError(f"need {n - 1} weights, got {len(a)}")
-    if not all(0 <= x < math.inf for x in a):
-        if any(x != x or abs(x) == math.inf for x in a):
+def _checked_weights(n: int, weightings) -> list[list]:
+    """The weightings as lists of n - 1 finite nonnegative weights each."""
+    rows = [list(a) for a in weightings]
+    for a in rows:
+        if len(a) != n - 1:
+            raise ValueError(f"need {n - 1} weights, got {len(a)}")
+    if not all(0 <= x < math.inf for a in rows for x in a):
+        if any(x != x or abs(x) == math.inf for a in rows for x in a):
             raise ValueError("weights must be finite")
         raise ValueError("weights must be nonnegative")
-    return a
+    return rows
 
 
 def quasi_complete_spectrum(shape: Partition, a) -> ExactSpectrum:
@@ -174,10 +179,10 @@ def quasi_complete_spectrum(shape: Partition, a) -> ExactSpectrum:
     (float callers use `.as_spectrum()`): wt - sum_k a_k * content(box of k)
     per standard tableau, counted by the chain recursion. It lists one value
     per tableau, so shapes above partitions.TABLEAU_CAP tableaux are refused."""
-    a = _checked_weights(shape.n, a)
+    (a,) = _checked_weights(shape.n, [a])
     capped_tableau_count(shape)
-    scale, weights, wt, _, counts = _chain_table(tuple(a))
-    sums = _chain_counts(shape.parts, shape.n, weights, counts)
+    scale, columns, wt, _, counts = _chain_table(tuple(a))
+    sums = _chain_counts(shape.parts, shape.n, columns[:, 0], counts)
     values = []
     for total in sorted(sums, reverse=True):
         values += [Fraction(wt - total, scale)] * sums[total]
@@ -187,56 +192,88 @@ def quasi_complete_spectrum(shape: Partition, a) -> ExactSpectrum:
 def nested_star_extremes(shape: Partition, a) -> tuple[Fraction, Fraction]:
     """(lambda_1, lambda_max) of the nested-star combination with weights
     a[2..n], in exact rationals: the extremes of quasi_complete_spectrum,
-    from the heaviest and lightest chains alone."""
-    scale, weights, wt, table, _ = _chain_table(tuple(_checked_weights(shape.n, a)))
-    heaviest, lightest = _chains(shape.parts, shape.n, weights, table)
-    return Fraction(wt - heaviest, scale), Fraction(wt - lightest, scale)
+    from the heaviest and lightest chains alone (the one-column walk of
+    `_chains`, its table shared with every shape of the weighting)."""
+    (a,) = _checked_weights(shape.n, [a])
+    scale, columns, wt, table, _ = _chain_table(tuple(a))
+    heaviest, lightest = _chains(shape.parts, shape.n, columns, table)
+    return Fraction(wt - heaviest[0], scale), Fraction(wt - lightest[0], scale)
 
 
-def nested_star_lambda1_scaled(shapes, a) -> tuple[int, list[int]]:
-    """(scale, [lambda_1 * scale per shape]) under one nested-star weighting
-    of the shapes' common size, in integers: scale is the common denominator
-    of the weights, so the numerators order the shapes as their lambda_1 do
-    and Fraction(numerator, scale) is nested_star_extremes(shape, a)[0]."""
-    a = list(a)
-    n = len(a) + 1
-    if any(shape.n != n for shape in shapes):
-        raise ValueError(f"{len(a)} weights need shapes of size {n}")
-    scale, weights, wt, table, _ = _chain_table(tuple(_checked_weights(n, a)))
-    return scale, [wt - _chains(shape.parts, n, weights, table)[0]
-                   for shape in shapes]
+def nested_star_lambda1_scaled(shapes, weightings) -> tuple[list[int], list[np.ndarray]]:
+    """(scales, rows) for a list of nested-star weightings of the shapes'
+    common size, from one walk of `_chains` over all of them: scales[w] is
+    the common denominator of weighting w, and rows[i][w] is lambda_1 of
+    shapes[i] under weighting w times scales[w], a Python int (rows[i] is
+    an object array), so Fraction(rows[i][w], scales[w]) is
+    nested_star_extremes(shapes[i], weightings[w])[0]. The walk's table is
+    dropped on return."""
+    shapes = list(shapes)
+    rows = list(weightings)
+    n = shapes[0].n if shapes else len(rows[0]) + 1 if rows else 1
+    for shape in shapes:
+        if shape.n != n:
+            raise ValueError(f"shapes of mixed size: {shape} is not of size {n}")
+    scales, columns, wt = _integer_columns(n, _checked_weights(n, rows))
+    table = {}
+    return scales, [wt - _chains(shape.parts, n, columns, table)[0] for shape in shapes]
+
+
+def _scaled(a: list) -> tuple[int, list[int]]:
+    """One weighting in integers: its common denominator and the weights
+    times it. Integers are their own numerators."""
+    if all(type(x) is int for x in a):
+        return 1, a
+    fractions = [Fraction(x) for x in a]
+    scale = math.lcm(*(f.denominator for f in fractions))
+    return scale, [f.numerator * (scale // f.denominator) for f in fractions]
+
+
+def _integer_columns(n: int, rows: list[list]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Checked weightings of size n in integers, one column each: the
+    common denominator `scale` of each, the (n - 1, W) object array of
+    Python ints whose column w is weighting w times its scale, and wt times
+    scale per weighting."""
+    scaled = [_scaled(a) for a in rows]
+    columns = np.array([w for _, w in scaled], dtype=object).reshape(len(rows), n - 1).T
+    wt = sum((k * columns[k - 1] for k in range(1, n)), np.zeros(len(rows), dtype=object))
+    return [scale for scale, _ in scaled], columns, wt
 
 
 @lru_cache(maxsize=16)
-def _chain_table(a: tuple) -> tuple[int, tuple[int, ...], int, dict, dict]:
-    """One weighting in integers, shared by every shape it is evaluated on:
-    the common denominator `scale` of the weights, the weights and wt times
-    scale, and the memo tables of `_chains` and `_chain_counts` (also times
-    scale). Equal weights hash equal whatever their type, so 0.5 and
-    Fraction(1, 2) share an entry."""
-    fractions = [Fraction(x) for x in a]
-    scale = math.lcm(*(f.denominator for f in fractions))
-    weights = tuple(f.numerator * (scale // f.denominator) for f in fractions)
-    wt = sum(w * k for k, w in enumerate(weights, start=1))
-    return scale, weights, wt, {(1,): (0, 0)}, {(1,): {0: 1}}
+def _chain_table(a: tuple) -> tuple[int, np.ndarray, int, dict, dict]:
+    """One weighting as the one-column case of `_integer_columns`, shared
+    by every shape it is evaluated on: its scale, its (n - 1, 1) column,
+    wt times scale, and the memo tables of `_chains` and `_chain_counts`
+    (also times scale). Equal weights hash equal whatever their type, so
+    0.5 and Fraction(1, 2) share an entry."""
+    (scale,), columns, (wt,) = _integer_columns(len(a) + 1, [list(a)])
+    return scale, columns, wt, {}, {(1,): {0: 1}}
 
 
-def _chains(parts: tuple[int, ...], size: int, weights, table: dict):
+def _chains(parts: tuple[int, ...], size: int, columns: np.ndarray, table: dict):
     """(max, min) over standard tableaux of the diagram `parts` (size boxes)
-    of sum_{k >= 2} a_k * content(box of k): the box of label `size` is one
-    of the corners, and the rest is a chain of the diagram without it."""
+    of sum_{k >= 2} a_k * content(box of k), for every weighting at once:
+    row k - 2 of `columns` holds a_k of each weighting, and each entry is an
+    object array of Python ints, one per weighting, so the sums are exact
+    at any scale. The box of label `size` is one of the corners, and the
+    rest is a chain of the diagram without it."""
     found = table.get(parts)
     if found is not None:
         return found
-    weight = weights[size - 2]
+    if size == 1:  # no label above 1: the one-box chain weighs 0
+        zero = np.zeros(columns.shape[1], dtype=object)
+        return zero, zero
+    weight = columns[size - 2]
     heaviest = lightest = None
     for rest, (col, row) in _removals(parts):
-        hi, lo = _chains(rest, size - 1, weights, table)
+        hi, lo = _chains(rest, size - 1, columns, table)
         step = weight * (col - row)
-        if heaviest is None or hi + step > heaviest:
-            heaviest = hi + step
-        if lightest is None or lo + step < lightest:
-            lightest = lo + step
+        if heaviest is None:
+            heaviest, lightest = hi + step, lo + step
+        else:
+            heaviest = np.maximum(heaviest, hi + step)
+            lightest = np.minimum(lightest, lo + step)
     table[parts] = heaviest, lightest
     return heaviest, lightest
 

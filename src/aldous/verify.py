@@ -10,6 +10,7 @@ a failed suite into exit code 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
@@ -304,12 +305,11 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
     if n % 2 == 0 and n >= 4:
         m = n // 2
         rng = np.random.default_rng(seed)
-        worst = -float("inf")
-        for _ in range(25):
-            a = [float(x) for x in rng.random(n - 1)]
-            wide = nested_star_extremes(Partition([m + 1, m - 1]), a)[0]
-            even = nested_star_extremes(Partition([m, m]), a)[0]
-            worst = max(worst, float(wide - even))
+        weightings = [[float(x) for x in rng.random(n - 1)] for _ in range(25)]
+        scales, (wide, even) = nested_star_lambda1_scaled(
+            [Partition([m + 1, m - 1]), Partition([m, m])], weightings)
+        worst = max(float(Fraction(w - e, scale))
+                    for w, e, scale in zip(wide, even, scales))
         result.add(f"even split remark n={n}", worst <= tol, excess=worst)
 
     rng = np.random.default_rng(seed + 1)
@@ -336,28 +336,31 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
 
 def game_consistency_run(n: int, samples: int = 1000, seed: int = 0) -> SuiteResult:
     """Game outcomes against exact nested-star comparisons for all ordered
-    pairs of each size up to n, sharing the sampled spectra across pairs."""
+    pairs of each size up to n. Each size's sampled weightings go through
+    one walk (`nested_star_lambda1_scaled`), which gives every shape's
+    lambda_1 under every weighting at once; a pair won by A is reported at
+    the first weighting that orders its lambda_1 the other way."""
     from .game import _sample_weight_vectors
 
     result = SuiteResult("game")
     for size in range(2, n + 1):
         parts = partitions_of(size)
-        vectors = _sample_weight_vectors(size, samples, seed + size)
-        # one column per weighting: lambda_1 of each shape times the
-        # weighting's common denominator, so a column orders like lambda_1
-        columns = [nested_star_lambda1_scaled(parts, a)[1] for a in vectors]
+        rows, _ = _sample_weight_vectors(size, samples, seed + size)
+        # each weighting comes as its integer numerators, its weights times a
+        # positive scale; lambda_1 is homogeneous in the weights, so each
+        # shape's row orders like lambda_1, weighting by weighting
+        _, lam1 = nested_star_lambda1_scaled(parts, rows)
         bad = []
         for i, sigma in enumerate(parts):
             for j, tau in enumerate(parts):
                 if not game_winner(sigma, tau):
                     continue
-                for idx, lam1 in enumerate(columns):
-                    if lam1[i] > lam1[j]:
-                        bad.append({"sigma": str(sigma), "tau": str(tau),
-                                    "sample": idx})
-                        break
+                violating = np.flatnonzero(lam1[i] > lam1[j])
+                if violating.size:
+                    bad.append({"sigma": str(sigma), "tau": str(tau),
+                                "sample": int(violating[0])})
         result.add(f"game consistency n={size}", not bad,
-                   samples=len(vectors), inconsistencies=bad)
+                   samples=len(rows), inconsistencies=bad)
     return result
 
 

@@ -262,12 +262,75 @@ def test_nested_star_lambda1_scaled_orders_like_lambda1():
         shapes = partitions_of(n)
         for a in ([float(x) for x in rng.random(n - 1)], remark_weights(n),
                   [Fraction(int(x), 1000) for x in rng.integers(0, 1001, n - 1)]):
-            scale, numerators = nested_star_lambda1_scaled(shapes, a)
+            (scale,), rows = nested_star_lambda1_scaled(shapes, [a])
+            numerators = [row[0] for row in rows]
             assert all(type(x) is int for x in [scale, *numerators])
             for shape, numerator in zip(shapes, numerators):
                 assert Fraction(numerator, scale) == nested_star_extremes(shape, a)[0]
     with pytest.raises(ValueError, match="size 3"):
-        nested_star_lambda1_scaled([Partition([3]), Partition([2, 2])], [1, 1])
+        nested_star_lambda1_scaled([Partition([3]), Partition([2, 2])], [[1, 1]])
+
+
+def test_nested_star_lambda1_scaled_walks_every_weighting_at_once():
+    # one call over many weightings of every kind gives, weighting by
+    # weighting, the one-column walk's lambda_1 times the weighting's scale
+    rng = np.random.default_rng(31)
+    for n in range(1, 9):
+        shapes = partitions_of(n)
+        weightings = [
+            *([float(x) for x in rng.random(n - 1)] for _ in range(3)),
+            *([Fraction(int(x), 1000) for x in rng.integers(0, 1001, n - 1)]
+              for _ in range(3)),
+            [0] * (n - 1),
+            *([int(j == k) for j in range(2, n + 1)] for k in range(2, n + 1)),
+            [1] * (n - 1),
+            remark_weights(n),
+        ]
+        scales, rows = nested_star_lambda1_scaled(shapes, weightings)
+        assert len(scales) == len(weightings) and len(rows) == len(shapes)
+        for shape, row in zip(shapes, rows):
+            assert len(row) == len(weightings)
+            for a, scale, numerator in zip(weightings, scales, row):
+                assert type(scale) is int and type(numerator) is int
+                assert Fraction(numerator, scale) == nested_star_extremes(shape, a)[0]
+
+
+def test_nested_star_lambda1_scaled_stays_exact_past_int64():
+    # the separator's scale n^(2n) passes 2^63 from n = 10 on
+    for n in (10, 11, 12):
+        shapes = partitions_of(n)
+        separator = remark_weights(n)
+        scales, rows = nested_star_lambda1_scaled(shapes, [separator, [1] * (n - 1)])
+        assert scales == [n ** (2 * n), 1] and scales[0] > 2 ** 63
+        for shape, row in zip(shapes, rows):
+            assert all(type(x) is int for x in row)
+            assert Fraction(row[0], scales[0]) == nested_star_extremes(shape, separator)[0]
+            if n < 12:  # the full-spectrum recursion, independent of _chains
+                assert (Fraction(row[0], scales[0])
+                        == quasi_complete_spectrum(shape, separator).lambda1)
+            assert row[1] == complete_graph_eigenvalue(shape)
+        # the separator orders lambda_1 strictly by lex, by gaps below 2^-63
+        lam1 = sorted(rows, key=lambda row: row[0])
+        assert all(a[0] < b[0] for a, b in zip(lam1, lam1[1:]))
+
+
+def test_nested_star_lambda1_scaled_rejects_bad_rows():
+    shapes = [Partition([2, 2]), Partition([3, 1])]
+    good = [1, Fraction(1, 2), 0.25]
+    with pytest.raises(ValueError, match="need 3 weights, got 2"):
+        nested_star_lambda1_scaled(shapes, [good, [1, 1]])
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        nested_star_lambda1_scaled(shapes, [good, [1, -1, 1]])
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            nested_star_lambda1_scaled(shapes, [good, good, [1, bad, 1]])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            nested_star_lambda1_scaled(shapes, [[1, -1, 1], [bad, 1, 1]])
+    with pytest.raises(ValueError, match="mixed size"):
+        nested_star_lambda1_scaled([*shapes, Partition([3])], [good])
+    # no weightings: one empty row per shape
+    assert nested_star_lambda1_scaled(shapes, [])[0] == []
+    assert [len(row) for row in nested_star_lambda1_scaled(shapes, [])[1]] == [0, 0]
 
 
 def test_nested_star_extremes_share_one_table_across_threads():
@@ -304,7 +367,7 @@ def test_nested_star_extremes_rejects_bad_weights():
             with pytest.raises(ValueError, match="weights must be finite"):
                 quasi_complete_spectrum(Partition([2, 1]), a)
             with pytest.raises(ValueError, match="weights must be finite"):
-                nested_star_lambda1_scaled([Partition([2, 1])], a)
+                nested_star_lambda1_scaled([Partition([2, 1])], [a])
 
 
 def test_remark_weights_rank_by_lex():
