@@ -14,10 +14,20 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
+
+
+def _is_int(x) -> bool:
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+
+
+def _is_real(x) -> bool:
+    return type(x) in (float, int) or (isinstance(x, Real) and not isinstance(x, bool))
 
 
 @lru_cache(maxsize=None)
@@ -26,6 +36,20 @@ def _strict_upper(n: int) -> np.ndarray:
     mask = np.triu(np.ones((n, n), dtype=bool), 1)
     mask.setflags(write=False)
     return mask
+
+
+def _first_failed_check(weights: np.ndarray) -> str:
+    """The message of the first check a square weight matrix fails, the
+    checks taken one by one in the order their messages take priority."""
+    if not np.isfinite(weights).all():
+        return "weights must be finite"
+    if not (weights == weights.T).all():
+        return "weight matrix must be symmetric"
+    if weights.min() < 0:
+        return "weights must be nonnegative"
+    if weights.diagonal().any():
+        return "diagonal must be zero"
+    return "weights too large: twice their total overflows a float"
 
 
 class WeightedGraph:
@@ -37,32 +61,50 @@ class WeightedGraph:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValueError("weight matrix must be square")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
-        if not (weights == weights.T).all():
-            raise ValueError("weight matrix must be symmetric")
-        if weights.size and weights.min() < 0:
-            raise ValueError("weights must be nonnegative")
-        if weights.diagonal().any():
-            raise ValueError("diagonal must be zero")
+        upper = np.where(_strict_upper(weights.shape[0]), weights, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the sum np.triu(weights, 1) gives, without building its mask
+            wt = float(np.add.reduce(upper, axis=None))
+        # one pass for the common case: upper + upper^T is the matrix only if
+        # it is symmetric with a zero diagonal (a NaN never compares equal),
+        # and an infinite weight makes wt infinite. Every eigenvalue of the
+        # swap operator lies in [0, 2 wt], so 2 wt must be finite too
+        if not ((upper + upper.T == weights).all() and upper.min(initial=0.0) >= 0
+                and math.isfinite(2 * wt)):
+            raise ValueError(_first_failed_check(weights))
         self.n = weights.shape[0]
         self.weights = weights
         self.weights.setflags(write=False)
-        with np.errstate(over="ignore"):
-            # the sum np.triu(weights, 1) gives, without building its mask
-            self.wt = float(np.sum(np.where(_strict_upper(self.n), weights, 0.0)))
-        # every eigenvalue of the swap operator lies in [0, 2 wt]
-        if not math.isfinite(2 * self.wt):
-            raise ValueError("weights too large: twice their total overflows a float")
+        self.wt = wt
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"n must be a nonnegative int, got {n!r}")
+        if not isinstance(edges, Iterable):
+            raise ValueError(f"edges must be a list of [i, j, weight], got {edges!r}")
         w = np.zeros((n, n))
-        for i, j, weight in edges:
+        seen = set()
+        for edge in edges:
+            try:
+                i, j, weight = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} must be [i, j, weight]") from None
+            if not (_is_int(i) and _is_int(j)):
+                raise ValueError(f"edge {edge!r}: vertices must be ints")
             if not 1 <= i < j <= n:
                 raise ValueError(f"edge ({i},{j}) must satisfy 1 <= i < j <= n")
+            if not _is_real(weight):
+                raise ValueError(f"edge ({i},{j}): weight {weight!r} is not a real number")
+            try:
+                weight = float(weight)
+            except OverflowError:
+                raise ValueError(f"edge ({i},{j}): weight too large for a float") from None
             if weight < 0:
                 raise ValueError(f"negative weight on edge ({i},{j})")
+            if (i, j) in seen:
+                raise ValueError(f"edge ({i},{j}) given twice")
+            seen.add((i, j))
             w[i - 1, j - 1] = weight
             w[j - 1, i - 1] = weight
         return cls(w)
@@ -94,7 +136,9 @@ class WeightedGraph:
     @classmethod
     def from_json(cls, text: str) -> "WeightedGraph":
         data = json.loads(text)
-        return cls.from_edges(data["n"], data["edges"])
+        if not isinstance(data, dict):
+            raise ValueError('graph JSON must be {"n": int, "edges": [[i, j, weight], ...]}')
+        return cls.from_edges(data.get("n"), data.get("edges"))
 
 
 def complete_graph(n: int) -> WeightedGraph:
@@ -174,19 +218,27 @@ def weighted_star_graph(n: int, a) -> WeightedGraph:
 def random_graph(n: int, seed: int, density: float = 0.5,
                  distribution: str = "uniform") -> WeightedGraph:
     """Seeded random graph; each edge present independently with the given
-    density, weights drawn uniform(0,1] or exponential(1)."""
+    density, weights drawn uniform(0,1] or exponential(1).
+
+    Pairs (i, j) are visited in row order, each drawing a coin and, when
+    the coin lands, its weight. Uniform weights come from the same stream
+    of uniform draws as the coins, all taken in one call."""
+    if not (_is_real(density) and 0 <= density <= 1):
+        raise ValueError(f"density must be in [0, 1], got {density!r}")
+    if distribution not in ("uniform", "exponential"):
+        raise ValueError(f"unknown weight distribution {distribution!r}")
     rng = np.random.default_rng(seed)
+    if distribution == "uniform":
+        # coins and weights share one stream, at most two draws per pair
+        draws = iter(rng.random(n * (n - 1)).tolist())
+        coin, weight = draws.__next__, lambda: 1.0 - next(draws)
+    else:
+        coin, weight = rng.random, lambda: rng.exponential(1.0)
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < density:
-                if distribution == "uniform":
-                    weight = 1.0 - rng.random()
-                elif distribution == "exponential":
-                    weight = rng.exponential(1.0)
-                else:
-                    raise ValueError(f"unknown weight distribution {distribution!r}")
-                w[i, j] = w[j, i] = weight
+            if coin() < density:
+                w[i, j] = w[j, i] = weight()
     return WeightedGraph(w)
 
 
@@ -221,15 +273,16 @@ def graph_family(name: str, n: int, **params) -> WeightedGraph:
 
 def quasi_complete_weights(graph: WeightedGraph):
     """If the graph is a nested-star combination, return the exact per-vertex
-    weights a[2..n] as Fractions of the stored floats; otherwise None."""
-    a = []
+    weights a[2..n] as Fractions of the stored floats; otherwise None.
+
+    Nested means each entry above the diagonal equals the one in row 0 of
+    its column, which one comparison against row 0 decides."""
     w = graph.weights
-    for j in range(1, graph.n):
-        col = w[:j, j]
-        if np.any(col != col[0]):
-            return None
-        a.append(Fraction(float(col[0])))
-    return a
+    if not graph.n:
+        return []
+    if not ((w == w[0]) >= _strict_upper(graph.n)).all():
+        return None
+    return [Fraction(x) for x in w[0, 1:].tolist()]
 
 
 def support_matching_number(graph: WeightedGraph) -> int:

@@ -111,10 +111,14 @@ def _symmetrized(m: np.ndarray, tol: float) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     mt = m.swapaxes(-1, -2)
-    if m.size:
-        per_matrix = (-2, -1) if m.ndim == 3 else None
-        limit = np.maximum(tol * np.linalg.norm(m, axis=per_matrix), 1e-300)
-        if np.count_nonzero(np.abs(m - mt).max(axis=per_matrix) > limit):
+    if m.ndim == 2:
+        # the norm only matters once the matrix is not exactly symmetric
+        skew = float(np.abs(m - mt).max()) if m.size else 0.0
+        if skew > 0 and skew > max(tol * float(np.linalg.norm(m)), 1e-300):
+            raise ValueError("matrix must be symmetric")
+    elif m.size:
+        limit = np.maximum(tol * np.linalg.norm(m, axis=(-2, -1)), 1e-300)
+        if np.count_nonzero(np.abs(m - mt).max(axis=(-2, -1)) > limit):
             raise ValueError("matrix must be symmetric")
     return (m + mt) / 2.0
 

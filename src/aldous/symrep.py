@@ -408,21 +408,42 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+@lru_cache(maxsize=None)
+def _left_transpositions(n: int) -> dict[tuple[int, int], np.ndarray]:
+    """(i, j) -> the index array of left multiplication by the transposition
+    (i j) on all_permutations(n): entry k is the index of (i j) * g_k."""
+    perms = all_permutations(n)
+    images = np.array([g.images for g in perms], dtype=np.int64).reshape(len(perms), n)
+    # itertools lists permutations in lexicographic order, so a permutation's
+    # index is the rank of its images read as a base-n number
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = (images - 1) @ place
+    left = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            # (i j) * g swaps the values i and j in g's images
+            swapped = np.where(images == i, j, np.where(images == j, i, images))
+            index = np.searchsorted(codes, (swapped - 1) @ place)
+            index.setflags(write=False)
+            left[(i, j)] = index
+    return left
+
+
 def regular_delta(graph: WeightedGraph) -> np.ndarray:
     """Swap operator acting by left multiplication on the group algebra.
 
     n! x n! and meant as an oracle: its spectrum is the union over
     irreducibles of dim-many copies of each per-irreducible spectrum.
+    Each edge (i j) subtracts its weight at (index of (i j) g, index of g)
+    for every g, entries no other edge touches.
     """
     n = graph.n
     if n > REGULAR_HARD_CAP:
         raise ValueError(f"regular representation capped at n={REGULAR_HARD_CAP}")
-    perms = all_permutations(n)
-    index = {g.images: k for k, g in enumerate(perms)}
-    size = len(perms)
+    left = _left_transpositions(n)
+    size = math.factorial(n)
+    columns = np.arange(size)
     m = graph.wt * np.eye(size)
     for i, j, w in graph.edges():
-        t = Permutation.transposition(n, i, j)
-        for k, g in enumerate(perms):
-            m[index[(t * g).images], k] -= w
+        m[left[(i, j)], columns] -= w
     return m

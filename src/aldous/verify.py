@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -182,8 +183,14 @@ def suite_oracle(n: int, graphs: int = 10, seed: int = 0, tol: float = 1e-7) -> 
     return result
 
 
+@lru_cache(maxsize=None)
+def _row_class(size: int, k: int) -> tuple[Partition, ...]:
+    """The shapes of the given size whose first row is at least size - k."""
+    return tuple(p for p in partitions_of(size) if p.parts[0] >= size - k)
+
+
 def _random_row_class_shape(rng, size: int, k: int) -> Partition:
-    choices = [p for p in partitions_of(size) if p.parts[0] >= size - k]
+    choices = _row_class(size, k)
     return choices[int(rng.integers(0, len(choices)))]
 
 
@@ -275,6 +282,8 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
     """Order-engine self checks: scan audit, witness soundness, the
     incomparable two-column chain, the even-split remark and the spot
     check that the standard representation attains the gap."""
+    if n < 3:
+        raise ValueError("the consistency suite needs n >= 3")
     result = SuiteResult("consistency")
 
     ledger, report = scan(n, SCAN_FAMILIES, budget=budget, seed=seed, tol=tol)

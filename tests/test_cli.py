@@ -266,13 +266,27 @@ PAIR_4 = ["check-pair", "--sigma", "2,2", "--tau", "3,1"]
     # finite, but the exact margin 3e308 does not fit in a float
     (PAIR_3, 3, "[[1, 2, 1e308], [1, 3, 1e308], [2, 3, 1e308]]",
      "weights too large"),
+    # malformed edge lists
+    (PAIR_3, 3, "[[1.5, 2, 1.0]]", "vertices must be ints"),
+    (PAIR_3, 3, "[[true, 2, 1.0]]", "vertices must be ints"),
+    (PAIR_3, 3, '[[1, 2, "x"]]', "is not a real number"),
+    (PAIR_3, "3.0", "[[1, 2, 1.0]]", "n must be a nonnegative int"),
+    (PAIR_3, 3, "[[1, 2]]", "must be [i, j, weight]"),
+    (PAIR_3, 3, "[[1, 2, 1.0, 4]]", "must be [i, j, weight]"),
+    (PAIR_3, 3, "[[1, 2, 1.0], [1, 2, 0.5]]", "given twice"),
+    (PAIR_3, 3, "null", "edges must be a list"),
+    (["spectrum", "--shape", "2,1"], 3, "[[1.5, 2, 1.0]]", "vertices must be ints"),
+    (["spectrum", "--shape", "2,1"], "3.0", "[[1, 2, 1.0]]", "n must be a nonnegative int"),
+    (["spectrum", "--shape", "2,1"], 3, "[[1, 2, 1.0], [1, 2, 0.5]]", "given twice"),
 ])
 def test_non_finite_weights_are_usage_errors(capsys, tmp_path, argv, n, edges,
                                              message):
     path = tmp_path / "g.json"
     path.write_text(f'{{"n": {n}, "edges": {edges}}}', encoding="utf-8")
-    code, _, err = run(capsys, *argv, "--graph", str(path))
+    code, out, err = run(capsys, *argv, "--graph", str(path))
     assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
 
@@ -370,3 +384,40 @@ def test_python_dash_m_entry_point():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["tol"] == 1e-9
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda w: w["edges"][0].__setitem__(0, 1.5), "vertices must be ints"),
+    (lambda w: w["edges"][0].__setitem__(2, "x"), "is not a real number"),
+    (lambda w: w.__setitem__("n", float(w["n"])), "n must be a nonnegative int"),
+    (lambda w: w["edges"].append(list(w["edges"][0])), "given twice"),
+    (lambda w: w.__setitem__("edges", None), "edges must be a list"),
+])
+def test_hasse_rejects_a_tampered_graph_witness(capsys, tmp_path, tamper, message):
+    ledger = tmp_path / "ledger.json"
+    assert run(capsys, "scan", "--n", "5", "--families", "random", "--budget", "5",
+               "--seed", "1", "--out", str(ledger))[0] == EXIT_OK
+    data = json.loads(ledger.read_text())
+    witness = next(record["witness"] for record in data["entries"]
+                   if record.get("witness", {}).get("kind") == "graph")
+    tamper(witness)
+    ledger.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "hasse", "--in", str(ledger))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("density", ["2", "nan", "-1"])
+def test_bad_density_is_a_usage_error(capsys, density):
+    code, out, err = run(capsys, "spectrum", "--shape", "2,1", "--family", "random",
+                         "--density", density)
+    assert code == EXIT_USAGE
+    assert "density must be in [0, 1]" in err and "Traceback" not in err
+
+
+def test_consistency_suite_below_its_smallest_n_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "consistency", "--n", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: the consistency suite needs n >= 3\n"

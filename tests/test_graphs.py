@@ -1,0 +1,163 @@
+"""Graph construction against per-item reference loops, and the checks on
+graph input from outside: edge lists, JSON documents, random-graph
+arguments."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from aldous import graphs
+from aldous.graphs import (
+    WeightedGraph,
+    complete_graph,
+    quasi_complete_graph,
+    quasi_complete_weights,
+    random_graph,
+    star_graph,
+)
+
+
+def reference_random_graph(n, seed, density, distribution):
+    """One scalar draw at a time: a coin per pair, then its weight."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                if distribution == "uniform":
+                    weight = 1.0 - rng.random()
+                else:
+                    weight = rng.exponential(1.0)
+                w[i, j] = w[j, i] = weight
+    return w
+
+
+def reference_wt(weights):
+    return float(np.sum(np.triu(weights, 1)))
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "exponential"])
+@pytest.mark.parametrize("density", [0, 0.3, 0.5, 1])
+def test_random_graph_matches_the_per_pair_reference(density, distribution):
+    for n in range(1, 11):
+        for seed in (0, 1, 7, 2**31 - 1):
+            graph = random_graph(n, seed, density, distribution)
+            expected = reference_random_graph(n, seed, density, distribution)
+            assert graph.weights.tobytes() == expected.tobytes()
+            assert graph.wt.hex() == reference_wt(expected).hex()
+
+
+@pytest.mark.parametrize("density", [2, -1, 1.0000001, float("nan"), "0.5", None])
+def test_random_graph_rejects_a_bad_density(density):
+    with pytest.raises(ValueError, match="density must be in"):
+        random_graph(4, 0, density)
+
+
+def test_random_graph_checks_its_arguments_before_drawing(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew before checking")
+
+    monkeypatch.setattr(graphs.np.random, "default_rng", no_draws)
+    # density 0 lands no coin, so a late check would never see the name
+    with pytest.raises(ValueError, match="unknown weight distribution 'normal'"):
+        random_graph(5, 0, 0.0, "normal")
+    with pytest.raises(ValueError, match="density"):
+        random_graph(5, 0, float("nan"))
+
+
+def reference_nested_weights(graph):
+    """Column by column: every entry above the diagonal equals row 0's."""
+    a = []
+    w = graph.weights
+    for j in range(1, graph.n):
+        col = w[:j, j]
+        if np.any(col != col[0]):
+            return None
+        a.append(Fraction(float(col[0])))
+    return a
+
+
+def _nested_cases():
+    rng = np.random.default_rng(5)
+    cases = [complete_graph(1), WeightedGraph(np.zeros((0, 0))), complete_graph(2)]
+    for n in range(2, 9):
+        a = rng.random(n - 1)
+        a[rng.integers(0, n - 1)] = 0.0
+        nested = quasi_complete_graph(n, a)
+        cases += [nested, star_graph(n, n), random_graph(n, n), random_graph(n, n, 1.0)]
+        for i, j in [(0, n - 1), (n - 2, n - 1), (1 % (n - 1), n - 1)]:
+            # one entry (and its mirror) off by one ulp
+            w = nested.weights.copy()
+            w[i, j] = w[j, i] = np.nextafter(w[i, j], 2.0)
+            cases.append(WeightedGraph(w))
+    w = quasi_complete_graph(4, [0.5, 0.0, 0.25]).weights.copy()
+    w[1, 2] = w[2, 1] = -0.0  # equal to row 0's 0.0
+    cases.append(WeightedGraph(w))
+    w = quasi_complete_graph(4, [0.5, 0.0, 0.25]).weights.copy()
+    w[0, 2] = w[2, 0] = -0.0  # row 0 itself holds the -0.0
+    cases.append(WeightedGraph(w))
+    return cases
+
+
+@pytest.mark.parametrize("graph", _nested_cases(), ids=lambda graph: f"n={graph.n}")
+def test_quasi_complete_weights_matches_the_per_column_reference(graph):
+    found = quasi_complete_weights(graph)
+    expected = reference_nested_weights(graph)
+    assert found == expected
+    if found is not None:
+        assert all(type(x) is Fraction for x in found)
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (4.0, [], "n must be a nonnegative int, got 4.0"),
+    (True, [], "n must be a nonnegative int, got True"),
+    (-1, [], "n must be a nonnegative int, got -1"),
+    ("4", [], "n must be a nonnegative int"),
+    (None, [], "n must be a nonnegative int"),
+    (4, None, "edges must be a list"),
+    (4, 5, "edges must be a list"),
+    (4, [[1, 2]], r"edge \[1, 2\] must be \[i, j, weight\]"),
+    (4, [[1, 2, 1.0, 0]], "must be \\[i, j, weight\\]"),
+    (4, [5], "edge 5 must be"),
+    (4, [[1.5, 2, 1.0]], "vertices must be ints"),
+    (4, [[1, 2.0, 1.0]], "vertices must be ints"),
+    (4, [[True, 2, 1.0]], "vertices must be ints"),
+    (4, [["1", 2, 1.0]], "vertices must be ints"),
+    (4, [[2, 1, 1.0]], r"edge \(2,1\) must satisfy 1 <= i < j <= n"),
+    (4, [[1, 5, 1.0]], "must satisfy"),
+    (4, [[1, 2, "x"]], "weight 'x' is not a real number"),
+    (4, [[1, 2, None]], "weight None is not a real number"),
+    (4, [[1, 2, True]], "weight True is not a real number"),
+    (4, [[1, 2, -1.0]], r"negative weight on edge \(1,2\)"),
+    (4, [[1, 2, 1.0], [1, 2, 2.0]], r"edge \(1,2\) given twice"),
+    (4, [[1, 2, 0.0], [3, 4, 1.0], [1, 2, 0.0]], "given twice"),
+    (4, [[1, 2, float("nan")]], "weights must be finite"),
+    (4, [[1, 2, 10**400]], r"edge \(1,2\): weight too large for a float"),
+    (4, [[1, 2, Fraction(10**400, 3)]], "too large for a float"),
+    # the first bad item of an edge decides, vertices before the weight
+    (4, [[1.5, 9, "x"]], "vertices must be ints"),
+    (4, [[2, 9, "x"]], "must satisfy"),
+    (4, [[1, 2, "x"], [1, 2, -1.0]], "not a real number"),
+])
+def test_from_edges_rejects_bad_input(n, edges, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph.from_edges(n, edges)
+
+
+def test_from_edges_accepts_numpy_and_exact_numbers():
+    graph = WeightedGraph.from_edges(np.int64(3), [(np.int32(1), 3, Fraction(1, 4)),
+                                                   [2, np.int64(3), np.float32(0.5)]])
+    assert graph.edges() == [(1, 3, 0.25), (2, 3, 0.5)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "graph JSON must be"),
+    ('{"n": 3}', "edges must be a list"),
+    ('{"edges": []}', "n must be a nonnegative int, got None"),
+    ('{"n": 3, "edges": [[1, 2, 1.0], [1, 2, 1.0]]}', "given twice"),
+    ("{", "Expecting"),
+])
+def test_from_json_rejects_bad_documents(text, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph.from_json(text)

@@ -97,6 +97,10 @@ def test_graph_validation_and_json():
     np.zeros((0, 0)),
     quasi_complete_graph(4, [1e300, 0.0, 1e300]).weights / 2,
     complete_graph(6).weights * 0.1,
+    np.zeros((1, 1)),
+    np.array([[-0.0, -0.0], [0.0, -0.0]]),
+    np.array([[0.0, 8e307], [8e307, 0.0]]),  # 2 wt = 1.6e308 still fits
+    np.array([[0.0, 5e-324], [5e-324, 0.0]]),
 ])
 def test_graph_total_weight_is_the_upper_triangle_sum(weights):
     graph = WeightedGraph(weights.copy())
@@ -115,6 +119,22 @@ def test_graph_total_weight_is_the_upper_triangle_sum(weights):
     ([[1.0, 0.0], [0.0, 0.0]], "diagonal must be zero"),
     ([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]],
      "weights too large"),
+    ([[0.0, 9e307], [9e307, 0.0]], "weights too large"),
+    ([[0.0, -1.0], [-1.0, 0.0]], "weights must be nonnegative"),
+    ([[0.0, -0.5, 1.0], [-0.5, 0.0, 1.0], [1.0, 1.0, 0.0]], "weights must be nonnegative"),
+    (np.zeros(3), "weight matrix must be square"),
+    (np.zeros((2, 2, 2)), "weight matrix must be square"),
+    ([[np.nan]], "weights must be finite"),
+    ([[0.0, -np.inf], [-np.inf, 0.0]], "weights must be finite"),
+    # when several checks fail, the first in the order above names the fault
+    ([[0.0, np.nan, 0.0], [1.0, 0.0, 0.0]], "weight matrix must be square"),
+    ([[0.0, np.inf, 1e308], [np.inf, 0.0, 1e308], [1e308, 1e308, 0.0]],
+     "weights must be finite"),
+    ([[-1.0, -2.0], [-3.0, 0.0]], "weight matrix must be symmetric"),
+    ([[-1.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]],
+     "weights must be nonnegative"),
+    ([[1.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]],
+     "diagonal must be zero"),
 ])
 def test_graph_validation_messages(weights, message):
     with pytest.raises(ValueError, match=message):

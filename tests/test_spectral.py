@@ -459,3 +459,40 @@ def test_exact_spectrum_keeps_fractions_and_converts_the_rest():
     assert all(type(v) is Fraction for v in e.values)
     assert any(v is third for v in e.values)
     assert e == ExactSpectrum(Fraction(v) for v in [2, third, "3/4", 0.5, Fraction(-1, 2), 1])
+
+
+def _tol_at_the_boundary(skew, norm):
+    """The smallest tol with tol * norm >= skew."""
+    tol = skew / norm
+    while tol * norm < skew:
+        tol = np.nextafter(tol, np.inf)
+    while np.nextafter(tol, 0.0) * norm >= skew:
+        tol = np.nextafter(tol, 0.0)
+    return float(tol)
+
+
+@pytest.mark.parametrize("skew", [2.0**-20, 1e-9, 3e-13, 1e-15])
+def test_spectrum_symmetry_boundary_is_tol_times_the_frobenius_norm(skew):
+    rng = np.random.default_rng(11)
+    m = rng.random((5, 5))
+    m = m + m.T
+    m[1, 3] += skew
+    found = float(np.abs(m - m.T).max())
+    assert found > 0
+    norm = float(np.linalg.norm(m))
+    tol = _tol_at_the_boundary(found, norm)
+    below = float(np.nextafter(tol, 0.0))  # tol * norm just below the skew
+    assert spectrum(m, tol=tol).values == spectrum((m + m.T) / 2, tol=0.0).values
+    with pytest.raises(ValueError, match="symmetric"):
+        spectrum(m, tol=below)
+
+
+def test_spectrum_symmetry_floor_for_tiny_matrices():
+    # tol * ||m|| underflows, and the floor 1e-300 decides
+    tiny = np.array([[0.0, 1e-301], [0.0, 0.0]])
+    assert len(spectrum(tiny, tol=0.0)) == 2
+    with pytest.raises(ValueError, match="symmetric"):
+        spectrum(np.array([[0.0, 2e-300], [0.0, 0.0]]), tol=0.0)
+    # an exactly symmetric matrix passes with tol 0, whatever its size
+    assert len(spectrum(np.diag([1e300, 2.0]), tol=0.0)) == 2
+    assert spectrum(np.zeros((0, 0))).values == ()

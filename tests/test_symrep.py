@@ -272,3 +272,29 @@ def test_regular_delta_decomposes_into_irreducibles():
 def test_regular_delta_cap():
     with pytest.raises(ValueError):
         regular_delta(complete_graph(7))
+
+
+def reference_regular_delta(graph):
+    """One Permutation product per (edge, group element)."""
+    n = graph.n
+    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    index = {g.images: k for k, g in enumerate(perms)}
+    m = graph.wt * np.eye(len(perms))
+    for i, j, w in graph.edges():
+        t = Permutation.transposition(n, i, j)
+        for k, g in enumerate(perms):
+            m[index[(t * g).images], k] -= w
+    return m
+
+
+def test_regular_delta_matches_the_permutation_product_build():
+    rng = np.random.default_rng(4)
+    for n in range(1, 6):
+        graphs = [complete_graph(n), random_graph(n, 90 + n), random_graph(n, 80 + n, 0.3),
+                  WeightedGraph(np.zeros((n, n)))]
+        w = np.triu(10.0 ** rng.integers(-8, 8, size=(n, n)) * rng.random((n, n)), 1)
+        graphs.append(WeightedGraph(w + w.T))
+        for graph in graphs:
+            found = regular_delta(graph)
+            assert found.tobytes() == reference_regular_delta(graph).tobytes()
+            assert found.shape == (factorial(n), factorial(n))

@@ -7,6 +7,7 @@ included.
 """
 
 import numpy as np
+import pytest
 
 from aldous.graphs import quasi_complete_graph, random_graph, star_graph
 from aldous.order import (
@@ -33,7 +34,6 @@ from aldous.spectral import (
 from aldous.symrep import delta_matrix, regular_delta
 from aldous.verify import (
     SuiteResult,
-    _random_row_class_shape,
     suite_bounds,
     suite_consistency,
     suite_dual,
@@ -140,6 +140,11 @@ def reference_gap(n, seed, graphs, tol=1e-9):
             "worst_gap": worst_gap}
 
 
+def reference_row_class_shape(rng, size, k):
+    choices = [p for p in partitions_of(size) if p.parts[0] >= size - k]
+    return choices[int(rng.integers(0, len(choices)))]
+
+
 def reference_bounds(n, trials, seed, tol=1e-9):
     """Violations of the four lemmas, one instance at a time."""
     rng = np.random.default_rng(seed)
@@ -149,14 +154,14 @@ def reference_bounds(n, trials, seed, tol=1e-9):
     for _ in range(trials):
         size = int(rng.integers(5, analytic_max + 1))
         k = int(rng.integers(1, min(4, size - 1) + 1))
-        sigma = _random_row_class_shape(rng, size, k)
+        sigma = reference_row_class_shape(rng, size, k)
         failures += not check_onestar_bound(sigma, k, int(rng.integers(1, size))).ok
     counts.append(failures)
     failures = 0
     for _ in range(trials):
         k = int(rng.integers(1, max(1, numeric_max // 4) + 1))
         size = int(rng.integers(4 * k, numeric_max + 1))
-        sigma = _random_row_class_shape(rng, size, k)
+        sigma = reference_row_class_shape(rng, size, k)
         failures += not check_matching_bound(sigma, k, trials=1, tol=tol,
                                              seed=int(rng.integers(0, 2**31))).ok
     counts.append(failures)
@@ -164,7 +169,7 @@ def reference_bounds(n, trials, seed, tol=1e-9):
     for _ in range(trials):
         size = int(rng.integers(4, numeric_max + 1))
         k = int(rng.integers(1, (3 if size <= 6 else 2) + 1))
-        sigma = _random_row_class_shape(rng, size, k)
+        sigma = reference_row_class_shape(rng, size, k)
         a = sorted((float(x) for x in rng.random(size - 1)), reverse=True)
         failures += not check_weightedstar_bound(sigma, k, a, tol=tol).ok
     counts.append(failures)
@@ -172,7 +177,7 @@ def reference_bounds(n, trials, seed, tol=1e-9):
     for _ in range(trials):
         size = int(rng.integers(4, numeric_max + 1))
         k = int(rng.integers(1, 3))
-        sigma = _random_row_class_shape(rng, size, k)
+        sigma = reference_row_class_shape(rng, size, k)
         graph = random_graph(size, int(rng.integers(0, 2**31)))
         vertices = [int(v) + 1 for v in rng.choice(size, size=k, replace=False)]
         failures += not check_invariant_vector_bound(sigma, k, graph, vertices, tol=tol).ok
@@ -211,3 +216,65 @@ def test_bounds_violations_match_single_instance_checks():
     checks = suite_bounds(5, trials=60, seed=8).checks
     assert [c["violations"] for c in checks] == reference_bounds(5, 60, 8)
     assert all(c["ok"] for c in checks)
+
+
+class DrawLog:
+    """A generator that records every draw made from it: method, arguments
+    and the values returned."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            value = method(*args, **kwargs)
+            self._log.append((name, args, kwargs, np.asarray(value).tolist()))
+            return value
+
+        return draw
+
+
+def draw_logs(monkeypatch, run):
+    """The draw log of each generator that run() creates, in creation order."""
+    make = np.random.default_rng
+    logs = []
+
+    def logged(seed=None):
+        logs.append([])
+        return DrawLog(make(seed), logs[-1])
+
+    monkeypatch.setattr(np.random, "default_rng", logged)
+    run()
+    monkeypatch.setattr(np.random, "default_rng", make)
+    return logs
+
+
+def test_bounds_suite_makes_every_draw_of_the_single_instance_loop(monkeypatch):
+    trials = 25
+    suite = draw_logs(monkeypatch, lambda: suite_bounds(6, trials=trials, seed=3))
+    reference = draw_logs(monkeypatch, lambda: reference_bounds(6, trials, 3))
+    assert suite[0] == reference[0]
+    # beyond the suite's own generator, only the invariant-vector lemma's
+    # random graphs make one: a single-trial matching check needs none
+    assert len(suite) == 1 + trials
+
+
+def test_matching_bound_draws_only_for_relabelled_trials(monkeypatch):
+    from aldous import order
+
+    expected = check_matching_bound(Partition([7, 1]), 1)
+    logs = draw_logs(monkeypatch, lambda: check_matching_bound(Partition([7, 1]), 1, seed=5))
+    assert logs == []
+    assert check_matching_bound(Partition([7, 1]), 1, seed=5) == expected
+    logs = draw_logs(monkeypatch, lambda: check_matching_bound(Partition([8]), 1, trials=3))
+    assert [name for name, *_ in logs[0]] == ["permutation", "permutation"]
+    assert order._lemma_matching(8, 2) is order._lemma_matching(8, 2)
+
+
+def test_consistency_suite_states_the_smallest_n():
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="the consistency suite needs n >= 3"):
+            suite_consistency(n)
+    assert suite_consistency(3, budget=5, graphs=4).passed
