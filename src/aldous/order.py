@@ -202,6 +202,30 @@ class RelationEntry:
     exact: bool = False
 
 
+# to_json's records, indented as json.dumps(indent=2) nests them in "entries",
+# keys in sorted order: exact, margin, sigma, status, tag, tau, witness
+_UNKNOWN_RECORD = '    {\n      "sigma": %s,\n      "status": "unknown",\n      "tau": %s\n    }'
+_PROVED_RECORD = ('    {\n      "sigma": %s,\n      "status": "proved",\n      "tag": %s,\n'
+                  '      "tau": %s\n    }')
+_REFUTED_RECORD = ('    {\n      "exact": %s,\n      "margin": %s,\n      "sigma": %s,\n'
+                   '      "status": "refuted",\n      "tag": %s,\n      "tau": %s,\n'
+                   '      "witness": %s\n    }')
+
+
+def _ledger_shape(text, n: int, shapes: dict, where: str) -> Partition:
+    """The partition of n a ledger document names, parsed once per name."""
+    shape = shapes.get(text) if isinstance(text, str) else None
+    if shape is None:
+        try:
+            shape = parse_partition(text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if shape.n != n:
+            raise ValueError(f"{where} {text!r} is not a partition of {n}")
+        shapes[text] = shape
+    return shape
+
+
 class RelationLedger:
     """Decided ordered pairs of partitions of n, with provenance."""
 
@@ -270,39 +294,83 @@ class RelationLedger:
         return [p for p in self.pairs() if self.status(*p) == "refuted"]
 
     def to_json(self) -> str:
-        names = {p: str(p) for p in partitions_of(self.n)}
-        entries = []
+        """The ledger as json.dumps({"n", "entries"}, indent=2, sort_keys=True)
+        writes it, byte for byte, one record per pair in `pairs` order. Each
+        record is filled into the template of its status (keys already in
+        sorted order); every value in it is still encoded by json.dumps, but
+        the encoder never walks the whole ledger. Tags, exact flags and
+        witnesses are encoded once per object: few are distinct, since the
+        seeded witnesses are shared and so is each scanned graph's."""
+        names = {p: json.dumps(str(p)) for p in partitions_of(self.n)}
+        encoded = {}  # id -> JSON of a tag, flag or witness, nested as a record's value
+
+        def encode(value):
+            text = encoded.get(id(value))
+            if text is None:
+                text = encoded[id(value)] = json.dumps(
+                    value, indent=2, sort_keys=True).replace("\n", "\n      ")
+            return text
+
+        records = []
         for sigma, tau in self.pairs():
             entry = self.entries.get((sigma, tau))
-            record: dict = {"sigma": names[sigma], "tau": names[tau]}
             if entry is None:
-                record["status"] = "unknown"
+                records.append(_UNKNOWN_RECORD % (names[sigma], names[tau]))
+            elif entry.status == "proved":
+                records.append(_PROVED_RECORD % (names[sigma], encode(entry.tag), names[tau]))
             else:
-                record["status"] = entry.status
-                record["tag"] = entry.tag
-                if entry.status == "refuted":
-                    record["witness"] = entry.witness
-                    record["margin"] = entry.margin
-                    record["exact"] = entry.exact
-            entries.append(record)
-        return json.dumps({"n": self.n, "entries": entries}, indent=2, sort_keys=True)
+                records.append(_REFUTED_RECORD % (
+                    encode(entry.exact), json.dumps(entry.margin), names[sigma],
+                    encode(entry.tag), names[tau], encode(entry.witness)))
+        body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+        return '{\n  "entries": %s,\n  "n": %s\n}' % (body, json.dumps(self.n))
 
     @classmethod
     def from_json(cls, text: str) -> "RelationLedger":
+        """Load what to_json writes. A document of the wrong shape raises
+        ValueError naming the first bad field: n an int >= 1, entries a list
+        of objects whose sigma and tau are partitions of n and whose status
+        is proved, refuted or unknown, and a refuted entry's witness an
+        object, its margin a finite real and its exact (default false) a
+        bool. Tags are checked by set_proved and set_refuted."""
         data = json.loads(text)
-        ledger = cls(data["n"])
-        for record in data["entries"]:
-            if record["status"] == "unknown":
-                continue
-            sigma = parse_partition(record["sigma"])
-            tau = parse_partition(record["tau"])
-            if record["status"] == "proved":
-                ledger.set_proved(sigma, tau, record["tag"])
-            else:
-                ledger.set_refuted(
-                    sigma, tau, record["witness"], record["margin"],
-                    record.get("exact", False), record.get("tag", "scan"),
-                )
+        if not isinstance(data, dict):
+            raise ValueError('ledger JSON must be {"n": int, "entries": [...]}')
+        n = data.get("n")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"ledger n must be an int >= 1, got {n!r}")
+        records = data.get("entries")
+        if not isinstance(records, list):
+            raise ValueError("ledger entries must be a list")
+        ledger = cls(n)
+        shapes: dict = {}
+        for i, record in enumerate(records):
+            if not isinstance(record, dict):
+                raise ValueError(f"entry {i} must be an object, got {record!r}")
+            sigma, tau = (_ledger_shape(record.get(key), n, shapes, f"entry {i} {key}")
+                          for key in ("sigma", "tau"))
+            status = record.get("status")
+            if status == "proved":
+                ledger.set_proved(sigma, tau, record.get("tag"))
+            elif status == "refuted":
+                witness = record.get("witness")
+                margin = record.get("margin")
+                exact = record.get("exact", False)
+                if not isinstance(witness, dict):
+                    raise ValueError(f"entry {i} witness must be an object, got {witness!r}")
+                try:
+                    finite = not isinstance(margin, bool) and math.isfinite(margin)
+                except (TypeError, OverflowError):
+                    finite = False
+                if not finite:
+                    raise ValueError(f"entry {i} margin must be a finite real, got {margin!r}")
+                if not isinstance(exact, bool):
+                    raise ValueError(f"entry {i} exact must be a bool, got {exact!r}")
+                ledger.set_refuted(sigma, tau, witness, margin, exact,
+                                   record.get("tag", "scan"))
+            elif status != "unknown":
+                raise ValueError(f"entry {i} status must be proved, refuted or "
+                                 f"unknown, got {status!r}")
         return ledger
 
 

@@ -112,9 +112,10 @@ def _symmetrized(m: np.ndarray, tol: float) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     mt = m.swapaxes(-1, -2)
     if m.ndim == 2:
-        # the norm only matters once the matrix is not exactly symmetric
+        # the norm only matters once the matrix is not exactly symmetric; it
+        # is taken by the stack's call, whose last bit can differ from norm(m)
         skew = float(np.abs(m - mt).max()) if m.size else 0.0
-        if skew > 0 and skew > max(tol * float(np.linalg.norm(m)), 1e-300):
+        if skew > 0 and skew > max(tol * float(np.linalg.norm(m, axis=(-2, -1))), 1e-300):
             raise ValueError("matrix must be symmetric")
     elif m.size:
         limit = np.maximum(tol * np.linalg.norm(m, axis=(-2, -1)), 1e-300)

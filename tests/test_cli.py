@@ -408,6 +408,31 @@ def test_hasse_rejects_a_tampered_graph_witness(capsys, tmp_path, tamper, messag
     assert message in err
 
 
+_REFUTED_BY_A_STRING = ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", '
+                        '"status": "refuted", "margin": 1.0, "exact": true, '
+                        '"witness": "complete"}]}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 5, "entries": null}', "entries must be a list"),
+    ('{"n": 5, "entries": [1]}', "entry 0 must be an object"),
+    ("[]", "ledger JSON must be"),
+    ('{"n": "5", "entries": []}', "n must be an int >= 1"),
+    (_REFUTED_BY_A_STRING, "witness must be an object"),
+    ('{"n": 5, "entries": [{"sigma": "3,3", "tau": "4,1", "status": "proved", '
+     '"tag": "clr"}]}', "is not a partition of 5"),
+    (_REFUTED_BY_A_STRING.replace('"refuted"', '"maybe"'), "status must be"),
+])
+def test_hasse_rejects_a_malformed_ledger(capsys, tmp_path, text, message):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "hasse", "--in", str(ledger))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("density", ["2", "nan", "-1"])
 def test_bad_density_is_a_usage_error(capsys, density):
     code, out, err = run(capsys, "spectrum", "--shape", "2,1", "--family", "random",

@@ -279,6 +279,115 @@ def test_ledger_json_round_trip():
     assert len(data["entries"]) == 20
 
 
+def _reference_json(ledger):
+    """The ledger as one json.dumps(indent=2, sort_keys=True) call writes
+    it: the bytes to_json must reproduce."""
+    entries = []
+    for sigma, tau in ledger.pairs():
+        entry = ledger.entry(sigma, tau)
+        record = {"sigma": str(sigma), "tau": str(tau)}
+        if entry is None:
+            record["status"] = "unknown"
+        else:
+            record["status"] = entry.status
+            record["tag"] = entry.tag
+            if entry.status == "refuted":
+                record["witness"] = entry.witness
+                record["margin"] = entry.margin
+                record["exact"] = entry.exact
+        entries.append(record)
+    return json.dumps({"n": ledger.n, "entries": entries}, indent=2, sort_keys=True)
+
+
+_AWKWARD_LEDGER = json.dumps({"n": 4, "entries": [
+    {"sigma": "3,1", "tau": "4", "status": "refuted", "tag": "scan", "exact": False,
+     "margin": 1e-300, "witness": {"kind": "graph", "n": 4, "edges": [[1, 2, 1], [2, 3, 2]]}},
+    {"sigma": "2,2", "tau": "4", "status": "refuted", "tag": "scan", "exact": True,
+     "margin": 1e300, "witness": {"kind": "graph", "n": 4, "edges": [],
+                                  "note": "tab\t, quote \", newline\n, \u00e9"}},
+    {"sigma": "2,1,1", "tau": "4", "status": "refuted", "tag": "scan", "exact": False,
+     "margin": 2.0, "witness": {"kind": "family", "family": "star", "n": 4,
+                                "params": {"k": 3}}},
+    {"sigma": "2,1,1", "tau": "3,1", "status": "refuted", "margin": 3,
+     "witness": {}},
+    {"sigma": "4", "tau": "2,2", "status": "proved", "tag": "cor:n1n"},
+]})
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: seed_known(n) for n in range(2, 13)),
+    *(lambda n=n: scan(n, budget=12, seed=n)[0] for n in range(4, 8)),
+    lambda: RelationLedger(1),
+    lambda: RelationLedger.from_json(_AWKWARD_LEDGER),
+], ids=[*(f"seed{n}" for n in range(2, 13)), *(f"scan{n}" for n in range(4, 8)),
+        "empty", "awkward"])
+def test_to_json_writes_the_bytes_of_one_indented_dump(build):
+    ledger = build()
+    text = ledger.to_json()
+    assert text == _reference_json(ledger)
+    assert RelationLedger.from_json(text).to_json() == text
+
+
+def test_to_json_writes_non_finite_margins_as_the_encoder_does():
+    # set_refuted takes any float; from_json would refuse these margins
+    ledger = RelationLedger(3)
+    witness = {"kind": "family", "family": "complete", "n": 3}
+    ledger.set_refuted(Partition([2, 1]), Partition([3]), witness, float("inf"), False)
+    ledger.set_refuted(Partition([1, 1, 1]), Partition([3]), witness, float("nan"), False)
+    text = ledger.to_json()
+    assert text == _reference_json(ledger)
+    assert '"margin": Infinity' in text and '"margin": NaN' in text
+
+
+def test_to_json_byte_cases_cover_every_witness_kind():
+    kinds = set()
+    for n in range(4, 8):
+        for entry in scan(n, budget=12, seed=n)[0].entries.values():
+            if entry.status == "refuted":
+                kinds.add((entry.witness["kind"], "params" in entry.witness))
+    assert {("graph", False), ("quasi", False), ("family", False),
+            ("family", True)} <= kinds
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "ledger JSON must be"),
+    ('{"n": 5, "entries": null}', "entries must be a list"),
+    ('{"n": 5}', "entries must be a list"),
+    ('{"n": 5, "entries": [1]}', "entry 0 must be an object"),
+    ('{"n": "5", "entries": []}', "n must be an int >= 1, got '5'"),
+    ('{"n": 0, "entries": []}', "n must be an int >= 1"),
+    ('{"n": true, "entries": []}', "n must be an int >= 1"),
+    ('{"entries": []}', "n must be an int >= 1, got None"),
+    ('{"n": 5, "entries": [{"sigma": "3,3", "tau": "4,1", "status": "proved", '
+     '"tag": "clr"}]}', "entry 0 sigma '3,3' is not a partition of 5"),
+    ('{"n": 5, "entries": [{"sigma": "4,1", "status": "unknown"}]}', "empty partition"),
+    ('{"n": 5, "entries": [{"sigma": "4,1", "tau": "x", "status": "unknown"}]}',
+     "malformed partition token"),
+    ('{"n": 5, "entries": [{"sigma": "4,1", "tau": "3,2", "status": "open"}]}',
+     "status must be proved, refuted or unknown, got 'open'"),
+    ('{"n": 5, "entries": [{"sigma": "4,1", "tau": "3,2"}]}', "got None"),
+    ('{"n": 5, "entries": [{"sigma": "4,1", "tau": "3,2", "status": "proved"}]}',
+     "unknown citation tag None"),
+    ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", "status": "refuted", '
+     '"margin": 1.0, "exact": true, "witness": "complete"}]}',
+     "witness must be an object, got 'complete'"),
+    ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", "status": "refuted", '
+     '"margin": NaN, "witness": {}}]}', "margin must be a finite real, got nan"),
+    ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", "status": "refuted", '
+     '"margin": "1", "witness": {}}]}', "margin must be a finite real"),
+    ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", "status": "refuted", '
+     '"margin": true, "witness": {}}]}', "margin must be a finite real"),
+    ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", "status": "refuted", '
+     '"margin": 1' + "0" * 400 + ', "witness": {}}]}', "margin must be a finite real"),
+    ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", "status": "refuted", '
+     '"margin": 1.0, "exact": 1, "witness": {}}]}', "exact must be a bool, got 1"),
+    ("{", "Expecting"),
+])
+def test_ledger_from_json_rejects_bad_documents(text, message):
+    with pytest.raises(ValueError, match=message):
+        RelationLedger.from_json(text)
+
+
 def test_scan_consistency_small():
     for n in (4, 5):
         ledger, report = scan(n, budget=25, seed=42)

@@ -479,12 +479,37 @@ def test_spectrum_symmetry_boundary_is_tol_times_the_frobenius_norm(skew):
     m[1, 3] += skew
     found = float(np.abs(m - m.T).max())
     assert found > 0
-    norm = float(np.linalg.norm(m))
+    norm = float(np.linalg.norm(m, axis=(-2, -1)))
     tol = _tol_at_the_boundary(found, norm)
     below = float(np.nextafter(tol, 0.0))  # tol * norm just below the skew
     assert spectrum(m, tol=tol).values == spectrum((m + m.T) / 2, tol=0.0).values
     with pytest.raises(ValueError, match="symmetric"):
         spectrum(m, tol=below)
+
+
+def _accepts(check, m, tol):
+    try:
+        check(m, tol)
+    except ValueError:
+        return False
+    return True
+
+
+def test_spectrum_and_spectra_agree_at_the_symmetry_boundary():
+    # norm(m) and norm(m, axis=(-2, -1)) differ in the last bit here, so a
+    # tol at either one's boundary tells the two checks apart unless both
+    # take the norm the same way
+    rng = np.random.default_rng(11)
+    m = rng.random((5, 5))
+    m = m + m.T
+    m[1, 3] += 2.0**-20
+    skew = float(np.abs(m - m.T).max())
+    norms = {float(np.linalg.norm(m)), float(np.linalg.norm(m, axis=(-2, -1)))}
+    assert len(norms) == 2
+    for norm in norms:
+        tol = _tol_at_the_boundary(skew, norm)
+        for t in (tol, float(np.nextafter(tol, 0.0))):
+            assert _accepts(spectrum, m, t) == _accepts(spectra, m[None], t), (norm, t)
 
 
 def test_spectrum_symmetry_floor_for_tiny_matrices():
