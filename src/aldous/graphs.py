@@ -242,6 +242,15 @@ def random_graph(n: int, seed: int, density: float = 0.5,
     return WeightedGraph(w)
 
 
+# the parameters graph_family reads for each family; a stored family
+# witness may carry no others
+FAMILY_PARAMS = {
+    "complete": set(), "star": {"k"}, "clique": {"k"}, "cycle": set(),
+    "path": set(), "matching": {"m"}, "quasi": {"a"}, "weighted_star": {"a"},
+    "random": {"seed", "density", "distribution"},
+}
+
+
 def graph_family(name: str, n: int, **params) -> WeightedGraph:
     """The one name -> constructor dispatch: CLI --family flags and stored
     "family" witnesses both come through here."""

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import (
+    FAMILY_PARAMS,
     WeightedGraph,
     graph_family,
     matching_graph,
@@ -76,6 +77,11 @@ NOISE_FACTOR = 16
 # a stored numeric margin must match its re-evaluation to this relative
 # tolerance; exact margins must match exactly
 MARGIN_RTOL = 1e-6
+
+# the most ordered pairs, p(n) (p(n) - 1), of a ledger from_json loads: hasse
+# and the pair lists walk every one (an empty n = 21 ledger, 626,472 pairs,
+# took hasse 4.4 s). seed_known(20), the largest ledger seeded, has 392,502
+MAX_LEDGER_PAIRS = 400_000
 
 PROVED_TAGS = ("cor:n1n", "bacher", "clr", "main", "transitive")
 REFUTED_TAGS = ("ds81", "remark1", "cor:asympval", "scan")
@@ -147,17 +153,48 @@ def graph_witness(graph: WeightedGraph) -> dict:
     return {"kind": "graph", "n": graph.n, "edges": [list(e) for e in graph.edges()]}
 
 
-def witness_graph(witness: dict) -> WeightedGraph:
-    """Materialize a stored witness descriptor."""
-    kind = witness["kind"]
-    n = witness["n"]
+def witness_graph(witness: dict, n: Optional[int] = None) -> WeightedGraph:
+    """Materialize a stored witness descriptor; n, if given, is the ledger's.
+    A malformed descriptor raises ValueError: an n that is not an int (equal
+    to the ledger's), family params that are not a mapping of the family's
+    known keys, or quasi weights that are not n - 1 nonnegative rationals."""
+    kind, size = witness.get("kind"), witness.get("n")
+    if isinstance(size, bool) or not isinstance(size, int) or size < 0 or (
+            n is not None and size != n):
+        raise ValueError(f"witness n must be a nonnegative int"
+                         f"{'' if n is None else f' equal to {n}'}, got {size!r}")
     if kind == "graph":
-        return WeightedGraph.from_edges(n, witness["edges"])
+        return WeightedGraph.from_edges(size, witness.get("edges"))
     if kind == "family":
-        return graph_family(witness["family"], n, **witness.get("params", {}))
+        family, params = witness.get("family"), witness.get("params", {})
+        known = FAMILY_PARAMS.get(family) if isinstance(family, str) else None
+        if known is None:
+            raise ValueError(f"unknown graph family {family!r}")
+        if not isinstance(params, dict) or not set(params) <= known:
+            raise ValueError(f"family {family!r} witness params must be a mapping "
+                             f"of its known keys, got {params!r}")
+        try:
+            return graph_family(family, size, **params)
+        except TypeError as exc:
+            raise ValueError(f"family {family!r} witness params {params!r}: {exc}") from None
     if kind == "quasi":
-        return quasi_complete_graph(n, [Fraction(w) for w in witness["weights"]])
+        return quasi_complete_graph(size, _quasi_weights(witness.get("weights"), size))
     raise ValueError(f"unknown witness kind {kind!r}")
+
+
+def _quasi_weights(weights, n: int) -> list[Fraction]:
+    """A quasi witness's stored weights as Fractions: a list of n - 1
+    nonnegative rationals, each an int, a finite float or a string."""
+    if isinstance(weights, list) and len(weights) == n - 1:
+        try:
+            parsed = [Fraction(w) for w in weights
+                      if not isinstance(w, bool) and isinstance(w, (int, float, str))]
+        except (ValueError, ZeroDivisionError, OverflowError):
+            parsed = []
+        if len(parsed) == n - 1 and all(w >= 0 for w in parsed):
+            return parsed
+    raise ValueError(f"quasi witness weights must be a list of {n - 1} "
+                     f"nonnegative rationals, got {weights!r}")
 
 
 def refutes(margin, exact: bool, sigma: Partition, tau: Partition, wt: float,
@@ -210,6 +247,20 @@ _PROVED_RECORD = ('    {\n      "sigma": %s,\n      "status": "proved",\n      "
 _REFUTED_RECORD = ('    {\n      "exact": %s,\n      "margin": %s,\n      "sigma": %s,\n'
                    '      "status": "refuted",\n      "tag": %s,\n      "tau": %s,\n'
                    '      "witness": %s\n    }')
+
+
+def _pairs_exceed(n: int, limit: int) -> bool:
+    """Whether the partitions of n form more than limit ordered pairs. p(m)
+    comes from Euler's pentagonal-number recurrence for m = 1, 2, ..., and
+    since it grows with m the walk stops at the first m over the limit, so
+    a huge n costs no more than a small one."""
+    p = [1]
+    for m in range(1, n + 1):
+        p.append(sum((1 if k % 2 else -1) * p[m - g] for k in range(1, m + 1)
+                     for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= m))
+        if p[m] * (p[m] - 1) > limit:
+            return True
+    return False
 
 
 def _ledger_shape(text, n: int, shapes: dict, where: str) -> Partition:
@@ -328,7 +379,8 @@ class RelationLedger:
     @classmethod
     def from_json(cls, text: str) -> "RelationLedger":
         """Load what to_json writes. A document of the wrong shape raises
-        ValueError naming the first bad field: n an int >= 1, entries a list
+        ValueError naming the first bad field: n an int >= 1 with at most
+        MAX_LEDGER_PAIRS ordered pairs of partitions, entries a list
         of objects whose sigma and tau are partitions of n and whose status
         is proved, refuted or unknown, and a refuted entry's witness an
         object, its margin a finite real and its exact (default false) a
@@ -339,6 +391,9 @@ class RelationLedger:
         n = data.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"ledger n must be an int >= 1, got {n!r}")
+        if _pairs_exceed(n, MAX_LEDGER_PAIRS):
+            raise ValueError(f"ledger n = {n} has more than MAX_LEDGER_PAIRS = "
+                             f"{MAX_LEDGER_PAIRS} ordered pairs of partitions")
         records = data.get("entries")
         if not isinstance(records, list):
             raise ValueError("ledger entries must be a list")
@@ -384,9 +439,9 @@ def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL) -> float:
     float graph it materializes to may not carry.
     """
     sigma, tau, witness = entry.sigma, entry.tau, entry.witness
-    graph = witness_graph(witness)
+    graph = witness_graph(witness, sigma.n)
     if witness["kind"] == "quasi":
-        weights = [Fraction(w) for w in witness["weights"]]
+        weights = _quasi_weights(witness["weights"], sigma.n)
         margin = (nested_star_extremes(sigma, weights)[0]
                   - nested_star_extremes(tau, weights)[0])
         exact = True
@@ -565,7 +620,7 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     rule of `lambda_extremes`, with no cache: nested-star graphs exactly,
     from one detection per graph. The numeric graphs are assembled ahead
     and solved per evaluation: when a shape needs a numeric graph its held
-    operators do not cover, one `delta_matrices` recursion builds them for
+    operators do not cover, one `delta_matrices` call builds them for
     that graph and the numeric graphs after it, at most STACK_FLOATS
     floats of operators (and of graph weights), and each evaluation then
     solves only its own slice. A stack is dropped once its last slice is

@@ -158,7 +158,7 @@ def irrep_spectra(shape: Partition, graphs: Sequence[WeightedGraph],
                   tol: float = DEFAULT_TOL,
                   dim_cap: int = DEFAULT_DIM_CAP) -> list[Spectrum]:
     """spectrum(delta_matrix(shape, graph)) for each graph of a list, the
-    graphs stacked STACK_FLOATS floats at a time: one assembly recursion
+    graphs stacked STACK_FLOATS floats at a time: one chain of images
     and one stacked solve per stack."""
     step = max(1, STACK_FLOATS // check_dim(shape, dim_cap) ** 2)
     return [spec for start in range(0, len(graphs), step)

@@ -29,10 +29,11 @@ from .partitions import (
 
 DEFAULT_DIM_CAP = 5000
 # floats in one stack of operators (G graphs of dimension d take G d^2):
-# 64 or more graphs at d <= 16, one at a time from d = 128 on. The four
-# stacks assembly holds (512 KB) stay within a core's L2 cache. At 1 << 16
-# they did not: on a Xeon with 2 MB of L2 per core, dims 42..168 assembled
-# 1.5-2x slower stacked than one graph at a time
+# 64 or more graphs at d <= 16, one at a time from d = 128 on. Assembly
+# holds two stacks and three d^2 chain buffers (at most 640 KB), within a
+# core's L2 cache. At 1 << 16 an earlier assembly holding four stacks ran
+# dims 42..168 1.5-2x slower stacked than one graph at a time (on a Xeon
+# with 2 MB of L2 per core)
 STACK_FLOATS = 1 << 14
 
 
@@ -190,22 +191,6 @@ def _adjacent_factors(shape: Partition, i: int):
 
 
 @lru_cache(maxsize=None)
-def _adjacent_entries(shape: Partition, i: int):
-    """The nonzeros of the image of (i, i+1) as flat positions in a
-    dim x dim matrix (a 1 x nnz row) and their values: diag[T] at (T, T),
-    and off[T] at (T, partner[T]) for the rows T that pair with another."""
-    diag, off, partner = _adjacent_factors(shape, i)
-    rows = np.arange(len(diag))
-    paired = partner != rows
-    positions = np.concatenate([rows * (len(diag) + 1),
-                                rows[paired] * len(diag) + partner[paired]])[None]
-    values = np.concatenate([diag, off[paired]])
-    for arr in (positions, values):
-        arr.setflags(write=False)
-    return positions, values
-
-
-@lru_cache(maxsize=None)
 def rep_adjacent(shape: Partition, i: int) -> np.ndarray:
     """Image of the adjacent transposition (i, i+1) in Young's orthogonal
     form, as a dense matrix (see _adjacent_factors)."""
@@ -242,31 +227,33 @@ def rep_transposition(shape: Partition, i: int, j: int) -> np.ndarray:
     return m
 
 
-def _conjugate(x: np.ndarray, row_factors, diag, off, partner) -> np.ndarray:
-    """S x S for each d x d block of the (G*d, d) stack x, with S the
-    adjacent image given by its factors, via one row and one column gather:
-    (S x)[T] = diag[T] x[T] + off[T] x[partner[T]]. row_factors are the
-    factors repeated for the G blocks of rows. Holds two stacks besides x."""
-    row_diag, row_off, row_partner = row_factors
-    y = x * row_diag[:, None]
-    gathered = x.take(row_partner, axis=0)
-    gathered *= row_off[:, None]
-    y += gathered
-    y.take(partner, axis=1, out=gathered)
+def _conjugate(x: np.ndarray, factors, out: np.ndarray,
+               gathered: np.ndarray) -> None:
+    """out = S x S for one d x d matrix x, with S the adjacent image given by
+    its factors, via one row and one column gather:
+    (S x)[T] = diag[T] x[T] + off[T] x[partner[T]]. gathered is scratch."""
+    diag, off, partner = factors
+    np.multiply(x, diag[:, None], out=out)
+    x.take(partner, axis=0, out=gathered, mode="clip")
+    gathered *= off[:, None]
+    out += gathered
+    out.take(partner, axis=1, out=gathered, mode="clip")
     gathered *= off
-    y *= diag
-    y += gathered
-    return y
+    out *= diag
+    out += gathered
 
 
 def _assemble(shape: Partition, graphs: Sequence[WeightedGraph],
               dim_cap: int) -> np.ndarray:
-    """The (G, d, d) stack of swap operators of G graphs on one irreducible,
-    by one backward recursion (see delta_matrix) with a leading graph axis.
-    A step whose weight is zero on every graph is skipped; on part of the
-    stack it adds zeros. delta_matrix calls this directly rather than
-    through delta_matrices, so per-function timings keep one-graph and
-    stacked assembly apart."""
+    """The (G, d, d) stack of swap operators of G graphs on one irreducible.
+    Each transposition image is formed once for the whole stack (see
+    delta_matrix) and each graph subtracts its weight times it, elementwise
+    and in a fixed order, so a graph's floats do not depend on the stack it
+    is in. An image whose weight is zero on every graph is not subtracted,
+    and a chain stops at its last such nonzero weight: on part of the stack
+    it subtracts zeros, which leaves m (never -0.0) unchanged. delta_matrix
+    calls this directly rather than through delta_matrices, so per-function
+    timings keep one-graph and stacked assembly apart."""
     sizes = {graph.n for graph in graphs}
     if len(sizes) != 1:
         raise ValueError("need one or more graphs, all on the same vertices")
@@ -277,36 +264,30 @@ def _assemble(shape: Partition, graphs: Sequence[WeightedGraph],
     weights = graphs[0].weights[None] if count == 1 else np.stack(
         [graph.weights for graph in graphs])
     used = (np.maximum.reduce(weights) > 0).tolist()  # weights are >= 0
-    # flat offset of each block of the stack
-    blocks = np.arange(0, count * dim * dim, dim * dim)[:, None]
-    factors = {}
-    for r in range(1, n):
-        diag, off, partner = _adjacent_factors(shape, r)
-        positions, values = _adjacent_entries(shape, r)
-        row_factors = diag, off, partner
-        if count > 1:
-            row_factors = (np.tile(diag, count), np.tile(off, count),
-                           (partner + blocks // dim).ravel())
-            positions = blocks + positions
-        factors[r] = diag, off, partner, row_factors, positions, values
-    m = np.zeros((count * dim, dim))
+    m = np.zeros((count, dim, dim))
+    term = np.empty_like(m)
+    image, spare, gathered = np.empty((3, dim, dim))
+    rows = np.arange(dim)
     for i in range(1, n):
-        acc = None
-        for r in range(n - 1, i - 1, -1):
-            diag, off, partner, row_factors, positions, values = factors[r]
-            if acc is not None:
-                acc = _conjugate(acc, row_factors, diag, off, partner)
-            if used[i - 1][r]:
-                if acc is None:
-                    acc = np.zeros((count * dim, dim))
-                # a_{i, r+1} S_r, per graph
-                acc.reshape(-1)[positions] += weights[:, i - 1, r, None] * values
-        if acc is not None:
-            m -= acc
+        ends = [j for j in range(i, n) if used[i - 1][j]]
+        if not ends:
+            continue
+        # image = (i, i+1), then (i, j+1) = S_j (i, j) S_j
+        diag, off, partner = _adjacent_factors(shape, i)
+        image.fill(0.0)
+        image[rows, rows] = diag
+        image[rows, partner] += off
+        for j in range(i, ends[-1] + 1):
+            if j > i:
+                _conjugate(image, _adjacent_factors(shape, j), spare, gathered)
+                image, spare = spare, image
+            if used[i - 1][j]:
+                np.multiply(weights[:, i - 1, j, None, None], image, out=term)
+                m -= term
     # the identity part goes in last: starting from wt * I rounds the
     # integer diagonals of unit-weight star graphs away from their values
     m.reshape(count, dim * dim)[:, ::dim + 1] += [[graph.wt] for graph in graphs]
-    return m.reshape(count, dim, dim)
+    return m
 
 
 def delta_matrix(shape: Partition, graph: WeightedGraph,
@@ -314,15 +295,16 @@ def delta_matrix(shape: Partition, graph: WeightedGraph,
     """Matrix of the swap operator sum a_ij (id - (ij)) on the irreducible
     labeled by shape. Symmetric positive semidefinite.
 
-    For each vertex i, C_r = sum_{j>r} a_ij (r j) obeys the backward
-    recursion C_r = a_{i,r+1} S_r + S_r C_{r+1} S_r, r = n-1 down to i,
-    since (r j) = S_r (r+1 j) S_r; C_i is vertex i's share of the sum.
-    Each step costs O(dim^2) through the two-nonzeros-per-row factors of
-    S_r, so assembly takes O(n^2 dim^2) time and O(dim^2) memory, with no
-    cached transposition images.
+    For each vertex i the images of (i, j) come from one chain: start from
+    the adjacent image S_i and step (i, j+1) = S_j (i, j) S_j. Each step
+    costs O(dim^2) through the two-nonzeros-per-row factors of S_j, so
+    assembly takes O(n^2 dim^2) time and O(dim^2) memory, with no cached
+    transposition images. The operator is wt I minus the weighted images,
+    subtracted one at a time in chain order.
 
-    This is the one-graph case of delta_matrices, which runs the same
-    recursion over a stack of G graphs in about 4 G dim^2 floats; callers
+    This is the one-graph case of delta_matrices, which forms each image
+    once for a stack of G graphs and holds (2 G + 3) dim^2 floats: the
+    stack, one weighted image per graph, and three chain buffers. Callers
     that stack graphs keep G dim^2 under STACK_FLOATS per stack.
     """
     return _assemble(shape, (graph,), dim_cap)[0]
@@ -331,8 +313,8 @@ def delta_matrix(shape: Partition, graph: WeightedGraph,
 def delta_matrices(shape: Partition, graphs: Sequence[WeightedGraph],
                    dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """The (G, dim, dim) stack of delta_matrix(shape, graph) over G graphs
-    on shape.n vertices, slice for slice the same floats, from one
-    recursion whose gathers each serve the whole stack."""
+    on shape.n vertices, slice for slice the same floats: each image of the
+    chain is formed once and every graph of the stack subtracts its share."""
     return _assemble(shape, graphs, dim_cap)
 
 

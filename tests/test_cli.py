@@ -433,6 +433,55 @@ def test_hasse_rejects_a_malformed_ledger(capsys, tmp_path, text, message):
     assert message in err
 
 
+def _refuted_by(witness: dict, margin: float = 3.0) -> str:
+    """An n = 3 ledger whose one record refutes 2,1 >= 3 by the witness."""
+    return json.dumps({"n": 3, "entries": [{
+        "sigma": "2,1", "tau": "3", "status": "refuted", "margin": margin,
+        "exact": True, "witness": witness}]})
+
+
+@pytest.mark.parametrize("witness, message", [
+    ({"kind": "family", "family": "star", "n": 3, "params": [1]},
+     "params must be a mapping"),
+    ({"kind": "family", "family": "complete", "n": "3"}, "witness n must be"),
+    ({"kind": "quasi", "n": 3, "weights": [1, None]}, "weights must be a list of 2"),
+    ({"kind": "family", "family": "complete", "n": 3, "params": {"q": 1}},
+     "params must be a mapping of its known keys"),
+    ({"kind": "quasi", "n": 3, "weights": "12"}, "weights must be a list of 2"),
+])
+def test_hasse_rejects_a_tampered_family_or_quasi_witness(capsys, tmp_path, witness,
+                                                          message):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(_refuted_by(witness), encoding="utf-8")
+    code, out, err = run(capsys, "hasse", "--in", str(ledger))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_hasse_accepts_the_untampered_witnesses(capsys, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    # lambda_1 of 2,1 is 3 on the triangle and 1 on the star at vertex 3
+    for witness, margin in (({"kind": "family", "family": "complete", "n": 3}, 3.0),
+                            ({"kind": "family", "family": "star", "n": 3,
+                              "params": {"k": 3}}, 1.0),
+                            ({"kind": "quasi", "n": 3, "weights": ["1", 1]}, 3.0)):
+        ledger.write_text(_refuted_by(witness, margin), encoding="utf-8")
+        assert run(capsys, "hasse", "--in", str(ledger))[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_hasse_refuses_an_oversized_ledger(capsys, tmp_path, n):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({"n": n, "entries": []}), encoding="utf-8")
+    code, out, err = run(capsys, "hasse", "--in", str(ledger))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_LEDGER_PAIRS" in err
+
+
 @pytest.mark.parametrize("density", ["2", "nan", "-1"])
 def test_bad_density_is_a_usage_error(capsys, density):
     code, out, err = run(capsys, "spectrum", "--shape", "2,1", "--family", "random",

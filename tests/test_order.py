@@ -388,6 +388,50 @@ def test_ledger_from_json_rejects_bad_documents(text, message):
         RelationLedger.from_json(text)
 
 
+def test_ledger_pair_count_is_p_n_times_p_n_minus_one():
+    for n in range(1, 26):
+        pairs = len(partitions_of(n)) * (len(partitions_of(n)) - 1)
+        assert order._pairs_exceed(n, pairs - 1) and not order._pairs_exceed(n, pairs)
+    # the largest ledger seed_known writes loads; one size up does not
+    assert 392_502 <= order.MAX_LEDGER_PAIRS < 626_472
+    assert RelationLedger.from_json('{"n": 20, "entries": []}').n == 20
+    for n in (21, 40, 200, 10**9):
+        with pytest.raises(ValueError, match="MAX_LEDGER_PAIRS"):
+            RelationLedger.from_json(json.dumps({"n": n, "entries": []}))
+
+
+@pytest.mark.parametrize("witness, message", [
+    ({"kind": "graph", "n": 4, "edges": [[1, 2, 1.0]]}, "equal to 3, got 4"),
+    ({"kind": "family", "family": "complete", "n": True}, "got True"),
+    ({"kind": "family", "family": "complete", "n": 3.0}, "got 3.0"),
+    ({"kind": "family", "family": ["star"], "n": 3}, "unknown graph family"),
+    ({"kind": "family", "family": "cycle", "n": 3, "params": {"k": 3}},
+     "known keys"),
+    ({"kind": "family", "family": "star", "n": 3, "params": {"k": "3"}},
+     "witness params"),
+    ({"kind": "quasi", "n": 3, "weights": [1]}, "list of 2"),
+    ({"kind": "quasi", "n": 3, "weights": [1, -1]}, "nonnegative rationals"),
+    ({"kind": "quasi", "n": 3, "weights": [1, True]}, "nonnegative rationals"),
+    ({"kind": "quasi", "n": 3, "weights": [1, "1/0"]}, "nonnegative rationals"),
+    ({"kind": "quasi", "n": 3, "weights": [1, float("inf")]}, "nonnegative rationals"),
+    ({"kind": "quasi", "n": 3, "weights": [1, "nan"]}, "nonnegative rationals"),
+    ({"kind": "quasi", "n": 3, "weights": [1, [1]]}, "nonnegative rationals"),
+    ({"kind": "tree", "n": 3}, "unknown witness kind"),
+])
+def test_witness_graph_rejects_malformed_witnesses(witness, message):
+    with pytest.raises(ValueError, match=message):
+        witness_graph(witness, 3)
+
+
+def test_witness_graph_checks_n_only_against_a_given_ledger_n():
+    complete = {"kind": "family", "family": "complete", "n": 4}
+    assert witness_graph(complete) == complete_graph(4)
+    with pytest.raises(ValueError, match="equal to 3"):
+        witness_graph(complete, 3)
+    quasi = {"kind": "quasi", "n": 3, "weights": [0.5, "1/4"]}
+    assert witness_graph(quasi, 3) == quasi_complete_graph(3, [0.5, 0.25])
+
+
 def test_scan_consistency_small():
     for n in (4, 5):
         ledger, report = scan(n, budget=25, seed=42)

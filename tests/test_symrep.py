@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -127,17 +128,24 @@ def test_delta_matrix_examples():
 
 
 def test_delta_matrix_matches_transposition_sum():
-    # the gather recursion against the dense product of cached images
+    # the image chains against the dense product of cached images, one graph
+    # at a time and stacked: random, star, zero, matching and single-edge
+    # graphs, and graphs with an isolated vertex
     for n in range(2, 8):
-        graphs = [random_graph(n, 500 + n), random_graph(n, 600 + n, density=0.9),
-                  complete_graph(n)]
+        graphs = _mixed_stack(n) + [random_graph(n, 500 + n),
+                                    random_graph(n, 600 + n, density=0.9),
+                                    complete_graph(n)]
+        graphs += [WeightedGraph.from_edges(n, [(i, j, 0.75)])
+                   for i, j in ((1, 2), (1, n), (n - 1, n)) if i < j]
         for shape in partitions_of(n):
-            for g in graphs:
+            stack = delta_matrices(shape, graphs)
+            for m, g in zip(stack, graphs):
                 dim = num_standard_tableaux(shape)
                 ref = g.wt * np.eye(dim)
                 for i, j, w in g.edges():
                     ref = ref - w * rep_transposition(shape, i, j)
                 assert np.abs(delta_matrix(shape, g) - ref).max() < 1e-12
+                assert np.abs(m - ref).max() < 1e-12
 
 
 def test_delta_matrix_is_psd_and_symmetric():
@@ -195,6 +203,38 @@ def test_delta_matrices_slices_equal_delta_matrix_bit_for_bit():
                 assert m.tobytes() == delta_matrix(shape, g).tobytes()
             # one graph alone is the same as the delta_matrix call
             assert delta_matrices(shape, graphs[:1])[0].tobytes() == stack[0].tobytes()
+
+
+def test_delta_matrices_peak_allocation_is_two_stacks_and_the_chain():
+    # the stack, one weighted image per graph, three chain buffers, and one
+    # d^2 for numpy's iterator buffer (up to 8192 floats) in the factor
+    # products; the stacked recursion this replaced peaked at about 16 d^2
+    shape, count = Partition([4, 3, 1]), 3
+    dim = num_standard_tableaux(shape)
+    graphs = [random_graph(8, seed, density=0.9) for seed in range(count)]
+    delta_matrices(shape, graphs)  # warm the factor and tableau caches
+    tracemalloc.start()
+    try:
+        delta_matrices(shape, graphs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * count + 4) * dim * dim * 8 + 32768, peak
+
+
+def test_a_zero_row_in_a_stack_leaves_that_graph_alone():
+    # the stack forms and subtracts images this graph does not need; each
+    # of its zero weights subtracts +-0.0 from a matrix with no -0.0 in it
+    n = 6
+    for vertex in range(1, n + 1):
+        weights = random_graph(n, 900 + vertex, density=1.0).weights.copy()
+        weights[vertex - 1, :] = weights[:, vertex - 1] = 0.0
+        lonely = WeightedGraph(weights)
+        graphs = [complete_graph(n), lonely, random_graph(n, 950 + vertex)]
+        for shape in partitions_of(n):
+            alone = delta_matrix(shape, lonely)
+            assert delta_matrices(shape, graphs)[1].tobytes() == alone.tobytes()
+            assert not np.signbit(alone[alone == 0]).any()
 
 
 def test_delta_matrices_input_validation():
