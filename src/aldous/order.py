@@ -44,10 +44,8 @@ from .graphs import (
 )
 from .partitions import (
     Partition,
-    conjugate,
-    dominates,
+    dominance_table,
     in_row_class,
-    lex_compare,
     num_standard_tableaux,
     parse_partition,
     partitions_of,
@@ -228,7 +226,7 @@ def check_pair(sigma: Partition, tau: Partition, graph: WeightedGraph,
 
 # -- the ledger ---------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class RelationEntry:
     sigma: Partition
     tau: Partition
@@ -261,6 +259,19 @@ def _pairs_exceed(n: int, limit: int) -> bool:
         if p[m] * (p[m] - 1) > limit:
             return True
     return False
+
+
+def _cells(mask: np.ndarray) -> tuple[list[int], list[int]]:
+    """Row and column indices of a bool matrix's set cells, row by row, as
+    Python ints."""
+    rows, cols = np.nonzero(mask)
+    return rows.tolist(), cols.tolist()
+
+
+@lru_cache(maxsize=None)
+def _partition_index(n: int) -> dict[Partition, int]:
+    """Each partition of n -> its position in partitions_of(n), in order."""
+    return {part: i for i, part in enumerate(partitions_of(n))}
 
 
 def _ledger_shape(text, n: int, shapes: dict, where: str) -> Partition:
@@ -316,17 +327,41 @@ class RelationLedger:
     def close_transitively(self) -> None:
         """Add proved entries implied by chaining existing proved ones.
 
-        One Warshall pass over the middle element b; refuted pairs are never
-        overwritten.
+        Warshall's algorithm on a p x p bool matrix over partitions_of(n):
+        for each middle element b in turn, every pair (a, c) with a proved
+        above b and c proved below b (a, b, c distinct) and no entry yet is
+        proved, all at once by one masked outer product. Refuted pairs are
+        never overwritten and never link a chain; each new pair becomes one
+        proved entry tagged "transitive".
         """
         parts = partitions_of(self.n)
-        for b in parts:
-            above = [a for a in parts if a != b and self.status(a, b) == "proved"]
-            below = [c for c in parts if c != b and self.status(b, c) == "proved"]
-            for a in above:
-                for c in below:
-                    if a != c and self.status(a, c) == "unknown":
-                        self.set_proved(a, c, "transitive")
+        proved, decided = self._grid()
+        links = proved & ~np.eye(len(parts), dtype=bool)
+        free = ~decided
+        np.fill_diagonal(free, False)
+        for b in range(len(parts)):
+            new = np.outer(links[:, b], links[b]) & free
+            links |= new
+            free &= ~new
+        for i, j in zip(*_cells(links & ~proved)):
+            sigma, tau = parts[i], parts[j]
+            self.entries[(sigma, tau)] = RelationEntry(sigma, tau, "proved", "transitive")
+
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(proved, decided): p x p bool matrices over partitions_of(n),
+        [i, j] set when the pair (parts[i], parts[j]) has a proved entry, or
+        any entry. Entries on partitions of another size are left out."""
+        index = _partition_index(self.n)
+        p = len(index)
+        proved, decided = np.zeros((2, p * p), dtype=bool)
+        proved_cells, other_cells = [], []
+        for (sigma, tau), entry in self.entries.items():
+            i, j = index.get(sigma), index.get(tau)
+            if i is not None and j is not None:
+                (proved_cells if entry.status == "proved" else other_cells).append(i * p + j)
+        proved[proved_cells] = True
+        decided[proved_cells + other_cells] = True
+        return proved.reshape(p, p), decided.reshape(p, p)
 
     def pairs(self):
         parts = partitions_of(self.n)
@@ -346,13 +381,20 @@ class RelationLedger:
 
     def to_json(self) -> str:
         """The ledger as json.dumps({"n", "entries"}, indent=2, sort_keys=True)
-        writes it, byte for byte, one record per pair in `pairs` order. Each
-        record is filled into the template of its status (keys already in
-        sorted order); every value in it is still encoded by json.dumps, but
-        the encoder never walks the whole ledger. Tags, exact flags and
-        witnesses are encoded once per object: few are distinct, since the
-        seeded witnesses are shared and so is each scanned graph's."""
-        names = {p: json.dumps(str(p)) for p in partitions_of(self.n)}
+        writes it, byte for byte, one record per pair in `pairs` order.
+
+        Each record is the template of its status (keys already in sorted
+        order) filled in. One pass over the entries puts each decided
+        record at position i p + j of a p x p grid, for the pair
+        (parts[i], parts[j]) of partitions_of(n); the unknown records fill
+        the remaining cells and the diagonal is dropped. Tags, exact flags
+        and witnesses are encoded by json.dumps once per object: few are
+        distinct, since the seeded witnesses are shared and so is each
+        scanned graph's. A finite margin is written by float.__repr__, as
+        json.dumps writes it; others go through json.dumps."""
+        index = _partition_index(self.n)
+        p = len(index)
+        names = [json.dumps(str(part)) for part in index]
         encoded = {}  # id -> JSON of a tag, flag or witness, nested as a record's value
 
         def encode(value):
@@ -362,17 +404,23 @@ class RelationLedger:
                     value, indent=2, sort_keys=True).replace("\n", "\n      ")
             return text
 
-        records = []
-        for sigma, tau in self.pairs():
-            entry = self.entries.get((sigma, tau))
-            if entry is None:
-                records.append(_UNKNOWN_RECORD % (names[sigma], names[tau]))
-            elif entry.status == "proved":
-                records.append(_PROVED_RECORD % (names[sigma], encode(entry.tag), names[tau]))
+        grid = [None] * (p * p)
+        for (sigma, tau), entry in self.entries.items():
+            i, j = index.get(sigma), index.get(tau)
+            if i is None or j is None:
+                continue
+            if entry.status == "proved":
+                grid[i * p + j] = _PROVED_RECORD % (names[i], encode(entry.tag), names[j])
             else:
-                records.append(_REFUTED_RECORD % (
-                    encode(entry.exact), json.dumps(entry.margin), names[sigma],
-                    encode(entry.tag), names[tau], encode(entry.witness)))
+                margin = entry.margin
+                grid[i * p + j] = _REFUTED_RECORD % (
+                    encode(entry.exact),
+                    float.__repr__(margin) if isinstance(margin, float)
+                    and math.isfinite(margin) else json.dumps(margin),
+                    names[i], encode(entry.tag), names[j], encode(entry.witness))
+        records = [_UNKNOWN_RECORD % (names[cell // p], names[cell % p])
+                   if record is None else record for cell, record in enumerate(grid)]
+        del records[::p + 1]
         body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
         return '{\n  "entries": %s,\n  "n": %s\n}' % (body, json.dumps(self.n))
 
@@ -480,59 +528,79 @@ def seed_known(n: int) -> RelationLedger:
     weights (both from one exact lambda_1 table per weighting), and the
     two-column against one-column hook family through the full star, which
     also separates the pair the dominance order cannot.
+
+    Pairs are handled by their indices (i, j) into partitions_of(n), which
+    is in descending lexicographic order: parts[i] is lexicographically
+    below parts[j] exactly when i > j. Each proved rule is one p x p bool
+    layer, and the first rule that proves a pair tags it; dominance is one
+    table from `dominance_table`; and the refuting rules' checks (a margin
+    > 0, no proved pair refuted) run on whole arrays before any refuted
+    entry is made.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     parts = partitions_of(n)
-    ledger = RelationLedger(n)
-    top = Partition([n])
-    bottom = Partition([1] * n)
-    std = Partition([n - 1, 1])
-
-    for p in parts:
-        if p != top:
-            ledger.set_proved(top, p, "cor:n1n")
-        if p != bottom:
-            ledger.set_proved(p, bottom, "cor:n1n")
-    hooks = [hook(n, k) for k in range(n)]
-    for i in range(len(hooks)):
-        for j in range(i + 1, len(hooks)):
-            ledger.set_proved(hooks[i], hooks[j], "bacher")
-    for p in parts:
-        if p not in (top, std):
-            ledger.set_proved(std, p, "clr")
+    index = _partition_index(n)
+    p = len(parts)
+    # rules[r, i, j]: rule PROVED_TAGS[r] proves parts[i] above parts[j];
+    # top = parts[0], the standard [n-1, 1] = parts[1], bottom = parts[-1]
+    rules = np.zeros((4, p, p), dtype=bool)
+    rules[0, 0, 1:] = rules[0, :-1, -1] = True
+    hooks = [index[hook(n, k)] for k in range(n)]
+    rules[1][np.ix_(hooks, hooks)] = np.triu(np.ones((n, n), dtype=bool), 1)
+    rules[2, 1, 2:] = True
+    first = np.array([part[0] for part in parts])
+    length = np.array([len(part) for part in parts])
     k = 1
     while n >= 4 * k * k + 4 * k:
-        row_class = [p for p in parts if in_row_class(p, k)]
-        col_class = [p for p in parts if in_row_class(conjugate(p), k)]
-        for tau in row_class:
-            for sigma in col_class:
-                if tau != sigma:
-                    ledger.set_proved(tau, sigma, "main")
+        # the row class has first row >= n - k, the column class first
+        # column; no partition is in both, which needs n <= 2k + 1
+        rules[3] |= np.outer(first >= n - k, length >= n - k)
         k += 1
+    tagged = rules.any(axis=0)
+    ledger = RelationLedger(n)
+    for i, j, r in zip(*_cells(tagged), rules.argmax(axis=0)[tagged].tolist()):
+        sigma, tau = parts[i], parts[j]
+        ledger.entries[(sigma, tau)] = RelationEntry(sigma, tau, "proved", PROVED_TAGS[r])
     ledger.close_transitively()
 
-    # every lexicographically ascending pair is refuted: through the complete
-    # graph (all-ones weights) if dominance orders it, else the separator
-    # both lambda_1 tables come from one walk over the two weightings
+    # every lexicographically ascending pair (i > j) is refuted: through the
+    # complete graph (all-ones weights) if dominance orders it, else the
+    # separator; both lambda_1 tables come from one walk over the two
+    # weightings
     separator = remark_weights(n)
     scales, rows = nested_star_lambda1_scaled(parts, [[1] * (n - 1), separator])
-    witnesses = {
-        "ds81": ({"kind": "family", "family": "complete", "n": n},
-                 scales[0], [row[0] for row in rows]),
-        "remark1": ({"kind": "quasi", "n": n, "weights": [str(w) for w in separator]},
-                    scales[1], [row[1] for row in rows]),
-    }
-    for i, alpha in enumerate(parts):
-        for j, beta in enumerate(parts):
-            if alpha == beta or lex_compare(alpha, beta) >= 0:
-                continue
-            tag = "ds81" if dominates(beta, alpha) else "remark1"
-            witness, scale, lam1 = witnesses[tag]
-            margin = lam1[i] - lam1[j]  # times scale, exact until the division
-            if margin <= 0:
-                raise LedgerConflict(f"{tag} witness fails on {alpha} vs {beta}")
-            ledger.set_refuted(alpha, beta, witness, margin / scale, True, tag)
+    witnesses = (
+        ("ds81", {"kind": "family", "family": "complete", "n": n}, scales[0],
+         [row[0] for row in rows]),
+        ("remark1", {"kind": "quasi", "n": n, "weights": [str(w) for w in separator]},
+         scales[1], [row[1] for row in rows]),
+    )
+    ascending = np.tri(p, k=-1, dtype=bool)
+    by_complete = dominance_table(n).T  # [i, j]: parts[j] dominates parts[i]
+    which = np.where(by_complete, 0, 1)  # each pair's witness
+    proved, decided = ledger._grid()
+    # margin > 0 compares the lambda_1 values, so their ranks among the
+    # distinct values suffice
+    ranks = [np.unique(np.array(lam1, dtype=object), return_inverse=True)[1]
+             for *_, lam1 in witnesses]
+    separated = np.where(by_complete, *(rank[:, None] > rank[None, :] for rank in ranks))
+    bad = ascending & (~separated | proved)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        alpha, beta = parts[i], parts[j]
+        if not separated[i, j]:
+            tag = witnesses[which[i, j]][0]
+            raise LedgerConflict(f"{tag} witness fails on {alpha} vs {beta}")
+        raise LedgerConflict(f"({alpha}) >= ({beta}) already proved")
+    entries = ledger.entries
+    todo = ascending & ~decided
+    for i, j, w in zip(*_cells(todo), which[todo].tolist()):
+        tag, witness, scale, lam1 = witnesses[w]
+        alpha, beta = parts[i], parts[j]
+        # lam1 is lambda_1 times scale, exact until the division
+        entries[(alpha, beta)] = RelationEntry(
+            alpha, beta, "refuted", tag, witness, (lam1[i] - lam1[j]) / scale, True)
 
     if n >= 4:
         two_two = Partition([2, 2] + [1] * (n - 4))

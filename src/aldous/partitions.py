@@ -138,6 +138,18 @@ def lex_compare(p: Partition, q: Partition) -> int:
     return 0
 
 
+def dominance_table(n: int) -> np.ndarray:
+    """p(n) x p(n) bool array over partitions_of(n): [i, j] is
+    dominates(parts[i], parts[j]). One broadcast comparison of the rows of
+    prefix sums, each zero-padded to length n (where every sum reaches n)."""
+    parts = partitions_of(n)
+    sums = np.zeros((len(parts), max(n, 1)), dtype=np.int64)
+    for row, p in zip(sums, parts):
+        row[:len(p)] = p.parts
+    np.cumsum(sums, axis=1, out=sums)
+    return (sums[:, None, :] >= sums[None, :, :]).all(axis=2)
+
+
 def corners(p: Partition) -> list[Box]:
     """Boxes whose removal leaves a valid diagram, top row first."""
     return [box for _, box in reversed(_removals(p.parts))]
@@ -257,7 +269,10 @@ def in_row_class(p: Partition, k: int) -> bool:
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, descending lexicographic ([n] first)."""
+    """All partitions of n in descending lexicographic order ([n] first,
+    [1^n] last). Callers rely on the order: parts[i] is lexicographically
+    below parts[j] exactly when i > j, so lex_compare(parts[i], parts[j])
+    is the sign of j - i."""
     if n < 0:
         raise ValueError("n must be nonnegative")
 
@@ -287,9 +302,31 @@ def capped_tableau_count(p: Partition) -> int:
 def content_matrix(p: Partition) -> np.ndarray:
     """f x n integer array; row t, column k-1 is the content of box k in
     tableau t (canonical order); the reference for the spectral recursions."""
-    count = capped_tableau_count(p)
-    mat = np.empty((count, p.n), dtype=np.int64)
-    for t, tab in enumerate(standard_tableaux(p)):
-        for k, box in enumerate(tab.boxes):
-            mat[t, k] = box.content
-    return mat
+    capped_tableau_count(p)
+    return _label_tables(p.parts)[1].astype(np.int64)
+
+
+@lru_cache(maxsize=None)
+def _label_tables(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, contents) of the standard tableaux of `parts`, two read-only
+    f x n int16 arrays: row t, column k-1 holds the row, and the content, of
+    the box of label k in tableau t (canonical order). Built by the
+    recursion of `_paths` over `_removals`, one block of rows per corner
+    holding label n, with no tableau objects; every smaller diagram met on
+    the way is cached too."""
+    m = sum(parts)
+    if m <= 1:
+        rows, contents = np.ones((1, m), dtype=np.int16), np.zeros((1, m), dtype=np.int16)
+    else:
+        blocks = [(_label_tables(rest), box) for rest, box in _removals(parts)]
+        count = sum(len(sub[0]) for sub, _ in blocks)
+        rows, contents = np.empty((2, count, m), dtype=np.int16)
+        start = 0
+        for (sub_rows, sub_contents), box in blocks:
+            block = slice(start, start + len(sub_rows))
+            rows[block, :-1], rows[block, -1] = sub_rows, box.row
+            contents[block, :-1], contents[block, -1] = sub_contents, box.content
+            start = block.stop
+    for table in (rows, contents):
+        table.setflags(write=False)
+    return rows, contents

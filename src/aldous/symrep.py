@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -23,6 +25,7 @@ from .graphs import WeightedGraph
 from .partitions import (
     Partition,
     StandardTableau,
+    _label_tables,
     num_standard_tableaux,
     standard_tableaux,
 )
@@ -163,28 +166,45 @@ def _adjacent_factors(shape: Partition, i: int):
     T); otherwise T pairs with T' (i and i+1 swapped) through the block
     [[1/d, sqrt(1-1/d^2)], [., -1/d]] with d = content(box of i+1) -
     content(box of i) read in T. The image is symmetric: off[T] equals
-    off[partner[T]].
+    off[partner[T]]. Read-only rows of the shape's `_shape_factors`.
     """
     n = shape.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"adjacent index must satisfy 1 <= i <= {n - 1}, got {i}")
-    tabs, index = tableau_basis(shape)
-    diag = np.empty(len(tabs))
-    off = np.zeros(len(tabs))
-    partner = np.arange(len(tabs))
-    for t_idx, tab in enumerate(tabs):
-        lo, hi = tab.box_of(i), tab.box_of(i + 1)
-        if lo.row == hi.row:
-            diag[t_idx] = 1.0
-        elif lo.col == hi.col:
-            diag[t_idx] = -1.0
-        else:
-            d = hi.content - lo.content
-            swapped = list(tab.boxes)
-            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            partner[t_idx] = index[tuple(swapped)]
-            diag[t_idx] = 1.0 / d
-            off[t_idx] = math.sqrt(1.0 - 1.0 / d**2)
+    return tuple(factor[i - 1] for factor in _shape_factors(shape))
+
+
+@lru_cache(maxsize=None)
+def _shape_factors(shape: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diag, off, partner) of `_adjacent_factors` for every i at once: three
+    (n - 1) x f arrays, row i - 1 for (i, i+1), read from the shape's label
+    tables with no loop over tableaux.
+
+    One formula serves every T: labels i, i+1 in one row or one column are
+    adjacent there, so d = 1 or -1, and 1/d and sqrt(1 - 1/d^2) are the
+    diag and off above. A tableau is fixed by the rows its labels sit in.
+    Its row word is keyed as one mixed-radix integer, the digit of label k
+    in base min(k, rows of the shape) (label k sits in one of its first k
+    rows) and label n the most significant; the canonical order sorts
+    these keys descending. So T' is found by one sorted lookup of T's key
+    with the rows of i and i+1 swapped, and T itself where |d| = 1. Keys
+    are int64 while the radix product fits, Python ints (an object array)
+    past that.
+    """
+    rows, contents = _label_tables(shape.parts)
+    n, count = shape.n, len(rows)
+    *weights, top = accumulate((min(k, len(shape)) for k in range(1, n + 1)), mul, initial=1)
+    dtype = np.int64 if top < 2**63 else object
+    weights = np.array(weights, dtype=dtype)
+    keys = (rows - 1).astype(dtype) @ weights
+    rows, contents = rows.T, contents.T  # one row per label
+    d = (contents[1:] - contents[:-1]).astype(np.int64)
+    diag = 1.0 / d
+    off = np.sqrt(1.0 - 1.0 / d**2)
+    # swapping the rows of labels i and i+1 moves a key by this much
+    shift = np.where(abs(d) > 1, rows[1:] - rows[:-1], 0).astype(dtype)
+    swapped = keys + shift * (weights[:-1] - weights[1:])[:, None]
+    partner = count - 1 - np.searchsorted(keys[::-1], swapped)
     for arr in (diag, off, partner):
         arr.setflags(write=False)
     return diag, off, partner

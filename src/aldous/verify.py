@@ -41,7 +41,6 @@ from .partitions import (
     Partition,
     conjugate,
     content_sum,
-    lex_compare,
     num_standard_tableaux,
     partitions_of,
 )
@@ -107,13 +106,15 @@ def suite_qc(n: int, samples: int = 50, seed: int = 0, tol: float = 1e-8) -> Sui
             result.add(f"qc formula n={size}", dist < tol, distance=dist)
     for size in range(2, min(n, 7) + 1):
         weights = remark_weights(size)
-        lam1 = {p: nested_star_extremes(p, weights)[0] for p in partitions_of(size)}
+        parts = partitions_of(size)
+        lam1 = [nested_star_extremes(p, weights)[0] for p in parts]
+        # partitions_of is descending lexicographic: parts[i] is
+        # lexicographically below parts[j] exactly when i > j
         bad = [
-            (str(alpha), str(beta))
-            for alpha in partitions_of(size)
-            for beta in partitions_of(size)
-            if alpha != beta and lex_compare(alpha, beta) < 0
-            and not lam1[alpha] > lam1[beta]
+            (str(parts[i]), str(parts[j]))
+            for i in range(len(parts))
+            for j in range(i)
+            if not lam1[i] > lam1[j]
         ]
         result.add(f"qc lex separation n={size}", not bad, failing_pairs=bad)
     return result

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import weakref
 from dataclasses import asdict
@@ -217,6 +218,119 @@ def test_close_transitively_is_the_transitive_closure():
     ledger.close_transitively()
     closure = nx.transitive_closure(nx.DiGraph(list(zip(chain, chain[1:]))))
     assert set(ledger.proved_pairs()) == set(closure.edges())
+
+
+def _status_walk_closure(ledger):
+    """The Warshall pass that walks status() pair by pair: the reference
+    for close_transitively."""
+    parts = partitions_of(ledger.n)
+    for b in parts:
+        above = [a for a in parts if a != b and ledger.status(a, b) == "proved"]
+        below = [c for c in parts if c != b and ledger.status(b, c) == "proved"]
+        for a in above:
+            for c in below:
+                if a != c and ledger.status(a, c) == "unknown":
+                    ledger.set_proved(a, c, "transitive")
+
+
+def _random_ledger(n, seed, refuted):
+    rng = np.random.default_rng(seed)
+    parts = partitions_of(n)
+    pairs = [(a, b) for a in parts for b in parts if a != b]
+    ledger = RelationLedger(n)
+    chosen = rng.permutation(len(pairs))[:int(rng.integers(len(parts), 3 * len(parts)))]
+    for k in chosen:
+        ledger.set_proved(*pairs[k], ("cor:n1n", "bacher", "clr", "main")[k % 4])
+    if refuted:
+        witness = {"kind": "family", "family": "complete", "n": n}
+        for k in rng.permutation(len(pairs))[:len(parts)]:
+            if ledger.status(*pairs[k]) == "unknown":
+                ledger.set_refuted(*pairs[k], witness, 1.0, True, "scan")
+        # an entry from sigma to itself links nothing
+        ledger.entries[(parts[1], parts[1])] = order.RelationEntry(
+            parts[1], parts[1], "proved", "main")
+    return ledger
+
+
+def _entry_fields(ledger):
+    return {key: (e.status, e.tag, e.witness, e.margin, e.exact)
+            for key, e in ledger.entries.items()}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("refuted", [False, True], ids=["proved", "with-refuted"])
+def test_close_transitively_equals_the_status_walk(n, refuted):
+    for seed in range(6):
+        ledger = _random_ledger(n, 100 * n + seed, refuted)
+        reference = _random_ledger(n, 100 * n + seed, refuted)
+        before = {key for key, e in ledger.entries.items() if e.status == "refuted"}
+        ledger.close_transitively()
+        _status_walk_closure(reference)
+        assert _entry_fields(ledger) == _entry_fields(reference)
+        assert {key for key, e in ledger.entries.items() if e.status == "refuted"} == before
+        assert len(ledger.entries) > len(before) + 3
+
+
+# sha256 of seed_known(n).to_json(), recorded before the seeding and the
+# writer worked on partition indices; a deliberate format change updates them
+SEEDED_SHA256 = {
+    2: "5e1d4f46bf662d357ce0f41770fc6111388fc67f12e21afc5b56d4c195f509e0",
+    3: "2a927c3acad4d855795ecd5be9a4577531fb0ce6972619dc244e36d44590be81",
+    4: "dc39f364896c1071ba684588010925782c87a38b5b5ff0ef75df4b9121e3bde7",
+    5: "26688da3c18490543a9a7c3ad3ab657151c432215648a4b8b8a58810c4128909",
+    6: "af4a025cd5dcfca6a867a00f38b2c6c155d96810681b05637866808c46f4f24f",
+    7: "1897ae2cba7c5da6800e41e043d870ec1e00270143a30c224ebee6d359b652e0",
+    8: "52893c0610879a7caa076b5568dc90885ba5b6d6efa790392a4dd26374f842c8",
+    9: "74f7581cb54a002823ba2b77e2b4f324ce6867ade73c1204d5d4c01a6eb613d0",
+    10: "3e977ade8f58cf57858d8962b33d421e97838490502db2389c1591630fe7633b",
+    11: "2bcab99508bb6779912b1994b1a989fc871ee3831ef4588718b87499e7db5247",
+    12: "06702e13fae23e820d3d4c206e9440cc8a847039d62bf7fe2069e74fbb2c48b6",
+    13: "2fc92728db9a9d5bd706d62e951ef15d8fff3e2054a1e82bd99549190a99a7a6",
+    14: "82857f29203fc4856a9b2c6cf859097b683705f0143c37a38fd2cad03c9f2d56",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEEDED_SHA256))
+def test_seeded_ledger_bytes_are_pinned(n):
+    text = seed_known(n).to_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEEDED_SHA256[n]
+
+
+def test_seed_known_refuses_a_rule_that_refutes_a_proved_pair(monkeypatch):
+    # the hook chain read backwards proves (n-1, 1) above (n), which the
+    # lexicographic rule refutes
+    hook = order.hook
+    monkeypatch.setattr(order, "hook", lambda n, k: hook(n, n - 1 - k))
+    with pytest.raises(LedgerConflict, match=r"^\(6,1\) >= \(7\) already proved$"):
+        seed_known(7)
+
+
+@pytest.mark.parametrize("tag", ["ds81", "remark1"])
+def test_seed_known_refuses_a_witness_without_a_positive_margin(monkeypatch, tag):
+    n = 7
+    parts = partitions_of(n)
+    table = order.dominance_table(n)
+    # the first lexicographically ascending pair (i > j) the tag decides
+    i, j = next((i, j) for i in range(len(parts)) for j in range(i)
+                if table[j, i] == (tag == "ds81"))
+    column = 0 if tag == "ds81" else 1
+    lambda1 = order.nested_star_lambda1_scaled
+
+    def tied(shapes, weightings):
+        scales, rows = lambda1(shapes, weightings)
+        rows = [row.copy() for row in rows]
+        rows[i][column] = rows[j][column]
+        return scales, rows
+
+    monkeypatch.setattr(order, "nested_star_lambda1_scaled", tied)
+    with pytest.raises(LedgerConflict,
+                       match=f"^{tag} witness fails on {parts[i]} vs {parts[j]}$"):
+        seed_known(n)
+
+
+def test_relation_entries_are_slotted():
+    entry = next(iter(seed_known(4).entries.values()))
+    assert not hasattr(entry, "__dict__")
 
 
 def test_seeded_witnesses_recheck():

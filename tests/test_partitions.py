@@ -6,6 +6,7 @@ from aldous.partitions import (
     conjugate,
     content_sum,
     corners,
+    dominance_table,
     dominates,
     in_row_class,
     lex_compare,
@@ -16,6 +17,8 @@ from aldous.partitions import (
 )
 
 from math import factorial
+
+import numpy as np
 
 
 def test_parse_plain_and_exponent():
@@ -168,3 +171,27 @@ def test_partition_validation():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, 0])
+
+
+def test_partitions_of_is_strictly_descending_lexicographic():
+    # the index rules of the ledger and of the qc suite depend on this order
+    for n in range(0, 15):
+        parts = [p.parts for p in partitions_of(n)]
+        assert parts == sorted(set(parts), reverse=True)
+
+
+def test_lex_compare_is_the_sign_of_the_index_difference():
+    for n in range(1, 15):
+        parts = partitions_of(n)
+        for i, p in enumerate(parts):
+            for j, q in enumerate(parts):
+                assert lex_compare(p, q) == (j > i) - (j < i)
+
+
+def test_dominance_table_equals_dominates():
+    for n in range(0, 13):
+        parts = partitions_of(n)
+        table = dominance_table(n)
+        assert table.shape == (len(parts), len(parts)) and table.dtype == bool
+        expected = np.array([[dominates(p, q) for q in parts] for p in parts])
+        assert np.array_equal(table, expected)

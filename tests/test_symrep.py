@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from math import factorial
 
@@ -12,7 +13,12 @@ from aldous.graphs import (
     random_graph,
     star_graph,
 )
-from aldous.partitions import Partition, num_standard_tableaux, partitions_of
+from aldous.partitions import (
+    Partition,
+    num_standard_tableaux,
+    partitions_of,
+    standard_tableaux,
+)
 from aldous.spectral import multiset_contains, multiset_distance, spectrum
 from aldous.symrep import (
     ColoringSpace,
@@ -26,6 +32,7 @@ from aldous.symrep import (
     rep_adjacent,
     rep_permutation,
     rep_transposition,
+    _adjacent_factors,
     tableau_basis,
 )
 
@@ -338,3 +345,40 @@ def test_regular_delta_matches_the_permutation_product_build():
             found = regular_delta(graph)
             assert found.tobytes() == reference_regular_delta(graph).tobytes()
             assert found.shape == (factorial(n), factorial(n))
+
+
+def _tableau_factors(shape, i):
+    """Young's orthogonal form of (i, i+1) read tableau by tableau, the
+    reference for _adjacent_factors."""
+    tabs = list(standard_tableaux(shape))
+    index = {t.boxes: k for k, t in enumerate(tabs)}
+    diag = np.empty(len(tabs))
+    off = np.zeros(len(tabs))
+    partner = np.arange(len(tabs))
+    for k, tab in enumerate(tabs):
+        lo, hi = tab.box_of(i), tab.box_of(i + 1)
+        if lo.row == hi.row:
+            diag[k] = 1.0
+        elif lo.col == hi.col:
+            diag[k] = -1.0
+        else:
+            d = hi.content - lo.content
+            swapped = list(tab.boxes)
+            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+            partner[k] = index[tuple(swapped)]
+            diag[k] = 1.0 / d
+            off[k] = math.sqrt(1.0 - 1.0 / d**2)
+    return diag, off, partner
+
+
+@pytest.mark.parametrize("shapes", [
+    [shape for n in range(2, 9) for shape in partitions_of(n)],
+    # radix products past int64: the row-word keys are Python ints
+    [Partition([2] + [1] * 19), Partition([3] + [1] * 18), Partition([2, 2] + [1] * 17)],
+], ids=["n2-8", "n21"])
+def test_adjacent_factors_equal_the_tableau_reference(shapes):
+    for shape in shapes:
+        for i in range(1, shape.n):
+            found = _adjacent_factors(shape, i)
+            for got, want in zip(found, _tableau_factors(shape, i)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
