@@ -275,9 +275,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "hasse":
             with open(args.infile, "r", encoding="utf-8") as handle:
                 ledger = RelationLedger.from_json(handle.read())
-            # stored witnesses are evidence, not trusted: decide them again
+            # stored witnesses are evidence, not trusted: decide them again,
+            # building each distinct witness once
+            materialized = {}
             for pair in ledger.refuted_pairs():
-                recheck_witness(ledger.entry(*pair), tol=config.tol)
+                recheck_witness(ledger.entry(*pair), tol=config.tol,
+                                materialized=materialized)
             _emit(export_dot(ledger), args.out)
             return EXIT_OK
 

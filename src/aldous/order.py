@@ -44,6 +44,7 @@ from .graphs import (
 )
 from .partitions import (
     Partition,
+    conjugate,
     dominance_table,
     in_row_class,
     num_standard_tableaux,
@@ -62,6 +63,7 @@ from .symrep import (
     STACK_FLOATS,
     DimensionCapExceeded,
     check_dim,
+    conjugate_operators,
     delta_matrices,
     delta_matrix,
 )
@@ -156,13 +158,19 @@ def witness_graph(witness: dict, n: Optional[int] = None) -> WeightedGraph:
     A malformed descriptor raises ValueError: an n that is not an int (equal
     to the ledger's), family params that are not a mapping of the family's
     known keys, or quasi weights that are not n - 1 nonnegative rationals."""
+    return _materialize(witness, n)[0]
+
+
+def _materialize(witness: dict, n: Optional[int]) -> tuple[WeightedGraph, Optional[list]]:
+    """(graph, exact weights) of witness_graph: the exact weights are those a
+    "quasi" descriptor stores, parsed once, and None for other kinds."""
     kind, size = witness.get("kind"), witness.get("n")
     if isinstance(size, bool) or not isinstance(size, int) or size < 0 or (
             n is not None and size != n):
         raise ValueError(f"witness n must be a nonnegative int"
                          f"{'' if n is None else f' equal to {n}'}, got {size!r}")
     if kind == "graph":
-        return WeightedGraph.from_edges(size, witness.get("edges"))
+        return WeightedGraph.from_edges(size, witness.get("edges")), None
     if kind == "family":
         family, params = witness.get("family"), witness.get("params", {})
         known = FAMILY_PARAMS.get(family) if isinstance(family, str) else None
@@ -172,11 +180,12 @@ def witness_graph(witness: dict, n: Optional[int] = None) -> WeightedGraph:
             raise ValueError(f"family {family!r} witness params must be a mapping "
                              f"of its known keys, got {params!r}")
         try:
-            return graph_family(family, size, **params)
+            return graph_family(family, size, **params), None
         except TypeError as exc:
             raise ValueError(f"family {family!r} witness params {params!r}: {exc}") from None
     if kind == "quasi":
-        return quasi_complete_graph(size, _quasi_weights(witness.get("weights"), size))
+        weights = _quasi_weights(witness.get("weights"), size)
+        return quasi_complete_graph(size, weights), weights
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
@@ -477,19 +486,28 @@ class RelationLedger:
         return ledger
 
 
-def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL) -> float:
+def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL,
+                    materialized: Optional[dict] = None) -> float:
     """Re-evaluate a refutation from its stored witness and decide it again
     with `refutes`; returns the margin. Raises LedgerConflict if it fails,
     or if the stored margin is not the recomputed one: exactly, for exact
     witnesses, and to MARGIN_RTOL otherwise.
 
     A "quasi" witness is evaluated on its stored exact weights, which the
-    float graph it materializes to may not carry.
+    float graph it materializes to may not carry. `materialized`, if given,
+    maps each descriptor already built (as sorted JSON text) to its graph
+    and weights, and gains this one: a caller that rechecks a whole ledger
+    passes one dict and builds each distinct witness once.
     """
     sigma, tau, witness = entry.sigma, entry.tau, entry.witness
-    graph = witness_graph(witness, sigma.n)
-    if witness["kind"] == "quasi":
-        weights = _quasi_weights(witness["weights"], sigma.n)
+    if materialized is None:
+        graph, weights = _materialize(witness, sigma.n)
+    else:
+        key = json.dumps(witness, sort_keys=True)
+        if key not in materialized:
+            materialized[key] = _materialize(witness, sigma.n)
+        graph, weights = materialized[key]
+    if weights is not None:
         margin = (nested_star_extremes(sigma, weights)[0]
                   - nested_star_extremes(tau, weights)[0])
         exact = True
@@ -696,10 +714,15 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     only as far ahead as a stack needs, so memory does not grow with the
     budget. A shape whose pairs are all refuted is solved no further, so
     the solves, and the values, are those of evaluating one graph at a time.
+    The two members of a conjugate pair share each stack's image chain:
+    the canonical member's stack is assembled once, the mate's derived
+    from it by `conjugate_operators`, as delta_matrices does, and each
+    member solves its own slices.
     """
     ledger = seed_known(n)
     report = ScanReport(n)
     parts = partitions_of(n)
+    index = _partition_index(n)
     stream = (c for family in families for c in _family_graphs(family, n, budget, seed))
     # (graph, witness, nested-star weights or None): the candidate being
     # scanned, then those read ahead of it; worker threads read ahead too
@@ -724,6 +747,34 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
                     run.append(ahead[-1][0])
         return run
 
+    mate = {shape: conjugate(shape) for shape in parts}
+    # canonical shape -> (run, its stack), left by the member of a conjugate
+    # pair that reached the run first for the other member, still in play
+    shared = {}
+    pair_locks = {shape: threading.Lock() for shape in parts}
+
+    def assemble(shape, run):
+        """The shape's stack on a run of numeric graphs. A conjugate pair
+        runs one chain, that of its canonical member (the one earlier in
+        parts), and derives the other's stack from it, as delta_matrices
+        does. Both members in play take their stacks on the same runs (see
+        operators), so the first to reach a run assembles and leaves the
+        canonical stack for the other; with one member out of play, the
+        canonical stack lives only as long as the derivation needs it."""
+        other = mate[shape]
+        if other == shape:
+            return delta_matrices(shape, run, dim_cap)
+        canonical = min(shape, other, key=index.get)
+        with pair_locks[canonical]:
+            kept = shared.pop(canonical, None)
+            if kept is not None and kept[0] == run:
+                stack = kept[1]
+            else:
+                stack = delta_matrices(canonical, run, dim_cap)
+                if other in in_play:
+                    shared[canonical] = (run, stack)
+        return stack if shape == canonical else conjugate_operators(shape, stack, run)
+
     def operators(shape, dim):
         """The shape's operators on the numeric graphs from the scanned one
         on. A shape still in play is evaluated on every candidate, so each
@@ -732,7 +783,7 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
         most STACK_FLOATS floats."""
         step = max(1, STACK_FLOATS // max(dim, n) ** 2)
         while True:
-            stack = list(delta_matrices(shape, numeric_run(step), dim_cap))[::-1]
+            stack = list(assemble(shape, numeric_run(step)))[::-1]
             # popped, so a stack is freed once its last slice is solved
             while stack:
                 yield stack.pop()
@@ -756,11 +807,16 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
         return lam, exact
 
     def undecided(pairs):
+        """The pairs not refuted, and their shapes in the order of parts,
+        but each non-canonical shape right after its canonical mate: a
+        canonical stack held for the mate is taken by the next job."""
         todo = [p for p in pairs if ledger.status(*p) != "refuted"]
-        return todo, sorted({s for pair in todo for s in pair}, key=parts.index)
+        shapes = sorted({s for pair in todo for s in pair},
+                        key=lambda s: (min(index[s], index[mate[s]]), index[s]))
+        return todo, shapes, set(shapes)
 
     # the pairs left to refute change only when a refutation lands
-    todo, shapes = undecided(ledger.pairs())
+    todo, shapes, in_play = undecided(ledger.pairs())
     pool = None
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -799,7 +855,7 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
                 ledger.set_refuted(sigma, tau, witness, float(margin), exact, "scan")
                 report.refutations_found += 1
             if report.refutations_found > found:
-                todo, shapes = undecided(todo)
+                todo, shapes, in_play = undecided(todo)
                 held = {shape: held[shape] for shape in shapes if shape in held}
             ahead.popleft()
         # candidates left unscanned once every pair is decided still count

@@ -471,6 +471,47 @@ def test_hasse_accepts_the_untampered_witnesses(capsys, tmp_path):
         assert run(capsys, "hasse", "--in", str(ledger))[0] == EXIT_OK
 
 
+def test_hasse_builds_each_distinct_witness_once(capsys, tmp_path, monkeypatch):
+    import aldous.cli as cli
+    import aldous.order as order
+
+    ledger = tmp_path / "ledger.json"
+    assert run(capsys, "scan", "--n", "6", "--families", "random", "--budget", "20",
+               "--seed", "1", "--out", str(ledger))[0] == EXIT_OK
+    data = json.loads(ledger.read_text())
+    refuted = [record for record in data["entries"] if record["status"] == "refuted"]
+    distinct = {json.dumps(record["witness"], sort_keys=True) for record in refuted}
+    kinds = [json.loads(key)["kind"] for key in distinct]
+    assert {"graph", "family", "quasi"} <= set(kinds) and len(distinct) < len(refuted)
+    calls = {"materialize": 0, "quasi": 0, "recheck": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(order, "_materialize", counted("materialize", order._materialize))
+    monkeypatch.setattr(order, "_quasi_weights", counted("quasi", order._quasi_weights))
+    monkeypatch.setattr(cli, "recheck_witness", counted("recheck", cli.recheck_witness))
+    assert run(capsys, "hasse", "--in", str(ledger))[0] == EXIT_OK
+    # every refuted entry is decided again, each distinct witness built once
+    assert calls == {"materialize": len(distinct), "quasi": kinds.count("quasi"),
+                     "recheck": len(refuted)}
+
+    # a shared witness built once still has every entry's margin compared
+    shared = json.dumps(refuted[0]["witness"], sort_keys=True)
+    last = [record for record in refuted
+            if json.dumps(record["witness"], sort_keys=True) == shared][-1]
+    assert last is not refuted[0]
+    last["margin"] = last["margin"] + 1.0
+    ledger.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "hasse", "--in", str(ledger))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "stored margin" in err
+
+
 @pytest.mark.parametrize("n", [40, 200])
 def test_hasse_refuses_an_oversized_ledger(capsys, tmp_path, n):
     ledger = tmp_path / "ledger.json"

@@ -572,6 +572,17 @@ def test_scan_workers_merge_identically():
     assert serial_report.skipped_shapes > 0
 
 
+@pytest.mark.parametrize("seed", [0, 11])
+def test_random_scans_at_n8_write_the_same_ledger_on_one_or_two_workers(seed):
+    # both members of a conjugate pair share one chain, whichever of the
+    # two worker threads reaches a stack first
+    serial, serial_report = scan(8, ("random",), budget=8, seed=seed, workers=1)
+    parallel, parallel_report = scan(8, ("random",), budget=8, seed=seed, workers=2)
+    assert parallel.to_json() == serial.to_json()
+    assert asdict(parallel_report) == asdict(serial_report)
+    assert serial_report.refutations_found > 0
+
+
 def test_scan_leaves_transposition_cache_empty():
     # assembly builds no per-transposition images, so memory stays O(dim^2)
     rep_transposition.cache_clear()
@@ -636,9 +647,10 @@ def reference_scan(n, families=SCAN_FAMILIES, budget=100, tol=1e-9, seed=0,
 
 
 class ScanRecorder:
-    """Counts scan's spectrum calls and records its assemblies as
-    (shape, graphs) through the order module's bindings. At each solve it
-    also notes, as (shape, slices solved, slices), every other stack still
+    """Counts scan's spectrum calls and records its stacks as (shape,
+    graphs) through the order module's bindings: the assembled ones and
+    those derived for the mate of a conjugate pair. At each solve it also
+    notes, as (shape, slices solved, slices), every other stack still
     alive."""
 
     def __init__(self, monkeypatch):
@@ -646,7 +658,7 @@ class ScanRecorder:
         self.stacks = []
         self.alive = []
         live = []
-        spectrum, delta_matrices = order.spectrum, order.delta_matrices
+        spectrum = order.spectrum
 
         def counted(m, *args, **kwargs):
             self.solves.append(len(m))
@@ -657,16 +669,20 @@ class ScanRecorder:
                                (entry for entry in alive if entry is not own)])
             return spectrum(m, *args, **kwargs)
 
-        def recorded(shape, graphs, *args, **kwargs):
-            self.stacks.append((shape, list(graphs)))
-            stack = delta_matrices(shape, graphs, *args, **kwargs)
-            # the array owning the floats lives as long as any slice does
-            owner = stack if stack.base is None else stack.base
-            live.append([shape, weakref.ref(owner), 0, len(stack)])
-            return stack
+        def recording(make, graphs_at):
+            def recorded(shape, *args, **kwargs):
+                stack = make(shape, *args, **kwargs)
+                self.stacks.append((shape, list(args[graphs_at])))
+                # the array owning the floats lives as long as any slice does
+                owner = stack if stack.base is None else stack.base
+                live.append([shape, weakref.ref(owner), 0, len(stack)])
+                return stack
+            return recorded
 
         monkeypatch.setattr(order, "spectrum", counted)
-        monkeypatch.setattr(order, "delta_matrices", recorded)
+        # delta_matrices(shape, graphs, ...), conjugate_operators(shape, stack, graphs)
+        for name, graphs_at in (("delta_matrices", 0), ("conjugate_operators", 1)):
+            monkeypatch.setattr(order, name, recording(getattr(order, name), graphs_at))
 
     def no_solved_stack_kept(self):
         """No stack outlived the solve of its last slice."""
@@ -815,6 +831,40 @@ def test_scan_stops_solving_a_shape_whose_pairs_are_refuted(monkeypatch, n):
     assert recorder.solves.count(1) == 2
     assert all(shape in (std, hook) for alive in recorder.alive[4:] for shape, _, _ in alive)
     assert any(shape in (bottom, top) for alive in recorder.alive[:4] for shape, _, _ in alive)
+    assert recorder.no_solved_stack_kept()
+
+
+def test_scan_assembles_a_canonical_shape_out_of_play_only_to_derive(monkeypatch):
+    # only the pairs between 2,2,1,1 and 2,1,1,1,1 are open; their mates
+    # 4,2 and 5,1 are out of play, yet their chains make every operator
+    n = 6
+    first, second = Partition([2, 2, 1, 1]), Partition([2, 1, 1, 1, 1])
+    mates = {conjugate(first): first, conjugate(second): second}
+    assert set(mates) == {Partition([4, 2]), Partition([5, 1])}
+
+    def seeded(size):
+        ledger = RelationLedger(size)
+        for pair in ledger.pairs():
+            if pair not in ((first, second), (second, first)):
+                ledger.set_refuted(*pair, {"kind": "family", "family": "complete",
+                                           "n": size}, 1.0, True, "ds81")
+        return ledger
+
+    monkeypatch.setattr(order, "seed_known", seeded)
+    families = ("paths", "random")
+    lambda_extremes.cache_clear()
+    expected, expected_report = reference_scan(n, families, budget=12, seed=5)
+    recorder = ScanRecorder(monkeypatch)
+    ledger, report = scan(n, families, budget=12, seed=5)
+    assert ledger.to_json() == expected.to_json()
+    assert asdict(report) == asdict(expected_report)
+    assembled = [(mates[shape], graphs) for shape, graphs in recorder.stacks if shape in mates]
+    derived = [(shape, graphs) for shape, graphs in recorder.stacks if shape not in mates]
+    assert assembled == derived and derived
+    assert len(recorder.solves) == expected_report.numeric_evaluations == sum(
+        len(graphs) for _, graphs in derived)
+    # a canonical stack is gone before the next solve
+    assert all(shape in (first, second) for alive in recorder.alive for shape, _, _ in alive)
     assert recorder.no_solved_stack_kept()
 
 

@@ -15,15 +15,18 @@ from aldous.graphs import (
 )
 from aldous.partitions import (
     Partition,
+    conjugate,
     num_standard_tableaux,
     partitions_of,
     standard_tableaux,
 )
 from aldous.spectral import multiset_contains, multiset_distance, spectrum
 from aldous.symrep import (
+    DEFAULT_DIM_CAP,
     ColoringSpace,
     DimensionCapExceeded,
     Permutation,
+    conjugate_operators,
     cycle_type,
     delta_matrices,
     delta_matrix,
@@ -33,6 +36,9 @@ from aldous.symrep import (
     rep_permutation,
     rep_transposition,
     _adjacent_factors,
+    _assemble,
+    _derived_from,
+    _transpose_map,
     tableau_basis,
 )
 
@@ -227,6 +233,80 @@ def test_delta_matrices_peak_allocation_is_two_stacks_and_the_chain():
     finally:
         tracemalloc.stop()
     assert peak <= (2 * count + 4) * dim * dim * 8 + 32768, peak
+
+
+def test_derived_stacks_keep_the_peak_allocation_bound():
+    # 3,2,2,1 is the mate of 4,3,1: its stack is derived from the chain's,
+    # within the same bound as the chain alone
+    shape, count = Partition([3, 2, 2, 1]), 3
+    assert _derived_from(shape) == Partition([4, 3, 1])
+    dim = num_standard_tableaux(shape)
+    graphs = [random_graph(8, seed, density=0.9) for seed in range(count)]
+    delta_matrices(shape, graphs)  # warm the factor, tableau and transpose caches
+    tracemalloc.start()
+    try:
+        delta_matrices(shape, graphs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * count + 4) * dim * dim * 8 + 32768, peak
+
+
+def _dense(factors):
+    diag, off, partner = factors
+    m = np.diag(diag)
+    m[np.arange(len(diag)), partner] += off
+    return m
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_transpose_map_negates_every_adjacent_image(n):
+    # Q rho_conj(s_i) Q^t = -rho_shape(s_i) entry for entry, with no
+    # rounding: the signed permutation only moves and negates floats
+    for shape in partitions_of(n):
+        source, sign = _transpose_map(shape)
+        assert sorted(source.tolist()) == list(range(num_standard_tableaux(shape)))
+        assert set(sign.tolist()) <= {1.0, -1.0}
+        for i in range(1, n):
+            image = _dense(_adjacent_factors(conjugate(shape), i))
+            moved = image[np.ix_(source, source)] * np.outer(sign, sign)
+            expected = -_dense(_adjacent_factors(shape, i))
+            # equal floats; + 0.0 only unifies the signs of zeros
+            assert (moved + 0.0).tobytes() == (expected + 0.0).tobytes(), (shape, i)
+
+
+def test_transpose_map_sends_each_tableau_to_its_transpose():
+    for shape in partitions_of(6):
+        source, _ = _transpose_map(shape)
+        own = list(standard_tableaux(shape))
+        mates = list(standard_tableaux(conjugate(shape)))
+        for p, k in enumerate(source):
+            boxes = [(box.row, box.col) for box in mates[k].boxes]
+            assert [(box.col, box.row) for box in own[p].boxes] == boxes
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_derived_operators_match_the_direct_chain(n):
+    graphs = _mixed_stack(n) + [random_graph(n, 700 + n), complete_graph(n)]
+    derived = [shape for shape in partitions_of(n) if _derived_from(shape) is not None]
+    assert len(derived) == sum(conjugate(s) != s for s in partitions_of(n)) // 2
+    for shape in derived:
+        stack = delta_matrices(shape, graphs)
+        chain = _assemble(shape, graphs, DEFAULT_DIM_CAP)
+        for m, ref, g in zip(stack, chain, graphs):
+            assert np.abs(m - ref).max() <= 1e-12 * max(1.0, 2 * g.wt), (shape, g)
+        assert not np.signbit(stack[stack == 0]).any()
+
+
+def test_conjugate_operators_input_validation():
+    shape, graphs = Partition([2, 1, 1]), [random_graph(4, 1), random_graph(4, 2)]
+    stack = delta_matrices(Partition([3, 1]), graphs)
+    assert conjugate_operators(shape, stack, graphs).tobytes() == (
+        delta_matrices(shape, graphs).tobytes())
+    with pytest.raises(ValueError):
+        conjugate_operators(shape, stack, graphs[:1])
+    with pytest.raises(ValueError):
+        conjugate_operators(Partition([2, 2]), stack, graphs)
 
 
 def test_a_zero_row_in_a_stack_leaves_that_graph_alone():
