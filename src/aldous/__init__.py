@@ -43,12 +43,10 @@ from .spectral import (
     spectrum,
 )
 from .symrep import (
-    ColoringSpace,
     Permutation,
     cycle_type,
     delta_matrices,
     delta_matrix,
-    l2q_delta,
     regular_delta,
     rep_adjacent,
     rep_permutation,

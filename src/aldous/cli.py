@@ -263,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                 "graphs_tried": report.graphs_tried,
                 "refutations_found": report.refutations_found,
                 "skipped_shapes": report.skipped_shapes,
+                "numeric_evaluations": report.numeric_evaluations,
                 "refutations_exact": report.refutations_exact,
                 "refutations_numeric": report.refutations_numeric,
                 "min_numeric_margin": report.min_numeric_margin,

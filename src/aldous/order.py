@@ -6,6 +6,10 @@ some witness graph gives sigma a strictly larger lowest eigenvalue, and
 *unknown* otherwise. Proved entries only ever come from the seeded
 citation tags; no amount of failed searching promotes a pair.
 
+Every lambda_1 comes from `Evaluator`, the one place that picks how a
+(shape, graph) pair is evaluated: exactly on nested-star graphs, by the
+dense eigensolver otherwise.
+
 Refutation rule (`refutes`, the one place it is written): witnesses
 evaluated in exact rational arithmetic (nested-star graphs, including plain
 stars and complete graphs) need margin > 0, which is what makes them
@@ -26,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,10 +66,11 @@ from .symrep import (
     DEFAULT_DIM_CAP,
     STACK_FLOATS,
     DimensionCapExceeded,
-    check_dim,
+    _derived_from,
     conjugate_operators,
     delta_matrices,
     delta_matrix,
+    graphs_per_stack,
 )
 
 DEFAULT_TOL = 1e-9
@@ -91,53 +96,182 @@ class LedgerConflict(RuntimeError):
     """A pair asked to be both proved and refuted."""
 
 
-# -- eigenvalue evaluation with the analytic upgrade -------------------------
+# -- eigenvalue evaluation ----------------------------------------------------
+
+class Evaluator:
+    """(lambda_1, lambda_max, exact) of irreducibles on graphs: the one place
+    that decides how a (shape, graph) pair is evaluated.
+
+    Each graph is tested once for nested-star weights: on those, shapes are
+    evaluated exactly by `nested_star_extremes`, on other graphs from
+    operators assembled `graphs_per_stack` graphs at a time.
+    `lambda_extremes` is the cached one-graph case; `many` takes a batch
+    known up front and solves each stack by one stacked `spectra` call.
+
+    A stream of candidates is evaluated one candidate at a time on the
+    shapes of the pairs `keep` names, one `spectrum` call per numeric
+    evaluation. A shape whose held operators run out assembles a stack on
+    the numeric graphs from the current candidate on, reading the stream
+    only as far ahead as the stack needs; a stack is dropped after its last
+    solve or with its shape. A conjugate pair's members share each stack's
+    image chain: the canonical member's is assembled once, under the
+    pair's lock, and the mate's derived by `conjugate_operators`. The
+    values are those of one graph at a time, on any number of threads.
+    """
+
+    def __init__(self, candidates=(), dim_cap: int = DEFAULT_DIM_CAP, workers: int = 1):
+        self.dim_cap = dim_cap
+        # numeric evaluations, and stream evaluations dropped over dim_cap
+        self.numeric_evaluations = self.skipped = self.candidates_read = 0
+        self._stream = iter(candidates)
+        # (graph, witness, nested-star weights or None): the current
+        # candidate, then those read ahead of it, by worker threads too
+        self._ahead = deque()
+        self._reading = threading.Lock()
+        self._shapes: dict = {}  # the kept shapes, in job order
+        self._held: dict = {}  # shape -> its unsolved slices, last first
+        # canonical shape -> (run, its stack), left by the member of a
+        # conjugate pair that reached the run first for the other member
+        self._shared: dict = {}
+        self._locks: dict = {}  # canonical shape -> its pair's lock
+        self._pool = None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool:
+            self._pool.shutdown()
+
+    @staticmethod
+    def extremes(shape: Partition, nested, solve):
+        """(lambda_1, lambda_max, exact) of the shape on a graph: exactly from
+        its nested-star weights `nested`, or from solve() when those are None."""
+        if nested is not None:
+            return (*nested_star_extremes(shape, nested), True)
+        spec = solve()
+        return spec.lambda1, spec.lambda_max, False
+
+    def many(self, shapes: Sequence[Partition], graphs: Sequence[WeightedGraph]) -> list:
+        """lambda_extremes(shape, graph) for each (shape, graph) pair of the
+        two lists, each shape's numeric graphs stacked by `irrep_spectra`:
+        the same floats, one assembly and solve per stack. Not cached."""
+        nested = [quasi_complete_weights(graph) for graph in graphs]
+        pending: dict[Partition, list[int]] = {}
+        for idx, (shape, a) in enumerate(zip(shapes, nested, strict=True)):
+            if a is None:
+                pending.setdefault(shape, []).append(idx)
+        solved = {}
+        for shape, indices in pending.items():
+            solved.update(zip(indices, irrep_spectra(shape, [graphs[idx] for idx in indices],
+                                                     dim_cap=self.dim_cap)))
+        self.numeric_evaluations += len(solved)
+        return [self.extremes(shape, a, lambda idx=idx: solved[idx])
+                for idx, (shape, a) in enumerate(zip(shapes, nested))]
+
+    def candidates(self):
+        """Each (graph, witness) of the stream in turn; `lowest` evaluates
+        the one last given."""
+        while self._ahead or self._read():
+            yield self._ahead[0][:2]
+            self._ahead.popleft()
+
+    def keep(self, pairs) -> None:
+        """Evaluate the shapes of these pairs from now on: in the order of
+        partitions_of(n), but each non-canonical shape right after its
+        canonical mate, whose stack held for it the next job then takes.
+        Operators of the shapes dropped are freed."""
+        self._shapes = dict.fromkeys(sorted(
+            {shape for pair in pairs for shape in pair},
+            key=lambda s: ((_derived_from(s) or s).parts, s.parts), reverse=True))
+        self._held = {shape: self._held[shape] for shape in self._shapes if shape in self._held}
+        for shape in self._shapes:
+            self._locks.setdefault(_derived_from(shape) or shape, threading.Lock())
+
+    def lowest(self) -> dict:
+        """{shape: (lambda_1, exact)} of the kept shapes on the current
+        candidate, the jobs run on the worker threads and merged in job
+        order. A shape above dim_cap is left out and counted in `skipped`."""
+        jobs = (self._pool.map if self._pool else map)(
+            self._lowest, self._shapes, repeat(self._ahead[0][2]))
+        values = {}
+        for shape, outcome in zip(self._shapes, list(jobs)):
+            if outcome is None:
+                self.skipped += 1
+            else:
+                values[shape] = outcome
+                self.numeric_evaluations += not outcome[1]
+        return values
+
+    def _lowest(self, shape: Partition, nested):
+        try:
+            lam, _, exact = self.extremes(shape, nested,
+                                          lambda: spectrum(self._operator(shape)))
+        except DimensionCapExceeded:
+            return None
+        return lam, exact
+
+    def _operator(self, shape: Partition) -> np.ndarray:
+        """The shape's operator on the current candidate, a numeric graph: a
+        kept shape is evaluated on every candidate, so its held slices follow
+        the numeric graphs in order. Popped, so a stack is freed once its
+        last slice is solved."""
+        held = self._held.get(shape)
+        if not held:
+            run = self._numeric_run(graphs_per_stack(shape, STACK_FLOATS, self.dim_cap))
+            held = self._held[shape] = list(self._assemble(shape, run))[::-1]
+        return held.pop()
+
+    def _read(self) -> bool:
+        candidate = next(self._stream, None)
+        if candidate is None:
+            return False
+        self.candidates_read += 1
+        self._ahead.append((*candidate, quasi_complete_weights(candidate[0])))
+        return True
+
+    def _numeric_run(self, size: int) -> list[WeightedGraph]:
+        """The next `size` numeric graphs from the current candidate on."""
+        with self._reading:
+            run = list(islice((g for g, _, a in self._ahead if a is None), size))
+            while len(run) < size and self._read():
+                if self._ahead[-1][2] is None:
+                    run.append(self._ahead[-1][0])
+        return run
+
+    def _assemble(self, shape: Partition, run: list) -> np.ndarray:
+        """The shape's stack on a run of numeric graphs, from the chain of
+        its pair's canonical member. Both members, when kept, take their
+        stacks on the same runs: the first to reach a run assembles and
+        leaves the canonical stack for the other. With one member not kept,
+        the canonical stack lives only as long as the derivation needs it."""
+        mate = conjugate(shape)
+        if mate == shape:
+            return delta_matrices(shape, run, self.dim_cap)
+        canonical = _derived_from(shape) or shape
+        with self._locks[canonical]:
+            kept = self._shared.pop(canonical, None)
+            if kept is not None and kept[0] == run:
+                stack = kept[1]
+            else:
+                stack = delta_matrices(canonical, run, self.dim_cap)
+                if mate in self._shapes:
+                    self._shared[canonical] = (run, stack)
+        return stack if shape == canonical else conjugate_operators(shape, stack, run)
+
 
 @lru_cache(maxsize=4096)
-def lambda_extremes(shape: Partition, graph: WeightedGraph,
-                    tol: float = 1e-12,
+def lambda_extremes(shape: Partition, graph: WeightedGraph, tol: float = 1e-12,
                     dim_cap: int = DEFAULT_DIM_CAP):
-    """(lambda_1, lambda_max, exact) on one irreducible.
-
-    Nested-star graphs (stars, cliques on an initial segment, complete
-    graphs, any combination) are evaluated exactly by
-    `nested_star_extremes`; everything else goes through the numeric
-    eigensolver. Results are cached; graphs are immutable after
-    construction.
-    """
-    return _extremes(shape, quasi_complete_weights(graph),
-                     lambda: spectrum(delta_matrix(shape, graph, dim_cap=dim_cap), tol))
-
-
-def _extremes(shape: Partition, nested, solve):
-    """(lambda_1, lambda_max, exact) of a graph on one irreducible, given the
-    graph's nested-star weights `nested` (None if it has none): exactly from
-    those weights, else from solve(), the numeric Spectrum. The one place the
-    rule is written; its callers differ only in how they assemble and solve."""
-    if nested is not None:
-        return (*nested_star_extremes(shape, nested), True)
-    spec = solve()
-    return spec.lambda1, spec.lambda_max, False
-
-
-def lambda_extremes_many(shapes: Sequence[Partition],
-                         graphs: Sequence[WeightedGraph],
-                         dim_cap: int = DEFAULT_DIM_CAP) -> list:
-    """lambda_extremes(shape, graph) for each (shape, graph) pair of the two
-    lists, by the same rule: nested-star graphs exactly, and the other
-    graphs of each shape stacked through `irrep_spectra` (same floats, one
-    assembly and one solve per stack instead of per graph). Not cached."""
-    nested = [quasi_complete_weights(graph) for graph in graphs]
-    pending: dict[Partition, list[int]] = {}
-    for idx, (shape, a) in enumerate(zip(shapes, nested, strict=True)):
-        if a is None:
-            pending.setdefault(shape, []).append(idx)
-    solved = {}
-    for shape, indices in pending.items():
-        solved.update(zip(indices, irrep_spectra(shape, [graphs[idx] for idx in indices],
-                                                 dim_cap=dim_cap)))
-    return [_extremes(shape, a, lambda idx=idx: solved[idx])
-            for idx, (shape, a) in enumerate(zip(shapes, nested))]
+    """(lambda_1, lambda_max, exact) on one irreducible: the Evaluator's
+    one-graph case, a numeric graph solved by one `spectrum` call. Cached;
+    graphs are immutable after construction."""
+    return Evaluator.extremes(shape, quasi_complete_weights(graph), lambda: spectrum(
+        delta_matrix(shape, graph, dim_cap=dim_cap), tol))
 
 
 @dataclass
@@ -268,6 +402,13 @@ def _pairs_exceed(n: int, limit: int) -> bool:
         if p[m] * (p[m] - 1) > limit:
             return True
     return False
+
+
+def _require_ledger_size(n: int) -> None:
+    """Raise ValueError if a ledger of n has over MAX_LEDGER_PAIRS pairs."""
+    if _pairs_exceed(n, MAX_LEDGER_PAIRS):
+        raise ValueError(f"ledger n = {n} has more than MAX_LEDGER_PAIRS = "
+                         f"{MAX_LEDGER_PAIRS} ordered pairs of partitions")
 
 
 def _cells(mask: np.ndarray) -> tuple[list[int], list[int]]:
@@ -448,9 +589,7 @@ class RelationLedger:
         n = data.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"ledger n must be an int >= 1, got {n!r}")
-        if _pairs_exceed(n, MAX_LEDGER_PAIRS):
-            raise ValueError(f"ledger n = {n} has more than MAX_LEDGER_PAIRS = "
-                             f"{MAX_LEDGER_PAIRS} ordered pairs of partitions")
+        _require_ledger_size(n)
         records = data.get("entries")
         if not isinstance(records, list):
             raise ValueError("ledger entries must be a list")
@@ -507,14 +646,10 @@ def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL,
         if key not in materialized:
             materialized[key] = _materialize(witness, sigma.n)
         graph, weights = materialized[key]
-    if weights is not None:
-        margin = (nested_star_extremes(sigma, weights)[0]
-                  - nested_star_extremes(tau, weights)[0])
-        exact = True
-    else:
-        lam_s, _, exact_s = lambda_extremes(sigma, graph)
-        lam_t, _, exact_t = lambda_extremes(tau, graph)
-        margin, exact = lam_s - lam_t, exact_s and exact_t
+    (lam_s, _, exact_s), (lam_t, _, exact_t) = (
+        lambda_extremes(shape, graph) if weights is None
+        else Evaluator.extremes(shape, weights, None) for shape in (sigma, tau))
+    margin, exact = lam_s - lam_t, exact_s and exact_t
     if not refutes(margin, exact, sigma, tau, graph.wt, tol):
         raise LedgerConflict(
             f"stored witness no longer refutes ({sigma}) >= ({tau}): margin {margin}"
@@ -545,7 +680,8 @@ def seed_known(n: int) -> RelationLedger:
     lexicographically ordered pairs through the fast-decaying nested-star
     weights (both from one exact lambda_1 table per weighting), and the
     two-column against one-column hook family through the full star, which
-    also separates the pair the dominance order cannot.
+    also separates the pair the dominance order cannot. An n whose ledger
+    has over MAX_LEDGER_PAIRS pairs raises ValueError, as in from_json.
 
     Pairs are handled by their indices (i, j) into partitions_of(n), which
     is in descending lexicographic order: parts[i] is lexicographically
@@ -557,6 +693,7 @@ def seed_known(n: int) -> RelationLedger:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    _require_ledger_size(n)
     parts = partitions_of(n)
     index = _partition_index(n)
     p = len(parts)
@@ -682,6 +819,8 @@ class ScanReport:
     # (shape, graph) evaluations dropped because the shape's dimension is
     # above dim_cap; pairs with such a shape stay undecided by that graph
     skipped_shapes: int = 0
+    # (shape, graph) evaluations solved numerically, one eigensolve each
+    numeric_evaluations: int = 0
     # over every refuted entry of the returned ledger, seeded or scanned
     refutations_exact: int = 0
     refutations_numeric: int = 0
@@ -698,171 +837,46 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
          dim_cap: int = DEFAULT_DIM_CAP, workers: int = 1):
     """Search family and random graphs for refutations of undecided pairs.
 
-    Starts from the seeded ledger. Every graph is also audited against the
-    proved entries; a margin there is a contradiction and lands in the
-    report instead of the ledger. Deterministic for a fixed seed.
-
-    Graph by graph, each shape of a pair still undecided is evaluated by the
-    rule of `lambda_extremes`, with no cache: nested-star graphs exactly,
-    from one detection per graph. The numeric graphs are assembled ahead
-    and solved per evaluation: when a shape needs a numeric graph its held
-    operators do not cover, one `delta_matrices` call builds them for
-    that graph and the numeric graphs after it, at most STACK_FLOATS
-    floats of operators (and of graph weights), and each evaluation then
-    solves only its own slice. A stack is dropped once its last slice is
-    solved or its shape leaves, and candidates are read from the families
-    only as far ahead as a stack needs, so memory does not grow with the
-    budget. A shape whose pairs are all refuted is solved no further, so
-    the solves, and the values, are those of evaluating one graph at a time.
-    The two members of a conjugate pair share each stack's image chain:
-    the canonical member's stack is assembled once, the mate's derived
-    from it by `conjugate_operators`, as delta_matrices does, and each
-    member solves its own slices.
+    Starts from the seeded ledger. Graph by graph, an `Evaluator` gives
+    lambda_1 of each shape of a pair not yet refuted, on `workers` threads;
+    the pairs a graph refutes leave, with every shape in no other such
+    pair. Every graph is also audited against the proved entries; a margin
+    there is a contradiction and lands in the report instead of the
+    ledger. Deterministic for a fixed seed.
     """
     ledger = seed_known(n)
     report = ScanReport(n)
-    parts = partitions_of(n)
-    index = _partition_index(n)
     stream = (c for family in families for c in _family_graphs(family, n, budget, seed))
-    # (graph, witness, nested-star weights or None): the candidate being
-    # scanned, then those read ahead of it; worker threads read ahead too
-    ahead = deque()
-    reading = threading.Lock()
-
-    def read():
-        candidate = next(stream, None)
-        if candidate is None:
-            return False
-        report.graphs_tried += 1
-        ahead.append((*candidate, quasi_complete_weights(candidate[0])))
-        return True
-
-    def numeric_run(size):
-        """The first `size` numeric graphs from the scanned candidate on,
-        fewer if the candidates end first."""
-        with reading:
-            run = list(islice((g for g, _, a in ahead if a is None), size))
-            while len(run) < size and read():
-                if ahead[-1][2] is None:
-                    run.append(ahead[-1][0])
-        return run
-
-    mate = {shape: conjugate(shape) for shape in parts}
-    # canonical shape -> (run, its stack), left by the member of a conjugate
-    # pair that reached the run first for the other member, still in play
-    shared = {}
-    pair_locks = {shape: threading.Lock() for shape in parts}
-
-    def assemble(shape, run):
-        """The shape's stack on a run of numeric graphs. A conjugate pair
-        runs one chain, that of its canonical member (the one earlier in
-        parts), and derives the other's stack from it, as delta_matrices
-        does. Both members in play take their stacks on the same runs (see
-        operators), so the first to reach a run assembles and leaves the
-        canonical stack for the other; with one member out of play, the
-        canonical stack lives only as long as the derivation needs it."""
-        other = mate[shape]
-        if other == shape:
-            return delta_matrices(shape, run, dim_cap)
-        canonical = min(shape, other, key=index.get)
-        with pair_locks[canonical]:
-            kept = shared.pop(canonical, None)
-            if kept is not None and kept[0] == run:
-                stack = kept[1]
-            else:
-                stack = delta_matrices(canonical, run, dim_cap)
-                if other in in_play:
-                    shared[canonical] = (run, stack)
-        return stack if shape == canonical else conjugate_operators(shape, stack, run)
-
-    def operators(shape, dim):
-        """The shape's operators on the numeric graphs from the scanned one
-        on. A shape still in play is evaluated on every candidate, so each
-        next() lands on the candidate being scanned. A stack's operators,
-        and the weights of the graphs read ahead for it, each come to at
-        most STACK_FLOATS floats."""
-        step = max(1, STACK_FLOATS // max(dim, n) ** 2)
-        while True:
-            stack = list(assemble(shape, numeric_run(step)))[::-1]
-            # popped, so a stack is freed once its last slice is solved
-            while stack:
-                yield stack.pop()
-
-    # shape -> its operators; one job per shape advances an entry, so
-    # worker threads never share one
-    held = {}
-
-    def evaluate(args):
-        shape, nested = args
-
-        def solve():
-            if shape not in held:
-                held[shape] = operators(shape, check_dim(shape, dim_cap))
-            return spectrum(next(held[shape]))
-
-        try:
-            lam, _, exact = _extremes(shape, nested, solve)
-        except DimensionCapExceeded:
-            return None
-        return lam, exact
-
-    def undecided(pairs):
-        """The pairs not refuted, and their shapes in the order of parts,
-        but each non-canonical shape right after its canonical mate: a
-        canonical stack held for the mate is taken by the next job."""
-        todo = [p for p in pairs if ledger.status(*p) != "refuted"]
-        shapes = sorted({s for pair in todo for s in pair},
-                        key=lambda s: (min(index[s], index[mate[s]]), index[s]))
-        return todo, shapes, set(shapes)
-
-    # the pairs left to refute change only when a refutation lands
-    todo, shapes, in_play = undecided(ledger.pairs())
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        while todo and (ahead or read()):
-            graph, witness, nested = ahead[0]
-            jobs = [(shape, nested) for shape in shapes]
-            # ordered map keeps the merge deterministic for any pool size
-            outcomes = list(pool.map(evaluate, jobs)) if pool else [
-                evaluate(job) for job in jobs
-            ]
-            values = {}
-            exact_flags = {}
-            for shape, outcome in zip(shapes, outcomes):
-                if outcome is None:
-                    report.skipped_shapes += 1
-                    continue
-                values[shape], exact_flags[shape] = outcome
-            found = report.refutations_found
+    todo = [pair for pair in ledger.pairs() if ledger.status(*pair) != "refuted"]
+    with Evaluator(stream, dim_cap, workers) as evaluator:
+        evaluator.keep(todo)
+        for graph, witness in evaluator.candidates():
+            if not todo:
+                break
+            values = evaluator.lowest()
+            found = set()
             for sigma, tau in todo:
                 if sigma not in values or tau not in values:
                     continue
-                exact = exact_flags[sigma] and exact_flags[tau]
-                margin = values[sigma] - values[tau]
+                margin = values[sigma][0] - values[tau][0]
+                exact = values[sigma][1] and values[tau][1]
                 if not refutes(margin, exact, sigma, tau, graph.wt, tol):
                     continue
                 witness = witness or graph_witness(graph)
                 if ledger.status(sigma, tau) == "proved":
-                    report.contradictions.append(
-                        {"sigma": str(sigma), "tau": str(tau),
-                         "margin": float(margin), "witness": witness}
-                    )
+                    report.contradictions.append({"sigma": str(sigma), "tau": str(tau),
+                                                  "margin": float(margin), "witness": witness})
                     continue
                 ledger.set_refuted(sigma, tau, witness, float(margin), exact, "scan")
-                report.refutations_found += 1
-            if report.refutations_found > found:
-                todo, shapes, in_play = undecided(todo)
-                held = {shape: held[shape] for shape in shapes if shape in held}
-            ahead.popleft()
-        # candidates left unscanned once every pair is decided still count
-        report.graphs_tried += sum(1 for _ in stream)
-    finally:
-        if pool:
-            pool.shutdown()
+                found.add((sigma, tau))
+            if found:
+                report.refutations_found += len(found)
+                todo = [pair for pair in todo if pair not in found]
+                evaluator.keep(todo)
+    # candidates left unscanned once every pair is decided still count
+    report.graphs_tried = evaluator.candidates_read + sum(1 for _ in stream)
+    report.skipped_shapes = evaluator.skipped
+    report.numeric_evaluations = evaluator.numeric_evaluations
     refuted = [e for e in ledger.entries.values() if e.status == "refuted"]
     numeric = [e.margin for e in refuted if not e.exact]
     report.refutations_exact = len(refuted) - len(numeric)
@@ -908,13 +922,9 @@ def check_matching_bound(sigma: Partition, k: int, trials: int = 1,
         if t == 0:
             graph = _lemma_matching(n, 2 * k)
         else:
-            relabel = rng.permutation(n) + 1
-            edges = [
-                (min(relabel[2 * i], relabel[2 * i + 1]),
-                 max(relabel[2 * i], relabel[2 * i + 1]), 1.0)
-                for i in range(2 * k)
-            ]
-            graph = WeightedGraph.from_edges(n, edges)
+            # 2k disjoint edges on a random relabelling of the vertices
+            ends = np.sort(rng.permutation(n)[:4 * k].reshape(2 * k, 2) + 1, axis=1)
+            graph = WeightedGraph.from_edges(n, [(i, j, 1.0) for i, j in ends.tolist()])
         _, lam_max, _ = lambda_extremes(sigma, graph)
         worst = max(worst, float(lam_max))
     return BoundReport("matching", worst <= 2 * k + tol, 2 * k, worst,
@@ -940,7 +950,7 @@ def check_weightedstar_bound(sigma: Partition, k: int, a,
 
 def check_weightedstar_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
     """check_weightedstar_bound for each (sigma, k, a) instance, the graphs
-    evaluated together by lambda_extremes_many."""
+    evaluated together by `Evaluator.many`."""
     shapes, graphs, bounds = [], [], []
     for sigma, k, a in instances:
         _require_row_class(sigma, k)
@@ -953,7 +963,7 @@ def check_weightedstar_bounds(instances, tol: float = DEFAULT_TOL) -> list[Bound
         graphs.append(weighted_star_graph(sigma.n, a))
         bounds.append(2 * sum(a[:k]) + sum(a[k:]))
     return [BoundReport("weightedstar", lam_max <= bound + tol, bound, float(lam_max))
-            for (_, lam_max, _), bound in zip(lambda_extremes_many(shapes, graphs), bounds)]
+            for (_, lam_max, _), bound in zip(Evaluator().many(shapes, graphs), bounds)]
 
 
 def check_invariant_vector_bound(sigma: Partition, k: int, graph: WeightedGraph,
@@ -965,7 +975,7 @@ def check_invariant_vector_bound(sigma: Partition, k: int, graph: WeightedGraph,
 
 def check_invariant_vector_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
     """check_invariant_vector_bound for each (sigma, k, graph, vertices)
-    instance, the graphs evaluated together by lambda_extremes_many."""
+    instance, the graphs evaluated together by `Evaluator.many`."""
     shapes, graphs, bounds = [], [], []
     for sigma, k, graph, vertices in instances:
         _require_row_class(sigma, k)
@@ -976,7 +986,7 @@ def check_invariant_vector_bounds(instances, tol: float = DEFAULT_TOL) -> list[B
         graphs.append(graph)
         bounds.append(2.0 * sum(float(graph.weights[v - 1].sum()) for v in vertices))
     return [BoundReport("invariant_vector", lam1 <= bound + tol, bound, float(lam1))
-            for (lam1, _, _), bound in zip(lambda_extremes_many(shapes, graphs), bounds)]
+            for (lam1, _, _), bound in zip(Evaluator().many(shapes, graphs), bounds)]
 
 
 # -- reducing machinery -------------------------------------------------------
@@ -1055,24 +1065,12 @@ def export_dot(ledger: RelationLedger) -> str:
         raise LedgerConflict("proved relation contains a cycle")
     reduced = nx.transitive_reduction(dag)
 
-    lines = [f"digraph aldous_order_n{ledger.n} {{"]
-    lines.append('  rankdir=TB;')
-    for p in parts:
-        lines.append(f'  "{p}" [label="{p.compact_str()}"];')
-    for sigma in parts:
-        for tau in parts:
-            if reduced.has_edge(str(sigma), str(tau)):
-                lines.append(f'  "{sigma}" -> "{tau}";')
-    for i, sigma in enumerate(parts):
-        for tau in parts[i + 1:]:
-            both = (
-                ledger.status(sigma, tau) == "refuted"
-                and ledger.status(tau, sigma) == "refuted"
-            )
-            if both:
-                lines.append(
-                    f'  "{sigma}" -> "{tau}" '
-                    "[style=dotted, dir=none, label=incomparable];"
-                )
+    lines = [f"digraph aldous_order_n{ledger.n} {{", '  rankdir=TB;']
+    lines += [f'  "{p}" [label="{p.compact_str()}"];' for p in parts]
+    lines += [f'  "{sigma}" -> "{tau}";' for sigma in parts for tau in parts
+              if reduced.has_edge(str(sigma), str(tau))]
+    lines += [f'  "{sigma}" -> "{tau}" [style=dotted, dir=none, label=incomparable];'
+              for i, sigma in enumerate(parts) for tau in parts[i + 1:]
+              if ledger.status(sigma, tau) == ledger.status(tau, sigma) == "refuted"]
     lines.append("}")
     return "\n".join(lines) + "\n"

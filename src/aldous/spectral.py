@@ -31,8 +31,10 @@ finite, symmetric) and hands the symmetrized matrix to LAPACK's symmetric
 eigensolver via numpy.linalg.eigvalsh / eigh. `spectra` does the same for a
 (G, d, d) stack in one call, and `irrep_spectra` solves one irreducible for
 a list of graphs by stacking their operators (`symrep.delta_matrices`),
-which is how the verify suites spend little per-call overhead on the
-thousands of tiny operators they check.
+`symrep.graphs_per_stack` graphs at a time. The verify suites that compare
+full spectra call it directly, spending little per-call overhead on the
+thousands of tiny operators they check; the order engine's lambda_1 goes
+through `order.Evaluator`, whose batch entry calls it as well.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from .partitions import Partition, _removals, capped_tableau_count, content_sum
 from .symrep import (
     DEFAULT_DIM_CAP,
     STACK_FLOATS,
-    check_dim,
     delta_matrices,
     delta_matrix,
+    graphs_per_stack,
 )
 
 DEFAULT_TOL = 1e-12
@@ -158,9 +160,9 @@ def irrep_spectra(shape: Partition, graphs: Sequence[WeightedGraph],
                   tol: float = DEFAULT_TOL,
                   dim_cap: int = DEFAULT_DIM_CAP) -> list[Spectrum]:
     """spectrum(delta_matrix(shape, graph)) for each graph of a list, the
-    graphs stacked STACK_FLOATS floats at a time: one chain of images
-    and one stacked solve per stack."""
-    step = max(1, STACK_FLOATS // check_dim(shape, dim_cap) ** 2)
+    graphs stacked `graphs_per_stack` at a time: one chain of images and
+    one stacked solve per stack."""
+    step = graphs_per_stack(shape, STACK_FLOATS, dim_cap)
     return [spec for start in range(0, len(graphs), step)
             for spec in spectra(delta_matrices(shape, graphs[start:start + step],
                                                dim_cap), tol)]
@@ -344,19 +346,3 @@ def multiset_distance(xs: Sequence[float], ys: Sequence[float]) -> float:
     if not xs:
         return 0.0
     return float(np.max(np.abs(np.sort(np.asarray(xs, float)) - np.sort(np.asarray(ys, float)))))
-
-
-def multiset_contains(sup: Sequence[float], sub: Sequence[float], tol: float) -> bool:
-    """Greedy check that every value of sub matches a distinct value of sup."""
-    pool = sorted(float(x) for x in sup)
-    for x in sorted(float(y) for y in sub):
-        i = int(np.searchsorted(pool, x))
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(pool) and abs(pool[j] - x) <= tol:
-                if best is None or abs(pool[j] - x) < abs(pool[best] - x):
-                    best = j
-        if best is None:
-            return False
-        pool.pop(best)
-    return True

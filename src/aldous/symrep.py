@@ -15,9 +15,8 @@ partitions_of(n), runs the image chains, and its mate's operator is
 Q (2 wt I - Delta) Q^t (`conjugate_operators`). Self-conjugate shapes run
 their own chains.
 
-The module also carries the coloring-space representation (the action on
-maps {1..n} -> colors with prescribed color counts) and the regular
-representation, both used as decomposition oracles at small n.
+The module also carries the regular representation, a decomposition
+oracle at small n.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,12 +40,12 @@ from .partitions import (
 )
 
 DEFAULT_DIM_CAP = 5000
-# floats in one stack of operators (G graphs of dimension d take G d^2):
-# 64 or more graphs at d <= 16, one at a time from d = 128 on. Assembly
-# holds two stacks and three d^2 chain buffers (at most 640 KB), within a
-# core's L2 cache. At 1 << 16 an earlier assembly holding four stacks ran
-# dims 42..168 1.5-2x slower stacked than one graph at a time (on a Xeon
-# with 2 MB of L2 per core)
+# floats in one stack of operators (G graphs of dimension d on n vertices
+# take G max(d, n)^2, see graphs_per_stack): 64 or more graphs at d, n <= 16,
+# one at a time from d = 128 on. Assembly holds two stacks and three d^2
+# chain buffers (at most 640 KB), within a core's L2 cache. At 1 << 16 an
+# earlier assembly holding four stacks ran dims 42..168 1.5-2x slower
+# stacked than one graph at a time (on a Xeon with 2 MB of L2 per core)
 STACK_FLOATS = 1 << 14
 
 
@@ -164,6 +163,14 @@ def check_dim(shape: Partition, cap: int = DEFAULT_DIM_CAP) -> int:
     if dim > cap:
         raise DimensionCapExceeded(f"dim {dim} of {shape} exceeds cap {cap}")
     return dim
+
+
+def graphs_per_stack(shape: Partition, floats: int, dim_cap: int) -> int:
+    """How many graphs one stack of the shape's operators takes: as many as
+    keep both their operators (dim^2 floats each) and their weights (n^2
+    each) within `floats`, and at least one. Raises DimensionCapExceeded
+    above dim_cap."""
+    return max(1, floats // max(check_dim(shape, dim_cap), shape.n) ** 2)
 
 
 @lru_cache(maxsize=None)
@@ -423,7 +430,7 @@ def delta_matrix(shape: Partition, graph: WeightedGraph,
     This is the one-graph case of delta_matrices, which forms each image
     once for a stack of G graphs and holds (2 G + 3) dim^2 floats: the
     stack, one weighted image per graph, and three chain buffers. Callers
-    that stack graphs keep G dim^2 under STACK_FLOATS per stack.
+    that stack graphs take `graphs_per_stack` of them per stack.
     """
     return _operators(shape, (graph,), dim_cap)[0]
 
@@ -435,69 +442,6 @@ def delta_matrices(shape: Partition, graphs: Sequence[WeightedGraph],
     chain is formed once and every graph of the stack subtracts its share,
     and a non-canonical shape's stack is derived from its mate's at once."""
     return _operators(shape, graphs, dim_cap)
-
-
-class ColoringSpace:
-    """All maps q: {1..n} -> {1..m} with #q^-1(i) equal to the i-th part."""
-
-    __slots__ = ("shape", "colorings", "index")
-
-    def __init__(self, shape: Partition, max_size: int = 100_000):
-        counts = shape.parts
-        size = math.factorial(shape.n)
-        for c in counts:
-            size //= math.factorial(c)
-        if size > max_size:
-            raise ValueError(f"coloring space size {size} exceeds cap {max_size}")
-        self.shape = shape
-        self.colorings = tuple(_multiset_perms(counts))
-        assert len(self.colorings) == size
-        self.index = {q: i for i, q in enumerate(self.colorings)}
-
-    def __len__(self):
-        return len(self.colorings)
-
-
-def _multiset_perms(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    n = sum(counts)
-
-    def rec(remaining: list[int], prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for color, c in enumerate(remaining, start=1):
-            if c:
-                remaining[color - 1] -= 1
-                prefix.append(color)
-                yield from rec(remaining, prefix)
-                prefix.pop()
-                remaining[color - 1] += 1
-
-    yield from rec(list(counts), [])
-
-
-def l2q_delta(shape: Partition, graph: WeightedGraph,
-              max_size: int = 100_000) -> np.ndarray:
-    """Swap operator on the coloring space of the shape.
-
-    A transposition acts by exchanging the colors at its two positions, so
-    the matrix is wt(A) I minus the weighted sum of those permutation
-    matrices. The irreducible of the same shape embeds here.
-    """
-    if graph.n != shape.n:
-        raise ValueError(f"graph on {graph.n} vertices vs shape of {shape.n}")
-    space = ColoringSpace(shape, max_size=max_size)
-    size = len(space)
-    m = np.zeros((size, size))
-    for i, j, w in graph.edges():
-        for q_idx, q in enumerate(space.colorings):
-            if q[i - 1] == q[j - 1]:
-                continue  # the swap fixes this coloring: zero contribution
-            swapped = list(q)
-            swapped[i - 1], swapped[j - 1] = swapped[j - 1], swapped[i - 1]
-            m[q_idx, q_idx] += w
-            m[q_idx, space.index[tuple(swapped)]] -= w
-    return m
 
 
 REGULAR_HARD_CAP = 6

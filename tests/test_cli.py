@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -299,11 +300,14 @@ def test_scan_summary_reports_skipped_shapes(capsys, tmp_path):
     summary = json.loads(err.strip().splitlines()[-1])
     # 3 shapes of 5 have dimension above 4; [5] >= p is proved for every p,
     # so every shape stays in the audited pairs and each of the 2 graphs
-    # drops each of the 3 once
+    # drops each of the 3 once, solving the other 4
     assert summary["skipped_shapes"] == 6
+    assert summary["numeric_evaluations"] == 8
     code, _, err = run(capsys, "scan", "--n", "5", "--families", "random",
                        "--budget", "2", "--out", str(tmp_path / "ledger.json"))
-    assert json.loads(err.strip().splitlines()[-1])["skipped_shapes"] == 0
+    summary = json.loads(err.strip().splitlines()[-1])
+    assert summary["skipped_shapes"] == 0
+    assert summary["numeric_evaluations"] == 14
 
 
 @pytest.mark.parametrize("n, budget, numeric", [(6, 30, True), (4, 5, False)])
@@ -521,6 +525,17 @@ def test_hasse_refuses_an_oversized_ledger(capsys, tmp_path, n):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "MAX_LEDGER_PAIRS" in err
+
+
+@pytest.mark.parametrize("n", ["21", "1000000000"])
+def test_scan_refuses_a_ledger_over_max_pairs(capsys, tmp_path, n):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--n", n, "--out", str(tmp_path / "ledger.json"))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_LEDGER_PAIRS" in err
+    assert not (tmp_path / "ledger.json").exists()
 
 
 @pytest.mark.parametrize("density", ["2", "nan", "-1"])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import weakref
 from dataclasses import asdict
 from fractions import Fraction
@@ -26,6 +27,7 @@ from aldous.graphs import (
 import aldous.order as order
 from aldous.order import (
     SCAN_FAMILIES,
+    Evaluator,
     LedgerConflict,
     RelationLedger,
     ScanReport,
@@ -42,7 +44,6 @@ from aldous.order import (
     graph_witness,
     is_h_irreducible,
     lambda_extremes,
-    lambda_extremes_many,
     recheck_witness,
     refutes,
     scan,
@@ -514,6 +515,18 @@ def test_ledger_pair_count_is_p_n_times_p_n_minus_one():
             RelationLedger.from_json(json.dumps({"n": n, "entries": []}))
 
 
+def test_seed_known_and_scan_refuse_a_ledger_over_max_pairs(monkeypatch):
+    def unlisted(n):
+        raise AssertionError(f"partitions of {n} listed")
+
+    monkeypatch.setattr(order, "partitions_of", unlisted)
+    for n in (21, 40, 10**9):
+        with pytest.raises(ValueError, match="MAX_LEDGER_PAIRS"):
+            seed_known(n)
+        with pytest.raises(ValueError, match="MAX_LEDGER_PAIRS"):
+            scan(n, budget=1)
+
+
 @pytest.mark.parametrize("witness, message", [
     ({"kind": "graph", "n": 4, "edges": [[1, 2, 1.0]]}, "equal to 3, got 4"),
     ({"kind": "family", "family": "complete", "n": True}, "got True"),
@@ -570,6 +583,21 @@ def test_scan_workers_merge_identically():
     assert parallel.to_json() == serial.to_json()
     assert asdict(parallel_report) == asdict(serial_report)
     assert serial_report.skipped_shapes > 0
+
+
+def test_scan_merges_identically_when_threads_switch_often():
+    # the default families put exact candidates between numeric ones, so
+    # worker threads read ahead across them while others take shared stacks
+    serial, serial_report = scan(7, budget=20, seed=42)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel, parallel_report = scan(7, budget=20, seed=42, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel.to_json() == serial.to_json()
+    assert asdict(parallel_report) == asdict(serial_report)
+    assert serial_report.numeric_evaluations > 0
 
 
 @pytest.mark.parametrize("seed", [0, 11])
@@ -930,6 +958,34 @@ def test_scan_solves_match_the_replayed_evaluations(monkeypatch, n, budget, seed
     assert asdict(report) == asdict(serial_report)
 
 
+# scan(n, budget=b, seed=42) as recorded before the scan's evaluation moved
+# into Evaluator: the count and sha256 of its refuted entries, each as
+# [sigma, tau, tag, witness, exact, margin if exact else None] in pairs()
+# order and dumped with sorted keys, and its report but the numeric margin
+SCAN_PINS = {
+    (6, 1000): (66, "2ca23d242a75d7a050b94533a4c28531e001d812617903255b8cc0a296044d75",
+                {"n": 6, "graphs_tried": 1039, "refutations_found": 10, "skipped_shapes": 0,
+                 "numeric_evaluations": 11044, "refutations_exact": 60,
+                 "refutations_numeric": 6, "contradictions": []}),
+    (7, 100): (119, "562fe044f07ca9107f2de4097adfcba19d0a594cc99eb94bdb0ad6b0488c3763",
+               {"n": 7, "graphs_tried": 141, "refutations_found": 13, "skipped_shapes": 0,
+                "numeric_evaluations": 1560, "refutations_exact": 114,
+                "refutations_numeric": 5, "contradictions": []}),
+}
+
+
+@pytest.mark.parametrize("n, budget", sorted(SCAN_PINS))
+def test_scan_ledger_and_report_are_pinned(n, budget):
+    ledger, report = scan(n, budget=budget, seed=42)
+    records = [[str(e.sigma), str(e.tau), e.tag, e.witness, e.exact,
+                e.margin if e.exact else None]
+               for e in (ledger.entry(*pair) for pair in ledger.refuted_pairs())]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
+    fields = asdict(report)
+    del fields["min_numeric_margin"]
+    assert (len(records), digest, fields) == SCAN_PINS[n, budget]
+
+
 def test_incomparable_two_column_chain():
     for n in (6, 8, 9):
         chain = [Partition([2] * i + [1] * (n - 2 * i)) for i in range(1, n // 2 + 1)]
@@ -1005,13 +1061,15 @@ def test_lambda_extremes_many_is_lambda_extremes_per_pair():
             for graph in candidates[i % 3:]:
                 shapes.append(shape)
                 graphs.append(graph)
-    found = lambda_extremes_many(shapes, graphs)
+    evaluator = Evaluator()
+    found = evaluator.many(shapes, graphs)
     assert found == [lambda_extremes(s, g) for s, g in zip(shapes, graphs)]
     exact = [f for f, g in zip(found, graphs) if quasi_complete_weights(g) is not None]
     assert exact and all(e[2] and isinstance(e[0], Fraction) for e in exact)
     assert all(not f[2] for f, g in zip(found, graphs)
                if quasi_complete_weights(g) is None)
-    assert lambda_extremes_many([], []) == []
+    assert Evaluator().many([], []) == []
+    assert evaluator.numeric_evaluations == len(found) - len(exact)
 
 
 def test_bound_checks_over_many_instances_match_single_checks():

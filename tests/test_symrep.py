@@ -20,17 +20,15 @@ from aldous.partitions import (
     partitions_of,
     standard_tableaux,
 )
-from aldous.spectral import multiset_contains, multiset_distance, spectrum
+from aldous.spectral import multiset_distance, spectrum
 from aldous.symrep import (
     DEFAULT_DIM_CAP,
-    ColoringSpace,
     DimensionCapExceeded,
     Permutation,
     conjugate_operators,
     cycle_type,
     delta_matrices,
     delta_matrix,
-    l2q_delta,
     regular_delta,
     rep_adjacent,
     rep_permutation,
@@ -346,32 +344,6 @@ def test_sign_twist_reverses_spectrum():
         twisted = spectrum(delta_matrix(conj, g)).values
         expected = sorted(2 * g.wt - v for v in vals)
         assert multiset_distance(twisted, expected) < 1e-8
-
-
-def test_coloring_space_sizes():
-    assert len(ColoringSpace(Partition([3, 1]))) == 4
-    assert len(ColoringSpace(Partition([2, 2]))) == 6
-    assert len(ColoringSpace(Partition([2, 1, 1]))) == 12
-    with pytest.raises(ValueError):
-        ColoringSpace(Partition([4, 4]), max_size=10)
-
-
-def test_l2q_examples():
-    g = random_graph(4, 23)
-    assert np.allclose(l2q_delta(Partition([4]), g), [[0.0]])
-    # [n-1,1]: the coloring operator is the graph Laplacian
-    lap = np.diag(g.weights.sum(axis=1)) - g.weights
-    m = l2q_delta(Partition([3, 1]), g)
-    assert m.shape == (4, 4)
-    assert multiset_distance(spectrum(m).values, spectrum(lap).values) < 1e-10
-
-
-def test_l2q_embeds_the_irreducible():
-    for seed in range(3):
-        g = random_graph(4, 100 + seed)
-        sub = spectrum(delta_matrix(Partition([2, 2]), g))
-        sup = spectrum(l2q_delta(Partition([2, 2]), g))
-        assert multiset_contains(sup.values, sub.values, 1e-8)
 
 
 def test_regular_delta_complete_3():
