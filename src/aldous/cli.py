@@ -43,7 +43,6 @@ class RunConfig:
     seed: int = 0
     budget: int = 100
     families: str = ",".join(SCAN_FAMILIES)
-    workers: int = 1
     format: str = "csv"
 
 
@@ -70,17 +69,22 @@ def _load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
             setattr(config, key, value)
     env_cap = os.environ.get("ALDOUS_DIM_CAP")
     if env_cap:
-        config.dim_cap = int(env_cap)
+        try:
+            config.dim_cap = int(env_cap)
+        except ValueError:
+            raise ValueError(f"ALDOUS_DIM_CAP must be an integer, got {env_cap!r}") from None
     for key in vars(config):
         override = getattr(args, key, None)
         if override is not None:
             setattr(config, key, override)
-    if config.dim_cap <= 0 or config.workers <= 0:
-        raise ValueError("dimension cap and worker count must be positive")
+    if config.dim_cap <= 0:
+        raise ValueError(f"dim_cap must be positive, got {config.dim_cap!r}")
     if not (math.isfinite(config.tol) and config.tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {config.tol!r}")
     if config.budget < 0:
         raise ValueError(f"budget must be nonnegative, got {config.budget!r}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {config.seed!r}")
     return config
 
 
@@ -128,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--dim-cap", dest="dim_cap", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    # kept so command lines that pass --workers 1 still run; scans use one thread
+    parser.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
     parser.add_argument("--format", choices=("csv", "json", "dot"), default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -256,7 +261,6 @@ def main(argv: list[str] | None = None) -> int:
             ledger, report = scan(
                 args.n, families, budget=config.budget, tol=config.tol,
                 seed=config.seed, dim_cap=config.dim_cap,
-                workers=config.workers,
             )
             _emit(ledger.to_json() + "\n", args.out)
             summary = {

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -114,38 +113,24 @@ class Evaluator:
     the numeric graphs from the current candidate on, reading the stream
     only as far ahead as the stack needs; a stack is dropped after its last
     solve or with its shape. A conjugate pair's members share each stack's
-    image chain: the canonical member's is assembled once, under the
-    pair's lock, and the mate's derived by `conjugate_operators`. The
-    values are those of one graph at a time, on any number of threads.
+    image chain: the canonical member's is assembled once and the mate's
+    derived by `conjugate_operators`. The values are those of one graph at
+    a time.
     """
 
-    def __init__(self, candidates=(), dim_cap: int = DEFAULT_DIM_CAP, workers: int = 1):
+    def __init__(self, candidates=(), dim_cap: int = DEFAULT_DIM_CAP):
         self.dim_cap = dim_cap
         # numeric evaluations, and stream evaluations dropped over dim_cap
         self.numeric_evaluations = self.skipped = self.candidates_read = 0
         self._stream = iter(candidates)
         # (graph, witness, nested-star weights or None): the current
-        # candidate, then those read ahead of it, by worker threads too
+        # candidate, then those read ahead of it
         self._ahead = deque()
-        self._reading = threading.Lock()
         self._shapes: dict = {}  # the kept shapes, in job order
         self._held: dict = {}  # shape -> its unsolved slices, last first
         # canonical shape -> (run, its stack), left by the member of a
         # conjugate pair that reached the run first for the other member
         self._shared: dict = {}
-        self._locks: dict = {}  # canonical shape -> its pair's lock
-        self._pool = None
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool:
-            self._pool.shutdown()
 
     @staticmethod
     def extremes(shape: Partition, nested, solve):
@@ -189,31 +174,23 @@ class Evaluator:
             {shape for pair in pairs for shape in pair},
             key=lambda s: ((_derived_from(s) or s).parts, s.parts), reverse=True))
         self._held = {shape: self._held[shape] for shape in self._shapes if shape in self._held}
-        for shape in self._shapes:
-            self._locks.setdefault(_derived_from(shape) or shape, threading.Lock())
 
     def lowest(self) -> dict:
         """{shape: (lambda_1, exact)} of the kept shapes on the current
-        candidate, the jobs run on the worker threads and merged in job
-        order. A shape above dim_cap is left out and counted in `skipped`."""
-        jobs = (self._pool.map if self._pool else map)(
-            self._lowest, self._shapes, repeat(self._ahead[0][2]))
+        candidate, in job order. A shape above dim_cap is left out and
+        counted in `skipped`."""
+        nested = self._ahead[0][2]
         values = {}
-        for shape, outcome in zip(self._shapes, list(jobs)):
-            if outcome is None:
+        for shape in self._shapes:
+            try:
+                lam, _, exact = self.extremes(shape, nested,
+                                              lambda: spectrum(self._operator(shape)))
+            except DimensionCapExceeded:
                 self.skipped += 1
-            else:
-                values[shape] = outcome
-                self.numeric_evaluations += not outcome[1]
+                continue
+            values[shape] = lam, exact
+            self.numeric_evaluations += not exact
         return values
-
-    def _lowest(self, shape: Partition, nested):
-        try:
-            lam, _, exact = self.extremes(shape, nested,
-                                          lambda: spectrum(self._operator(shape)))
-        except DimensionCapExceeded:
-            return None
-        return lam, exact
 
     def _operator(self, shape: Partition) -> np.ndarray:
         """The shape's operator on the current candidate, a numeric graph: a
@@ -236,11 +213,10 @@ class Evaluator:
 
     def _numeric_run(self, size: int) -> list[WeightedGraph]:
         """The next `size` numeric graphs from the current candidate on."""
-        with self._reading:
-            run = list(islice((g for g, _, a in self._ahead if a is None), size))
-            while len(run) < size and self._read():
-                if self._ahead[-1][2] is None:
-                    run.append(self._ahead[-1][0])
+        run = list(islice((g for g, _, a in self._ahead if a is None), size))
+        while len(run) < size and self._read():
+            if self._ahead[-1][2] is None:
+                run.append(self._ahead[-1][0])
         return run
 
     def _assemble(self, shape: Partition, run: list) -> np.ndarray:
@@ -253,14 +229,13 @@ class Evaluator:
         if mate == shape:
             return delta_matrices(shape, run, self.dim_cap)
         canonical = _derived_from(shape) or shape
-        with self._locks[canonical]:
-            kept = self._shared.pop(canonical, None)
-            if kept is not None and kept[0] == run:
-                stack = kept[1]
-            else:
-                stack = delta_matrices(canonical, run, self.dim_cap)
-                if mate in self._shapes:
-                    self._shared[canonical] = (run, stack)
+        kept = self._shared.pop(canonical, None)
+        if kept is not None and kept[0] == run:
+            stack = kept[1]
+        else:
+            stack = delta_matrices(canonical, run, self.dim_cap)
+            if mate in self._shapes:
+                self._shared[canonical] = (run, stack)
         return stack if shape == canonical else conjugate_operators(shape, stack, run)
 
 
@@ -834,45 +809,45 @@ class ScanReport:
 
 def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
          tol: float = DEFAULT_TOL, seed: int = 0,
-         dim_cap: int = DEFAULT_DIM_CAP, workers: int = 1):
+         dim_cap: int = DEFAULT_DIM_CAP):
     """Search family and random graphs for refutations of undecided pairs.
 
     Starts from the seeded ledger. Graph by graph, an `Evaluator` gives
-    lambda_1 of each shape of a pair not yet refuted, on `workers` threads;
-    the pairs a graph refutes leave, with every shape in no other such
-    pair. Every graph is also audited against the proved entries; a margin
-    there is a contradiction and lands in the report instead of the
-    ledger. Deterministic for a fixed seed.
+    lambda_1 of each shape of a pair not yet refuted; the pairs a graph
+    refutes leave, with every shape in no other such pair. Every graph is
+    also audited against the proved entries; a margin there is a
+    contradiction and lands in the report instead of the ledger.
+    Deterministic for a fixed seed.
     """
     ledger = seed_known(n)
     report = ScanReport(n)
     stream = (c for family in families for c in _family_graphs(family, n, budget, seed))
     todo = [pair for pair in ledger.pairs() if ledger.status(*pair) != "refuted"]
-    with Evaluator(stream, dim_cap, workers) as evaluator:
-        evaluator.keep(todo)
-        for graph, witness in evaluator.candidates():
-            if not todo:
-                break
-            values = evaluator.lowest()
-            found = set()
-            for sigma, tau in todo:
-                if sigma not in values or tau not in values:
-                    continue
-                margin = values[sigma][0] - values[tau][0]
-                exact = values[sigma][1] and values[tau][1]
-                if not refutes(margin, exact, sigma, tau, graph.wt, tol):
-                    continue
-                witness = witness or graph_witness(graph)
-                if ledger.status(sigma, tau) == "proved":
-                    report.contradictions.append({"sigma": str(sigma), "tau": str(tau),
-                                                  "margin": float(margin), "witness": witness})
-                    continue
-                ledger.set_refuted(sigma, tau, witness, float(margin), exact, "scan")
-                found.add((sigma, tau))
-            if found:
-                report.refutations_found += len(found)
-                todo = [pair for pair in todo if pair not in found]
-                evaluator.keep(todo)
+    evaluator = Evaluator(stream, dim_cap)
+    evaluator.keep(todo)
+    for graph, witness in evaluator.candidates():
+        if not todo:
+            break
+        values = evaluator.lowest()
+        found = set()
+        for sigma, tau in todo:
+            if sigma not in values or tau not in values:
+                continue
+            margin = values[sigma][0] - values[tau][0]
+            exact = values[sigma][1] and values[tau][1]
+            if not refutes(margin, exact, sigma, tau, graph.wt, tol):
+                continue
+            witness = witness or graph_witness(graph)
+            if ledger.status(sigma, tau) == "proved":
+                report.contradictions.append({"sigma": str(sigma), "tau": str(tau),
+                                              "margin": float(margin), "witness": witness})
+                continue
+            ledger.set_refuted(sigma, tau, witness, float(margin), exact, "scan")
+            found.add((sigma, tau))
+        if found:
+            report.refutations_found += len(found)
+            todo = [pair for pair in todo if pair not in found]
+            evaluator.keep(todo)
     # candidates left unscanned once every pair is decided still count
     report.graphs_tried = evaluator.candidates_read + sum(1 for _ in stream)
     report.skipped_shapes = evaluator.skipped

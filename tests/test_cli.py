@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -190,17 +191,52 @@ def test_tableau_cap_option_is_gone(capsys, tmp_path):
     assert "unknown config key 'tableau_cap'" in err
 
 
+# sha256 of the ledger this scan wrote when --workers still set a thread
+# count; every refutation in it is exact
+EXACT_SCAN = ["scan", "--n", "6", "--families", "stars,cliques,quasi", "--budget", "10",
+              "--seed", "3"]
+EXACT_SCAN_SHA256 = "4e6251242cf8fd506c9bab622ae0fbcfe72082b987fcf98a462463940cbfec4a"
+
+
+def test_workers_option_is_gone(capsys, tmp_path):
+    plain, flagged = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(capsys, *EXACT_SCAN, "--out", str(plain))[0] == EXIT_OK
+    assert run(capsys, "--workers", "1", *EXACT_SCAN, "--out", str(flagged))[0] == EXIT_OK
+    assert hashlib.sha256(flagged.read_bytes()).hexdigest() == EXACT_SCAN_SHA256
+    assert flagged.read_bytes() == plain.read_bytes()
+    for count in ("2", "0"):
+        code, out, err = run(capsys, "--workers", count, *EXACT_SCAN)
+        assert code == EXIT_USAGE and out == ""
+        assert "--workers" in err and "Traceback" not in err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workers": 1}), encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), *EXACT_SCAN)
+    assert code == EXIT_USAGE and out == ""
+    assert "unknown config key 'workers'" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "print-config")
+    assert code == EXIT_OK
+    assert "workers" not in json.loads(out)
+
+
+def test_bad_dim_cap_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("ALDOUS_DIM_CAP", "abc")
+    code, out, err = run(capsys, "print-config")
+    assert code == EXIT_USAGE and out == ""
+    assert "ALDOUS_DIM_CAP must be an integer, got 'abc'" in err
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"tol": "x"}', "config key 'tol' must be a number, got 'x'"),
     ('{"tol": true}', "config key 'tol' must be a number, got True"),
     ('{"budget": 2.5}', "config key 'budget' must be an integer, got 2.5"),
     ('{"budget": false}', "config key 'budget' must be an integer, got False"),
     ('{"dim_cap": "big"}', "config key 'dim_cap' must be an integer, got 'big'"),
-    ('{"workers": null}', "config key 'workers' must be an integer, got None"),
+    ('{"workers": null}', "unknown config key 'workers'"),
     ('{"families": 3}', "config key 'families' must be a string, got 3"),
     ('[{"budget": 2}]', "config file must hold a JSON object"),
     ('{"tol": NaN}', "tol must be finite and nonnegative, got nan"),
     ('{"budget": -1}', "budget must be nonnegative, got -1"),
+    ('{"seed": -5}', "seed must be nonnegative, got -5"),
 ])
 def test_bad_config_values_are_usage_errors(capsys, tmp_path, content, message):
     config = tmp_path / "config.json"
@@ -217,9 +253,16 @@ def test_bad_config_values_are_usage_errors(capsys, tmp_path, content, message):
     (["--tol", "inf"], "tol must be finite and nonnegative, got inf"),
     (["--tol", "-1"], "tol must be finite and nonnegative, got -1.0"),
     (["scan", "--n", "4", "--budget", "-3"], "budget must be nonnegative, got -3"),
+    (["scan", "--n", "3", "--seed", "-5"], "seed must be nonnegative, got -5"),
+    (["scan", "--n", "4", "--families", "stars", "--seed", "-5"],
+     "seed must be nonnegative, got -5"),
+    (["verify", "--suite", "hooks", "--n", "4", "--seed", "-5"],
+     "seed must be nonnegative, got -5"),
+    (["verify", "--suite", "qc", "--n", "4", "--seed", "-5"],
+     "seed must be nonnegative, got -5"),
 ])
 def test_bad_tol_and_budget_flags_are_usage_errors(capsys, argv, message):
-    if argv[0] != "scan":
+    if argv[0] not in ("scan", "verify"):
         argv = argv + ["scan", "--n", "4", "--budget", "1"]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE

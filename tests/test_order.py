@@ -1,6 +1,5 @@
 import hashlib
 import json
-import sys
 import weakref
 from dataclasses import asdict
 from fractions import Fraction
@@ -568,47 +567,26 @@ def test_scan_consistency_small():
 
 
 def test_scan_deterministic():
-    first, _ = scan(5, budget=10, seed=7)
-    second, _ = scan(5, budget=10, seed=7)
-    assert first.to_json() == second.to_json()
-
-
-def test_scan_workers_merge_identically():
-    serial, _ = scan(5, budget=10, seed=3, workers=1)
-    parallel, _ = scan(5, budget=10, seed=3, workers=4)
-    assert serial.to_json() == parallel.to_json()
-    # each job touches its own shape's held stack, skipped shapes included
-    serial, serial_report = scan(6, budget=60, seed=5, dim_cap=9)
-    parallel, parallel_report = scan(6, budget=60, seed=5, dim_cap=9, workers=4)
-    assert parallel.to_json() == serial.to_json()
-    assert asdict(parallel_report) == asdict(serial_report)
-    assert serial_report.skipped_shapes > 0
-
-
-def test_scan_merges_identically_when_threads_switch_often():
-    # the default families put exact candidates between numeric ones, so
-    # worker threads read ahead across them while others take shared stacks
-    serial, serial_report = scan(7, budget=20, seed=42)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        parallel, parallel_report = scan(7, budget=20, seed=42, workers=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert parallel.to_json() == serial.to_json()
-    assert asdict(parallel_report) == asdict(serial_report)
-    assert serial_report.numeric_evaluations > 0
-
-
-@pytest.mark.parametrize("seed", [0, 11])
-def test_random_scans_at_n8_write_the_same_ledger_on_one_or_two_workers(seed):
-    # both members of a conjugate pair share one chain, whichever of the
-    # two worker threads reaches a stack first
-    serial, serial_report = scan(8, ("random",), budget=8, seed=seed, workers=1)
-    parallel, parallel_report = scan(8, ("random",), budget=8, seed=seed, workers=2)
-    assert parallel.to_json() == serial.to_json()
-    assert asdict(parallel_report) == asdict(serial_report)
-    assert serial_report.refutations_found > 0
+    for args, kwargs in [
+        ((5,), {"budget": 10, "seed": 7}),
+        # each evaluation takes its own shape's held stack, skipped shapes included
+        ((6,), {"budget": 60, "seed": 5, "dim_cap": 9}),
+        # the default families put exact candidates between numeric ones, so
+        # stacks read ahead across them
+        ((7,), {"budget": 20, "seed": 42}),
+        # both members of a conjugate pair take their stacks from one chain
+        ((8, ("random",)), {"budget": 8, "seed": 0}),
+        ((8, ("random",)), {"budget": 8, "seed": 11}),
+    ]:
+        first, first_report = scan(*args, **kwargs)
+        second, second_report = scan(*args, **kwargs)
+        assert first.to_json() == second.to_json()
+        assert asdict(first_report) == asdict(second_report)
+        if "dim_cap" in kwargs:
+            assert first_report.skipped_shapes > 0
+        if args[0] >= 7:
+            assert first_report.numeric_evaluations > 0
+            assert first_report.refutations_found > 0
 
 
 def test_scan_leaves_transposition_cache_empty():
@@ -946,16 +924,15 @@ def replayed_evaluations(ledger, n, budget, seed):
 
 
 @pytest.mark.parametrize("n, budget, seed", [(6, 40, 0), (7, 10, 42), (8, 2, 1)])
-@pytest.mark.parametrize("workers", [1, 4])
-def test_scan_solves_match_the_replayed_evaluations(monkeypatch, n, budget, seed, workers):
+def test_scan_solves_match_the_replayed_evaluations(monkeypatch, n, budget, seed):
     recorder = ScanRecorder(monkeypatch)
-    ledger, report = scan(n, ("random",), budget=budget, seed=seed, workers=workers)
+    ledger, report = scan(n, ("random",), budget=budget, seed=seed)
     assert report.refutations_found > 0
     assert len(recorder.solves) == replayed_evaluations(ledger, n, budget, seed)
     monkeypatch.undo()
-    serial, serial_report = scan(n, ("random",), budget=budget, seed=seed)
-    assert ledger.to_json() == serial.to_json()
-    assert asdict(report) == asdict(serial_report)
+    plain, plain_report = scan(n, ("random",), budget=budget, seed=seed)
+    assert ledger.to_json() == plain.to_json()
+    assert asdict(report) == asdict(plain_report)
 
 
 # scan(n, budget=b, seed=42) as recorded before the scan's evaluation moved

@@ -334,7 +334,7 @@ def test_nested_star_lambda1_scaled_rejects_bad_rows():
 
 
 def test_nested_star_extremes_share_one_table_across_threads():
-    # scan workers evaluate shapes of one weighting on threads that fill
+    # callers may evaluate shapes of one weighting on threads that fill
     # the same memo table; a fresh weighting makes them race on it
     import sys
     from concurrent.futures import ThreadPoolExecutor
