@@ -43,13 +43,10 @@ from .spectral import (
     spectrum,
 )
 from .symrep import (
-    Permutation,
-    cycle_type,
     delta_matrices,
     delta_matrix,
     regular_delta,
     rep_adjacent,
-    rep_permutation,
     rep_transposition,
 )
 from .characters import (

@@ -15,10 +15,13 @@ generating product over cycles of (1 + (-1)^(c-1) x^c).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 
+import numpy as np
+
 from .partitions import Partition, partitions_of
-from .symrep import Permutation, rep_permutation
+from .symrep import check_dim, rep_adjacent
 
 TRACE_ROUNDING_BOUND = 1e-6
 
@@ -77,21 +80,19 @@ def class_size(cycle: Partition) -> int:
     return factorial(cycle.n) // denom
 
 
-def class_representative(cycle: Partition) -> Permutation:
-    """Cycles of nonincreasing length laid out on consecutive integers."""
-    cycles = []
-    start = 1
-    for length in cycle.parts:
-        cycles.append(list(range(start, start + length)))
-        start += length
-    return Permutation.from_cycles(cycle.n, cycles)
-
-
 def character_from_rep(shape: Partition) -> ClassFunction:
-    """Character by matrix trace on one representative per class."""
+    """Character by matrix trace on one representative per class: its
+    cycles, of nonincreasing length, sit on consecutive integers, and the
+    cycle (a, a+1, ..., b) is the product s_a s_{a+1} ... s_{b-1} of
+    adjacent transpositions, whose images come from `rep_adjacent`."""
+    dim = check_dim(shape)
     values = {}
     for cycle in partitions_of(shape.n):
-        trace = float(rep_permutation(shape, class_representative(cycle)).trace())
+        image = np.eye(dim)
+        for start, length in zip(accumulate(cycle.parts, initial=1), cycle.parts):
+            for i in range(start, start + length - 1):
+                image = image @ rep_adjacent(shape, i)
+        trace = float(image.trace())
         rounded = round(trace)
         if abs(trace - rounded) > TRACE_ROUNDING_BOUND:
             raise ArithmeticError(

@@ -34,6 +34,8 @@ from .verify import SUITES, run_suite
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+# output formats of `spectrum`; `hasse` always writes DOT
+FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -85,6 +87,8 @@ def _load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"budget must be nonnegative, got {config.budget!r}")
     if config.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {config.seed!r}")
+    if config.format not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {config.format!r}")
     return config
 
 
@@ -134,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dim-cap", dest="dim_cap", type=int, default=None)
     # kept so command lines that pass --workers 1 still run; scans use one thread
     parser.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
-    parser.add_argument("--format", choices=("csv", "json", "dot"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="full spectrum on one irreducible")
@@ -306,9 +310,11 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
-            params = {}
-            if args.seed is not None:
-                params["seed"] = args.seed
+            # the suites carry their own per-claim tolerances and no dim cap
+            for flag, value in (("--tol", args.tol), ("--dim-cap", args.dim_cap)):
+                if value is not None:
+                    raise ValueError(f"verify does not take {flag}")
+            params = {"seed": config.seed}
             for key in ("budget", "trials", "samples", "graphs"):
                 value = getattr(args, key)
                 if value is not None:

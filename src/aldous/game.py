@@ -121,18 +121,19 @@ class GameSpectraReport:
         return not self.violations
 
 
-def _sample_weight_vectors(n: int, samples: int, seed: int, grid_max: int = 1):
+def _sample_weight_vectors(n: int, samples: int, seed: int):
     """Exact rational weight vectors as (rows, scales): weighting w has
     weights rows[w][k] / scales[w], integer numerators over its own scale.
-    They are seeded randoms k / 1000, a small integer grid and the
-    fast-decaying separator weights n^(-2k) = n^(2n-2k) / n^(2n)."""
+    They are seeded randoms k / 1000, the 0/1 vectors while there are at
+    most 256 of them (n <= 9) and the fast-decaying separator weights
+    n^(-2k) = n^(2n-2k) / n^(2n)."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 1001, (samples, n - 1)).tolist()
     scales = [1000] * samples
-    if (grid_max + 1) ** (n - 1) <= 256:
-        grid = [list(x) for x in product(range(grid_max + 1), repeat=n - 1)]
+    if n <= 9:
+        grid = [list(x) for x in product((0, 1), repeat=n - 1)]
         rows += grid
         scales += [1] * len(grid)
     rows.append([n ** (2 * (n - k)) for k in range(2, n + 1)])

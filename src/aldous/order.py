@@ -240,13 +240,13 @@ class Evaluator:
 
 
 @lru_cache(maxsize=4096)
-def lambda_extremes(shape: Partition, graph: WeightedGraph, tol: float = 1e-12,
+def lambda_extremes(shape: Partition, graph: WeightedGraph,
                     dim_cap: int = DEFAULT_DIM_CAP):
     """(lambda_1, lambda_max, exact) on one irreducible: the Evaluator's
     one-graph case, a numeric graph solved by one `spectrum` call. Cached;
     graphs are immutable after construction."""
     return Evaluator.extremes(shape, quasi_complete_weights(graph), lambda: spectrum(
-        delta_matrix(shape, graph, dim_cap=dim_cap), tol))
+        delta_matrix(shape, graph, dim_cap=dim_cap)))
 
 
 @dataclass
@@ -826,8 +826,6 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     evaluator = Evaluator(stream, dim_cap)
     evaluator.keep(todo)
     for graph, witness in evaluator.candidates():
-        if not todo:
-            break
         values = evaluator.lowest()
         found = set()
         for sigma, tau in todo:
@@ -848,8 +846,7 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
             report.refutations_found += len(found)
             todo = [pair for pair in todo if pair not in found]
             evaluator.keep(todo)
-    # candidates left unscanned once every pair is decided still count
-    report.graphs_tried = evaluator.candidates_read + sum(1 for _ in stream)
+    report.graphs_tried = evaluator.candidates_read
     report.skipped_shapes = evaluator.skipped
     report.numeric_evaluations = evaluator.numeric_evaluations
     refuted = [e for e in ledger.entries.values() if e.status == "refuted"]

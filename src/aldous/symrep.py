@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, permutations
 from operator import mul
 from typing import Optional, Sequence
 
@@ -51,104 +51,6 @@ STACK_FLOATS = 1 << 14
 
 class DimensionCapExceeded(ValueError):
     """Representation dimension above the configured cap."""
-
-
-class Permutation:
-    """One-line notation, 1-based: images[i-1] is the image of i."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[int]):
-        images = tuple(int(x) for x in images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        self.images = images
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        if not (1 <= i <= n and 1 <= j <= n and i != j):
-            raise ValueError(f"bad transposition ({i},{j}) in S_{n}")
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(images)
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles) -> "Permutation":
-        images = list(range(1, n + 1))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a - 1] = b
-        return cls(images)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (g * h)(x) = g(h(x))
-        return Permutation([self.images[x - 1] for x in other.images])
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, x in enumerate(self.images, start=1):
-            inv[x - 1] = i
-        return Permutation(inv)
-
-    def sign(self) -> int:
-        return -1 if (self.n - len(_cycles(self))) % 2 else 1
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation({list(self.images)})"
-
-
-def _cycles(g: Permutation) -> list[list[int]]:
-    seen = [False] * g.n
-    cycles = []
-    for start in range(1, g.n + 1):
-        if seen[start - 1]:
-            continue
-        cycle = []
-        x = start
-        while not seen[x - 1]:
-            seen[x - 1] = True
-            cycle.append(x)
-            x = g(x)
-        cycles.append(cycle)
-    return cycles
-
-
-def cycle_type(g: Permutation) -> Partition:
-    """Multiset of cycle lengths, sorted nonincreasing."""
-    return Partition(sorted((len(c) for c in _cycles(g)), reverse=True))
-
-
-def adjacent_word(g: Permutation) -> list[int]:
-    """Indices i with g = s_{i_m} ... s_{i_1}, found by bubble sorting the
-    one-line word (right multiplication by s_i swaps positions i, i+1)."""
-    arr = list(g.images)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                word.append(i + 1)
-                changed = True
-    return word
 
 
 @lru_cache(maxsize=None)
@@ -281,17 +183,6 @@ def rep_adjacent(shape: Partition, i: int) -> np.ndarray:
     m = np.diag(diag)
     m[np.arange(dim), partner] += off
     m.setflags(write=False)
-    return m
-
-
-def rep_permutation(shape: Partition, g: Permutation) -> np.ndarray:
-    """Image of g as the product of adjacent images along a reduced word."""
-    if g.n != shape.n:
-        raise ValueError(f"permutation of {g.n} letters vs shape of {shape.n}")
-    dim = check_dim(shape)
-    m = np.eye(dim)
-    for i in reversed(adjacent_word(g)):
-        m = m @ rep_adjacent(shape, i)
     return m
 
 
@@ -447,18 +338,13 @@ def delta_matrices(shape: Partition, graphs: Sequence[WeightedGraph],
 REGULAR_HARD_CAP = 6
 
 
-def all_permutations(n: int) -> list[Permutation]:
-    import itertools
-
-    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-
-
 @lru_cache(maxsize=None)
 def _left_transpositions(n: int) -> dict[tuple[int, int], np.ndarray]:
     """(i, j) -> the index array of left multiplication by the transposition
-    (i j) on all_permutations(n): entry k is the index of (i j) * g_k."""
-    perms = all_permutations(n)
-    images = np.array([g.images for g in perms], dtype=np.int64).reshape(len(perms), n)
+    (i j) on the permutations g_k of 1..n, each given by its images and
+    listed by itertools: entry k is the index of (i j) * g_k."""
+    images = np.array(list(permutations(range(1, n + 1))), dtype=np.int64).reshape(
+        math.factorial(n), n)
     # itertools lists permutations in lexicographic order, so a permutation's
     # index is the rank of its images read as a base-n number
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)

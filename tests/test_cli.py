@@ -225,6 +225,33 @@ def test_bad_dim_cap_variable_is_named(capsys, monkeypatch):
     assert "ALDOUS_DIM_CAP must be an integer, got 'abc'" in err
 
 
+def test_verify_runs_the_effective_seed(capsys, tmp_path, monkeypatch):
+    from aldous import cli
+
+    seeds = []
+    real = cli.run_suite
+
+    def recording(name, n, **params):
+        seeds.append(params.get("seed"))
+        return real(name, n, **params)
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 3}', encoding="utf-8")
+    verify = ["verify", "--suite", "hooks", "--n", "4"]
+    assert run(capsys, "--config", str(config), *verify)[0] == EXIT_OK
+    assert run(capsys, "--config", str(config), *verify, "--seed", "5")[0] == EXIT_OK
+    assert run(capsys, *verify)[0] == EXIT_OK
+    assert seeds == [3, 5, 0]
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--dim-cap", "9"]])
+def test_verify_refuses_tol_and_dim_cap(capsys, flag):
+    code, out, err = run(capsys, *flag, "verify", "--suite", "hooks", "--n", "4")
+    assert code == EXIT_USAGE and out == ""
+    assert err.splitlines() == [f"error: verify does not take {flag[0]}"]
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"tol": "x"}', "config key 'tol' must be a number, got 'x'"),
     ('{"tol": true}', "config key 'tol' must be a number, got True"),
@@ -237,6 +264,7 @@ def test_bad_dim_cap_variable_is_named(capsys, monkeypatch):
     ('{"tol": NaN}', "tol must be finite and nonnegative, got nan"),
     ('{"budget": -1}', "budget must be nonnegative, got -1"),
     ('{"seed": -5}', "seed must be nonnegative, got -5"),
+    ('{"format": "xml"}', "format must be one of csv, json, got 'xml'"),
 ])
 def test_bad_config_values_are_usage_errors(capsys, tmp_path, content, message):
     config = tmp_path / "config.json"
@@ -284,6 +312,7 @@ def test_usage_errors(capsys):
                "--family", "complete")[0] == EXIT_USAGE
     assert run(capsys, "spectrum", "--shape", "2,1")[0] == EXIT_USAGE
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
+    assert run(capsys, "--format", "dot", "print-config")[0] == EXIT_USAGE
     assert run(capsys, "check-pair", "--sigma", "3", "--tau", "2,2",
                "--family", "complete")[0] == EXIT_USAGE
 

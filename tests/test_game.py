@@ -108,18 +108,18 @@ def test_game_consistency_run_reports_the_first_exact_violation(monkeypatch):
         assert expected
 
 
-def _fraction_sampler(n, samples, seed, grid_max=1):
+def _fraction_sampler(n, samples, seed):
     """The weightings of _sample_weight_vectors built row by row as
     Fractions: the reference its integer draws are checked against."""
     rng = np.random.default_rng(seed)
     vectors = [[Fraction(int(x), 1000) for x in rng.integers(0, 1001, n - 1)]
                for _ in range(samples)]
-    if (grid_max + 1) ** (n - 1) <= 256:
+    if 2 ** (n - 1) <= 256:
         def grids(prefix):
             if len(prefix) == n - 1:
                 vectors.append([Fraction(x) for x in prefix])
                 return
-            for x in range(grid_max + 1):
+            for x in range(2):
                 grids(prefix + [x])
 
         grids([])

@@ -1,0 +1,35 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aldous"
+
+
+def _imported(source: str) -> set[str]:
+    """Top-level names of the absolute imports in the source; a relative
+    import counts as the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("aldous" if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_imports_are_stdlib_declared_dependencies_or_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text("utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["project"]["dependencies"]}
+    allowed = set(sys.stdlib_module_names) | declared | {"aldous"}
+    assert _imported("import scipy.linalg\nfrom scipy import sparse") == {"scipy"}
+    assert _imported("from . import cli\nfrom .order import scan") == {"aldous"}
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name in _imported(path.read_text("utf-8")) - allowed:
+            found.setdefault(name, []).append(path.name)
+    assert found == {}

@@ -6,6 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from aldous.characters import character_from_rep
 from aldous.graphs import (
     WeightedGraph,
     complete_graph,
@@ -24,14 +25,11 @@ from aldous.spectral import multiset_distance, spectrum
 from aldous.symrep import (
     DEFAULT_DIM_CAP,
     DimensionCapExceeded,
-    Permutation,
     conjugate_operators,
-    cycle_type,
     delta_matrices,
     delta_matrix,
     regular_delta,
     rep_adjacent,
-    rep_permutation,
     rep_transposition,
     _adjacent_factors,
     _assemble,
@@ -41,17 +39,35 @@ from aldous.symrep import (
 )
 
 
-def test_cycle_type_examples():
-    assert cycle_type(Permutation.identity(4)).parts == (1, 1, 1, 1)
-    assert cycle_type(Permutation.transposition(4, 1, 2)).parts == (2, 1, 1)
-    assert cycle_type(Permutation([2, 3, 4, 1])).parts == (4,)
+def _compose(g, h):
+    """g h on one-line tuples of 1..n: (g h)(x) = g(h(x))."""
+    return tuple(g[x - 1] for x in h)
 
 
-def test_permutation_sign_and_inverse():
-    g = Permutation([3, 1, 2, 5, 4])
-    assert (g * g.inverse()).images == Permutation.identity(5).images
-    assert Permutation.transposition(4, 2, 4).sign() == -1
-    assert Permutation.identity(6).sign() == 1
+def _reduced_word(g):
+    """Indices i with g = s_{i_1} s_{i_2} ... s_{i_m}, m the number of
+    inversions of g. Bubble sorting the one-line tuple to the identity
+    swaps positions i, i+1, which is right multiplication by s_i, so the
+    swaps read backwards spell g."""
+    arr, swaps = list(g), []
+    for end in range(len(arr) - 1, 0, -1):
+        for i in range(end):
+            if arr[i] > arr[i + 1]:
+                arr[i], arr[i + 1] = arr[i + 1], arr[i]
+                swaps.append(i + 1)
+    return swaps[::-1]
+
+
+def _cycle_type(g):
+    seen, lengths = set(), []
+    for start in range(1, len(g) + 1):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, length = g[x - 1], length + 1
+        if length:
+            lengths.append(length)
+    return Partition(sorted(lengths, reverse=True))
 
 
 def test_rep_adjacent_examples():
@@ -92,40 +108,50 @@ def test_braid_and_commutation_relations():
                     ).max() < 1e-10
 
 
+def _image(shape, g):
+    """The image of g: the product of adjacent images along a reduced word."""
+    image = np.eye(num_standard_tableaux(shape))
+    for i in _reduced_word(g):
+        image = image @ rep_adjacent(shape, i)
+    return image
+
+
 def test_rep_permutation_is_a_homomorphism():
     rng = np.random.default_rng(5)
-    perms = [Permutation(p) for p in itertools.permutations(range(1, 6))]
+    perms = list(itertools.permutations(range(1, 6)))
     for shape in partitions_of(5):
         for _ in range(3):
             g = perms[rng.integers(len(perms))]
             h = perms[rng.integers(len(perms))]
-            lhs = rep_permutation(shape, g * h)
-            rhs = rep_permutation(shape, g) @ rep_permutation(shape, h)
+            lhs = _image(shape, _compose(g, h))
+            rhs = _image(shape, g) @ _image(shape, h)
             assert np.abs(lhs - rhs).max() < 1e-10
-    assert np.array_equal(
-        rep_permutation(Partition([3, 2]), Permutation.identity(5)), np.eye(5)
-    )
+    assert np.array_equal(_image(Partition([3, 2]), tuple(range(1, 6))), np.eye(5))
 
 
 def test_sign_representation_values():
     for n in range(2, 6):
         shape = Partition([1] * n)
-        for images in itertools.permutations(range(1, n + 1)):
-            g = Permutation(images)
-            assert np.allclose(rep_permutation(shape, g), [[g.sign()]])
+        for g in itertools.permutations(range(1, n + 1)):
+            parts = _cycle_type(g).parts
+            sign = -1 if (n - len(parts)) % 2 else 1
+            assert np.allclose(_image(shape, g), [[sign]])
 
 
 def test_trace_depends_only_on_cycle_type():
-    rng = np.random.default_rng(11)
-    perms = [Permutation(p) for p in itertools.permutations(range(1, 6))]
-    shape = Partition([3, 1, 1])
-    g = Permutation([2, 3, 1, 5, 4])
-    base = rep_permutation(shape, g).trace()
-    for _ in range(5):
-        h = perms[rng.integers(len(perms))]
-        conj = h * g * h.inverse()
-        assert cycle_type(conj) == cycle_type(g)
-        assert abs(rep_permutation(shape, conj).trace() - base) < 1e-10
+    # every g in S_n, imaged as the product of adjacent images along a
+    # reduced word, traces to the character at g's cycle type
+    for n in range(1, 6):
+        characters = {shape: character_from_rep(shape) for shape in partitions_of(n)}
+        for g in itertools.permutations(range(1, n + 1)):
+            word, cycle = _reduced_word(g), _cycle_type(g)
+            product = tuple(range(1, n + 1))
+            for i in word:
+                s_i = (*range(1, i), i + 1, i, *range(i + 2, n + 1))
+                product = _compose(product, s_i)
+            assert product == g
+            for shape, chi in characters.items():
+                assert abs(_image(shape, g).trace() - chi[cycle]) < 1e-10
 
 
 def test_delta_matrix_examples():
@@ -374,15 +400,16 @@ def test_regular_delta_cap():
 
 
 def reference_regular_delta(graph):
-    """One Permutation product per (edge, group element)."""
+    """One product of one-line tuples per (edge, group element)."""
     n = graph.n
-    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-    index = {g.images: k for k, g in enumerate(perms)}
+    perms = list(itertools.permutations(range(1, n + 1)))
+    index = {g: k for k, g in enumerate(perms)}
     m = graph.wt * np.eye(len(perms))
     for i, j, w in graph.edges():
-        t = Permutation.transposition(n, i, j)
+        t = list(range(1, n + 1))
+        t[i - 1], t[j - 1] = j, i
         for k, g in enumerate(perms):
-            m[index[(t * g).images], k] -= w
+            m[index[_compose(tuple(t), g)], k] -= w
     return m
 
 
