@@ -16,23 +16,19 @@ from .graphs import (
 from .partitions import (
     Box,
     Partition,
-    StandardTableau,
     conjugate,
     content_sum,
     corners,
     dominates,
     in_row_class,
-    lex_compare,
     num_standard_tableaux,
     parse_partition,
     partitions_of,
-    standard_tableaux,
 )
 from .spectral import (
     ExactSpectrum,
     Spectrum,
     complete_graph_eigenvalue,
-    hook_spectrum,
     irrep_spectra,
     laplacian_gap,
     nested_star_extremes,
@@ -63,13 +59,10 @@ from .order import (
     check_matching_bound,
     check_onestar_bound,
     check_pair,
-    check_reducing,
     check_weightedstar_bound,
     export_dot,
-    is_h_irreducible,
     scan,
     seed_known,
-    star_decompose,
 )
 from .game import game_vs_spectra, game_winner
 

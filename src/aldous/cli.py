@@ -36,6 +36,12 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 # output formats of `spectrum`; `hasse` always writes DOT
 FORMATS = ("csv", "json")
+# the global flags (by dest) each command reads; given explicitly to any
+# other command, one is a usage error (config-file and ALDOUS_DIM_CAP values
+# are shared defaults). The verify suites carry their own tolerances.
+READS = {"spectrum": ("dim_cap", "format"), "check-pair": ("tol", "dim_cap"),
+         "scan": ("tol", "dim_cap"), "hasse": ("tol",),
+         "print-config": ("tol", "dim_cap", "format")}
 
 
 @dataclass
@@ -235,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        for key in READS["print-config"]:
+            if getattr(args, key) is not None and key not in READS.get(args.command, ()):
+                raise ValueError(f"{args.command} does not take --{key.replace('_', '-')}")
         config = _load_config(args.config, args)
 
         if args.command == "spectrum":
@@ -310,10 +319,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
-            # the suites carry their own per-claim tolerances and no dim cap
-            for flag, value in (("--tol", args.tol), ("--dim-cap", args.dim_cap)):
-                if value is not None:
-                    raise ValueError(f"verify does not take {flag}")
             params = {"seed": config.seed}
             for key in ("budget", "trials", "samples", "graphs"):
                 value = getattr(args, key)

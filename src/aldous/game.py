@@ -50,26 +50,6 @@ def game_winner(sigma: Partition, tau: Partition) -> bool:
     return _a_wins(sigma, tau)
 
 
-def game_winner_brute(sigma: Partition, tau: Partition) -> bool:
-    """Unmemoized twin of game_winner, kept as the small-n oracle."""
-    if sigma.n != tau.n:
-        raise ValueError("diagrams must have equal size")
-
-    def rec(a_shape: Partition, b_shape: Partition) -> bool:
-        if a_shape.n == 0:
-            return True
-        return all(
-            any(
-                a_box.content >= b_box.content
-                and rec(remove_box(a_shape, a_box), remove_box(b_shape, b_box))
-                for a_box in corners(a_shape)
-            )
-            for b_box in corners(b_shape)
-        )
-
-    return rec(sigma, tau)
-
-
 def game_trace(sigma: Partition, tau: Partition) -> list[tuple[Box, Box]]:
     """One line of optimal play: B plays a winning corner when he has one,
     A the first surviving reply (or her best content when lost)."""

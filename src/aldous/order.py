@@ -42,7 +42,6 @@ from .graphs import (
     quasi_complete_graph,
     quasi_complete_weights,
     random_graph,
-    support_matching_number,
     weighted_star_graph,
 )
 from .partitions import (
@@ -959,66 +958,6 @@ def check_invariant_vector_bounds(instances, tol: float = DEFAULT_TOL) -> list[B
         bounds.append(2.0 * sum(float(graph.weights[v - 1].sum()) for v in vertices))
     return [BoundReport("invariant_vector", lam1 <= bound + tol, bound, float(lam1))
             for (lam1, _, _), bound in zip(Evaluator().many(shapes, graphs), bounds)]
-
-
-# -- reducing machinery -------------------------------------------------------
-
-def check_reducing(h: WeightedGraph, sigma: Partition, tau: Partition,
-                   tol: float = DEFAULT_TOL) -> bool:
-    """Is h a reducing graph for (sigma, tau)?
-
-    The dual form of the test, lambda_max(h; sigma) plus lambda_max on the
-    conjugate of tau at most twice the total weight, is lambda_max(h; sigma)
-    <= lambda_1(h; tau), since the operator on the conjugate is exactly
-    2 wt I minus the one on tau. The matching graphs this gets used on meet
-    the bound with equality, so the exact route compares rationals with no
-    slack and the numeric route gets tol.
-    """
-    _, lam_s, exact_s = lambda_extremes(sigma, h)
-    lam_t, _, exact_t = lambda_extremes(tau, h)
-    return lam_s <= lam_t if exact_s and exact_t else lam_s <= lam_t + tol
-
-
-def is_h_irreducible(graph: WeightedGraph, k: int) -> bool:
-    """No 2k disjoint edges in the support: the matching case of
-    H-irreducibility, the one the reduction argument uses."""
-    return support_matching_number(graph) < 2 * k
-
-
-def star_decompose(graph: WeightedGraph, k: int) -> list[WeightedGraph]:
-    """Split a matching-2k-irreducible graph into at most 4k-2 stars.
-
-    Greedy: take the lexicographically first positive edge, split off the
-    stars at its two endpoints (the shared edge goes with the first), and
-    repeat; at most 2k-1 rounds can happen, else a 2k-matching existed.
-    Star weights are moved, never recomputed, so they sum back exactly.
-    """
-    if not is_h_irreducible(graph, k):
-        raise ValueError("graph has 2k disjoint edges; not star-decomposable")
-    w = np.array(graph.weights)
-    n = graph.n
-    stars: list[WeightedGraph] = []
-    for _ in range(2 * k - 1):
-        edge = None
-        for i in range(n):
-            hits = np.nonzero(w[i, i + 1:])[0]
-            if hits.size:
-                edge = (i, i + 1 + int(hits[0]))
-                break
-        if edge is None:
-            break
-        for center in edge:
-            if not np.any(w[center] > 0):
-                continue
-            star = np.zeros((n, n))
-            star[center, :] = w[center, :]
-            star[:, center] = w[:, center]
-            stars.append(WeightedGraph(star))
-            w[center, :] = 0.0
-            w[:, center] = 0.0
-    if np.any(w > 0):
-        raise AssertionError("decomposition did not exhaust the graph")
-    return stars
 
 
 # -- DOT export ---------------------------------------------------------------

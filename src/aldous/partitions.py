@@ -1,9 +1,10 @@
 """Integer partitions, Young diagrams and standard tableaux.
 
 A partition is stored top row first, e.g. Partition((5, 1)). Boxes use
-(col, row) coordinates, both 1-based, with content = col - row. A standard
-tableau is kept as its removal path: the box removed at step k is the box
-holding label k when the diagram is filled in the usual increasing way.
+(col, row) coordinates, both 1-based, with content = col - row. The
+standard tableaux of a shape are its label tables (`_label_tables`): one
+row per tableau, in the canonical basis order, giving the row and the
+content of the box of each label.
 
 Dominance is decided by the prefix-sum criterion: p dominates q iff
 sum(p[:m]) >= sum(q[:m]) for every m. This is the standard equivalent of
@@ -127,17 +128,6 @@ def dominates(p: Partition, q: Partition) -> bool:
     return True
 
 
-def lex_compare(p: Partition, q: Partition) -> int:
-    """-1, 0 or 1 comparing parts lexicographically."""
-    if p.n != q.n:
-        raise ValueError(f"partitions of different sizes: {p} vs {q}")
-    if p.parts < q.parts:
-        return -1
-    if p.parts > q.parts:
-        return 1
-    return 0
-
-
 def dominance_table(n: int) -> np.ndarray:
     """p(n) x p(n) bool array over partitions_of(n): [i, j] is
     dominates(parts[i], parts[j]). One broadcast comparison of the rows of
@@ -158,7 +148,7 @@ def corners(p: Partition) -> list[Box]:
 @lru_cache(maxsize=None)
 def _removals(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Box], ...]:
     """(diagram without the box, box) per corner of `parts`, bottom row first:
-    the corner walk of `corners`, `_paths` and the chain recursions."""
+    the corner walk of `corners`, `_label_tables` and the chain recursions."""
     out = []
     for row in range(len(parts) - 1, -1, -1):
         part = parts[row]
@@ -179,60 +169,6 @@ def remove_box(p: Partition, box: Box) -> Partition:
     if parts[i] == 0:
         parts.pop(i)
     return Partition(parts)
-
-
-class StandardTableau:
-    """Removal path of a diagram; boxes[k-1] holds the box of label k."""
-
-    __slots__ = ("shape", "boxes")
-
-    def __init__(self, shape: Partition, boxes: Sequence[Box]):
-        self.shape = shape
-        self.boxes = tuple(boxes)
-        if len(self.boxes) != shape.n:
-            raise ValueError("removal path length must equal the box count")
-
-    def box_of(self, label: int) -> Box:
-        return self.boxes[label - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, StandardTableau) and self.boxes == other.boxes
-
-    def __hash__(self):
-        return hash(self.boxes)
-
-    def rows(self) -> list[list[int]]:
-        """Row-wise filling with labels 1..n, for display."""
-        grid = [[0] * part for part in self.shape.parts]
-        for label, box in enumerate(self.boxes, start=1):
-            grid[box.row - 1][box.col - 1] = label
-        return grid
-
-    def __repr__(self):
-        return "StandardTableau(%s)" % "/".join(
-            ",".join(map(str, row)) for row in self.rows()
-        )
-
-
-def standard_tableaux(p: Partition) -> Iterator[StandardTableau]:
-    """All standard tableaux of shape p, in the canonical basis order.
-
-    Paths are generated by recursive corner removal for the top label,
-    corners visited bottom row first; the resulting order is ascending
-    lexicographic on the row-reading word, the classical ordering for
-    Young's orthogonal form (the first tableau of [2,1] is 12/3).
-    """
-    for boxes in _paths(p.parts):
-        yield StandardTableau(p, boxes)
-
-
-def _paths(parts: tuple[int, ...]) -> Iterator[tuple[Box, ...]]:
-    if parts == (1,):
-        yield (Box(1, 1),)
-        return
-    for rest, box in _removals(parts):
-        for prefix in _paths(rest):
-            yield prefix + (box,)
 
 
 @lru_cache(maxsize=None)
@@ -271,8 +207,7 @@ def in_row_class(p: Partition, k: int) -> bool:
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in descending lexicographic order ([n] first,
     [1^n] last). Callers rely on the order: parts[i] is lexicographically
-    below parts[j] exactly when i > j, so lex_compare(parts[i], parts[j])
-    is the sign of j - i."""
+    below parts[j] exactly when i > j."""
     if n < 0:
         raise ValueError("n must be nonnegative")
 
@@ -310,10 +245,11 @@ def content_matrix(p: Partition) -> np.ndarray:
 def _label_tables(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(rows, contents) of the standard tableaux of `parts`, two read-only
     f x n int16 arrays: row t, column k-1 holds the row, and the content, of
-    the box of label k in tableau t (canonical order). Built by the
-    recursion of `_paths` over `_removals`, one block of rows per corner
-    holding label n, with no tableau objects; every smaller diagram met on
-    the way is cached too."""
+    the box of label k in tableau t (canonical order). Built by recursion
+    over `_removals`, one block of rows per corner holding label n, bottom
+    row first, so the canonical order sorts `symrep._row_keys` descending
+    (the first tableau of [2,1] is 12/3); every smaller diagram met on the
+    way is cached too."""
     m = sum(parts)
     if m <= 1:
         rows, contents = np.ones((1, m), dtype=np.int16), np.zeros((1, m), dtype=np.int16)

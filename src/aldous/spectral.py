@@ -49,13 +49,7 @@ import numpy as np
 
 from .graphs import WeightedGraph
 from .partitions import Partition, _removals, capped_tableau_count, content_sum
-from .symrep import (
-    DEFAULT_DIM_CAP,
-    STACK_FLOATS,
-    delta_matrices,
-    delta_matrix,
-    graphs_per_stack,
-)
+from .symrep import DEFAULT_DIM_CAP, STACK_FLOATS, delta_matrices, graphs_per_stack
 
 DEFAULT_TOL = 1e-12
 
@@ -315,16 +309,6 @@ def complete_graph_eigenvalue(shape: Partition) -> int:
     """
     n = shape.n
     return n * (n - 1) // 2 - content_sum(shape)
-
-
-def hook_spectrum(graph: WeightedGraph, k: int, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Spectrum on the hook [n-k, 1^k]: k-subset sums of the [n-1,1] one."""
-    n = graph.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"hook leg must satisfy 0 <= k <= {n - 1}, got {k}")
-    base = (Spectrum([0.0]) if n == 1
-            else spectrum(delta_matrix(Partition([n - 1, 1]), graph), tol))
-    return subset_sum_spectrum(base, k)
 
 
 def subset_sum_spectrum(base: Spectrum, k: int) -> Spectrum:

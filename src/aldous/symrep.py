@@ -30,14 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import WeightedGraph
-from .partitions import (
-    Partition,
-    StandardTableau,
-    _label_tables,
-    conjugate,
-    num_standard_tableaux,
-    standard_tableaux,
-)
+from .partitions import Partition, _label_tables, conjugate, num_standard_tableaux
 
 DEFAULT_DIM_CAP = 5000
 # floats in one stack of operators (G graphs of dimension d on n vertices
@@ -54,10 +47,10 @@ class DimensionCapExceeded(ValueError):
 
 
 @lru_cache(maxsize=None)
-def tableau_basis(shape: Partition) -> tuple[tuple[StandardTableau, ...], dict]:
-    """Canonical tableau list plus a lookup from removal path to index."""
-    tabs = tuple(standard_tableaux(shape))
-    return tabs, {t.boxes: i for i, t in enumerate(tabs)}
+def tableau_basis(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The basis every image is written in: the shape's label tables (rows,
+    contents), one row per tableau in canonical order (`_label_tables`)."""
+    return _label_tables(shape.parts)
 
 
 def check_dim(shape: Partition, cap: int = DEFAULT_DIM_CAP) -> int:

@@ -397,7 +397,8 @@ SUITES = {
 
 def run_suite(name: str, n: int, **params) -> SuiteResult:
     """Run the named suite at n. A seed is dropped where the suite takes
-    none; any other parameter it does not take is an error."""
+    none; any other parameter it does not take is an error, and so is a
+    run with no checks, which would have verified nothing."""
     import inspect
 
     if name not in SUITES:
@@ -409,4 +410,7 @@ def run_suite(name: str, n: int, **params) -> SuiteResult:
     unused = sorted(set(params) - accepted)
     if unused:
         raise ValueError(f"suite {name!r} does not take {', '.join(unused)}")
-    return fn(n, **params)
+    result = fn(n, **params)
+    if not result.checks:
+        raise ValueError(f"suite {name!r} has no checks at n = {n}")
+    return result

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from aldous.game import game_winner, game_winner_brute
+from aldous.game import game_winner
 from aldous.graphs import (
     WeightedGraph,
     cycle_graph,
@@ -15,12 +15,9 @@ from aldous.graphs import (
 )
 from aldous.order import (
     check_pair,
-    check_reducing,
-    is_h_irreducible,
     scan,
     SCAN_FAMILIES,
     seed_known,
-    star_decompose,
 )
 from aldous.partitions import Partition, conjugate, partitions_of
 from aldous.spectral import quasi_complete_spectrum
@@ -34,6 +31,8 @@ from aldous.verify import (
     suite_oracle,
     suite_qc,
 )
+
+from references import check_reducing, game_winner_brute, is_h_irreducible, star_decompose
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -252,6 +252,59 @@ def test_verify_refuses_tol_and_dim_cap(capsys, flag):
     assert err.splitlines() == [f"error: verify does not take {flag[0]}"]
 
 
+GAME = ["game", "--sigma", "3,1", "--tau", "2,2"]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    (["--dim-cap", "9"], ["characters", "--n", "4"]),
+    (["--tol", "1e-3"], ["characters", "--n", "4"]),
+    (["--format", "json"], ["characters", "--n", "4"]),
+    (["--dim-cap", "9"], GAME),
+    (["--tol", "1e-3"], GAME),
+    (["--format", "json"], GAME),
+    (["--dim-cap", "9"], ["hasse", "--in", "LEDGER"]),
+    (["--format", "json"], ["hasse", "--in", "LEDGER"]),
+    (["--tol", "0.5"], ["spectrum", "--shape", "3,1", "--family", "star"]),
+    (["--format", "json"], ["scan", "--n", "4", "--budget", "1"]),
+    (["--format", "json"],
+     ["check-pair", "--sigma", "3,1", "--tau", "2,2", "--family", "complete"]),
+    (["--format", "json"], ["verify", "--suite", "hooks", "--n", "4"]),
+])
+def test_global_flags_a_command_does_not_read_are_refused(capsys, tmp_path, flag, argv):
+    from aldous.order import seed_known
+
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(seed_known(4).to_json(), encoding="utf-8")
+    argv = [str(ledger) if a == "LEDGER" else a for a in argv]
+    code, out, err = run(capsys, *flag, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.splitlines() == [f"error: {argv[0]} does not take {flag[0]}"]
+
+
+def test_config_and_environment_values_are_shared_defaults(capsys, tmp_path, monkeypatch):
+    # a config file or ALDOUS_DIM_CAP sets every global value for every
+    # command, including those that read none of them
+    config = tmp_path / "config.json"
+    config.write_text('{"tol": 1e-3, "dim_cap": 9, "format": "json"}', encoding="utf-8")
+    monkeypatch.setenv("ALDOUS_DIM_CAP", "9")
+    for argv in (["characters", "--n", "3"], GAME, ["verify", "--suite", "hooks", "--n", "3"]):
+        assert run(capsys, "--config", str(config), *argv)[0] == EXIT_OK
+    code, out, _ = run(capsys, "--tol", "0.5", "--dim-cap", "7", "--format", "json",
+                       "print-config")
+    assert code == EXIT_OK
+    assert {k: json.loads(out)[k] for k in ("tol", "dim_cap", "format")} == {
+        "tol": 0.5, "dim_cap": 7, "format": "json"}
+
+
+@pytest.mark.parametrize("suite, n", [
+    ("hooks", 0), ("lemma9", 3), ("characters", 1), ("dual", 1), ("oracle", 2), ("qc", 1),
+])
+def test_verify_suite_with_no_checks_is_a_usage_error(capsys, suite, n):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(n))
+    assert code == EXIT_USAGE and out == ""
+    assert err.splitlines() == [f"error: suite {suite!r} has no checks at n = {n}"]
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"tol": "x"}', "config key 'tol' must be a number, got 'x'"),
     ('{"tol": true}', "config key 'tol' must be a number, got True"),

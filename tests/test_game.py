@@ -7,10 +7,11 @@ from aldous.game import (
     game_trace,
     game_vs_spectra,
     game_winner,
-    game_winner_brute,
 )
 from aldous.partitions import Partition, partitions_of
 from aldous.spectral import nested_star_extremes, remark_weights
+
+from references import game_winner_brute
 
 
 def test_mirror_strategy_wins():

@@ -36,18 +36,15 @@ from aldous.order import (
     check_matching_bound,
     check_onestar_bound,
     check_pair,
-    check_reducing,
     check_weightedstar_bound,
     check_weightedstar_bounds,
     export_dot,
     graph_witness,
-    is_h_irreducible,
     lambda_extremes,
     recheck_witness,
     refutes,
     scan,
     seed_known,
-    star_decompose,
     witness_graph,
 )
 from aldous.partitions import Partition, conjugate, content_sum, partitions_of
@@ -57,6 +54,8 @@ from aldous.symrep import (
     DimensionCapExceeded,
     rep_transposition,
 )
+
+from references import check_reducing, is_h_irreducible, star_decompose
 
 
 def test_graph_families():
@@ -1274,7 +1273,7 @@ def test_weighted_star_bound_is_not_quasi_complete():
     assert quasi_complete_weights(g) is None
 
 
-def test_perfbench_caches_still_expose_cache_info():
+def test_perfbench_caches_still_expose_cache_info(tmp_path):
     # the benchmark reads these caches' sizes after every run
     from aldous import game, order, partitions, symrep
 
@@ -1282,3 +1281,21 @@ def test_perfbench_caches_still_expose_cache_info():
                    partitions.content_matrix, game._a_wins):
         info = cached.cache_info()
         assert info.currsize >= 0
+    # and its tracer hooks, times and subtracts functions by name: an
+    # untimed install still yields every per-layer metric the benchmark
+    # declares (run.py adds trace_overhead_s)
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", root / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    metrics = tracer.metrics(1.0, tmp_path / "missing.json")
+    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted([*metrics, "trace_overhead_s"]) == sorted(
+        m["name"] for m in declared["per_layer"])

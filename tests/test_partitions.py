@@ -3,22 +3,37 @@ import pytest
 from aldous.partitions import (
     Box,
     Partition,
+    _label_tables,
     conjugate,
     content_sum,
     corners,
     dominance_table,
     dominates,
     in_row_class,
-    lex_compare,
     num_standard_tableaux,
     parse_partition,
     partitions_of,
-    standard_tableaux,
 )
 
+from itertools import accumulate
 from math import factorial
 
 import numpy as np
+
+from references import tableaux
+
+
+def _fillings(p):
+    """Each tableau of _label_tables(p) as its row-wise filling with labels
+    1..n, read from the rows and contents (col = content + row)."""
+    rows, contents = _label_tables(p.parts)
+    grids = []
+    for label_rows, label_contents in zip(rows.tolist(), contents.tolist()):
+        grid = [[0] * part for part in p.parts]
+        for label, (row, content) in enumerate(zip(label_rows, label_contents), start=1):
+            grid[row - 1][content + row - 1] = label
+        grids.append(grid)
+    return grids
 
 
 def test_parse_plain_and_exponent():
@@ -81,17 +96,7 @@ def test_dominance_refines_reverse_lex():
         for p in partitions_of(n):
             for q in partitions_of(n):
                 if dominates(p, q):
-                    assert lex_compare(p, q) >= 0
-
-
-def test_lex_compare_examples():
-    assert lex_compare(Partition([2, 1, 1]), Partition([2, 2])) == -1
-    for n in range(2, 8):
-        assert lex_compare(Partition([n]), Partition([n - 1, 1])) == 1
-        for p in partitions_of(n):
-            assert lex_compare(p, p) == 0
-    with pytest.raises(ValueError):
-        lex_compare(Partition([3]), Partition([2, 2]))
+                    assert p.parts >= q.parts
 
 
 def test_corners_examples():
@@ -104,15 +109,16 @@ def test_corners_examples():
 
 
 def test_standard_tableaux_counts():
-    assert len(list(standard_tableaux(Partition([4])))) == 1
-    assert len(list(standard_tableaux(Partition([2, 1])))) == 2
-    assert len(list(standard_tableaux(Partition([2, 1, 1])))) == 3
+    assert len(_label_tables((4,))[0]) == 1
+    assert len(_label_tables((2, 1))[0]) == 2
+    assert len(_label_tables((2, 1, 1))[0]) == 3
 
 
 def test_tableau_count_matches_hook_length_formula():
     for n in range(1, 9):
         for p in partitions_of(n):
-            assert len(list(standard_tableaux(p))) == num_standard_tableaux(p)
+            rows, contents = _label_tables(p.parts)
+            assert rows.shape == contents.shape == (num_standard_tableaux(p), n)
 
 
 def test_sum_of_squared_counts_is_factorial():
@@ -125,10 +131,10 @@ def test_tableaux_are_distinct_and_standard():
     for n in range(1, 8):
         for p in partitions_of(n):
             seen = set()
-            for tab in standard_tableaux(p):
-                assert tab.boxes not in seen
-                seen.add(tab.boxes)
-                rows = tab.rows()
+            for rows in _fillings(p):
+                key = tuple(map(tuple, rows))
+                assert key not in seen
+                seen.add(key)
                 for r, row in enumerate(rows):
                     for c, val in enumerate(row):
                         if c + 1 < len(row):
@@ -138,8 +144,24 @@ def test_tableaux_are_distinct_and_standard():
 
 
 def test_canonical_first_tableau_is_row_reading():
-    first = next(iter(standard_tableaux(Partition([2, 1]))))
-    assert first.rows() == [[1, 2], [3]]
+    assert _fillings(Partition([2, 1]))[0] == [[1, 2], [3]]
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            starts = accumulate(p.parts, initial=0)
+            row_reading = [list(range(start + 1, start + part + 1))
+                           for start, part in zip(starts, p.parts)]
+            assert _fillings(p)[0] == row_reading
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_label_tables_equal_the_placement_reference(n):
+    # every tableau, in the canonical order, from an enumeration that places
+    # labels 1..n into addable cells instead of removing corners
+    for p in partitions_of(n):
+        rows, contents = _label_tables(p.parts)
+        want = tableaux(p)
+        assert rows.tolist() == [[row for row, _ in cells] for cells in want]
+        assert contents.tolist() == [[col - row for row, col in cells] for cells in want]
 
 
 def test_content_sum_examples():
@@ -185,7 +207,7 @@ def test_lex_compare_is_the_sign_of_the_index_difference():
         parts = partitions_of(n)
         for i, p in enumerate(parts):
             for j, q in enumerate(parts):
-                assert lex_compare(p, q) == (j > i) - (j < i)
+                assert (p.parts > q.parts) - (p.parts < q.parts) == (j > i) - (j < i)
 
 
 def test_dominance_table_equals_dominates():

@@ -18,7 +18,6 @@ from aldous.spectral import (
     ExactSpectrum,
     Spectrum,
     complete_graph_eigenvalue,
-    hook_spectrum,
     irrep_spectra,
     laplacian_gap,
     multiset_distance,
@@ -28,6 +27,7 @@ from aldous.spectral import (
     remark_weights,
     spectra,
     spectrum,
+    subset_sum_spectrum,
 )
 from aldous.symrep import DimensionCapExceeded, delta_matrices, delta_matrix
 
@@ -371,8 +371,6 @@ def test_nested_star_extremes_rejects_bad_weights():
 
 
 def test_remark_weights_rank_by_lex():
-    from aldous.partitions import lex_compare
-
     for n in range(2, 6):
         weights = remark_weights(n)
         assert weights[0] == Fraction(1, n**4)
@@ -382,7 +380,7 @@ def test_remark_weights_rank_by_lex():
         }
         for alpha in partitions_of(n):
             for beta in partitions_of(n):
-                if lex_compare(alpha, beta) < 0:
+                if alpha.parts < beta.parts:
                     assert lam1[alpha] > lam1[beta]
 
 
@@ -399,14 +397,18 @@ def test_complete_graph_eigenvalue():
 
 
 def test_hook_spectrum_examples():
+    # the spectrum on the hook [n-k, 1^k] is the k-subset sums of the one
+    # on [n-1, 1]
+    def hook_spectrum(graph, k):
+        base = spectrum(delta_matrix(Partition([graph.n - 1, 1]), graph))
+        return subset_sum_spectrum(base, k)
+
     assert hook_spectrum(random_graph(5, 8), 0).values == (0.0,)
     spec = hook_spectrum(complete_graph(3), 2)
     assert multiset_distance(spec.values, [6.0]) < 1e-10
     g = random_graph(5, 9)
     expected = spectrum(delta_matrix(Partition([3, 1, 1]), g))
     assert multiset_distance(hook_spectrum(g, 2).values, expected.values) < 1e-7
-    with pytest.raises(ValueError):
-        hook_spectrum(g, 5)
 
 
 def test_laplacian_gap():
