@@ -271,22 +271,16 @@ def main(argv: list[str] | None = None) -> int:
             families = tuple(
                 name.strip() for name in config.families.split(",") if name.strip()
             )
+            if not families:
+                raise ValueError("--families names no scan family")
             ledger, report = scan(
                 args.n, families, budget=config.budget, tol=config.tol,
                 seed=config.seed, dim_cap=config.dim_cap,
             )
             _emit(ledger.to_json() + "\n", args.out)
-            summary = {
-                "graphs_tried": report.graphs_tried,
-                "refutations_found": report.refutations_found,
-                "skipped_shapes": report.skipped_shapes,
-                "numeric_evaluations": report.numeric_evaluations,
-                "refutations_exact": report.refutations_exact,
-                "refutations_numeric": report.refutations_numeric,
-                "min_numeric_margin": report.min_numeric_margin,
-                "unknown": len(ledger.unknown_pairs()),
-                "contradictions": report.contradictions,
-            }
+            # the report's counts but n, and the pairs left unknown
+            summary = asdict(report) | {"unknown": len(ledger.unknown_pairs())}
+            del summary["n"]
             sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
             return EXIT_OK if report.consistent else EXIT_VIOLATION
 

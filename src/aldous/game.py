@@ -25,22 +25,18 @@ from .partitions import Box, Partition, corners, remove_box
 from .spectral import nested_star_lambda1_scaled
 
 
+def _replies(a_shape: Partition, b_shape: Partition, b_box: Box):
+    """A's corners that survive B's removal of b_box, lazily: of content at
+    least b_box's, and leaving A a winning position."""
+    b_rest = remove_box(b_shape, b_box)
+    return (a_box for a_box in corners(a_shape) if a_box.content >= b_box.content
+            and _a_wins(remove_box(a_shape, a_box), b_rest))
+
+
 @lru_cache(maxsize=None)
 def _a_wins(a_shape: Partition, b_shape: Partition) -> bool:
-    if a_shape.n == 0:
-        return True
-    for b_box in corners(b_shape):
-        b_rest = remove_box(b_shape, b_box)
-        survived = False
-        for a_box in corners(a_shape):
-            if a_box.content < b_box.content:
-                continue
-            if _a_wins(remove_box(a_shape, a_box), b_rest):
-                survived = True
-                break
-        if not survived:
-            return False
-    return True
+    return a_shape.n == 0 or all(any(_replies(a_shape, b_shape, b_box))
+                                 for b_box in corners(b_shape))
 
 
 def game_winner(sigma: Partition, tau: Partition) -> bool:
@@ -56,32 +52,13 @@ def game_trace(sigma: Partition, tau: Partition) -> list[tuple[Box, Box]]:
     moves = []
     a_shape, b_shape = sigma, tau
     while b_shape.n:
-        b_choice = None
-        for b_box in corners(b_shape):
-            b_rest = remove_box(b_shape, b_box)
-            refuted = not any(
-                a_box.content >= b_box.content
-                and _a_wins(remove_box(a_shape, a_box), b_rest)
-                for a_box in corners(a_shape)
-            )
-            if refuted:
-                b_choice = b_box
-                break
-        if b_choice is None:
-            b_choice = corners(b_shape)[0]
-        b_rest = remove_box(b_shape, b_choice)
-        a_choice = None
-        for a_box in corners(a_shape):
-            if a_box.content >= b_choice.content and _a_wins(
-                remove_box(a_shape, a_box), b_rest
-            ):
-                a_choice = a_box
-                break
+        b_choice = next((b_box for b_box in corners(b_shape)
+                         if not any(_replies(a_shape, b_shape, b_box))), corners(b_shape)[0])
+        a_choice = next(_replies(a_shape, b_shape, b_choice), None)
         if a_choice is None:
             a_choice = max(corners(a_shape), key=lambda b: b.content)
         moves.append((b_choice, a_choice))
-        a_shape = remove_box(a_shape, a_choice)
-        b_shape = b_rest
+        a_shape, b_shape = remove_box(a_shape, a_choice), remove_box(b_shape, b_choice)
     return moves
 
 

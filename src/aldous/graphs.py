@@ -111,12 +111,9 @@ class WeightedGraph:
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Positive-weight edges as (i, j, weight), i < j, 1-based."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.weights[i, j] > 0:
-                    out.append((i + 1, j + 1, float(self.weights[i, j])))
-        return out
+        rows, cols = np.nonzero(np.triu(self.weights > 0, 1))
+        return [(i + 1, j + 1, self.weights[i, j].item())
+                for i, j in zip(rows.tolist(), cols.tolist())]
 
     def __eq__(self, other):
         return isinstance(other, WeightedGraph) and np.array_equal(

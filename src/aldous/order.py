@@ -10,7 +10,7 @@ Every lambda_1 comes from `Evaluator`, the one place that picks how a
 (shape, graph) pair is evaluated: exactly on nested-star graphs, by the
 dense eigensolver otherwise.
 
-Refutation rule (`refutes`, the one place it is written): witnesses
+Refutation rule (`_clears`, the one place it is written): witnesses
 evaluated in exact rational arithmetic (nested-star graphs, including plain
 stars and complete graphs) need margin > 0, which is what makes them
 rigorous even when the margin is astronomically small, as with the
@@ -18,7 +18,8 @@ fast-decaying lexicographic separator weights. Numeric witnesses must clear
 max(10 * tol, NOISE_FACTOR * eps * dim * 2 * wt) with tol = 1e-9: the
 second term is the eigensolver's backward error on a dim x dim operator
 whose norm is at most 2 * wt, so rescaling a graph never turns rounding
-noise into a refutation.
+noise into a refutation. `refutes` decides one pair; `_refutations`, the
+kernel of the scan and of seeding, every pair of a scope at once.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .spectral import (
     irrep_spectra,
     nested_star_extremes,
     nested_star_lambda1_scaled,
+    quasi_complete_spectrum,
     remark_weights,
     spectrum,
 )
@@ -101,17 +103,18 @@ class Evaluator:
     that decides how a (shape, graph) pair is evaluated.
 
     Each graph is tested once for nested-star weights: on those, shapes are
-    evaluated exactly by `nested_star_extremes`, on other graphs from
+    evaluated exactly by the chain walk of `spectral`, on other graphs from
     operators assembled `graphs_per_stack` graphs at a time.
     `lambda_extremes` is the cached one-graph case; `many` takes a batch
     known up front and solves each stack by one stacked `spectra` call.
 
     A stream of candidates is evaluated one candidate at a time on the
-    shapes of the pairs `keep` names, one `spectrum` call per numeric
-    evaluation. A shape whose held operators run out assembles a stack on
-    the numeric graphs from the current candidate on, reading the stream
-    only as far ahead as the stack needs; a stack is dropped after its last
-    solve or with its shape. A conjugate pair's members share each stack's
+    shapes `keep` names: one `nested_star_lambda1_scaled` walk over them on
+    a nested star, one `spectrum` call per numeric evaluation otherwise. A
+    shape whose held operators run out assembles a stack on the numeric
+    graphs from the current candidate on, reading the stream only as far
+    ahead as the stack needs; a stack is dropped after its last solve or
+    with its shape. A conjugate pair's members share each stack's
     image chain: the canonical member's is assembled once and the mate's
     derived by `conjugate_operators`. The values are those of one graph at
     a time.
@@ -164,32 +167,36 @@ class Evaluator:
             yield self._ahead[0][:2]
             self._ahead.popleft()
 
-    def keep(self, pairs) -> None:
-        """Evaluate the shapes of these pairs from now on: in the order of
+    def keep(self, shapes) -> None:
+        """Evaluate these shapes from now on: in the order of
         partitions_of(n), but each non-canonical shape right after its
         canonical mate, whose stack held for it the next job then takes.
         Operators of the shapes dropped are freed."""
         self._shapes = dict.fromkeys(sorted(
-            {shape for pair in pairs for shape in pair},
-            key=lambda s: ((_derived_from(s) or s).parts, s.parts), reverse=True))
+            shapes, key=lambda s: ((_derived_from(s) or s).parts, s.parts), reverse=True))
         self._held = {shape: self._held[shape] for shape in self._shapes if shape in self._held}
 
-    def lowest(self) -> dict:
-        """{shape: (lambda_1, exact)} of the kept shapes on the current
-        candidate, in job order. A shape above dim_cap is left out and
-        counted in `skipped`."""
-        nested = self._ahead[0][2]
-        values = {}
+    def lowest(self) -> tuple[np.ndarray, Optional[int]]:
+        """(lam1, scale): lambda_1 of the kept shapes on the current
+        candidate over partitions_of(n), as Python ints times `scale` on a
+        nested star, else as floats with scale None. Other shapes read 0 or
+        NaN, as does a numeric shape above dim_cap, counted in `skipped`."""
+        graph, _, nested = self._ahead[0]
+        index = _partition_index(graph.n)
+        if nested is not None:
+            (scale,), rows = nested_star_lambda1_scaled(self._shapes, [nested])
+            lam1 = np.zeros(len(index), dtype=object)
+            lam1[[index[shape] for shape in self._shapes]] = [row[0] for row in rows]
+            return lam1, scale
+        lam1 = np.full(len(index), np.nan)
         for shape in self._shapes:
             try:
-                lam, _, exact = self.extremes(shape, nested,
-                                              lambda: spectrum(self._operator(shape)))
+                lam1[index[shape]] = spectrum(self._operator(shape)).lambda1
             except DimensionCapExceeded:
                 self.skipped += 1
-                continue
-            values[shape] = lam, exact
-            self.numeric_evaluations += not exact
-        return values
+            else:
+                self.numeric_evaluations += 1
+        return lam1, None
 
     def _operator(self, shape: Partition) -> np.ndarray:
         """The shape's operator on the current candidate, a numeric graph: a
@@ -312,17 +319,52 @@ def _quasi_weights(weights, n: int) -> list[Fraction]:
                      f"nonnegative rationals, got {weights!r}")
 
 
+def _clears(margin, exact: bool, dim, wt: float, tol: float):
+    """The refutation rule of the module docstring, on one margin or
+    elementwise on an array of them with a matching array of dims."""
+    if exact:
+        return margin > 0
+    return (margin > 10 * tol) & (margin > NOISE_FACTOR * EPS * dim * 2 * wt)
+
+
 def refutes(margin, exact: bool, sigma: Partition, tau: Partition, wt: float,
             tol: float = DEFAULT_TOL) -> bool:
     """Does margin = lambda_1(sigma) - lambda_1(tau), on a graph of total
     weight wt, refute sigma >= tau? The rule of the module docstring, with
     dim the larger of the two shapes' dimensions."""
-    if exact:
-        return margin > 0
-    if margin <= 10 * tol:
-        return False
-    dim = max(num_standard_tableaux(sigma), num_standard_tableaux(tau))
-    return margin > NOISE_FACTOR * EPS * dim * 2 * wt
+    dim = None if exact else max(num_standard_tableaux(sigma), num_standard_tableaux(tau))
+    return bool(_clears(margin, exact, dim, wt, tol))
+
+
+def _refutations(lam1: np.ndarray, scale: Optional[int], scope: np.ndarray,
+                 proved: np.ndarray, wt: float = 0.0, dim=None,
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The refutation kernel: (refuted, contradicted), the cells (i, j) of a
+    p x p scope mask whose margin lam1[i] - lam1[j] passes `refutes`, split
+    by the proved mask. lam1 is one witness's lambda_1 as `Evaluator.lowest`
+    gives it: exact values are compared by rank, floats by the numeric rule
+    with dim[i, j] the pair's dimension. A NaN refutes nothing."""
+    if scale is not None:
+        rank = np.unique(lam1, return_inverse=True)[1]
+        separated = _clears(np.subtract.outer(rank, rank), True, dim, wt, tol)
+    else:
+        separated = _clears(np.subtract.outer(lam1, lam1), False, dim, wt, tol)
+    separated &= scope
+    return separated & ~proved, separated & proved
+
+
+def _refute(ledger: "RelationLedger", cells: np.ndarray, lam1: np.ndarray,
+            scale: Optional[int], tag: str, witness: dict) -> None:
+    """A refuted entry, all with one witness, for each set cell (i, j) of a
+    p x p mask of undecided pairs: its margin is the float lam1[i] - lam1[j],
+    divided by scale when exact. One plain loop: this builds every seeded
+    refutation, hundreds of thousands at n = 20."""
+    parts, entries, values = partitions_of(ledger.n), ledger.entries, lam1.tolist()
+    divisor, exact = scale or 1, scale is not None
+    for i, j in zip(*_cells(cells)):
+        sigma, tau = parts[i], parts[j]
+        entries[(sigma, tau)] = RelationEntry(sigma, tau, "refuted", tag, witness,
+                                              (values[i] - values[j]) / divisor, exact)
 
 
 def check_pair(sigma: Partition, tau: Partition, graph: WeightedGraph,
@@ -650,20 +692,20 @@ def seed_known(n: int) -> RelationLedger:
     Proved: the top and bottom elements, the hook chain, the standard
     representation below the top, and the row-class/column-class pairs at
     every k with n >= 4k^2 + 4k, closed transitively. Refuted, all exactly:
-    dominance-comparable pairs through the complete graph and
+    dominance-comparable pairs through the complete graph (ds81), the other
     lexicographically ordered pairs through the fast-decaying nested-star
-    weights (both from one exact lambda_1 table per weighting), and the
-    two-column against one-column hook family through the full star, which
-    also separates the pair the dominance order cannot. An n whose ledger
-    has over MAX_LEDGER_PAIRS pairs raises ValueError, as in from_json.
+    weights (remark1), and the two-column against one-column hook family
+    through the full star (cor:asympval). An n whose ledger has over
+    MAX_LEDGER_PAIRS pairs raises ValueError, as in from_json.
 
     Pairs are handled by their indices (i, j) into partitions_of(n), which
     is in descending lexicographic order: parts[i] is lexicographically
     below parts[j] exactly when i > j. Each proved rule is one p x p bool
-    layer, and the first rule that proves a pair tags it; dominance is one
-    table from `dominance_table`; and the refuting rules' checks (a margin
-    > 0, no proved pair refuted) run on whole arrays before any refuted
-    entry is made.
+    layer, and the first rule that proves a pair tags it. Each refuting
+    rule is one call of the scan's kernel `_refutations` on its witness's
+    lambda_1 vector and its scope; a scope pair left unrefuted (no positive
+    margin, or a proved pair) raises LedgerConflict before the rule makes
+    any entry.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -693,52 +735,41 @@ def seed_known(n: int) -> RelationLedger:
         ledger.entries[(sigma, tau)] = RelationEntry(sigma, tau, "proved", PROVED_TAGS[r])
     ledger.close_transitively()
 
-    # every lexicographically ascending pair (i > j) is refuted: through the
+    # every lexicographically ascending pair (i > j) is refuted through the
     # complete graph (all-ones weights) if dominance orders it, else the
-    # separator; both lambda_1 tables come from one walk over the two
-    # weightings
+    # separator, both lambda_1 vectors from one walk over the two weightings;
+    # the two-column hook family through the full star, from the exact
+    # spectra of its two small shapes
     separator = remark_weights(n)
     scales, rows = nested_star_lambda1_scaled(parts, [[1] * (n - 1), separator])
-    witnesses = (
-        ("ds81", {"kind": "family", "family": "complete", "n": n}, scales[0],
-         [row[0] for row in rows]),
-        ("remark1", {"kind": "quasi", "n": n, "weights": [str(w) for w in separator]},
-         scales[1], [row[1] for row in rows]),
-    )
+    complete, remark = (np.array([row[w] for row in rows], dtype=object) for w in (0, 1))
     ascending = np.tri(p, k=-1, dtype=bool)
     by_complete = dominance_table(n).T  # [i, j]: parts[j] dominates parts[i]
-    which = np.where(by_complete, 0, 1)  # each pair's witness
-    proved, decided = ledger._grid()
-    # margin > 0 compares the lambda_1 values, so their ranks among the
-    # distinct values suffice
-    ranks = [np.unique(np.array(lam1, dtype=object), return_inverse=True)[1]
-             for *_, lam1 in witnesses]
-    separated = np.where(by_complete, *(rank[:, None] > rank[None, :] for rank in ranks))
-    bad = ascending & (~separated | proved)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        alpha, beta = parts[i], parts[j]
-        if not separated[i, j]:
-            tag = witnesses[which[i, j]][0]
-            raise LedgerConflict(f"{tag} witness fails on {alpha} vs {beta}")
-        raise LedgerConflict(f"({alpha}) >= ({beta}) already proved")
-    entries = ledger.entries
-    todo = ascending & ~decided
-    for i, j, w in zip(*_cells(todo), which[todo].tolist()):
-        tag, witness, scale, lam1 = witnesses[w]
-        alpha, beta = parts[i], parts[j]
-        # lam1 is lambda_1 times scale, exact until the division
-        entries[(alpha, beta)] = RelationEntry(
-            alpha, beta, "refuted", tag, witness, (lam1[i] - lam1[j]) / scale, True)
-
+    refuting = [("ds81", {"kind": "family", "family": "complete", "n": n}, complete, scales[0],
+                 ascending & by_complete),
+                ("remark1", {"kind": "quasi", "n": n, "weights": [str(w) for w in separator]},
+                 remark, scales[1], ascending & ~by_complete)]
     if n >= 4:
-        two_two = Partition([2, 2] + [1] * (n - 4))
-        one_col = Partition([2] + [1] * (n - 2))
-        ledger.set_refuted(
-            two_two, one_col,
-            {"kind": "family", "family": "star", "n": n, "params": {"k": n}},
-            1.0, True, "cor:asympval",
-        )
+        star = {"kind": "family", "family": "star", "n": n, "params": {"k": n}}
+        pair = index[Partition([2, 2] + [1] * (n - 4))], index[Partition([2] + [1] * (n - 2))]
+        weights = [0] * (n - 2) + [1]  # the star's nested weights: a_n = 1
+        values = [quasi_complete_spectrum(parts[i], weights).lambda1 for i in pair]
+        scale = math.lcm(*(value.denominator for value in values))
+        lam1 = np.zeros(p, dtype=object)
+        lam1[list(pair)] = [int(value * scale) for value in values]
+        scope = np.zeros((p, p), dtype=bool)
+        scope[pair] = True
+        refuting.append(("cor:asympval", star, lam1, scale, scope))
+    proved = ledger._grid()[0]
+    for tag, witness, lam1, scale, scope in refuting:
+        refuted, contradicted = _refutations(lam1, scale, scope, proved)
+        bad = scope & ~refuted
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise LedgerConflict(f"({parts[i]}) >= ({parts[j]}) already proved"
+                                 if contradicted[i, j] else
+                                 f"{tag} witness fails on {parts[i]} vs {parts[j]}")
+        _refute(ledger, refuted, lam1, scale, tag, witness)
     return ledger
 
 
@@ -778,11 +809,9 @@ def _family_graphs(name: str, n: int, budget: int, seed: int):
                 a[0] = 1
             witness = {"kind": "quasi", "n": n, "weights": [str(x) for x in a]}
             yield witness_graph(witness), witness
-    elif name == "random":
+    else:  # "random", as scan checks
         for i in range(budget):
             yield random_graph(n, seed + i), None
-    else:
-        raise ValueError(f"unknown scan family {name!r}")
 
 
 @dataclass
@@ -811,40 +840,49 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
          dim_cap: int = DEFAULT_DIM_CAP):
     """Search family and random graphs for refutations of undecided pairs.
 
-    Starts from the seeded ledger. Graph by graph, an `Evaluator` gives
-    lambda_1 of each shape of a pair not yet refuted; the pairs a graph
-    refutes leave, with every shape in no other such pair. Every graph is
-    also audited against the proved entries; a margin there is a
-    contradiction and lands in the report instead of the ledger.
-    Deterministic for a fixed seed.
+    Family names are checked first: an unknown or repeated one raises
+    ValueError before anything is seeded. Starts from the seeded ledger.
+    The pairs not yet refuted are a p x p mask over partitions_of(n).
+    Graph by graph, an `Evaluator` gives the lambda_1 vector of their
+    shapes and the kernel `_refutations` decides them all at once; the
+    pairs a graph refutes leave, with every shape in no other such pair.
+    A margin on a proved pair is a contradiction and lands in the report
+    instead of the ledger. Deterministic for a fixed seed.
     """
+    families = tuple(families)
+    for k, name in enumerate(families):
+        if name not in SCAN_FAMILIES or name in families[:k]:
+            raise ValueError(f"{'repeated' if name in SCAN_FAMILIES else 'unknown'} "
+                             f"scan family {name!r}")
     ledger = seed_known(n)
     report = ScanReport(n)
+    parts = partitions_of(n)
+    proved, decided = ledger._grid()
+    todo = proved | ~decided  # the pairs not refuted
+    np.fill_diagonal(todo, False)
+    dims = [num_standard_tableaux(shape) for shape in parts]
+    dim = np.maximum.outer(dims, dims)
     stream = (c for family in families for c in _family_graphs(family, n, budget, seed))
-    todo = [pair for pair in ledger.pairs() if ledger.status(*pair) != "refuted"]
     evaluator = Evaluator(stream, dim_cap)
-    evaluator.keep(todo)
+
+    def keep():  # the shapes of the pairs left
+        evaluator.keep(parts[i] for i in np.flatnonzero(todo.any(axis=0) | todo.any(axis=1)))
+    keep()
     for graph, witness in evaluator.candidates():
-        values = evaluator.lowest()
-        found = set()
-        for sigma, tau in todo:
-            if sigma not in values or tau not in values:
-                continue
-            margin = values[sigma][0] - values[tau][0]
-            exact = values[sigma][1] and values[tau][1]
-            if not refutes(margin, exact, sigma, tau, graph.wt, tol):
-                continue
+        lam1, scale = evaluator.lowest()
+        refuted, contradicted = _refutations(lam1, scale, todo, proved, graph.wt, dim, tol)
+        if refuted.any() or contradicted.any():
             witness = witness or graph_witness(graph)
-            if ledger.status(sigma, tau) == "proved":
-                report.contradictions.append({"sigma": str(sigma), "tau": str(tau),
-                                              "margin": float(margin), "witness": witness})
-                continue
-            ledger.set_refuted(sigma, tau, witness, float(margin), exact, "scan")
-            found.add((sigma, tau))
-        if found:
-            report.refutations_found += len(found)
-            todo = [pair for pair in todo if pair not in found]
-            evaluator.keep(todo)
+            # a contradiction's margin as `_refute` computes a refutation's
+            values = lam1.tolist()
+            report.contradictions += [
+                {"sigma": str(parts[i]), "tau": str(parts[j]),
+                 "margin": (values[i] - values[j]) / (scale or 1), "witness": witness}
+                for i, j in zip(*_cells(contradicted))]
+            _refute(ledger, refuted, lam1, scale, "scan", witness)
+            report.refutations_found += int(np.count_nonzero(refuted))
+            todo &= ~refuted
+            keep()
     report.graphs_tried = evaluator.candidates_read
     report.skipped_shapes = evaluator.skipped
     report.numeric_evaluations = evaluator.numeric_evaluations

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import groupby
 from math import factorial
 from typing import Iterator, NamedTuple, Sequence
 
@@ -76,16 +77,8 @@ class Partition:
 
     def compact_str(self) -> str:
         """Exponent notation for repeated parts, e.g. '2,1^3'."""
-        out = []
-        i = 0
-        while i < len(self.parts):
-            j = i
-            while j < len(self.parts) and self.parts[j] == self.parts[i]:
-                j += 1
-            run = j - i
-            out.append(f"{self.parts[i]}^{run}" if run > 1 else str(self.parts[i]))
-            i = j
-        return ",".join(out)
+        runs = [(part, len(list(run))) for part, run in groupby(self.parts)]
+        return ",".join(f"{part}^{size}" if size > 1 else str(part) for part, size in runs)
 
 
 _TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")

@@ -351,6 +351,25 @@ def test_bad_tol_and_budget_flags_are_usage_errors(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("families, message", [
+    ("stars,cliques,quasi,bogus", "unknown scan family 'bogus'"),
+    ("random,random", "repeated scan family 'random'"),
+    ("", "--families names no scan family"),
+    (",,", "--families names no scan family"),
+])
+def test_scan_refuses_a_bad_family_list_before_seeding(capsys, monkeypatch, families,
+                                                       message):
+    # a scan of no graph, or of one graph list twice, has no meaning; an
+    # unknown name fails before any family is seeded or scanned
+    from aldous import order
+
+    monkeypatch.setattr(order, "seed_known", lambda n: pytest.fail("seeded"))
+    code, out, err = run(capsys, "scan", "--n", "12", "--families", families,
+                         "--budget", "5")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_config_accepts_integer_tol_and_zero_budget(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"tol": 0, "budget": 0, "seed": 3}', encoding="utf-8")

@@ -694,20 +694,29 @@ class ScanRecorder:
         return all(solved < size for alive in self.alive for _, solved, size in alive)
 
 
+EXACT_FAMILIES = ("stars", "cliques", "quasi")
+LOOP_CASES = [
+    (4, 30, DEFAULT_DIM_CAP, SCAN_FAMILIES),
+    (5, 60, DEFAULT_DIM_CAP, SCAN_FAMILIES),
+    (6, 10, DEFAULT_DIM_CAP, SCAN_FAMILIES),  # below every shape's stack step at n = 6
+    (6, 150, DEFAULT_DIM_CAP, SCAN_FAMILIES),  # above the step of the dim-16 shapes
+    (7, 20, DEFAULT_DIM_CAP, SCAN_FAMILIES),
+    (7, 15, 20, SCAN_FAMILIES),  # shapes of dim 21 and 35 skipped
+    (8, 5, DEFAULT_DIM_CAP, EXACT_FAMILIES),  # nested stars only: no solve
+]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n, budget, dim_cap", [
-    (4, 30, DEFAULT_DIM_CAP),
-    (5, 60, DEFAULT_DIM_CAP),
-    (6, 10, DEFAULT_DIM_CAP),  # below every shape's stack step at n = 6
-    (6, 150, DEFAULT_DIM_CAP),  # above the step of the dim-16 shapes
-    (7, 20, DEFAULT_DIM_CAP),
-    (7, 15, 20),  # shapes of dim 21 and 35 skipped
-])
-def test_scan_equals_the_one_graph_at_a_time_loop(monkeypatch, n, budget, dim_cap, seed):
+@pytest.mark.parametrize("n, budget, dim_cap, families", LOOP_CASES, ids=[
+    f"{n}-{budget}-{dim_cap}" + ("" if families == SCAN_FAMILIES else "-exact")
+    for n, budget, dim_cap, families in LOOP_CASES])
+def test_scan_equals_the_one_graph_at_a_time_loop(monkeypatch, n, budget, dim_cap, families,
+                                                  seed):
     lambda_extremes.cache_clear()
-    expected, expected_report = reference_scan(n, budget=budget, seed=seed, dim_cap=dim_cap)
+    expected, expected_report = reference_scan(n, families, budget=budget, seed=seed,
+                                               dim_cap=dim_cap)
     recorder = ScanRecorder(monkeypatch)
-    ledger, report = scan(n, budget=budget, seed=seed, dim_cap=dim_cap)
+    ledger, report = scan(n, families, budget=budget, seed=seed, dim_cap=dim_cap)
     assert ledger.to_json() == expected.to_json()
     assert asdict(report) == asdict(expected_report)
     assert (report.skipped_shapes > 0) == (dim_cap < DEFAULT_DIM_CAP)
@@ -960,6 +969,29 @@ def test_scan_ledger_and_report_are_pinned(n, budget):
     fields = asdict(report)
     del fields["min_numeric_margin"]
     assert (len(records), digest, fields) == SCAN_PINS[n, budget]
+
+
+def test_exact_family_scan_is_pinned():
+    # recorded while the scan still decided pairs one at a time through
+    # Fractions and refutes; every candidate is a nested star
+    ledger, report = scan(12, families=EXACT_FAMILIES, budget=5, seed=0)
+    digest = hashlib.sha256(ledger.to_json().encode("utf-8")).hexdigest()
+    assert digest == "c87e5227a20e17ca3cde52367dd09e8e20f1b8a88cad5469ffbdf538269c7863"
+    assert asdict(report) == {
+        "n": 12, "graphs_tried": 26, "refutations_found": 336, "skipped_shapes": 0,
+        "numeric_evaluations": 0, "refutations_exact": 3263, "refutations_numeric": 0,
+        "min_numeric_margin": None, "contradictions": []}
+
+
+def test_scan_refuses_unknown_and_repeated_families_before_seeding(monkeypatch):
+    def seeded(n):
+        raise AssertionError("seeded before the families were checked")
+
+    monkeypatch.setattr(order, "seed_known", seeded)
+    with pytest.raises(ValueError, match="^unknown scan family 'bogus'$"):
+        scan(12, families=("stars", "cliques", "quasi", "bogus"), budget=5)
+    with pytest.raises(ValueError, match="^repeated scan family 'random'$"):
+        scan(6, families=("random", "random"), budget=2)
 
 
 def test_incomparable_two_column_chain():
@@ -1240,6 +1272,56 @@ def test_refutes_rule():
     # dim 3, ||M|| <= 2e9: the noise floor is 16 * eps * 3 * 2e9, about 2.1e-5
     assert not refutes(2e-5, False, sigma, tau, 1e9)
     assert refutes(3e-5, False, sigma, tau, 1e9)
+
+
+@pytest.mark.parametrize("wt", [1.0, 1e9])
+@pytest.mark.parametrize("dim", [1, 90, 5000])
+def test_kernel_agrees_with_refutes_at_each_threshold(monkeypatch, dim, wt):
+    # shapes of any dimension: refutes reads it through the order module
+    monkeypatch.setattr(order, "num_standard_tableaux", lambda shape: dim)
+    sigma, tau = Partition([2]), Partition([1, 1])
+    tol = order.DEFAULT_TOL
+    floors = [10 * tol, 16 * np.finfo(float).eps * dim * 2 * wt]
+    margins = [x for floor in floors for x in (floor, np.nextafter(floor, np.inf))]
+    # lambda_1 of shape i is margins[i], then 0 and -1000: cell (i, -2)
+    # holds margins[i] exactly, and the cells (i, -1) out of scope all clear
+    # the rule
+    lam1 = np.array(margins + [0.0, -1e3])
+    p, k = len(lam1), len(margins)
+    scope = np.zeros((p, p), dtype=bool)
+    scope[:k, -2] = True
+    none = np.zeros((p, p), dtype=bool)
+    refuted, contradicted = order._refutations(lam1, None, scope, none, wt,
+                                               np.full((p, p), dim))
+    scalar = [refutes(margin, False, sigma, tau, wt) for margin in margins]
+    assert refuted[:k, -2].tolist() == scalar
+    assert not (refuted & ~scope).any() and not contradicted.any()
+    # at a threshold nothing is refuted, one ulp above the larger one is
+    assert scalar == [margin > max(floors) for margin in margins]
+    assert scalar.count(True) == 1
+    # a proved cell the rule separates is a contradiction, not a refutation
+    refuted, contradicted = order._refutations(lam1, None, scope, scope, wt,
+                                               np.full((p, p), dim))
+    assert not refuted.any() and contradicted[:k, -2].tolist() == scalar
+    assert not (contradicted & ~scope).any()
+
+
+@pytest.mark.parametrize("numerator", [0, 1])
+def test_kernel_agrees_with_refutes_on_exact_margins(numerator):
+    # scaled integers: lambda_1 = lam1 / scale, so the one cell's margin is
+    # 0 or 1e-301, far below every numeric threshold
+    sigma, tau = Partition([2]), Partition([1, 1])
+    scale = 10**301
+    lam1 = np.array([numerator, 0], dtype=object)
+    scope = np.array([[False, True], [False, False]])
+    refuted, contradicted = order._refutations(lam1, scale, scope, np.zeros_like(scope))
+    margin = Fraction(numerator, scale)
+    assert refuted[0, 1] == refutes(margin, True, sigma, tau, 1.0) == (numerator > 0)
+    assert not contradicted.any() and refuted.sum() == numerator
+    ledger = RelationLedger(2)
+    order._refute(ledger, refuted, lam1, scale, "scan", {})
+    assert [(e.sigma, e.tau, e.margin, e.exact) for e in ledger.entries.values()] == (
+        [(sigma, tau, float(margin), True)] if numerator else [])
 
 
 def test_remark2_even_split_consistency():
