@@ -6,9 +6,10 @@ some witness graph gives sigma a strictly larger lowest eigenvalue, and
 *unknown* otherwise. Proved entries only ever come from the seeded
 citation tags; no amount of failed searching promotes a pair.
 
-Every lambda_1 comes from `Evaluator`, the one place that picks how a
-(shape, graph) pair is evaluated: exactly on nested-star graphs, by the
-dense eigensolver otherwise.
+Every lambda_1 is evaluated exactly on nested-star graphs, by the dense
+eigensolver otherwise (`_extremes`): one graph at a time through the cached
+`lambda_extremes`, a batch known up front through `_many`, and a scan's
+candidate stream block by block through `_lambda1_blocks`.
 
 Refutation rule (`_clears`, the one place it is written): witnesses
 evaluated in exact rational arithmetic (nested-star graphs, including plain
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -98,161 +98,100 @@ class LedgerConflict(RuntimeError):
 
 # -- eigenvalue evaluation ----------------------------------------------------
 
-class Evaluator:
-    """(lambda_1, lambda_max, exact) of irreducibles on graphs: the one place
-    that decides how a (shape, graph) pair is evaluated.
+def _extremes(shape: Partition, nested, solve):
+    """(lambda_1, lambda_max, exact) of the shape on a graph: exactly from
+    its nested-star weights `nested`, or from solve() when those are None."""
+    if nested is not None:
+        return (*nested_star_extremes(shape, nested), True)
+    spec = solve()
+    return spec.lambda1, spec.lambda_max, False
 
-    Each graph is tested once for nested-star weights: on those, shapes are
-    evaluated exactly by the chain walk of `spectral`, on other graphs from
-    operators assembled `graphs_per_stack` graphs at a time.
-    `lambda_extremes` is the cached one-graph case; `many` takes a batch
-    known up front and solves each stack by one stacked `spectra` call.
 
-    A stream of candidates is evaluated one candidate at a time on the
-    shapes `keep` names: one `nested_star_lambda1_scaled` walk over them on
-    a nested star, one `spectrum` call per numeric evaluation otherwise. A
-    shape whose held operators run out assembles a stack on the numeric
-    graphs from the current candidate on, reading the stream only as far
-    ahead as the stack needs; a stack is dropped after its last solve or
-    with its shape. A conjugate pair's members share each stack's
-    image chain: the canonical member's is assembled once and the mate's
-    derived by `conjugate_operators`. The values are those of one graph at
-    a time.
-    """
-
-    def __init__(self, candidates=(), dim_cap: int = DEFAULT_DIM_CAP):
-        self.dim_cap = dim_cap
-        # numeric evaluations, and stream evaluations dropped over dim_cap
-        self.numeric_evaluations = self.skipped = self.candidates_read = 0
-        self._stream = iter(candidates)
-        # (graph, witness, nested-star weights or None): the current
-        # candidate, then those read ahead of it
-        self._ahead = deque()
-        self._shapes: dict = {}  # the kept shapes, in job order
-        self._held: dict = {}  # shape -> its unsolved slices, last first
-        # canonical shape -> (run, its stack), left by the member of a
-        # conjugate pair that reached the run first for the other member
-        self._shared: dict = {}
-
-    @staticmethod
-    def extremes(shape: Partition, nested, solve):
-        """(lambda_1, lambda_max, exact) of the shape on a graph: exactly from
-        its nested-star weights `nested`, or from solve() when those are None."""
-        if nested is not None:
-            return (*nested_star_extremes(shape, nested), True)
-        spec = solve()
-        return spec.lambda1, spec.lambda_max, False
-
-    def many(self, shapes: Sequence[Partition], graphs: Sequence[WeightedGraph]) -> list:
-        """lambda_extremes(shape, graph) for each (shape, graph) pair of the
-        two lists, each shape's numeric graphs stacked by `irrep_spectra`:
-        the same floats, one assembly and solve per stack. Not cached."""
-        nested = [quasi_complete_weights(graph) for graph in graphs]
-        pending: dict[Partition, list[int]] = {}
-        for idx, (shape, a) in enumerate(zip(shapes, nested, strict=True)):
-            if a is None:
-                pending.setdefault(shape, []).append(idx)
-        solved = {}
-        for shape, indices in pending.items():
-            solved.update(zip(indices, irrep_spectra(shape, [graphs[idx] for idx in indices],
-                                                     dim_cap=self.dim_cap)))
-        self.numeric_evaluations += len(solved)
-        return [self.extremes(shape, a, lambda idx=idx: solved[idx])
-                for idx, (shape, a) in enumerate(zip(shapes, nested))]
-
-    def candidates(self):
-        """Each (graph, witness) of the stream in turn; `lowest` evaluates
-        the one last given."""
-        while self._ahead or self._read():
-            yield self._ahead[0][:2]
-            self._ahead.popleft()
-
-    def keep(self, shapes) -> None:
-        """Evaluate these shapes from now on: in the order of
-        partitions_of(n), but each non-canonical shape right after its
-        canonical mate, whose stack held for it the next job then takes.
-        Operators of the shapes dropped are freed."""
-        self._shapes = dict.fromkeys(sorted(
-            shapes, key=lambda s: ((_derived_from(s) or s).parts, s.parts), reverse=True))
-        self._held = {shape: self._held[shape] for shape in self._shapes if shape in self._held}
-
-    def lowest(self) -> tuple[np.ndarray, Optional[int]]:
-        """(lam1, scale): lambda_1 of the kept shapes on the current
-        candidate over partitions_of(n), as Python ints times `scale` on a
-        nested star, else as floats with scale None. Other shapes read 0 or
-        NaN, as does a numeric shape above dim_cap, counted in `skipped`."""
-        graph, _, nested = self._ahead[0]
-        index = _partition_index(graph.n)
-        if nested is not None:
-            (scale,), rows = nested_star_lambda1_scaled(self._shapes, [nested])
-            lam1 = np.zeros(len(index), dtype=object)
-            lam1[[index[shape] for shape in self._shapes]] = [row[0] for row in rows]
-            return lam1, scale
-        lam1 = np.full(len(index), np.nan)
-        for shape in self._shapes:
-            try:
-                lam1[index[shape]] = spectrum(self._operator(shape)).lambda1
-            except DimensionCapExceeded:
-                self.skipped += 1
-            else:
-                self.numeric_evaluations += 1
-        return lam1, None
-
-    def _operator(self, shape: Partition) -> np.ndarray:
-        """The shape's operator on the current candidate, a numeric graph: a
-        kept shape is evaluated on every candidate, so its held slices follow
-        the numeric graphs in order. Popped, so a stack is freed once its
-        last slice is solved."""
-        held = self._held.get(shape)
-        if not held:
-            run = self._numeric_run(graphs_per_stack(shape, STACK_FLOATS, self.dim_cap))
-            held = self._held[shape] = list(self._assemble(shape, run))[::-1]
-        return held.pop()
-
-    def _read(self) -> bool:
-        candidate = next(self._stream, None)
-        if candidate is None:
-            return False
-        self.candidates_read += 1
-        self._ahead.append((*candidate, quasi_complete_weights(candidate[0])))
-        return True
-
-    def _numeric_run(self, size: int) -> list[WeightedGraph]:
-        """The next `size` numeric graphs from the current candidate on."""
-        run = list(islice((g for g, _, a in self._ahead if a is None), size))
-        while len(run) < size and self._read():
-            if self._ahead[-1][2] is None:
-                run.append(self._ahead[-1][0])
-        return run
-
-    def _assemble(self, shape: Partition, run: list) -> np.ndarray:
-        """The shape's stack on a run of numeric graphs, from the chain of
-        its pair's canonical member. Both members, when kept, take their
-        stacks on the same runs: the first to reach a run assembles and
-        leaves the canonical stack for the other. With one member not kept,
-        the canonical stack lives only as long as the derivation needs it."""
-        mate = conjugate(shape)
-        if mate == shape:
-            return delta_matrices(shape, run, self.dim_cap)
-        canonical = _derived_from(shape) or shape
-        kept = self._shared.pop(canonical, None)
-        if kept is not None and kept[0] == run:
-            stack = kept[1]
-        else:
-            stack = delta_matrices(canonical, run, self.dim_cap)
-            if mate in self._shapes:
-                self._shared[canonical] = (run, stack)
-        return stack if shape == canonical else conjugate_operators(shape, stack, run)
+def _many(shapes: Sequence[Partition], graphs: Sequence[WeightedGraph]) -> list:
+    """lambda_extremes(shape, graph) for each (shape, graph) pair of the two
+    lists, each shape's numeric graphs stacked by `irrep_spectra`: the same
+    floats, one assembly and solve per stack. Not cached."""
+    nested = [quasi_complete_weights(graph) for graph in graphs]
+    pending: dict[Partition, list[int]] = {}
+    for idx, (shape, a) in enumerate(zip(shapes, nested, strict=True)):
+        if a is None:
+            pending.setdefault(shape, []).append(idx)
+    solved = {}
+    for shape, indices in pending.items():
+        solved.update(zip(indices, irrep_spectra(shape, [graphs[idx] for idx in indices])))
+    return [_extremes(shape, a, lambda idx=idx: solved[idx])
+            for idx, (shape, a) in enumerate(zip(shapes, nested))]
 
 
 @lru_cache(maxsize=4096)
 def lambda_extremes(shape: Partition, graph: WeightedGraph,
                     dim_cap: int = DEFAULT_DIM_CAP):
-    """(lambda_1, lambda_max, exact) on one irreducible: the Evaluator's
-    one-graph case, a numeric graph solved by one `spectrum` call. Cached;
-    graphs are immutable after construction."""
-    return Evaluator.extremes(shape, quasi_complete_weights(graph), lambda: spectrum(
+    """(lambda_1, lambda_max, exact) on one irreducible: exactly on a nested
+    star, else by one `spectrum` call. Cached; graphs are immutable after
+    construction."""
+    return _extremes(shape, quasi_complete_weights(graph), lambda: spectrum(
         delta_matrix(shape, graph, dim_cap=dim_cap)))
+
+
+def _lambda1_blocks(candidates, report: "ScanReport", dim_cap: int):
+    """(graph, witness, lam1, scale) for each (graph, witness) candidate of
+    a stream, lam1 the lambda_1 of every shape of report.n over
+    partitions_of(n): Python ints times `scale` on a nested star, else
+    floats with scale None, NaN on a shape above dim_cap.
+
+    The stream is read in blocks of as many graphs as the largest stack
+    `graphs_per_stack` allows. A block's nested stars take one
+    `nested_star_lambda1_scaled` walk together. Its numeric graphs are
+    stacked `graphs_per_stack` at a time for each canonical or
+    self-conjugate shape; the mate's stack is derived from the canonical
+    one by `conjugate_operators`, and each slice is solved by one
+    `spectrum` call. Each stack is freed before the next is assembled. The
+    report counts the graphs read, the numeric evaluations and those
+    skipped over dim_cap."""
+    n = report.n
+    parts = partitions_of(n)
+    index = _partition_index(n)
+    # (index, shape, mate) of each canonical or self-conjugate shape, the
+    # largest first, so that its stacks go up while the least memory is
+    # held: scan(10, ["random"], budget=2) peaks at 62 MB, against 64-65 MB
+    # in the order of partitions_of(n)
+    jobs = sorted(((i, shape, conjugate(shape)) for i, shape in enumerate(parts)
+                   if _derived_from(shape) is None),
+                  key=lambda job: -num_standard_tableaux(job[1]))
+    candidates = iter(candidates)
+    while block := list(islice(candidates, max(1, STACK_FLOATS // (n * n)))):
+        report.graphs_tried += len(block)
+        nested = [quasi_complete_weights(graph) for graph, _ in block]
+        found = [None] * len(block)
+        exact = [k for k, a in enumerate(nested) if a is not None]
+        if exact:
+            scales, rows = nested_star_lambda1_scaled(parts, [nested[k] for k in exact])
+            for k, scale, row in zip(exact, scales, np.stack(rows, axis=1)):
+                found[k] = row, scale
+        numeric = [k for k, a in enumerate(nested) if a is None]
+        graphs = [block[k][0] for k in numeric]
+        lam1 = np.full((len(graphs), len(parts)), np.nan)
+        for i, shape, mate in jobs if graphs else ():
+            count = len(graphs) * (1 if mate == shape else 2)
+            try:
+                step = graphs_per_stack(shape, STACK_FLOATS, dim_cap)
+            except DimensionCapExceeded:
+                report.skipped_shapes += count
+                continue
+            report.numeric_evaluations += count
+            for start in range(0, len(graphs), step):
+                run = graphs[start:start + step]
+                stack = delta_matrices(shape, run, dim_cap)
+                lam1[start:start + step, i] = [spectrum(m).lambda1 for m in stack]
+                if mate != shape:
+                    stack = conjugate_operators(mate, stack, run)
+                    lam1[start:start + step, index[mate]] = [spectrum(m).lambda1
+                                                             for m in stack]
+                del stack
+        for k, row in zip(numeric, lam1):
+            found[k] = row, None
+        for (graph, witness), (row, scale) in zip(block, found):
+            yield graph, witness, row, scale
 
 
 @dataclass
@@ -341,7 +280,7 @@ def _refutations(lam1: np.ndarray, scale: Optional[int], scope: np.ndarray,
                  tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """The refutation kernel: (refuted, contradicted), the cells (i, j) of a
     p x p scope mask whose margin lam1[i] - lam1[j] passes `refutes`, split
-    by the proved mask. lam1 is one witness's lambda_1 as `Evaluator.lowest`
+    by the proved mask. lam1 is one witness's lambda_1 as `_lambda1_blocks`
     gives it: exact values are compared by rank, floats by the numeric rule
     with dim[i, j] the pair's dimension. A NaN refutes nothing."""
     if scale is not None:
@@ -536,14 +475,22 @@ class RelationLedger:
                 if sigma != tau:
                     yield sigma, tau
 
+    def _pairs_in(self, cells: np.ndarray) -> list[tuple[Partition, Partition]]:
+        """The pairs of a p x p mask from `_grid`, in `pairs` order; the
+        diagonal is cleared in place."""
+        parts = partitions_of(self.n)
+        np.fill_diagonal(cells, False)
+        return [(parts[i], parts[j]) for i, j in zip(*_cells(cells))]
+
     def unknown_pairs(self) -> list[tuple[Partition, Partition]]:
-        return [p for p in self.pairs() if self.status(*p) == "unknown"]
+        return self._pairs_in(~self._grid()[1])
 
     def proved_pairs(self) -> list[tuple[Partition, Partition]]:
-        return [p for p in self.pairs() if self.status(*p) == "proved"]
+        return self._pairs_in(self._grid()[0])
 
     def refuted_pairs(self) -> list[tuple[Partition, Partition]]:
-        return [p for p in self.pairs() if self.status(*p) == "refuted"]
+        proved, decided = self._grid()
+        return self._pairs_in(decided & ~proved)
 
     def to_json(self) -> str:
         """The ledger as json.dumps({"n", "entries"}, indent=2, sort_keys=True)
@@ -595,7 +542,8 @@ class RelationLedger:
         """Load what to_json writes. A document of the wrong shape raises
         ValueError naming the first bad field: n an int >= 1 with at most
         MAX_LEDGER_PAIRS ordered pairs of partitions, entries a list
-        of objects whose sigma and tau are partitions of n and whose status
+        of objects whose sigma and tau are two different partitions of n
+        (to_json writes no pair of a shape with itself) and whose status
         is proved, refuted or unknown, and a refuted entry's witness an
         object, its margin a finite real and its exact (default false) a
         bool. Tags are checked by set_proved and set_refuted."""
@@ -616,6 +564,8 @@ class RelationLedger:
                 raise ValueError(f"entry {i} must be an object, got {record!r}")
             sigma, tau = (_ledger_shape(record.get(key), n, shapes, f"entry {i} {key}")
                           for key in ("sigma", "tau"))
+            if sigma == tau:
+                raise ValueError(f"entry {i}: sigma and tau are the same partition")
             status = record.get("status")
             if status == "proved":
                 ledger.set_proved(sigma, tau, record.get("tag"))
@@ -664,7 +614,7 @@ def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL,
         graph, weights = materialized[key]
     (lam_s, _, exact_s), (lam_t, _, exact_t) = (
         lambda_extremes(shape, graph) if weights is None
-        else Evaluator.extremes(shape, weights, None) for shape in (sigma, tau))
+        else _extremes(shape, weights, None) for shape in (sigma, tau))
     margin, exact = lam_s - lam_t, exact_s and exact_t
     if not refutes(margin, exact, sigma, tau, graph.wt, tol):
         raise LedgerConflict(
@@ -843,11 +793,13 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     Family names are checked first: an unknown or repeated one raises
     ValueError before anything is seeded. Starts from the seeded ledger.
     The pairs not yet refuted are a p x p mask over partitions_of(n).
-    Graph by graph, an `Evaluator` gives the lambda_1 vector of their
-    shapes and the kernel `_refutations` decides them all at once; the
-    pairs a graph refutes leave, with every shape in no other such pair.
-    A margin on a proved pair is a contradiction and lands in the report
-    instead of the ledger. Deterministic for a fixed seed.
+    Graph by graph, `_lambda1_blocks` gives the lambda_1 vector of every
+    shape and the kernel `_refutations` decides the open pairs all at
+    once; the pairs a graph refutes leave the mask. Every shape stays in
+    play: the seeded top is proved above every other shape, and proved
+    pairs stay in the mask to be audited. A margin on a proved pair is a
+    contradiction and lands in the report instead of the ledger.
+    Deterministic for a fixed seed.
     """
     families = tuple(families)
     for k, name in enumerate(families):
@@ -863,13 +815,7 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     dims = [num_standard_tableaux(shape) for shape in parts]
     dim = np.maximum.outer(dims, dims)
     stream = (c for family in families for c in _family_graphs(family, n, budget, seed))
-    evaluator = Evaluator(stream, dim_cap)
-
-    def keep():  # the shapes of the pairs left
-        evaluator.keep(parts[i] for i in np.flatnonzero(todo.any(axis=0) | todo.any(axis=1)))
-    keep()
-    for graph, witness in evaluator.candidates():
-        lam1, scale = evaluator.lowest()
+    for graph, witness, lam1, scale in _lambda1_blocks(stream, report, dim_cap):
         refuted, contradicted = _refutations(lam1, scale, todo, proved, graph.wt, dim, tol)
         if refuted.any() or contradicted.any():
             witness = witness or graph_witness(graph)
@@ -882,10 +828,6 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
             _refute(ledger, refuted, lam1, scale, "scan", witness)
             report.refutations_found += int(np.count_nonzero(refuted))
             todo &= ~refuted
-            keep()
-    report.graphs_tried = evaluator.candidates_read
-    report.skipped_shapes = evaluator.skipped
-    report.numeric_evaluations = evaluator.numeric_evaluations
     refuted = [e for e in ledger.entries.values() if e.status == "refuted"]
     numeric = [e.margin for e in refuted if not e.exact]
     report.refutations_exact = len(refuted) - len(numeric)
@@ -959,7 +901,7 @@ def check_weightedstar_bound(sigma: Partition, k: int, a,
 
 def check_weightedstar_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
     """check_weightedstar_bound for each (sigma, k, a) instance, the graphs
-    evaluated together by `Evaluator.many`."""
+    evaluated together by `_many`."""
     shapes, graphs, bounds = [], [], []
     for sigma, k, a in instances:
         _require_row_class(sigma, k)
@@ -972,7 +914,7 @@ def check_weightedstar_bounds(instances, tol: float = DEFAULT_TOL) -> list[Bound
         graphs.append(weighted_star_graph(sigma.n, a))
         bounds.append(2 * sum(a[:k]) + sum(a[k:]))
     return [BoundReport("weightedstar", lam_max <= bound + tol, bound, float(lam_max))
-            for (_, lam_max, _), bound in zip(Evaluator().many(shapes, graphs), bounds)]
+            for (_, lam_max, _), bound in zip(_many(shapes, graphs), bounds)]
 
 
 def check_invariant_vector_bound(sigma: Partition, k: int, graph: WeightedGraph,
@@ -984,7 +926,7 @@ def check_invariant_vector_bound(sigma: Partition, k: int, graph: WeightedGraph,
 
 def check_invariant_vector_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
     """check_invariant_vector_bound for each (sigma, k, graph, vertices)
-    instance, the graphs evaluated together by `Evaluator.many`."""
+    instance, the graphs evaluated together by `_many`."""
     shapes, graphs, bounds = [], [], []
     for sigma, k, graph, vertices in instances:
         _require_row_class(sigma, k)
@@ -995,7 +937,7 @@ def check_invariant_vector_bounds(instances, tol: float = DEFAULT_TOL) -> list[B
         graphs.append(graph)
         bounds.append(2.0 * sum(float(graph.weights[v - 1].sum()) for v in vertices))
     return [BoundReport("invariant_vector", lam1 <= bound + tol, bound, float(lam1))
-            for (lam1, _, _), bound in zip(Evaluator().many(shapes, graphs), bounds)]
+            for (lam1, _, _), bound in zip(_many(shapes, graphs), bounds)]
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -33,8 +33,9 @@ eigensolver via numpy.linalg.eigvalsh / eigh. `spectra` does the same for a
 a list of graphs by stacking their operators (`symrep.delta_matrices`),
 `symrep.graphs_per_stack` graphs at a time. The verify suites that compare
 full spectra call it directly, spending little per-call overhead on the
-thousands of tiny operators they check; the order engine's lambda_1 goes
-through `order.Evaluator`, whose batch entry calls it as well.
+thousands of tiny operators they check, and so do the order engine's
+bound checks (`order._many`); `order.scan` stacks its operators block by
+block itself.
 """
 
 from __future__ import annotations

@@ -570,6 +570,10 @@ _REFUTED_BY_A_STRING = ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", '
     ('{"n": 5, "entries": [{"sigma": "3,3", "tau": "4,1", "status": "proved", '
      '"tag": "clr"}]}', "is not a partition of 5"),
     (_REFUTED_BY_A_STRING.replace('"refuted"', '"maybe"'), "status must be"),
+    # hasse re-checks no witness on the diagonal
+    ('{"n": 3, "entries": [{"sigma": "3", "tau": "3", "status": "refuted", "tag": "scan", '
+     '"margin": 1.0, "exact": true, "witness": {"kind": "family", "family": "complete", '
+     '"n": 3}}]}', "error: entry 0: sigma and tau are the same partition\n"),
 ])
 def test_hasse_rejects_a_malformed_ledger(capsys, tmp_path, text, message):
     ledger = tmp_path / "ledger.json"

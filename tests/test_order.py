@@ -26,7 +26,6 @@ from aldous.graphs import (
 import aldous.order as order
 from aldous.order import (
     SCAN_FAMILIES,
-    Evaluator,
     LedgerConflict,
     RelationLedger,
     ScanReport,
@@ -52,6 +51,7 @@ from aldous.symrep import (
     DEFAULT_DIM_CAP,
     STACK_FLOATS,
     DimensionCapExceeded,
+    _derived_from,
     rep_transposition,
 )
 
@@ -495,10 +495,35 @@ def test_to_json_byte_cases_cover_every_witness_kind():
     ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", "status": "refuted", '
      '"margin": 1.0, "exact": 1, "witness": {}}]}', "exact must be a bool, got 1"),
     ("{", "Expecting"),
+    # a shape paired with itself, which to_json never writes, whatever the
+    # status: the pair lists skip the diagonal, so nothing would check it
+    ('{"n": 3, "entries": [{"sigma": "3", "tau": "3", "status": "refuted", "tag": "scan", '
+     '"margin": 1.0, "exact": true, "witness": {"kind": "family", "family": "complete", '
+     '"n": 3}}]}', "^entry 0: sigma and tau are the same partition$"),
+    ('{"n": 3, "entries": [{"sigma": "3", "tau": "2,1", "status": "proved", "tag": "clr"}, '
+     '{"sigma": "2,1", "tau": "2,1", "status": "unknown"}]}',
+     "^entry 1: sigma and tau are the same partition$"),
 ])
 def test_ledger_from_json_rejects_bad_documents(text, message):
     with pytest.raises(ValueError, match=message):
         RelationLedger.from_json(text)
+
+
+def test_pair_lists_equal_the_status_walk():
+    scanned, _ = scan(6, budget=30, seed=0)
+    ledgers = [scanned, RelationLedger.from_json(scanned.to_json()), seed_known(8),
+               RelationLedger(4), _random_ledger(6, 3, refuted=True)]
+    # an entry on partitions of another size is in no list
+    ledgers[-1].entries[(Partition([5]), Partition([4, 1]))] = order.RelationEntry(
+        Partition([5]), Partition([4, 1]), "proved", "main")
+    for ledger in ledgers:
+        for status, listed in (("unknown", ledger.unknown_pairs()),
+                               ("proved", ledger.proved_pairs()),
+                               ("refuted", ledger.refuted_pairs())):
+            assert listed == [pair for pair in ledger.pairs()
+                              if ledger.status(*pair) == status]
+    assert all(lists for lists in (scanned.unknown_pairs(), scanned.proved_pairs(),
+                                   scanned.refuted_pairs()))
 
 
 def test_ledger_pair_count_is_p_n_times_p_n_minus_one():
@@ -568,10 +593,10 @@ def test_scan_consistency_small():
 def test_scan_deterministic():
     for args, kwargs in [
         ((5,), {"budget": 10, "seed": 7}),
-        # each evaluation takes its own shape's held stack, skipped shapes included
+        # shapes above dim_cap skipped on every numeric graph
         ((6,), {"budget": 60, "seed": 5, "dim_cap": 9}),
-        # the default families put exact candidates between numeric ones, so
-        # stacks read ahead across them
+        # the default families mix nested stars and numeric graphs in one
+        # block, and stacks skip the nested stars
         ((7,), {"budget": 20, "seed": 42}),
         # both members of a conjugate pair take their stacks from one chain
         ((8, ("random",)), {"budget": 8, "seed": 0}),
@@ -695,30 +720,50 @@ class ScanRecorder:
 
 
 EXACT_FAMILIES = ("stars", "cliques", "quasi")
+# (n, budget, dim_cap, families, blocks): blocks, if set, patches
+# STACK_FLOATS to blocks n^2, so that the scan reads the candidates
+# `blocks` graphs at a time, and each stack holds at most that many
 LOOP_CASES = [
-    (4, 30, DEFAULT_DIM_CAP, SCAN_FAMILIES),
-    (5, 60, DEFAULT_DIM_CAP, SCAN_FAMILIES),
-    (6, 10, DEFAULT_DIM_CAP, SCAN_FAMILIES),  # below every shape's stack step at n = 6
-    (6, 150, DEFAULT_DIM_CAP, SCAN_FAMILIES),  # above the step of the dim-16 shapes
-    (7, 20, DEFAULT_DIM_CAP, SCAN_FAMILIES),
-    (7, 15, 20, SCAN_FAMILIES),  # shapes of dim 21 and 35 skipped
-    (8, 5, DEFAULT_DIM_CAP, EXACT_FAMILIES),  # nested stars only: no solve
+    (4, 30, DEFAULT_DIM_CAP, SCAN_FAMILIES, None),
+    (5, 60, DEFAULT_DIM_CAP, SCAN_FAMILIES, None),
+    (6, 10, DEFAULT_DIM_CAP, SCAN_FAMILIES, None),  # below every shape's stack step at n = 6
+    (6, 150, DEFAULT_DIM_CAP, SCAN_FAMILIES, None),  # above the step of the dim-16 shapes
+    (7, 20, DEFAULT_DIM_CAP, SCAN_FAMILIES, None),
+    (7, 15, 20, SCAN_FAMILIES, None),  # shapes of dim 21 and 35 skipped
+    (8, 5, DEFAULT_DIM_CAP, EXACT_FAMILIES, None),  # nested stars only: no solve
+    # blocks of 8 and 6 graphs: some mix nested stars with numeric graphs,
+    # and stacks of 1 to 8 graphs end at block edges
+    (6, 40, DEFAULT_DIM_CAP, SCAN_FAMILIES, 8),
+    (7, 15, 20, SCAN_FAMILIES, 6),
+    (8, 5, DEFAULT_DIM_CAP, EXACT_FAMILIES, 5),  # one walk per block of 5 nested stars
 ]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n, budget, dim_cap, families", LOOP_CASES, ids=[
+@pytest.mark.parametrize("n, budget, dim_cap, families, blocks", LOOP_CASES, ids=[
     f"{n}-{budget}-{dim_cap}" + ("" if families == SCAN_FAMILIES else "-exact")
-    for n, budget, dim_cap, families in LOOP_CASES])
+    + ("" if blocks is None else f"-blocks{blocks}")
+    for n, budget, dim_cap, families, blocks in LOOP_CASES])
 def test_scan_equals_the_one_graph_at_a_time_loop(monkeypatch, n, budget, dim_cap, families,
-                                                  seed):
+                                                  blocks, seed):
     lambda_extremes.cache_clear()
     expected, expected_report = reference_scan(n, families, budget=budget, seed=seed,
                                                dim_cap=dim_cap)
+    if blocks is not None:
+        monkeypatch.setattr(order, "STACK_FLOATS", blocks * n * n)
+        # at least three blocks, some mixing nested stars and numeric graphs
+        # unless every candidate is a nested star
+        kinds = [quasi_complete_weights(graph) is None
+                 for family in families for graph, _ in _family_graphs(family, n, budget, seed)]
+        assert len(kinds) > 2 * blocks
+        mixed = [len(set(kinds[k:k + blocks])) == 2 for k in range(0, len(kinds), blocks)]
+        assert any(mixed) == (families == SCAN_FAMILIES)
     recorder = ScanRecorder(monkeypatch)
     ledger, report = scan(n, families, budget=budget, seed=seed, dim_cap=dim_cap)
     assert ledger.to_json() == expected.to_json()
     assert asdict(report) == asdict(expected_report)
+    if blocks is not None:
+        assert all(len(graphs) <= blocks for _, graphs in recorder.stacks)
     assert (report.skipped_shapes > 0) == (dim_cap < DEFAULT_DIM_CAP)
     # one solve per numeric evaluation of the reference, and only numeric
     # graphs assembled
@@ -774,8 +819,9 @@ def test_scan_keeps_no_stack_past_its_last_solve(monkeypatch):
 
 
 def test_scan_reads_candidates_only_as_far_as_a_stack_reaches(monkeypatch):
-    # stacks of one and two graphs; the scan reads a random graph only when
-    # a stack needs it, or when it scans it
+    # blocks of two graphs, as many as the largest stack takes, and stacks
+    # of one and two: the scan reads a random graph only with the block of
+    # the stacks that need it, never a block ahead
     n, budget = 5, 40
     expected, expected_report = scan(n, ("random",), budget=budget, seed=7)
     monkeypatch.setattr(order, "STACK_FLOATS", 2 * n * n)
@@ -799,115 +845,124 @@ def test_scan_reads_candidates_only_as_far_as_a_stack_reaches(monkeypatch):
     ledger, report = scan(n, ("random",), budget=budget, seed=7)
     assert ledger.to_json() == expected.to_json()
     assert asdict(report) == asdict(expected_report)
-    furthest = 0
     for count, end in reach:
-        furthest = max(furthest, end)
-        assert count == furthest
-    assert reach[0][0] <= 2 and furthest == budget
+        assert count == end + end % 2  # the read blocks end with the stack's
+    assert reach[0][0] <= 2 and max(end for _, end in reach) == budget
     assert len(read) == report.graphs_tried == budget
 
 
-@pytest.mark.parametrize("n", [5, 6])
-def test_scan_stops_solving_a_shape_whose_pairs_are_refuted(monkeypatch, n):
-    # seeded ledgers keep every shape in a proved pair; this one leaves open
-    # only the false bottom >= top and hook >= standard, refuted by the
-    # first graph, and the true standard >= hook, so every other shape
-    # drops out in the middle of its first block
-    bottom, top = Partition([1] * n), Partition([n])
-    std, hook = Partition([n - 1, 1]), Partition([n - 2, 1, 1])
-    open_pairs = {(bottom, top), (hook, std), (std, hook)}
+def numeric_candidates(n, families, budget, seed):
+    """How many candidates of a scan are not nested stars."""
+    return sum(quasi_complete_weights(graph) is None
+               for family in families for graph, _ in _family_graphs(family, n, budget, seed))
 
+
+def assert_evaluates_every_shape(recorder, report, expected_report, n, families, budget, seed):
+    """The hand-made ledgers below leave shapes in no open pair. The
+    reference stops evaluating such a shape; the scan, whose seeded ledgers
+    keep every shape in play, evaluates every shape on every candidate. So
+    every field of the two reports agrees but the evaluation counts, and
+    the scan solves each shape under dim_cap once per numeric candidate."""
+    fields, expected = asdict(report), asdict(expected_report)
+    for name in ("numeric_evaluations", "skipped_shapes"):
+        del fields[name], expected[name]
+    assert fields == expected
+    solves = numeric_candidates(n, families, budget, seed) * len(partitions_of(n))
+    assert len(recorder.solves) == report.numeric_evaluations == solves
+    assert report.skipped_shapes == 0
+    assert recorder.no_solved_stack_kept()
+
+
+def _ledger_open_only_at(pairs):
+    """A seed_known stand-in: every pair refuted through the complete graph
+    but the given ones, which stay unknown."""
     def seeded(size):
         ledger = RelationLedger(size)
         for pair in ledger.pairs():
-            if pair not in open_pairs:
+            if pair not in pairs:
                 ledger.set_refuted(*pair, {"kind": "family", "family": "complete",
                                            "n": size}, 1.0, True, "ds81")
         return ledger
+    return seeded
 
-    monkeypatch.setattr(order, "seed_known", seeded)
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_scan_solves_every_shape_after_its_pairs_are_refuted(monkeypatch, n):
+    # this ledger leaves open only the false bottom >= top and hook >=
+    # standard, refuted by the first graph, and the true standard >= hook:
+    # every other shape is in no open pair from the start, and bottom and
+    # top in none after the first graph, yet all are solved to the end
+    bottom, top = Partition([1] * n), Partition([n])
+    std, hook = Partition([n - 1, 1]), Partition([n - 2, 1, 1])
+    open_pairs = {(bottom, top), (hook, std), (std, hook)}
+    monkeypatch.setattr(order, "seed_known", _ledger_open_only_at(open_pairs))
     families = ("paths", "matchings", "random")
     lambda_extremes.cache_clear()
     expected, expected_report = reference_scan(n, families, budget=30, seed=4)
     recorder = ScanRecorder(monkeypatch)
     ledger, report = scan(n, families, budget=30, seed=4)
     assert ledger.to_json() == expected.to_json()
-    assert asdict(report) == asdict(expected_report)
+    assert_evaluates_every_shape(recorder, report, expected_report, n, families, 30, 4)
     assert report.refutations_found == 2
     assert {pair for pair in ledger.refuted_pairs() if pair in open_pairs} == {
         (bottom, top), (hook, std)}
-    assert len(recorder.solves) == expected_report.numeric_evaluations
-    solved_shapes = {shape for shape, _ in recorder.stacks}
-    assert solved_shapes == {bottom, top, std, hook}
-    # bottom and top were assembled for a whole block and solved once
-    assert sum(len(g) for _, g in recorder.stacks) > len(recorder.solves)
-    # their stacks, still half full, were dropped as they left
-    assert recorder.solves.count(1) == 2
-    assert all(shape in (std, hook) for alive in recorder.alive[4:] for shape, _, _ in alive)
-    assert any(shape in (bottom, top) for alive in recorder.alive[:4] for shape, _, _ in alive)
-    assert recorder.no_solved_stack_kept()
+    assert {shape for shape, _ in recorder.stacks} == set(partitions_of(n))
 
 
-def test_scan_assembles_a_canonical_shape_out_of_play_only_to_derive(monkeypatch):
-    # only the pairs between 2,2,1,1 and 2,1,1,1,1 are open; their mates
-    # 4,2 and 5,1 are out of play, yet their chains make every operator
+def test_scan_derives_each_mate_from_its_canonical_stack(monkeypatch):
+    # only the pairs between 2,2,1,1 and 2,1,1,1,1 are open; every stack of
+    # a non-canonical shape, theirs included, is derived from its canonical
+    # mate's on the same graphs, right after that stack is solved
     n = 6
     first, second = Partition([2, 2, 1, 1]), Partition([2, 1, 1, 1, 1])
-    mates = {conjugate(first): first, conjugate(second): second}
-    assert set(mates) == {Partition([4, 2]), Partition([5, 1])}
-
-    def seeded(size):
-        ledger = RelationLedger(size)
-        for pair in ledger.pairs():
-            if pair not in ((first, second), (second, first)):
-                ledger.set_refuted(*pair, {"kind": "family", "family": "complete",
-                                           "n": size}, 1.0, True, "ds81")
-        return ledger
-
-    monkeypatch.setattr(order, "seed_known", seeded)
+    monkeypatch.setattr(order, "seed_known",
+                        _ledger_open_only_at({(first, second), (second, first)}))
     families = ("paths", "random")
     lambda_extremes.cache_clear()
     expected, expected_report = reference_scan(n, families, budget=12, seed=5)
     recorder = ScanRecorder(monkeypatch)
     ledger, report = scan(n, families, budget=12, seed=5)
     assert ledger.to_json() == expected.to_json()
-    assert asdict(report) == asdict(expected_report)
-    assembled = [(mates[shape], graphs) for shape, graphs in recorder.stacks if shape in mates]
-    derived = [(shape, graphs) for shape, graphs in recorder.stacks if shape not in mates]
-    assert assembled == derived and derived
-    assert len(recorder.solves) == expected_report.numeric_evaluations == sum(
-        len(graphs) for _, graphs in derived)
-    # a canonical stack is gone before the next solve
-    assert all(shape in (first, second) for alive in recorder.alive for shape, _, _ in alive)
-    assert recorder.no_solved_stack_kept()
+    assert_evaluates_every_shape(recorder, report, expected_report, n, families, 12, 5)
+    derived = [k for k, (shape, _) in enumerate(recorder.stacks) if _derived_from(shape)]
+    mates = {shape for shape in partitions_of(n) if conjugate(shape).parts > shape.parts}
+    assert {first, second} <= mates == {recorder.stacks[k][0] for k in derived}
+    for k in derived:
+        shape, graphs = recorder.stacks[k]
+        assert recorder.stacks[k - 1] == (conjugate(shape), graphs)
+    # no stack outlives its own solves: a canonical one is gone before
+    # its mate's first solve
+    assert all(alive == [] for alive in recorder.alive)
 
 
 def test_scan_counts_the_candidates_left_once_every_pair_is_decided(monkeypatch):
     # only the false bottom >= top is open; the first graph, a star,
-    # refutes it exactly and the scan stops evaluating, but still counts
-    # every candidate
+    # refutes it exactly, and the scan still evaluates and counts every
+    # candidate
     n = 5
     bottom, top = Partition([1] * n), Partition([n])
-
-    def seeded(size):
-        ledger = RelationLedger(size)
-        for pair in ledger.pairs():
-            if pair != (bottom, top):
-                ledger.set_refuted(*pair, {"kind": "family", "family": "complete",
-                                           "n": size}, 1.0, True, "ds81")
-        return ledger
-
-    monkeypatch.setattr(order, "seed_known", seeded)
+    monkeypatch.setattr(order, "seed_known", _ledger_open_only_at({(bottom, top)}))
     lambda_extremes.cache_clear()
     expected, expected_report = reference_scan(n, budget=30, seed=2)
     recorder = ScanRecorder(monkeypatch)
     ledger, report = scan(n, budget=30, seed=2)
     assert ledger.to_json() == expected.to_json()
-    assert asdict(report) == asdict(expected_report)
+    assert_evaluates_every_shape(recorder, report, expected_report, n, SCAN_FAMILIES, 30, 2)
     assert report.refutations_found == 1 and report.refutations_numeric == 0
     assert report.graphs_tried == sum(
         1 for family in SCAN_FAMILIES for _ in _family_graphs(family, n, 30, 2))
-    assert recorder.solves == [] and expected_report.numeric_evaluations == 0
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_seeded_ledgers_keep_every_shape_in_play(n):
+    # scan evaluates every shape on every candidate; with a seeded ledger no
+    # evaluation is wasted, since the top is proved above every other shape
+    # and proved pairs stay open to be audited
+    proved, decided = seed_known(n)._grid()
+    todo = proved | ~decided
+    np.fill_diagonal(todo, False)
+    assert (todo.any(axis=0) | todo.any(axis=1)).all()
+    assert proved[0, 1:].all()
 
 
 def replayed_evaluations(ledger, n, budget, seed):
@@ -1059,7 +1114,7 @@ def test_check_invariant_vector_bound():
     assert check_invariant_vector_bound(Partition([5, 1]), 1, g, [v]).ok
 
 
-def test_lambda_extremes_many_is_lambda_extremes_per_pair():
+def test_lambda_extremes_many_is_lambda_extremes_per_pair(monkeypatch):
     shapes, graphs = [], []
     for n in (4, 5, 6):
         candidates = [random_graph(n, 10 + n), random_graph(n, 20 + n, density=0.3),
@@ -1069,15 +1124,24 @@ def test_lambda_extremes_many_is_lambda_extremes_per_pair():
             for graph in candidates[i % 3:]:
                 shapes.append(shape)
                 graphs.append(graph)
-    evaluator = Evaluator()
-    found = evaluator.many(shapes, graphs)
+    solved = []
+    stacked = order.irrep_spectra
+
+    def counted(shape, batch, *args, **kwargs):
+        solved.extend(batch)
+        return stacked(shape, batch, *args, **kwargs)
+
+    monkeypatch.setattr(order, "irrep_spectra", counted)
+    found = order._many(shapes, graphs)
     assert found == [lambda_extremes(s, g) for s, g in zip(shapes, graphs)]
     exact = [f for f, g in zip(found, graphs) if quasi_complete_weights(g) is not None]
     assert exact and all(e[2] and isinstance(e[0], Fraction) for e in exact)
     assert all(not f[2] for f, g in zip(found, graphs)
                if quasi_complete_weights(g) is None)
-    assert Evaluator().many([], []) == []
-    assert evaluator.numeric_evaluations == len(found) - len(exact)
+    assert order._many([], []) == []
+    # each numeric (shape, graph) pair solved once, no nested star solved
+    assert len(solved) == len(found) - len(exact)
+    assert all(quasi_complete_weights(g) is None for g in solved)
 
 
 def test_bound_checks_over_many_instances_match_single_checks():
