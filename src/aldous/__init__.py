@@ -26,8 +26,6 @@ from .partitions import (
     partitions_of,
 )
 from .spectral import (
-    ExactSpectrum,
-    Spectrum,
     complete_graph_eigenvalue,
     irrep_spectra,
     laplacian_gap,
@@ -55,11 +53,9 @@ from .characters import (
 from .order import (
     RelationEntry,
     RelationLedger,
-    check_invariant_vector_bound,
     check_matching_bound,
     check_onestar_bound,
     check_pair,
-    check_weightedstar_bound,
     export_dot,
     scan,
     seed_known,

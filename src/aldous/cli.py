@@ -212,21 +212,21 @@ def _spectrum_lines(args, config: RunConfig) -> str:
     if config.format == "json":
         payload = {
             "shape": str(shape),
-            "lambda1": numeric.lambda1,
-            "lambda_max": numeric.lambda_max,
-            "spectrum": list(numeric.values),
+            "lambda1": numeric[0],
+            "lambda_max": numeric[-1],
+            "spectrum": list(numeric),
         }
         if exact_values is not None:
-            payload["exact"] = [str(v) for v in exact_values.values]
+            payload["exact"] = [str(v) for v in exact_values]
         return json.dumps(payload, sort_keys=True) + "\n"
     lines = [
         f"shape,{shape}",
-        f"lambda1,{numeric.lambda1!r}",
-        f"lambda_max,{numeric.lambda_max!r}",
-        "spectrum," + ",".join(repr(v) for v in numeric.values),
+        f"lambda1,{numeric[0]!r}",
+        f"lambda_max,{numeric[-1]!r}",
+        "spectrum," + ",".join(repr(v) for v in numeric),
     ]
     if exact_values is not None:
-        lines.append("exact," + ",".join(str(v) for v in exact_values.values))
+        lines.append("exact," + ",".join(str(v) for v in exact_values))
     return "\n".join(lines) + "\n"
 
 
@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             _emit(ledger.to_json() + "\n", args.out)
             # the report's counts but n, and the pairs left unknown
-            summary = asdict(report) | {"unknown": len(ledger.unknown_pairs())}
+            summary = asdict(report) | {"unknown": ledger.unknown_count()}
             del summary["n"]
             sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
             return EXIT_OK if report.consistent else EXIT_VIOLATION

@@ -103,8 +103,8 @@ def _extremes(shape: Partition, nested, solve):
     its nested-star weights `nested`, or from solve() when those are None."""
     if nested is not None:
         return (*nested_star_extremes(shape, nested), True)
-    spec = solve()
-    return spec.lambda1, spec.lambda_max, False
+    values = solve()
+    return values[0], values[-1], False
 
 
 def _many(shapes: Sequence[Partition], graphs: Sequence[WeightedGraph]) -> list:
@@ -182,11 +182,10 @@ def _lambda1_blocks(candidates, report: "ScanReport", dim_cap: int):
             for start in range(0, len(graphs), step):
                 run = graphs[start:start + step]
                 stack = delta_matrices(shape, run, dim_cap)
-                lam1[start:start + step, i] = [spectrum(m).lambda1 for m in stack]
+                lam1[start:start + step, i] = [spectrum(m)[0] for m in stack]
                 if mate != shape:
                     stack = conjugate_operators(mate, stack, run)
-                    lam1[start:start + step, index[mate]] = [spectrum(m).lambda1
-                                                             for m in stack]
+                    lam1[start:start + step, index[mate]] = [spectrum(m)[0] for m in stack]
                 del stack
         for k, row in zip(numeric, lam1):
             found[k] = row, None
@@ -485,6 +484,12 @@ class RelationLedger:
     def unknown_pairs(self) -> list[tuple[Partition, Partition]]:
         return self._pairs_in(~self._grid()[1])
 
+    def unknown_count(self) -> int:
+        """len(unknown_pairs()): the unset off-diagonal cells of the grid,
+        counted without listing the pairs."""
+        free = ~self._grid()[1]
+        return int(np.count_nonzero(free) - np.count_nonzero(free.diagonal()))
+
     def proved_pairs(self) -> list[tuple[Partition, Partition]]:
         return self._pairs_in(self._grid()[0])
 
@@ -703,7 +708,7 @@ def seed_known(n: int) -> RelationLedger:
         star = {"kind": "family", "family": "star", "n": n, "params": {"k": n}}
         pair = index[Partition([2, 2] + [1] * (n - 4))], index[Partition([2] + [1] * (n - 2))]
         weights = [0] * (n - 2) + [1]  # the star's nested weights: a_n = 1
-        values = [quasi_complete_spectrum(parts[i], weights).lambda1 for i in pair]
+        values = [quasi_complete_spectrum(parts[i], weights)[0] for i in pair]
         scale = math.lcm(*(value.denominator for value in values))
         lam1 = np.zeros(p, dtype=object)
         lam1[list(pair)] = [int(value * scale) for value in values]
@@ -893,15 +898,10 @@ def check_onestar_bound(sigma: Partition, k: int, l: int) -> BoundReport:
     return BoundReport("onestar", lam_max <= l + k, l + k, float(lam_max))
 
 
-def check_weightedstar_bound(sigma: Partition, k: int, a,
-                             tol: float = DEFAULT_TOL) -> BoundReport:
-    """Weighted-star bound: twice the k heaviest edges plus the rest."""
-    return check_weightedstar_bounds([(sigma, k, a)], tol)[0]
-
-
 def check_weightedstar_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
-    """check_weightedstar_bound for each (sigma, k, a) instance, the graphs
-    evaluated together by `_many`."""
+    """Weighted-star bound, per (sigma, k, a) instance: the largest
+    eigenvalue stays at or below twice the k heaviest edges plus the rest.
+    The graphs are evaluated together by `_many`."""
     shapes, graphs, bounds = [], [], []
     for sigma, k, a in instances:
         _require_row_class(sigma, k)
@@ -917,16 +917,10 @@ def check_weightedstar_bounds(instances, tol: float = DEFAULT_TOL) -> list[Bound
             for (_, lam_max, _), bound in zip(_many(shapes, graphs), bounds)]
 
 
-def check_invariant_vector_bound(sigma: Partition, k: int, graph: WeightedGraph,
-                                 vertices: Sequence[int],
-                                 tol: float = DEFAULT_TOL) -> BoundReport:
-    """Lowest eigenvalue at or below twice the chosen vertices' weight."""
-    return check_invariant_vector_bounds([(sigma, k, graph, vertices)], tol)[0]
-
-
 def check_invariant_vector_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
-    """check_invariant_vector_bound for each (sigma, k, graph, vertices)
-    instance, the graphs evaluated together by `_many`."""
+    """Invariant-vector bound, per (sigma, k, graph, vertices) instance: the
+    lowest eigenvalue stays at or below twice the chosen vertices' weight.
+    The graphs are evaluated together by `_many`."""
     shapes, graphs, bounds = [], [], []
     for sigma, k, graph, vertices in instances:
         _require_row_class(sigma, k)

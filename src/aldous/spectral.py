@@ -11,24 +11,30 @@ nested star operators on the canonical tableau basis:
   * a standard tableau is a saturated chain of diagrams from one box up to
     the shape, so those eigenvalues are wt minus sums along chains, and one
     memoized recursion over subdiagrams (corner removal) finds them without
-    listing a tableau: `nested_star_extremes` keeps the heaviest and the
-    lightest chain of each subdiagram, `quasi_complete_spectrum` every
-    chain sum with its multiplicity. Both run in integers: each weighting
-    is scaled once by the common denominator of its weights, and
-    Fractions are built only for the returned values. The extremes walk
+    listing a tableau: `_chains` keeps the heaviest chain of each
+    subdiagram, `quasi_complete_spectrum` every chain sum with its
+    multiplicity. Both run in integers: each weighting is scaled once by
+    the common denominator of its weights, and Fractions are built only
+    for the returned values. The extremes walk
     (`_chains`) runs on integer columns, one entry per weighting, so
     `nested_star_lambda1_scaled` gives lambda_1 of every shape under every
     weighting of a sweep from one walk, as the scaled integers themselves
     for sweeps that only compare lambda_1 across shapes, and
     `nested_star_extremes` is its one-column case, with the tables of a
-    weighting shared by every shape it is evaluated on;
+    weighting shared by every shape it is evaluated on. Transposing a
+    tableau negates every content, so the lightest chain of a shape is
+    minus the heaviest chain of its conjugate: a single-shape
+    `nested_star_extremes` call also walks the conjugate's subdiagrams,
+    for lambda_max;
   * the complete graph acts by the scalar C(n,2) - content sum;
   * the spectrum on a hook [n-k, 1^k] consists of the k-subset sums of
     the spectrum on [n-1, 1].
 
 Everything else goes through `spectrum`, which checks its input (square,
-finite, symmetric) and hands the symmetrized matrix to LAPACK's symmetric
-eigensolver via numpy.linalg.eigvalsh / eigh. `spectra` does the same for a
+finite, symmetric), hands the symmetrized matrix to LAPACK's symmetric
+eigensolver via numpy.linalg.eigvalsh and returns its eigenvalues as the
+ascending tuple of floats LAPACK gives: [0] is lambda_1, [-1] lambda_max.
+Exact spectra are ascending tuples of Fractions. `spectra` does the same for a
 (G, d, d) stack in one call, and `irrep_spectra` solves one irreducible for
 a list of graphs by stacking their operators (`symrep.delta_matrices`),
 `symrep.graphs_per_stack` graphs at a time. The verify suites that compare
@@ -49,52 +55,10 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import WeightedGraph
-from .partitions import Partition, _removals, capped_tableau_count, content_sum
+from .partitions import Partition, _removals, capped_tableau_count, conjugate, content_sum
 from .symrep import DEFAULT_DIM_CAP, STACK_FLOATS, delta_matrices, graphs_per_stack
 
 DEFAULT_TOL = 1e-12
-
-
-class Spectrum:
-    """Sorted eigenvalues with smallest/largest accessors."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = tuple(sorted(values))
-
-    @property
-    def lambda1(self):
-        return self.values[0]
-
-    @property
-    def lambda_max(self):
-        return self.values[-1]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __eq__(self, other):
-        return isinstance(other, type(self)) and self.values == other.values
-
-    def __repr__(self):
-        return f"{type(self).__name__}({list(self.values)})"
-
-
-class ExactSpectrum(Spectrum):
-    """Spectrum holding exact rationals."""
-
-    def __init__(self, values):
-        super().__init__(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-
-    def as_spectrum(self) -> Spectrum:
-        return Spectrum(float(v) for v in self.values)
 
 
 def _symmetrized(m: np.ndarray, tol: float) -> np.ndarray:
@@ -121,42 +85,36 @@ def _symmetrized(m: np.ndarray, tol: float) -> np.ndarray:
     return (m + mt) / 2.0
 
 
-def spectrum(m: np.ndarray, tol: float = DEFAULT_TOL,
-             want_vectors: bool = False):
-    """All eigenvalues of a symmetric matrix, by LAPACK through numpy.
+def spectrum(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
+    """All eigenvalues of a symmetric matrix, by LAPACK through numpy, as an
+    ascending tuple of floats: [0] is lambda_1 and [-1] lambda_max.
 
     The matrix must be square, finite and symmetric to within
-    tol * ||m||_F; it is symmetrized before the solve. Returns a Spectrum,
-    or (Spectrum, V) with eigenvector columns matching the sorted order
-    when want_vectors is set. The one-matrix case of `spectra`.
+    tol * ||m||_F; it is symmetrized before the solve. The one-matrix case
+    of `spectra`.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("matrix must be square")
-    a = _symmetrized(m, tol)
-    if want_vectors:
-        # eigh returns ascending values with matching columns
-        values, vectors = np.linalg.eigh(a)
-        return Spectrum(values.tolist()), vectors
-    return Spectrum(np.linalg.eigvalsh(a).tolist())
+    return tuple(np.linalg.eigvalsh(_symmetrized(m, tol)).tolist())
 
 
-def spectra(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list[Spectrum]:
-    """spectrum(m) of each matrix m of a (G, d, d) stack, from one checked
-    stack and one stacked eigvalsh; LAPACK solves the matrices one by one,
-    so each value is the one spectrum(m) returns."""
+def spectra(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list[tuple[float, ...]]:
+    """spectrum(m) of each matrix m of a (G, d, d) stack, ascending tuples
+    from one checked stack and one stacked eigvalsh; LAPACK solves the
+    matrices one by one, so each value is the one spectrum(m) returns."""
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or not len(stack):
         raise ValueError("need a nonempty (G, d, d) stack")
-    return [Spectrum(values) for values in np.linalg.eigvalsh(_symmetrized(stack, tol)).tolist()]
+    return [tuple(values) for values in np.linalg.eigvalsh(_symmetrized(stack, tol)).tolist()]
 
 
 def irrep_spectra(shape: Partition, graphs: Sequence[WeightedGraph],
                   tol: float = DEFAULT_TOL,
-                  dim_cap: int = DEFAULT_DIM_CAP) -> list[Spectrum]:
-    """spectrum(delta_matrix(shape, graph)) for each graph of a list, the
-    graphs stacked `graphs_per_stack` at a time: one chain of images and
-    one stacked solve per stack."""
+                  dim_cap: int = DEFAULT_DIM_CAP) -> list[tuple[float, ...]]:
+    """spectrum(delta_matrix(shape, graph)) for each graph of a list, as
+    ascending tuples, the graphs stacked `graphs_per_stack` at a time: one
+    chain of images and one stacked solve per stack."""
     step = graphs_per_stack(shape, STACK_FLOATS, dim_cap)
     return [spec for start in range(0, len(graphs), step)
             for spec in spectra(delta_matrices(shape, graphs[start:start + step],
@@ -176,11 +134,12 @@ def _checked_weights(n: int, weightings) -> list[list]:
     return rows
 
 
-def quasi_complete_spectrum(shape: Partition, a) -> ExactSpectrum:
-    """Spectrum of the nested-star combination with weights a[2..n], exact
-    (float callers use `.as_spectrum()`): wt - sum_k a_k * content(box of k)
-    per standard tableau, counted by the chain recursion. It lists one value
-    per tableau, so shapes above partitions.TABLEAU_CAP tableaux are refused."""
+def quasi_complete_spectrum(shape: Partition, a) -> tuple[Fraction, ...]:
+    """Spectrum of the nested-star combination with weights a[2..n] as an
+    ascending tuple of exact Fractions: wt - sum_k a_k * content(box of k)
+    per standard tableau, counted by the chain recursion and emitted from
+    the heaviest chain sum down. It lists one value per tableau, so shapes
+    above partitions.TABLEAU_CAP tableaux are refused."""
     (a,) = _checked_weights(shape.n, [a])
     capped_tableau_count(shape)
     scale, columns, wt, _, counts = _chain_table(tuple(a))
@@ -188,18 +147,21 @@ def quasi_complete_spectrum(shape: Partition, a) -> ExactSpectrum:
     values = []
     for total in sorted(sums, reverse=True):
         values += [Fraction(wt - total, scale)] * sums[total]
-    return ExactSpectrum(values)
+    return tuple(values)
 
 
 def nested_star_extremes(shape: Partition, a) -> tuple[Fraction, Fraction]:
     """(lambda_1, lambda_max) of the nested-star combination with weights
     a[2..n], in exact rationals: the extremes of quasi_complete_spectrum,
-    from the heaviest and lightest chains alone (the one-column walk of
-    `_chains`, its table shared with every shape of the weighting)."""
+    from heaviest chains alone (the one-column walk of `_chains`, its table
+    shared with every shape of the weighting). Transposing a tableau
+    negates every content, so the lightest chain of the shape is minus the
+    heaviest chain of its conjugate."""
     (a,) = _checked_weights(shape.n, [a])
     scale, columns, wt, table, _ = _chain_table(tuple(a))
-    heaviest, lightest = _chains(shape.parts, shape.n, columns, table)
-    return Fraction(wt - heaviest[0], scale), Fraction(wt - lightest[0], scale)
+    heaviest = _chains(shape.parts, shape.n, columns, table)[0]
+    lightest = -_chains(conjugate(shape).parts, shape.n, columns, table)[0]
+    return Fraction(wt - heaviest, scale), Fraction(wt - lightest, scale)
 
 
 def nested_star_lambda1_scaled(shapes, weightings) -> tuple[list[int], list[np.ndarray]]:
@@ -218,7 +180,7 @@ def nested_star_lambda1_scaled(shapes, weightings) -> tuple[list[int], list[np.n
             raise ValueError(f"shapes of mixed size: {shape} is not of size {n}")
     scales, columns, wt = _integer_columns(n, _checked_weights(n, rows))
     table = {}
-    return scales, [wt - _chains(shape.parts, n, columns, table)[0] for shape in shapes]
+    return scales, [wt - _chains(shape.parts, n, columns, table) for shape in shapes]
 
 
 def _scaled(a: list) -> tuple[int, list[int]]:
@@ -254,7 +216,7 @@ def _chain_table(a: tuple) -> tuple[int, np.ndarray, int, dict, dict]:
 
 
 def _chains(parts: tuple[int, ...], size: int, columns: np.ndarray, table: dict):
-    """(max, min) over standard tableaux of the diagram `parts` (size boxes)
+    """The max over standard tableaux of the diagram `parts` (size boxes)
     of sum_{k >= 2} a_k * content(box of k), for every weighting at once:
     row k - 2 of `columns` holds a_k of each weighting, and each entry is an
     object array of Python ints, one per weighting, so the sums are exact
@@ -264,20 +226,14 @@ def _chains(parts: tuple[int, ...], size: int, columns: np.ndarray, table: dict)
     if found is not None:
         return found
     if size == 1:  # no label above 1: the one-box chain weighs 0
-        zero = np.zeros(columns.shape[1], dtype=object)
-        return zero, zero
+        return np.zeros(columns.shape[1], dtype=object)
     weight = columns[size - 2]
-    heaviest = lightest = None
+    heaviest = None
     for rest, (col, row) in _removals(parts):
-        hi, lo = _chains(rest, size - 1, columns, table)
-        step = weight * (col - row)
-        if heaviest is None:
-            heaviest, lightest = hi + step, lo + step
-        else:
-            heaviest = np.maximum(heaviest, hi + step)
-            lightest = np.minimum(lightest, lo + step)
-    table[parts] = heaviest, lightest
-    return heaviest, lightest
+        chain = _chains(rest, size - 1, columns, table) + weight * (col - row)
+        heaviest = chain if heaviest is None else np.maximum(heaviest, chain)
+    table[parts] = heaviest
+    return heaviest
 
 
 def _chain_counts(parts: tuple[int, ...], size: int, weights, table: dict) -> dict:
@@ -312,16 +268,16 @@ def complete_graph_eigenvalue(shape: Partition) -> int:
     return n * (n - 1) // 2 - content_sum(shape)
 
 
-def subset_sum_spectrum(base: Spectrum, k: int) -> Spectrum:
-    """The k-subset sums of a spectrum on [n-1, 1]: the spectrum on the hook
-    [n-k, 1^k] of the same graph."""
-    return Spectrum(sum(combo) for combo in combinations(base.values, k))
+def subset_sum_spectrum(base: Sequence[float], k: int) -> tuple[float, ...]:
+    """The k-subset sums of a spectrum on [n-1, 1], ascending: the spectrum
+    on the hook [n-k, 1^k] of the same graph."""
+    return tuple(sorted(sum(combo) for combo in combinations(base, k)))
 
 
 def laplacian_gap(graph: WeightedGraph, tol: float = DEFAULT_TOL) -> float:
     """Second-smallest eigenvalue of diag(row sums) - weights."""
     lap = np.diag(graph.weights.sum(axis=1)) - graph.weights
-    return spectrum(lap, tol).values[1]
+    return spectrum(lap, tol)[1]
 
 
 def multiset_distance(xs: Sequence[float], ys: Sequence[float]) -> float:

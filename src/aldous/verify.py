@@ -80,8 +80,7 @@ def suite_lemma9(n: int, tol: float = 1e-8) -> SuiteResult:
         for shape in partitions_of(size):
             for k, numeric in enumerate(irrep_spectra(shape, stars), start=2):
                 star = [int(j == k) for j in range(2, size + 1)]  # a_k = 1, else 0
-                exact = quasi_complete_spectrum(shape, star).as_spectrum()
-                dist = multiset_distance(exact.values, numeric.values)
+                dist = multiset_distance(quasi_complete_spectrum(shape, star), numeric)
                 result.add(f"lemma9 n={size} shape={shape} k={k}", dist < tol,
                            distance=dist)
     return result
@@ -99,8 +98,7 @@ def suite_qc(n: int, samples: int = 50, seed: int = 0, tol: float = 1e-8) -> Sui
         # weightings outermost, so each one's chain tables serve every shape
         for sample, a in enumerate(weights):
             dist = max(
-                multiset_distance(quasi_complete_spectrum(shape, list(a)).as_spectrum().values,
-                                  found[sample].values)
+                multiset_distance(quasi_complete_spectrum(shape, list(a)), found[sample])
                 for shape, found in zip(partitions_of(size), numeric)
             )
             result.add(f"qc formula n={size}", dist < tol, distance=dist)
@@ -131,7 +129,7 @@ def suite_hooks(n: int, graphs: int = 20, seed: int = 0, tol: float = 1e-6) -> S
             worst = 0.0
             for k in range(size):
                 expected = subset_sum_spectrum(base, k)
-                worst = max(worst, multiset_distance(expected.values, numeric[k][g].values))
+                worst = max(worst, multiset_distance(expected, numeric[k][g]))
             result.add(f"hooks n={size} graph={g}", worst < tol, distance=worst)
     return result
 
@@ -178,8 +176,8 @@ def suite_oracle(n: int, graphs: int = 10, seed: int = 0, tol: float = 1e-7) -> 
             full = spectrum(regular_delta(graph))
             expected: list[float] = []
             for shape, found in irreps.items():
-                expected.extend(list(found[g].values) * num_standard_tableaux(shape))
-            dist = multiset_distance(full.values, expected)
+                expected.extend(found[g] * num_standard_tableaux(shape))
+            dist = multiset_distance(full, expected)
             result.add(f"oracle n={size} graph={g}", dist < tol, distance=dist)
     return result
 
@@ -270,7 +268,7 @@ def suite_dual(n: int, graphs: int = 50, seed: int = 0, tol: float = 1e-8,
         batch = [random_graph(size, seed + 997 * size + g) for g in range(graphs)]
         # (lambda_1, lambda_max) per shape and graph
         extremes = {
-            shape: [(s.lambda1, s.lambda_max) for s in irrep_spectra(shape, batch)]
+            shape: [(s[0], s[-1]) for s in irrep_spectra(shape, batch)]
             for shape in partitions_of(size)
         }
         for g, graph in enumerate(batch):
@@ -299,7 +297,7 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
     result.add(f"scan audit n={n}", report.consistent,
                contradictions=report.contradictions,
                graphs=report.graphs_tried,
-               unknown=len(ledger.unknown_pairs()))
+               unknown=ledger.unknown_count())
     bad = []
     materialized = {}
     for pair in ledger.refuted_pairs():
@@ -339,11 +337,11 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
     worst_gap = 0.0
     argmin_ok = True
     for size, batch in by_size.items():
-        lam_std = [s.lambda1 for s in irrep_spectra(Partition([size - 1, 1]), batch)]
+        lam_std = [s[0] for s in irrep_spectra(Partition([size - 1, 1]), batch)]
         for shape in partitions_of(size):
             if shape == Partition([size]):
                 continue
-            for lam, std in zip((s.lambda1 for s in irrep_spectra(shape, batch)), lam_std):
+            for lam, std in zip((s[0] for s in irrep_spectra(shape, batch)), lam_std):
                 if lam < std - tol:
                     argmin_ok = False
         for graph, std in zip(batch, lam_std):

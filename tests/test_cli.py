@@ -11,6 +11,7 @@ import pytest
 import aldous
 from aldous.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from aldous.graphs import random_graph
+from aldous.order import RelationLedger
 
 
 def run(capsys, *argv):
@@ -76,6 +77,14 @@ def test_scan_then_hasse(capsys, tmp_path):
     assert code == EXIT_OK
     dot = dot_path.read_text(encoding="utf-8")
     assert '"4" -> "3,1";' in dot
+    # the summary counts the unknown pairs the written ledger lists
+    for n in (5, 6, 7):
+        code, _, err = run(capsys, "scan", "--n", str(n), "--budget", "10",
+                           "--out", str(ledger_path))
+        assert code == EXIT_OK
+        ledger = RelationLedger.from_json(ledger_path.read_text(encoding="utf-8"))
+        unknown = json.loads(err.strip().splitlines()[-1])["unknown"]
+        assert unknown == len(ledger.unknown_pairs()) > 0
 
 
 def test_hasse_rejects_tampered_witnesses(capsys, tmp_path):

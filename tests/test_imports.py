@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,15 @@ def test_imports_are_stdlib_declared_dependencies_or_the_package():
         for name in _imported(path.read_text("utf-8")) - allowed:
             found.setdefault(name, []).append(path.name)
     assert found == {}
+
+
+def test_importing_the_package_does_not_load_networkx():
+    # networkx is imported lazily by the two functions that need it; loading
+    # it at import time would add about as much as the whole start-up costs
+    code = ("import sys, aldous, aldous.cli\n"
+            "sys.exit('networkx loaded' if 'networkx' in sys.modules else 0)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

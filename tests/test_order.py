@@ -30,12 +30,10 @@ from aldous.order import (
     RelationLedger,
     ScanReport,
     _family_graphs,
-    check_invariant_vector_bound,
     check_invariant_vector_bounds,
     check_matching_bound,
     check_onestar_bound,
     check_pair,
-    check_weightedstar_bound,
     check_weightedstar_bounds,
     export_dot,
     graph_witness,
@@ -522,6 +520,7 @@ def test_pair_lists_equal_the_status_walk():
                                ("refuted", ledger.refuted_pairs())):
             assert listed == [pair for pair in ledger.pairs()
                               if ledger.status(*pair) == status]
+        assert ledger.unknown_count() == len(ledger.unknown_pairs())
     assert all(lists for lists in (scanned.unknown_pairs(), scanned.proved_pairs(),
                                    scanned.refuted_pairs()))
 
@@ -1087,31 +1086,31 @@ def test_check_onestar_bound():
 def test_check_weightedstar_bound():
     # unit weights, k=1: bound n, star eigenvalue n-1+1 = n, tight
     n = 6
-    report = check_weightedstar_bound(Partition([5, 1]), 1, [1.0] * 5)
+    (report,) = check_weightedstar_bounds([(Partition([5, 1]), 1, [1.0] * 5)])
     assert report.ok and abs(report.bound - 6.0) < 1e-12
     assert abs(report.worst - 6.0) < 1e-9
-    assert check_weightedstar_bound(Partition([6]), 1, [1.0] * 5).ok
+    assert check_weightedstar_bounds([(Partition([6]), 1, [1.0] * 5)])[0].ok
     rng = np.random.default_rng(8)
     for _ in range(5):
         a = sorted(rng.random(11), reverse=True)
         sigma = Partition([10, 1, 1])
-        assert check_weightedstar_bound(sigma, 2, a).ok
+        assert check_weightedstar_bounds([(sigma, 2, a)])[0].ok
     with pytest.raises(ValueError):
-        check_weightedstar_bound(Partition([5, 1]), 1, [1.0, 2.0, 1.0, 1.0, 1.0])
+        check_weightedstar_bounds([(Partition([5, 1]), 1, [1.0, 2.0, 1.0, 1.0, 1.0])])
 
 
 def test_check_invariant_vector_bound():
     zero = WeightedGraph(np.zeros((6, 6)))
-    assert check_invariant_vector_bound(Partition([5, 1]), 1, zero, [1]).ok
+    assert check_invariant_vector_bounds([(Partition([5, 1]), 1, zero, [1])])[0].ok
     rng = np.random.default_rng(9)
     for _ in range(5):
         g = random_graph(7, int(rng.integers(0, 1000)))
         vertices = [int(v) + 1 for v in rng.choice(7, size=2, replace=False)]
-        assert check_invariant_vector_bound(Partition([5, 2]), 2, g, vertices).ok
+        assert check_invariant_vector_bounds([(Partition([5, 2]), 2, g, vertices)])[0].ok
     # classical gap bound at the minimum-degree vertex
     g = random_graph(6, 5)
     v = int(np.argmin(g.weights.sum(axis=1))) + 1
-    assert check_invariant_vector_bound(Partition([5, 1]), 1, g, [v]).ok
+    assert check_invariant_vector_bounds([(Partition([5, 1]), 1, g, [v])])[0].ok
 
 
 def test_lambda_extremes_many_is_lambda_extremes_per_pair(monkeypatch):
@@ -1159,11 +1158,11 @@ def test_bound_checks_over_many_instances_match_single_checks():
     # a nested-star weighted star (one edge (1,2)) is still evaluated exactly
     stars.append((Partition([4, 1]), 1, [1, 0, 0, 0]))
     reports = check_weightedstar_bounds(stars)
-    assert reports == [check_weightedstar_bound(*inst) for inst in stars]
+    assert reports == [check_weightedstar_bounds([inst])[0] for inst in stars]
     assert reports[-1].worst == float(lambda_extremes(
         Partition([4, 1]), weighted_star_graph(5, [1, 0, 0, 0]))[1])
     reports = check_invariant_vector_bounds(vectors)
-    assert reports == [check_invariant_vector_bound(*inst) for inst in vectors]
+    assert reports == [check_invariant_vector_bounds([inst])[0] for inst in vectors]
     assert all(r.ok for r in reports)
     with pytest.raises(ValueError):
         check_weightedstar_bounds(stars + [(Partition([5, 1]), 1, [1.0, 2.0, 1.0, 1.0, 1.0])])
@@ -1396,8 +1395,8 @@ def test_remark2_even_split_consistency():
         n = 2 * m
         for _ in range(20):
             a = [float(x) for x in rng.random(n - 1)]
-            wide = quasi_complete_spectrum(Partition([m + 1, m - 1]), a).lambda1
-            even = quasi_complete_spectrum(Partition([m, m]), a).lambda1
+            wide = quasi_complete_spectrum(Partition([m + 1, m - 1]), a)[0]
+            even = quasi_complete_spectrum(Partition([m, m]), a)[0]
             assert wide <= even + 1e-9
 
 
