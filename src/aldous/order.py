@@ -21,6 +21,12 @@ second term is the eigensolver's backward error on a dim x dim operator
 whose norm is at most 2 * wt, so rescaling a graph never turns rounding
 noise into a refutation. `refutes` decides one pair; `_refutations`, the
 kernel of the scan and of seeding, every pair of a scope at once.
+
+`RelationLedger` keeps its decisions on p x p arrays over partitions_of(n),
+the index grid the kernel, seeding's rule layers, `close_transitively` and
+the scan's mask of open pairs use: they write whole masks of cells at once,
+and `to_json` walks the arrays row by row. Per-pair `RelationEntry` objects
+are built only on demand, by `entry` and the read-only `entries` view.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -293,16 +300,16 @@ def _refutations(lam1: np.ndarray, scale: Optional[int], scope: np.ndarray,
 
 def _refute(ledger: "RelationLedger", cells: np.ndarray, lam1: np.ndarray,
             scale: Optional[int], tag: str, witness: dict) -> None:
-    """A refuted entry, all with one witness, for each set cell (i, j) of a
-    p x p mask of undecided pairs: its margin is the float lam1[i] - lam1[j],
-    divided by scale when exact. One plain loop: this builds every seeded
-    refutation, hundreds of thousands at n = 20."""
-    parts, entries, values = partitions_of(ledger.n), ledger.entries, lam1.tolist()
-    divisor, exact = scale or 1, scale is not None
-    for i, j in zip(*_cells(cells)):
-        sigma, tau = parts[i], parts[j]
-        entries[(sigma, tau)] = RelationEntry(sigma, tau, "refuted", tag, witness,
-                                              (values[i] - values[j]) / divisor, exact)
+    """Refute, all with one witness, each set cell (i, j) of a p x p mask of
+    undecided pairs: its margin is the float lam1[i] - lam1[j], divided by
+    scale when exact. The margins are taken at those cells only; this
+    writes every seeded refutation, hundreds of thousands at n = 20."""
+    rows, cols = np.nonzero(cells)
+    margin = lam1[rows] - lam1[cols]
+    ledger.code[rows, cols] = _CODES[tag]
+    ledger.margin[rows, cols] = margin if scale is None else margin / scale
+    ledger.exact[rows, cols] = scale is not None
+    ledger.witness[rows, cols] = witness
 
 
 def check_pair(sigma: Partition, tau: Partition, graph: WeightedGraph,
@@ -334,14 +341,25 @@ class RelationEntry:
     exact: bool = False
 
 
+# a ledger cell's code: 0 for unknown, else 1 + the index of its tag here;
+# codes up to _PROVED are proved, those above refuted
+_TAGS = PROVED_TAGS + REFUTED_TAGS
+_CODES = {tag: code for code, tag in enumerate(_TAGS, 1)}
+_PROVED = len(PROVED_TAGS)
+
 # to_json's records, indented as json.dumps(indent=2) nests them in "entries",
-# keys in sorted order: exact, margin, sigma, status, tag, tau, witness
-_UNKNOWN_RECORD = '    {\n      "sigma": %s,\n      "status": "unknown",\n      "tau": %s\n    }'
+# keys in sorted order: exact, margin, sigma, status, tag, tau, witness. An
+# unknown record is its row's head and its column's tail; a refuted one is
+# the head of its exact flag, its margin, the middle of its row and tag, its
+# column's name and the tail of its witness
+_UNKNOWN_HEAD = '    {\n      "sigma": %s,\n      "status": "unknown",\n      "tau": '
+_UNKNOWN_TAIL = '%s\n    }'
 _PROVED_RECORD = ('    {\n      "sigma": %s,\n      "status": "proved",\n      "tag": %s,\n'
                   '      "tau": %s\n    }')
-_REFUTED_RECORD = ('    {\n      "exact": %s,\n      "margin": %s,\n      "sigma": %s,\n'
-                   '      "status": "refuted",\n      "tag": %s,\n      "tau": %s,\n'
-                   '      "witness": %s\n    }')
+_REFUTED_HEADS = tuple('    {\n      "exact": %s,\n      "margin": ' % flag
+                       for flag in ("false", "true"))
+_REFUTED_MIDDLE = ',\n      "sigma": %s,\n      "status": "refuted",\n      "tag": %s,\n      "tau": '
+_REFUTED_TAIL = ',\n      "witness": %s\n    }'
 
 
 def _pairs_exceed(n: int, limit: int) -> bool:
@@ -392,80 +410,128 @@ def _ledger_shape(text, n: int, shapes: dict, where: str) -> Partition:
     return shape
 
 
+def _entry(sigma: Partition, tau: Partition, code: int, witness, margin: float,
+           exact: bool) -> RelationEntry:
+    """The entry of a decided cell from its code and fields."""
+    if code <= _PROVED:
+        return RelationEntry(sigma, tau, "proved", _TAGS[code - 1])
+    return RelationEntry(sigma, tau, "refuted", _TAGS[code - 1], witness, margin, exact)
+
+
 class RelationLedger:
-    """Decided ordered pairs of partitions of n, with provenance."""
+    """Decided ordered pairs of partitions of n, with provenance.
+
+    The decisions sit on four p x p arrays over partitions_of(n), cell
+    (i, j) for the pair (parts[i], parts[j]): `code` (int8, 0 for unknown,
+    else 1 + the index of the pair's tag in PROVED_TAGS + REFUTED_TAGS), and
+    for a refuted pair its `margin` (float64), `exact` flag (bool) and
+    `witness` (object, the shared descriptor dict). The diagonal stays
+    unknown: the setters and lookups refuse a pair of a shape with itself,
+    or a pair not of n. `entries` is a read-only view built from the
+    arrays.
+    """
 
     def __init__(self, n: int):
+        _require_ledger_size(n)
         self.n = n
-        self.entries: dict[tuple[Partition, Partition], RelationEntry] = {}
+        p = len(partitions_of(n))
+        self.code = np.zeros((p, p), dtype=np.int8)
+        self.margin = np.zeros((p, p))
+        self.exact = np.zeros((p, p), dtype=bool)
+        self.witness = np.full((p, p), None, dtype=object)
+
+    def _cell(self, sigma: Partition, tau: Partition) -> tuple[int, int]:
+        index = _partition_index(self.n)
+        i, j = index.get(sigma), index.get(tau)
+        if i is None or j is None or i == j:
+            raise ValueError(f"({sigma}) >= ({tau}) is not a pair of two "
+                             f"different partitions of {self.n}")
+        return i, j
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """{(sigma, tau): RelationEntry} of every decided pair, in `pairs`
+        order, built on each access; writing to it raises TypeError."""
+        parts = partitions_of(self.n)
+        rows, cols = np.nonzero(self.code)
+        fields = (a[rows, cols].tolist() for a in (self.code, self.witness,
+                                                    self.margin, self.exact))
+        return MappingProxyType({
+            (parts[i], parts[j]): _entry(parts[i], parts[j], *cell)
+            for i, j, *cell in zip(rows.tolist(), cols.tolist(), *fields)})
 
     def status(self, sigma: Partition, tau: Partition) -> str:
-        entry = self.entries.get((sigma, tau))
-        return entry.status if entry else "unknown"
+        code = self.code[self._cell(sigma, tau)]
+        return "unknown" if not code else "proved" if code <= _PROVED else "refuted"
 
     def entry(self, sigma: Partition, tau: Partition) -> Optional[RelationEntry]:
-        return self.entries.get((sigma, tau))
+        i, j = self._cell(sigma, tau)
+        code = int(self.code[i, j])
+        if not code:
+            return None
+        parts = partitions_of(self.n)
+        return _entry(parts[i], parts[j], code, self.witness[i, j],
+                      float(self.margin[i, j]), bool(self.exact[i, j]))
 
     def set_proved(self, sigma: Partition, tau: Partition, tag: str) -> None:
         if tag not in PROVED_TAGS:
             raise ValueError(f"unknown citation tag {tag!r}")
-        current = self.status(sigma, tau)
-        if current == "refuted":
+        cell = self._cell(sigma, tau)
+        if self.code[cell] > _PROVED:
             raise LedgerConflict(f"({sigma}) >= ({tau}) already refuted")
-        if current == "unknown":
-            self.entries[(sigma, tau)] = RelationEntry(sigma, tau, "proved", tag=tag)
+        if not self.code[cell]:
+            self.code[cell] = _CODES[tag]
 
     def set_refuted(self, sigma: Partition, tau: Partition, witness: dict,
                     margin: float, exact: bool, tag: str = "scan") -> None:
+        """Refute sigma >= tau. A witness that is not a dict, a margin that
+        is not a finite real or an exact that is not a bool raises
+        ValueError: to_json could not write it so that from_json loads it."""
         if tag not in REFUTED_TAGS:
             raise ValueError(f"unknown refutation tag {tag!r}")
-        current = self.status(sigma, tau)
-        if current == "proved":
-            raise LedgerConflict(f"({sigma}) >= ({tau}) already proved")
-        if current == "unknown":
-            self.entries[(sigma, tau)] = RelationEntry(
-                sigma, tau, "refuted", tag=tag, witness=witness,
-                margin=float(margin), exact=exact,
-            )
+        if not isinstance(witness, dict):
+            raise ValueError(f"witness must be an object, got {witness!r}")
+        try:
+            finite = not isinstance(margin, bool) and math.isfinite(margin)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(f"margin must be a finite real, got {margin!r}")
+        if not isinstance(exact, bool):
+            raise ValueError(f"exact must be a bool, got {exact!r}")
+        cell = self._cell(sigma, tau)
+        if self.code[cell]:
+            if self.code[cell] <= _PROVED:
+                raise LedgerConflict(f"({sigma}) >= ({tau}) already proved")
+            return
+        self.code[cell] = _CODES[tag]
+        self.margin[cell] = float(margin)
+        self.exact[cell] = exact
+        self.witness[cell] = witness
 
     def close_transitively(self) -> None:
         """Add proved entries implied by chaining existing proved ones.
 
-        Warshall's algorithm on a p x p bool matrix over partitions_of(n):
-        for each middle element b in turn, every pair (a, c) with a proved
-        above b and c proved below b (a, b, c distinct) and no entry yet is
-        proved, all at once by one masked outer product. Refuted pairs are
-        never overwritten and never link a chain; each new pair becomes one
-        proved entry tagged "transitive".
+        Warshall's algorithm on the p x p proved mask: for each middle
+        element b in turn, every pair (a, c) with a proved above b and c
+        proved below b (a, b, c distinct) and no entry yet is proved, all at
+        once by one masked outer product. Refuted pairs are never
+        overwritten and never link a chain; the new pairs are tagged
+        "transitive" by one masked assignment.
         """
-        parts = partitions_of(self.n)
         proved, decided = self._grid()
-        links = proved & ~np.eye(len(parts), dtype=bool)
+        links = proved.copy()
         free = ~decided
         np.fill_diagonal(free, False)
-        for b in range(len(parts)):
-            new = np.outer(links[:, b], links[b]) & free
-            links |= new
-            free &= ~new
-        for i, j in zip(*_cells(links & ~proved)):
-            sigma, tau = parts[i], parts[j]
-            self.entries[(sigma, tau)] = RelationEntry(sigma, tau, "proved", "transitive")
+        for b in range(len(links)):
+            links |= np.outer(links[:, b], links[b]) & free
+        self.code[links & ~proved] = _CODES["transitive"]
 
     def _grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(proved, decided): p x p bool matrices over partitions_of(n),
-        [i, j] set when the pair (parts[i], parts[j]) has a proved entry, or
-        any entry. Entries on partitions of another size are left out."""
-        index = _partition_index(self.n)
-        p = len(index)
-        proved, decided = np.zeros((2, p * p), dtype=bool)
-        proved_cells, other_cells = [], []
-        for (sigma, tau), entry in self.entries.items():
-            i, j = index.get(sigma), index.get(tau)
-            if i is not None and j is not None:
-                (proved_cells if entry.status == "proved" else other_cells).append(i * p + j)
-        proved[proved_cells] = True
-        decided[proved_cells + other_cells] = True
-        return proved.reshape(p, p), decided.reshape(p, p)
+        """(proved, decided): p x p bool masks of the proved cells and of
+        every decided one."""
+        decided = self.code != 0
+        return decided & (self.code <= _PROVED), decided
 
     def pairs(self):
         parts = partitions_of(self.n)
@@ -482,65 +548,66 @@ class RelationLedger:
         return [(parts[i], parts[j]) for i, j in zip(*_cells(cells))]
 
     def unknown_pairs(self) -> list[tuple[Partition, Partition]]:
-        return self._pairs_in(~self._grid()[1])
+        return self._pairs_in(self.code == 0)
 
     def unknown_count(self) -> int:
-        """len(unknown_pairs()): the unset off-diagonal cells of the grid,
-        counted without listing the pairs."""
-        free = ~self._grid()[1]
-        return int(np.count_nonzero(free) - np.count_nonzero(free.diagonal()))
+        """len(unknown_pairs()): the off-diagonal cells less the decided
+        ones, counted without listing the pairs."""
+        p = len(self.code)
+        return p * (p - 1) - int(np.count_nonzero(self.code))
 
     def proved_pairs(self) -> list[tuple[Partition, Partition]]:
         return self._pairs_in(self._grid()[0])
 
     def refuted_pairs(self) -> list[tuple[Partition, Partition]]:
-        proved, decided = self._grid()
-        return self._pairs_in(decided & ~proved)
+        return self._pairs_in(self.code > _PROVED)
 
     def to_json(self) -> str:
         """The ledger as json.dumps({"n", "entries"}, indent=2, sort_keys=True)
         writes it, byte for byte, one record per pair in `pairs` order.
 
-        Each record is the template of its status (keys already in sorted
-        order) filled in. One pass over the entries puts each decided
-        record at position i p + j of a p x p grid, for the pair
-        (parts[i], parts[j]) of partitions_of(n); the unknown records fill
-        the remaining cells and the diagonal is dropped. Tags, exact flags
-        and witnesses are encoded by json.dumps once per object: few are
-        distinct, since the seeded witnesses are shared and so is each
-        scanned graph's. A finite margin is written by float.__repr__, as
-        json.dumps writes it; others go through json.dumps."""
-        index = _partition_index(self.n)
-        p = len(index)
-        names = [json.dumps(str(part)) for part in index]
-        encoded = {}  # id -> JSON of a tag, flag or witness, nested as a record's value
+        Each record is pieced together from fixed parts of its status's
+        template (keys already in sorted order), walking the arrays row by
+        row. Tags, margins and witnesses are encoded once per distinct
+        value: few are distinct, since the seeded witnesses are shared and
+        so is each scanned graph's. A margin, always finite, is written by
+        float.__repr__, as json.dumps writes it; margins are told apart by
+        their bits, so 0.0 and -0.0 keep their own text. The header and
+        footer go on the first and last record, so one join builds the
+        text."""
+        names = [json.dumps(str(part)) for part in partitions_of(self.n)]
+        heads = [_UNKNOWN_HEAD % name for name in names]
+        tails = [_UNKNOWN_TAIL % name for name in names]
+        tags = [None, *(json.dumps(tag) for tag in _TAGS)]
+        refuted = self.code > _PROVED
+        bits, inverse = np.unique(self.margin[refuted].view(np.int64), return_inverse=True)
+        margins = np.full(self.code.shape, None, dtype=object)
+        margins[refuted] = np.array([float.__repr__(m) for m in bits.view(float).tolist()],
+                                    dtype=object)[inverse]
+        encoded = {}  # id -> tail of a witness's records
+        witnesses = np.full(self.code.shape, None, dtype=object)
+        witnesses[refuted] = [
+            encoded.get(id(w)) or encoded.setdefault(id(w), _REFUTED_TAIL % json.dumps(
+                w, indent=2, sort_keys=True).replace("\n", "\n      "))
+            for w in self.witness[refuted].tolist()]
 
-        def encode(value):
-            text = encoded.get(id(value))
-            if text is None:
-                text = encoded[id(value)] = json.dumps(
-                    value, indent=2, sort_keys=True).replace("\n", "\n      ")
-            return text
-
-        grid = [None] * (p * p)
-        for (sigma, tau), entry in self.entries.items():
-            i, j = index.get(sigma), index.get(tau)
-            if i is None or j is None:
-                continue
-            if entry.status == "proved":
-                grid[i * p + j] = _PROVED_RECORD % (names[i], encode(entry.tag), names[j])
-            else:
-                margin = entry.margin
-                grid[i * p + j] = _REFUTED_RECORD % (
-                    encode(entry.exact),
-                    float.__repr__(margin) if isinstance(margin, float)
-                    and math.isfinite(margin) else json.dumps(margin),
-                    names[i], encode(entry.tag), names[j], encode(entry.witness))
-        records = [_UNKNOWN_RECORD % (names[cell // p], names[cell % p])
-                   if record is None else record for cell, record in enumerate(grid)]
-        del records[::p + 1]
-        body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
-        return '{\n  "entries": %s,\n  "n": %s\n}' % (body, json.dumps(self.n))
+        records = []
+        for i, codes in enumerate(self.code.tolist()):
+            head, sigma = heads[i], names[i]
+            middles = [_REFUTED_MIDDLE % (sigma, tag) for tag in tags]
+            row = [head + tail if not code
+                   else _PROVED_RECORD % (sigma, tags[code], tau) if code <= _PROVED
+                   else _REFUTED_HEADS[exact] + margin + middles[code] + tau + witness
+                   for code, tau, tail, margin, exact, witness in zip(
+                       codes, names, tails, margins[i].tolist(),
+                       self.exact[i].tolist(), witnesses[i].tolist())]
+            del row[i]
+            records += row
+        if not records:
+            return '{\n  "entries": [],\n  "n": %s\n}' % json.dumps(self.n)
+        records[0] = '{\n  "entries": [\n' + records[0]
+        records[-1] += '\n  ],\n  "n": %s\n}' % json.dumps(self.n)
+        return ",\n".join(records)
 
     @classmethod
     def from_json(cls, text: str) -> "RelationLedger":
@@ -551,7 +618,7 @@ class RelationLedger:
         (to_json writes no pair of a shape with itself) and whose status
         is proved, refuted or unknown, and a refuted entry's witness an
         object, its margin a finite real and its exact (default false) a
-        bool. Tags are checked by set_proved and set_refuted."""
+        bool, checked with the tags by set_proved and set_refuted."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError('ledger JSON must be {"n": int, "entries": [...]}')
@@ -572,27 +639,17 @@ class RelationLedger:
             if sigma == tau:
                 raise ValueError(f"entry {i}: sigma and tau are the same partition")
             status = record.get("status")
-            if status == "proved":
-                ledger.set_proved(sigma, tau, record.get("tag"))
-            elif status == "refuted":
-                witness = record.get("witness")
-                margin = record.get("margin")
-                exact = record.get("exact", False)
-                if not isinstance(witness, dict):
-                    raise ValueError(f"entry {i} witness must be an object, got {witness!r}")
-                try:
-                    finite = not isinstance(margin, bool) and math.isfinite(margin)
-                except (TypeError, OverflowError):
-                    finite = False
-                if not finite:
-                    raise ValueError(f"entry {i} margin must be a finite real, got {margin!r}")
-                if not isinstance(exact, bool):
-                    raise ValueError(f"entry {i} exact must be a bool, got {exact!r}")
-                ledger.set_refuted(sigma, tau, witness, margin, exact,
-                                   record.get("tag", "scan"))
-            elif status != "unknown":
-                raise ValueError(f"entry {i} status must be proved, refuted or "
-                                 f"unknown, got {status!r}")
+            try:
+                if status == "proved":
+                    ledger.set_proved(sigma, tau, record.get("tag"))
+                elif status == "refuted":
+                    ledger.set_refuted(sigma, tau, record.get("witness"), record.get("margin"),
+                                       record.get("exact", False), record.get("tag", "scan"))
+                elif status != "unknown":
+                    raise ValueError(f"status must be proved, refuted or unknown, "
+                                     f"got {status!r}")
+            except ValueError as exc:
+                raise ValueError(f"entry {i} {exc}") from None
         return ledger
 
 
@@ -664,7 +721,7 @@ def seed_known(n: int) -> RelationLedger:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    _require_ledger_size(n)
+    ledger = RelationLedger(n)
     parts = partitions_of(n)
     index = _partition_index(n)
     p = len(parts)
@@ -683,11 +740,7 @@ def seed_known(n: int) -> RelationLedger:
         # column; no partition is in both, which needs n <= 2k + 1
         rules[3] |= np.outer(first >= n - k, length >= n - k)
         k += 1
-    tagged = rules.any(axis=0)
-    ledger = RelationLedger(n)
-    for i, j, r in zip(*_cells(tagged), rules.argmax(axis=0)[tagged].tolist()):
-        sigma, tau = parts[i], parts[j]
-        ledger.entries[(sigma, tau)] = RelationEntry(sigma, tau, "proved", PROVED_TAGS[r])
+    ledger.code[...] = np.where(rules.any(axis=0), rules.argmax(axis=0) + 1, 0)
     ledger.close_transitively()
 
     # every lexicographically ascending pair (i > j) is refuted through the
@@ -833,11 +886,11 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
             _refute(ledger, refuted, lam1, scale, "scan", witness)
             report.refutations_found += int(np.count_nonzero(refuted))
             todo &= ~refuted
-    refuted = [e for e in ledger.entries.values() if e.status == "refuted"]
-    numeric = [e.margin for e in refuted if not e.exact]
-    report.refutations_exact = len(refuted) - len(numeric)
+    refuted = ledger.code > _PROVED
+    numeric = ledger.margin[refuted & ~ledger.exact]
+    report.refutations_exact = int(np.count_nonzero(refuted)) - len(numeric)
     report.refutations_numeric = len(numeric)
-    report.min_numeric_margin = min(numeric, default=None)
+    report.min_numeric_margin = float(numeric.min()) if len(numeric) else None
     return ledger, report
 
 
@@ -954,8 +1007,8 @@ def export_dot(ledger: RelationLedger) -> str:
     lines += [f'  "{p}" [label="{p.compact_str()}"];' for p in parts]
     lines += [f'  "{sigma}" -> "{tau}";' for sigma in parts for tau in parts
               if reduced.has_edge(str(sigma), str(tau))]
-    lines += [f'  "{sigma}" -> "{tau}" [style=dotted, dir=none, label=incomparable];'
-              for i, sigma in enumerate(parts) for tau in parts[i + 1:]
-              if ledger.status(sigma, tau) == ledger.status(tau, sigma) == "refuted"]
+    refuted = ledger.code > _PROVED
+    lines += [f'  "{parts[i]}" -> "{parts[j]}" [style=dotted, dir=none, label=incomparable];'
+              for i, j in zip(*_cells(np.triu(refuted & refuted.T)))]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -243,9 +243,9 @@ def _random_ledger(n, seed, refuted):
         for k in rng.permutation(len(pairs))[:len(parts)]:
             if ledger.status(*pairs[k]) == "unknown":
                 ledger.set_refuted(*pairs[k], witness, 1.0, True, "scan")
-        # an entry from sigma to itself links nothing
-        ledger.entries[(parts[1], parts[1])] = order.RelationEntry(
-            parts[1], parts[1], "proved", "main")
+    # a ledger holds no pair of a shape with itself
+    with pytest.raises(ValueError, match="not a pair of two different partitions"):
+        ledger.set_proved(parts[1], parts[1], "main")
     return ledger
 
 
@@ -268,8 +268,9 @@ def test_close_transitively_equals_the_status_walk(n, refuted):
         assert len(ledger.entries) > len(before) + 3
 
 
-# sha256 of seed_known(n).to_json(), recorded before the seeding and the
-# writer worked on partition indices; a deliberate format change updates them
+# sha256 of seed_known(n).to_json(), n <= 14 recorded before the seeding and
+# the writer worked on partition indices, n = 15..18 before the ledger kept
+# its decisions on p x p arrays; a deliberate format change updates them
 SEEDED_SHA256 = {
     2: "5e1d4f46bf662d357ce0f41770fc6111388fc67f12e21afc5b56d4c195f509e0",
     3: "2a927c3acad4d855795ecd5be9a4577531fb0ce6972619dc244e36d44590be81",
@@ -284,6 +285,10 @@ SEEDED_SHA256 = {
     12: "06702e13fae23e820d3d4c206e9440cc8a847039d62bf7fe2069e74fbb2c48b6",
     13: "2fc92728db9a9d5bd706d62e951ef15d8fff3e2054a1e82bd99549190a99a7a6",
     14: "82857f29203fc4856a9b2c6cf859097b683705f0143c37a38fd2cad03c9f2d56",
+    15: "da1b1340f16940ed2cebae1694a7319e625b62a951f19acf16192fb86dfd326d",
+    16: "b01d80398f54fdbe14799b3f6a4df829406155d7c5e84201d4d361ee6c17aa47",
+    17: "2865bf0c9666ed58266d7c239339d140c908b175fb73a22b2b782ff7da5fbf1e",
+    18: "ed8c8bca2dc8f696947faf51b666f483088ad1152d925de897c97586266cd696",
 }
 
 
@@ -422,6 +427,9 @@ _AWKWARD_LEDGER = json.dumps({"n": 4, "entries": [
     {"sigma": "2,1,1", "tau": "3,1", "status": "refuted", "margin": 3,
      "witness": {}},
     {"sigma": "4", "tau": "2,2", "status": "proved", "tag": "cor:n1n"},
+    # equal margins that to_json must still write apart
+    {"sigma": "1,1,1,1", "tau": "4", "status": "refuted", "margin": 0.0, "witness": {}},
+    {"sigma": "1,1,1,1", "tau": "3,1", "status": "refuted", "margin": -0.0, "witness": {}},
 ]})
 
 
@@ -439,15 +447,73 @@ def test_to_json_writes_the_bytes_of_one_indented_dump(build):
     assert RelationLedger.from_json(text).to_json() == text
 
 
-def test_to_json_writes_non_finite_margins_as_the_encoder_does():
-    # set_refuted takes any float; from_json would refuse these margins
+def test_set_refuted_refuses_what_from_json_refuses():
+    # a ledger never holds a refutation its own to_json output could not
+    # load: a non-finite or non-real margin, a non-bool exact, a non-dict
+    # witness
+    ledger = RelationLedger(3)
+    sigma, tau = Partition([2, 1]), Partition([3])
+    witness = {"kind": "family", "family": "complete", "n": 3}
+    for bad_witness, margin, exact, message in [
+            (witness, float("nan"), True, "margin must be a finite real, got nan"),
+            (witness, float("inf"), False, "margin must be a finite real, got inf"),
+            (witness, "1.0", False, "margin must be a finite real, got '1.0'"),
+            (witness, True, False, "margin must be a finite real, got True"),
+            (witness, 10**400, False, "margin must be a finite real"),
+            (witness, 1.0, "yes", "exact must be a bool, got 'yes'"),
+            (witness, 1.0, 1, "exact must be a bool, got 1"),
+            ("complete", 1.0, True, "witness must be an object, got 'complete'"),
+            (None, 1.0, True, "witness must be an object, got None")]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ledger.set_refuted(sigma, tau, bad_witness, margin, exact)
+    assert ledger.status(sigma, tau) == "unknown" and not ledger.entries
+    ledger.set_refuted(sigma, tau, witness, Fraction(1, 3), True)
+    assert ledger.entry(sigma, tau).margin == 1 / 3
+    assert RelationLedger.from_json(ledger.to_json()).to_json() == ledger.to_json()
+
+
+def test_ledger_refuses_pairs_it_cannot_hold():
+    # a pair of a shape with itself, or with a shape of another size, has
+    # no cell: to_json and every pair list would drop it
     ledger = RelationLedger(3)
     witness = {"kind": "family", "family": "complete", "n": 3}
-    ledger.set_refuted(Partition([2, 1]), Partition([3]), witness, float("inf"), False)
-    ledger.set_refuted(Partition([1, 1, 1]), Partition([3]), witness, float("nan"), False)
-    text = ledger.to_json()
-    assert text == _reference_json(ledger)
-    assert '"margin": Infinity' in text and '"margin": NaN' in text
+    for sigma, tau in [(Partition([2, 1]), Partition([2, 1])),
+                       (Partition([4]), Partition([3, 1])),
+                       (Partition([3]), Partition([2, 2])),
+                       (Partition([2, 1]), (2, 1))]:
+        for call in (lambda: ledger.set_proved(sigma, tau, "main"),
+                     lambda: ledger.set_refuted(sigma, tau, witness, 1.0, True),
+                     lambda: ledger.status(sigma, tau),
+                     lambda: ledger.entry(sigma, tau)):
+            with pytest.raises(ValueError, match="is not a pair of two different "
+                                                 "partitions of 3$"):
+                call()
+    assert not ledger.entries and ledger.unknown_count() == 6
+
+
+def test_ledger_entries_are_read_only():
+    ledger = seed_known(5)
+    sigma, tau = Partition([2, 2, 1]), Partition([5])
+    entry = ledger.entry(sigma, tau)
+    with pytest.raises(TypeError):
+        ledger.entries[(sigma, tau)] = order.RelationEntry(sigma, tau, "proved", "main")
+    with pytest.raises(TypeError):
+        del ledger.entries[(sigma, tau)]
+    assert ledger.entry(sigma, tau) == entry and entry.status == "refuted"
+
+
+@pytest.mark.parametrize("build", [lambda: seed_known(9),
+                                   lambda: scan(7, budget=12, seed=7)[0]],
+                         ids=["seed9", "scan7"])
+def test_from_json_restores_the_ledger_arrays(build):
+    ledger = build()
+    loaded = RelationLedger.from_json(ledger.to_json())
+    for name in ("code", "margin", "exact"):
+        before, after = getattr(ledger, name), getattr(loaded, name)
+        assert before.dtype == after.dtype and np.array_equal(before, after), name
+    assert loaded.witness.tolist() == ledger.witness.tolist()
+    assert (ledger.code > len(order.PROVED_TAGS)).any()
+    assert {type(e.margin) for e in loaded.entries.values() if e.status == "refuted"} == {float}
 
 
 def test_to_json_byte_cases_cover_every_witness_kind():
@@ -511,9 +577,9 @@ def test_pair_lists_equal_the_status_walk():
     scanned, _ = scan(6, budget=30, seed=0)
     ledgers = [scanned, RelationLedger.from_json(scanned.to_json()), seed_known(8),
                RelationLedger(4), _random_ledger(6, 3, refuted=True)]
-    # an entry on partitions of another size is in no list
-    ledgers[-1].entries[(Partition([5]), Partition([4, 1]))] = order.RelationEntry(
-        Partition([5]), Partition([4, 1]), "proved", "main")
+    # a pair on partitions of another size is refused, so it is in no list
+    with pytest.raises(ValueError, match="not a pair of two different partitions of 6"):
+        ledgers[-1].set_proved(Partition([5]), Partition([4, 1]), "main")
     for ledger in ledgers:
         for status, listed in (("unknown", ledger.unknown_pairs()),
                                ("proved", ledger.proved_pairs()),
@@ -535,6 +601,8 @@ def test_ledger_pair_count_is_p_n_times_p_n_minus_one():
     for n in (21, 40, 200, 10**9):
         with pytest.raises(ValueError, match="MAX_LEDGER_PAIRS"):
             RelationLedger.from_json(json.dumps({"n": n, "entries": []}))
+        with pytest.raises(ValueError, match="MAX_LEDGER_PAIRS"):
+            RelationLedger(n)
 
 
 def test_seed_known_and_scan_refuse_a_ledger_over_max_pairs(monkeypatch):
