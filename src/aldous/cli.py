@@ -25,7 +25,7 @@ from .order import (
     RelationLedger,
     check_pair,
     export_dot,
-    recheck_witness,
+    recheck_ledger,
     scan,
     SCAN_FAMILIES,
 )
@@ -287,12 +287,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "hasse":
             with open(args.infile, "r", encoding="utf-8") as handle:
                 ledger = RelationLedger.from_json(handle.read())
-            # stored witnesses are evidence, not trusted: decide them again,
-            # building each distinct witness once
-            materialized = {}
-            for pair in ledger.refuted_pairs():
-                recheck_witness(ledger.entry(*pair), tol=config.tol,
-                                materialized=materialized)
+            # stored witnesses are evidence, not trusted: decide them again
+            problems = recheck_ledger(ledger, tol=config.tol)
+            if problems:
+                raise LedgerConflict(problems[0][1])
             _emit(export_dot(ledger), args.out)
             return EXIT_OK
 

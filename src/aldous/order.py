@@ -8,8 +8,10 @@ citation tags; no amount of failed searching promotes a pair.
 
 Every lambda_1 is evaluated exactly on nested-star graphs, by the dense
 eigensolver otherwise (`_extremes`): one graph at a time through the cached
-`lambda_extremes`, a batch known up front through `_many`, and a scan's
-candidate stream block by block through `_lambda1_blocks`.
+`lambda_extremes`, a few shapes on one graph through `_lambda1` (the path of
+`check_pair` and of every witness re-check), a batch known up front through
+`_many`, and a scan's candidate stream block by block through
+`_lambda1_blocks`.
 
 Refutation rule (`_clears`, the one place it is written): witnesses
 evaluated in exact rational arithmetic (nested-star graphs, including plain
@@ -27,6 +29,9 @@ the index grid the kernel, seeding's rule layers, `close_transitively` and
 the scan's mask of open pairs use: they write whole masks of cells at once,
 and `to_json` walks the arrays row by row. Per-pair `RelationEntry` objects
 are built only on demand, by `entry` and the read-only `entries` view.
+`recheck_ledger` decides a ledger's refutations again from their stored
+witnesses, one evaluation per distinct witness, and also checks each
+stored margin and exact flag; `recheck_witness` is its one-entry case.
 """
 
 from __future__ import annotations
@@ -138,6 +143,22 @@ def lambda_extremes(shape: Partition, graph: WeightedGraph,
     construction."""
     return _extremes(shape, quasi_complete_weights(graph), lambda: spectrum(
         delta_matrix(shape, graph, dim_cap=dim_cap)))
+
+
+def _lambda1(graph: WeightedGraph, weights: Optional[list], shapes: Sequence[Partition],
+             dim_cap: int = DEFAULT_DIM_CAP) -> tuple[list, Optional[int]]:
+    """(lam1, scale): lambda_1 of each shape on one graph as
+    `_lambda1_blocks` gives it, Python ints times scale from one
+    `nested_star_lambda1_scaled` walk over just these shapes if the graph
+    has exact nested-star weights (`weights`, else quasi_complete_weights),
+    else floats from `lambda_extremes`, scale None. A pair's margin is
+    (lam1[i] - lam1[j]) / scale, the float that `_refute` stores."""
+    if weights is None:
+        weights = quasi_complete_weights(graph)
+    if weights is None:
+        return [lambda_extremes(shape, graph, dim_cap=dim_cap)[0] for shape in shapes], None
+    (scale,), rows = nested_star_lambda1_scaled(shapes, [weights])
+    return [row[0] for row in rows], scale
 
 
 def _lambda1_blocks(candidates, report: "ScanReport", dim_cap: int):
@@ -316,15 +337,16 @@ def check_pair(sigma: Partition, tau: Partition, graph: WeightedGraph,
                tol: float = DEFAULT_TOL,
                dim_cap: int = DEFAULT_DIM_CAP) -> Optional[Refutation]:
     """Refute sigma above-tau if the graph separates their lowest eigenvalues
-    by a margin that passes `refutes`."""
+    by a margin that passes `refutes`. lambda_1 of the two shapes comes from
+    `_lambda1`: on a nested star one exact walk over their subdiagrams, and
+    no lambda_max."""
     if sigma.n != tau.n or sigma.n != graph.n:
         raise ValueError("shapes and graph must share one n")
-    lam_s, _, exact_s = lambda_extremes(sigma, graph, dim_cap=dim_cap)
-    lam_t, _, exact_t = lambda_extremes(tau, graph, dim_cap=dim_cap)
-    exact = exact_s and exact_t
-    margin = lam_s - lam_t
+    (lam_s, lam_t), scale = _lambda1(graph, None, (sigma, tau), dim_cap)
+    margin, exact = lam_s - lam_t, scale is not None
     if refutes(margin, exact, sigma, tau, graph.wt, tol):
-        return Refutation(sigma, tau, graph_witness(graph), float(margin), exact)
+        return Refutation(sigma, tau, graph_witness(graph),
+                          float(margin / scale if exact else margin), exact)
     return None
 
 
@@ -653,43 +675,77 @@ class RelationLedger:
         return ledger
 
 
-def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL,
-                    materialized: Optional[dict] = None) -> float:
-    """Re-evaluate a refutation from its stored witness and decide it again
-    with `refutes`; returns the margin. Raises LedgerConflict if it fails,
-    or if the stored margin is not the recomputed one: exactly, for exact
-    witnesses, and to MARGIN_RTOL otherwise.
+def _recheck(witness: dict, n: int, shapes: list[Partition], i: np.ndarray, j: np.ndarray,
+             margins: np.ndarray, flags: np.ndarray, tol: float) -> tuple[list, list]:
+    """Decide again, from one stored witness (one `_materialize`, one
+    `_lambda1`), the refutations (shapes[i[k]], shapes[j[k]]) with their
+    stored margins and exact flags. Returns the recomputed margins and
+    (k, message) for each that fails `refutes`, or whose flag is not the
+    witness's exactness, or whose margin is not the recomputed one (to
+    MARGIN_RTOL if numeric). A malformed witness is one problem, at k = 0."""
+    try:
+        graph, weights = _materialize(witness, n)
+        lam1, scale = _lambda1(graph, weights, shapes)
+    except ValueError as exc:
+        return [], [(0, f"({shapes[i[0]]}) >= ({shapes[j[0]]}): {exc}")]
+    exact = scale is not None
+    lam1 = np.array(lam1, dtype=object if exact else float)
+    dims = np.array([num_standard_tableaux(shape) for shape in shapes])
+    diff = lam1[i] - lam1[j]
+    found = (diff / scale if exact else diff).astype(float)
+    fails = ~_clears(diff, exact, np.maximum(dims[i], dims[j]), graph.wt, tol)
+    moved = (found != margins if exact else np.abs(found - margins)
+             > MARGIN_RTOL * np.maximum(np.abs(found), np.abs(margins)))
+    found, margins = found.tolist(), margins.tolist()
+    problems = []
+    for k in np.flatnonzero(fails | (flags != exact) | moved).tolist():
+        pair = f"({shapes[i[k]]}) >= ({shapes[j[k]]})"
+        if fails[k]:
+            problem = f"stored witness no longer refutes {pair}: margin {found[k]!r}"
+        elif flags[k] != exact:
+            problem = (f"stored exact flag {not exact} of {pair} does not match its "
+                       f"{'exact' if exact else 'numeric'} witness")
+        else:
+            problem = f"stored margin {margins[k]!r} of {pair} is not the recomputed {found[k]!r}"
+        problems.append((k, problem))
+    return found, problems
 
-    A "quasi" witness is evaluated on its stored exact weights, which the
-    float graph it materializes to may not carry. `materialized`, if given,
-    maps each descriptor already built (as sorted JSON text) to its graph
-    and weights, and gains this one: a caller that rechecks a whole ledger
-    passes one dict and builds each distinct witness once.
-    """
-    sigma, tau, witness = entry.sigma, entry.tau, entry.witness
-    if materialized is None:
-        graph, weights = _materialize(witness, sigma.n)
-    else:
-        key = json.dumps(witness, sort_keys=True)
-        if key not in materialized:
-            materialized[key] = _materialize(witness, sigma.n)
-        graph, weights = materialized[key]
-    (lam_s, _, exact_s), (lam_t, _, exact_t) = (
-        lambda_extremes(shape, graph) if weights is None
-        else _extremes(shape, weights, None) for shape in (sigma, tau))
-    margin, exact = lam_s - lam_t, exact_s and exact_t
-    if not refutes(margin, exact, sigma, tau, graph.wt, tol):
-        raise LedgerConflict(
-            f"stored witness no longer refutes ({sigma}) >= ({tau}): margin {margin}"
-        )
-    margin = float(margin)
-    if not (entry.margin == margin if exact
-            else math.isclose(entry.margin, margin, rel_tol=MARGIN_RTOL)):
-        raise LedgerConflict(
-            f"stored margin {entry.margin!r} of ({sigma}) >= ({tau}) is not "
-            f"the recomputed {margin!r}"
-        )
-    return margin
+
+def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL) -> float:
+    """Re-evaluate one refutation from its stored witness and decide it
+    again: the one-entry case of `recheck_ledger`. Returns the recomputed
+    margin; raises LedgerConflict on the first problem it finds."""
+    found, problems = _recheck(entry.witness, entry.sigma.n, [entry.sigma, entry.tau],
+                               np.array([0]), np.array([1]), np.array([entry.margin]),
+                               np.array([entry.exact]), tol)
+    if problems:
+        raise LedgerConflict(problems[0][1])
+    return found[0]
+
+
+def recheck_ledger(ledger: RelationLedger, tol: float = DEFAULT_TOL
+                   ) -> list[tuple[tuple[Partition, Partition], str]]:
+    """(pair, message) of each problem `recheck_witness` would raise on a
+    refutation of the ledger, in `pairs` order. The refuted cells are
+    grouped by witness, keyed by its sorted JSON text (a loaded ledger
+    holds one dict per record), and each group is decided again by one
+    `_recheck` on the shapes of its own pairs: one evaluation per distinct
+    witness. A malformed witness is reported at its first pair."""
+    parts = partitions_of(ledger.n)
+    rows, cols = np.nonzero(ledger.code > _PROVED)
+    key = json.JSONEncoder(sort_keys=True).encode  # json.dumps(sort_keys=True)
+    groups: dict[str, list[int]] = {}
+    for k, witness in enumerate(ledger.witness[rows, cols].tolist()):
+        groups.setdefault(key(witness), []).append(k)
+    problems = []
+    for cells in groups.values():
+        i, j = rows[cells], cols[cells]
+        touched, local = np.unique(np.concatenate([i, j]), return_inverse=True)
+        problems += [(cells[k], message) for k, message in _recheck(
+            ledger.witness[i[0], j[0]], ledger.n, [parts[s] for s in touched.tolist()],
+            local[:len(cells)], local[len(cells):], ledger.margin[i, j],
+            ledger.exact[i, j], tol)[1]]
+    return [((parts[rows[k]], parts[cols[k]]), message) for k, message in sorted(problems)]
 
 
 # -- seeding ------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .order import (
     check_pair,
     check_weightedstar_bounds,
     hook,
-    recheck_witness,
+    recheck_ledger,
     scan,
     SCAN_FAMILIES,
 )
@@ -298,14 +298,8 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
                contradictions=report.contradictions,
                graphs=report.graphs_tried,
                unknown=ledger.unknown_count())
-    bad = []
-    materialized = {}
-    for pair in ledger.refuted_pairs():
-        entry = ledger.entry(*pair)
-        try:
-            recheck_witness(entry, tol=tol, materialized=materialized)
-        except Exception as exc:  # noqa: BLE001 - failure detail wanted
-            bad.append({"pair": (str(pair[0]), str(pair[1])), "error": str(exc)})
+    bad = [{"pair": (str(sigma), str(tau)), "error": message}
+           for (sigma, tau), message in recheck_ledger(ledger, tol=tol)]
     result.add(f"witness soundness n={n}", not bad, failures=bad)
 
     chain = [Partition([2] * i + [1] * (n - 2 * i)) for i in range(1, n // 2 + 1)]

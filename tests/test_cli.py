@@ -633,7 +633,6 @@ def test_hasse_accepts_the_untampered_witnesses(capsys, tmp_path):
 
 
 def test_hasse_builds_each_distinct_witness_once(capsys, tmp_path, monkeypatch):
-    import aldous.cli as cli
     import aldous.order as order
 
     ledger = tmp_path / "ledger.json"
@@ -644,7 +643,7 @@ def test_hasse_builds_each_distinct_witness_once(capsys, tmp_path, monkeypatch):
     distinct = {json.dumps(record["witness"], sort_keys=True) for record in refuted}
     kinds = [json.loads(key)["kind"] for key in distinct]
     assert {"graph", "family", "quasi"} <= set(kinds) and len(distinct) < len(refuted)
-    calls = {"materialize": 0, "quasi": 0, "recheck": 0}
+    calls = {"materialize": 0, "quasi": 0, "lambda1": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -654,13 +653,13 @@ def test_hasse_builds_each_distinct_witness_once(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(order, "_materialize", counted("materialize", order._materialize))
     monkeypatch.setattr(order, "_quasi_weights", counted("quasi", order._quasi_weights))
-    monkeypatch.setattr(cli, "recheck_witness", counted("recheck", cli.recheck_witness))
+    monkeypatch.setattr(order, "_lambda1", counted("lambda1", order._lambda1))
     assert run(capsys, "hasse", "--in", str(ledger))[0] == EXIT_OK
-    # every refuted entry is decided again, each distinct witness built once
+    # each distinct witness is built and evaluated once, for all its entries
     assert calls == {"materialize": len(distinct), "quasi": kinds.count("quasi"),
-                     "recheck": len(refuted)}
+                     "lambda1": len(distinct)}
 
-    # a shared witness built once still has every entry's margin compared
+    # a shared witness evaluated once still has every entry's margin compared
     shared = json.dumps(refuted[0]["witness"], sort_keys=True)
     last = [record for record in refuted
             if json.dumps(record["witness"], sort_keys=True) == shared][-1]
@@ -671,6 +670,42 @@ def test_hasse_builds_each_distinct_witness_once(capsys, tmp_path, monkeypatch):
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "stored margin" in err
+
+
+def test_hasse_checks_the_stored_exact_flag(capsys, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    assert run(capsys, "scan", "--n", "8", "--families", "random", "--budget", "6",
+               "--seed", "0", "--out", str(ledger))[0] == EXIT_OK
+    text = ledger.read_text()
+    # a random graph's refutation claimed exact, a seeded exact one numeric
+    for pick, kind in ((lambda r: (r["sigma"], r["tau"]) == ("6,1,1", "5,3"), "numeric"),
+                       (lambda r: r.get("exact") is True, "exact")):
+        data = json.loads(text)
+        record = next(record for record in data["entries"] if pick(record))
+        assert record["exact"] is (kind == "exact")
+        record["exact"] = kind != "exact"
+        ledger.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "hasse", "--in", str(ledger))
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"error: stored exact flag {record['exact']} of ({record['sigma']}) "
+                       f">= ({record['tau']}) does not match its {kind} witness\n")
+
+
+def test_hasse_names_the_first_pair_of_a_malformed_witness(capsys, tmp_path):
+    from aldous.order import seed_known
+
+    ledger = tmp_path / "ledger.json"
+    data = json.loads(seed_known(6).to_json())
+    refuted = [record for record in data["entries"] if record["status"] == "refuted"]
+    # the last two refuted records share one malformed witness
+    for record in refuted[-2:]:
+        record["witness"] = {"kind": "family", "family": "star", "n": 6, "params": [1]}
+    ledger.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "hasse", "--in", str(ledger))
+    first = refuted[-2]
+    assert code == EXIT_USAGE and out == ""
+    assert err == (f"error: ({first['sigma']}) >= ({first['tau']}): family 'star' witness "
+                   f"params must be a mapping of its known keys, got [1]\n")
 
 
 @pytest.mark.parametrize("n", [40, 200])

@@ -366,6 +366,82 @@ def test_recheck_witness_compares_the_stored_margin():
         entry.margin = stored
 
 
+def _ledgers_to_recheck():
+    """seed_known(9), the scans the CLI runs at n = 5..7 by default and the
+    n = 12 exact-family scan."""
+    yield seed_known(9)
+    for n in (5, 6, 7):
+        yield scan(n)[0]
+    yield scan(12, families=("stars", "cliques", "quasi"), budget=5, seed=0)[0]
+
+
+def test_recheck_ledger_margins_are_those_of_recheck_witness(monkeypatch):
+    found = {}
+    recheck = order._recheck
+
+    def recorded(witness, n, shapes, i, j, margins, flags, tol):
+        margins_found, problems = recheck(witness, n, shapes, i, j, margins, flags, tol)
+        for k, margin in enumerate(margins_found):
+            found[shapes[i[k]], shapes[j[k]]] = margin
+        return margins_found, problems
+
+    monkeypatch.setattr(order, "_recheck", recorded)
+    for ledger in _ledgers_to_recheck():
+        found.clear()
+        assert order.recheck_ledger(ledger) == []
+        pairs = ledger.refuted_pairs()
+        assert set(found) == set(pairs)
+        with monkeypatch.context() as m:
+            m.setattr(order, "_recheck", recheck)
+            assert [recheck_witness(ledger.entry(*pair)) for pair in pairs] == [
+                found[pair] for pair in pairs]
+
+
+def test_recheck_ledger_lists_each_tampered_pair_in_pairs_order():
+    ledger, _ = scan(6, budget=20, seed=3)
+    pairs = ledger.refuted_pairs()
+    numeric = [pair for pair in pairs if not ledger.entry(*pair).exact]
+    assert numeric and pairs[0] != numeric[0] != pairs[-1]
+    # tampered in the reverse of pairs order: the last pair's margin, the
+    # exact flag of a numeric refutation, the first pair's witness
+    data = json.loads(ledger.to_json())
+    records = {(record["sigma"], record["tau"]): record for record in data["entries"]}
+    last, flag, first = (records[str(s), str(t)] for s, t in (pairs[-1], numeric[0], pairs[0]))
+    last["margin"] *= 1.5
+    flag["exact"] = True
+    first["witness"] = {"kind": "graph", "n": 6, "edges": []}  # every lambda_1 is 0
+    problems = order.recheck_ledger(RelationLedger.from_json(json.dumps(data)))
+    assert [pair for pair, _ in problems] == [pairs[0], numeric[0], pairs[-1]]
+    assert [message.split(" (")[0] for _, message in problems] == [
+        "stored witness no longer refutes", "stored exact flag True of",
+        f"stored margin {last['margin']!r} of"]
+
+
+def test_check_pair_margin_is_the_exact_lambda1_difference():
+    from aldous.spectral import nested_star_extremes
+
+    rng = np.random.default_rng(11)
+    checked = refuted = 0
+    for n in range(3, 10):
+        parts = partitions_of(n)
+        graphs = [star_graph(n, n), complete_graph(n), graph_family("clique", n, k=n - 1),
+                  quasi_complete_graph(n, [float(x) for x in rng.integers(0, 4, n - 1)]),
+                  quasi_complete_graph(n, list(rng.random(n - 1)))]
+        for graph in graphs:
+            weights = quasi_complete_weights(graph)
+            for _ in range(12):
+                sigma, tau = (parts[int(k)] for k in rng.choice(len(parts), 2, replace=False))
+                gap = nested_star_extremes(sigma, weights)[0] - nested_star_extremes(tau, weights)[0]
+                ref = check_pair(sigma, tau, graph)
+                checked += 1
+                if gap > 0:
+                    refuted += 1
+                    assert ref.exact and ref.margin == float(gap)
+                else:
+                    assert ref is None
+    assert checked == 420 and 0 < refuted < checked
+
+
 def test_seed_known_reaches_n16():
     ledger = seed_known(16)
     separators = [ledger.entry(*p) for p in ledger.refuted_pairs()
