@@ -25,10 +25,11 @@ noise into a refutation. `refutes` decides one pair; `_refutations`, the
 kernel of the scan and of seeding, every pair of a scope at once.
 
 `RelationLedger` keeps its decisions on p x p arrays over partitions_of(n),
-the index grid the kernel, seeding's rule layers, `close_transitively` and
-the scan's mask of open pairs use: they write whole masks of cells at once,
-and `to_json` walks the arrays row by row. Per-pair `RelationEntry` objects
-are built only on demand, by `entry` and the read-only `entries` view.
+the index grid the kernel, seeding's rule layers and the scan's mask of open
+pairs use: they write whole masks of cells at once, `close_transitively` and
+`export_dot` (the Hasse diagram) read the proved mask through one Warshall
+closure, `_closure`, and `to_json` walks the arrays row by row. Per-pair
+`RelationEntry` objects are built only on demand, by `entry` and `entries`.
 `recheck_ledger` decides a ledger's refutations again from their stored
 witnesses, one evaluation per distinct witness, and also checks each
 stored margin and exact flag; `recheck_witness` is its one-entry case.
@@ -70,7 +71,6 @@ from .spectral import (
     irrep_spectra,
     nested_star_extremes,
     nested_star_lambda1_scaled,
-    quasi_complete_spectrum,
     remark_weights,
     spectrum,
 )
@@ -221,15 +221,6 @@ def _lambda1_blocks(candidates, report: "ScanReport", dim_cap: int):
             yield graph, witness, row, scale
 
 
-@dataclass
-class Refutation:
-    sigma: Partition
-    tau: Partition
-    witness: dict
-    margin: float
-    exact: bool
-
-
 def graph_witness(graph: WeightedGraph) -> dict:
     return {"kind": "graph", "n": graph.n, "edges": [list(e) for e in graph.edges()]}
 
@@ -335,18 +326,18 @@ def _refute(ledger: "RelationLedger", cells: np.ndarray, lam1: np.ndarray,
 
 def check_pair(sigma: Partition, tau: Partition, graph: WeightedGraph,
                tol: float = DEFAULT_TOL,
-               dim_cap: int = DEFAULT_DIM_CAP) -> Optional[Refutation]:
+               dim_cap: int = DEFAULT_DIM_CAP) -> Optional[RelationEntry]:
     """Refute sigma above-tau if the graph separates their lowest eigenvalues
-    by a margin that passes `refutes`. lambda_1 of the two shapes comes from
-    `_lambda1`: on a nested star one exact walk over their subdiagrams, and
-    no lambda_max."""
+    by a margin that passes `refutes`: a refuted "scan" entry witnessed by
+    the graph, else None. lambda_1 of the two shapes comes from `_lambda1`:
+    on a nested star one exact walk over their subdiagrams, no lambda_max."""
     if sigma.n != tau.n or sigma.n != graph.n:
         raise ValueError("shapes and graph must share one n")
     (lam_s, lam_t), scale = _lambda1(graph, None, (sigma, tau), dim_cap)
     margin, exact = lam_s - lam_t, scale is not None
     if refutes(margin, exact, sigma, tau, graph.wt, tol):
-        return Refutation(sigma, tau, graph_witness(graph),
-                          float(margin / scale if exact else margin), exact)
+        return RelationEntry(sigma, tau, "refuted", "scan", graph_witness(graph),
+                             float(margin / scale if exact else margin), exact)
     return None
 
 
@@ -412,24 +403,36 @@ def _cells(mask: np.ndarray) -> tuple[list[int], list[int]]:
     return rows.tolist(), cols.tolist()
 
 
+def _closure(links: np.ndarray, free=True) -> np.ndarray:
+    """Warshall's closure of a p x p bool mask, as a new mask: for each
+    middle b in turn, row b is or-ed into every row a with (a, b) set, on
+    the cells of `free` (a mask, or True for all)."""
+    links = links.copy()
+    free = np.broadcast_to(free, links.shape)
+    for b in range(len(links)):
+        above = links[:, b]
+        links[above] |= links[b] & free[above]
+    return links
+
+
 @lru_cache(maxsize=None)
 def _partition_index(n: int) -> dict[Partition, int]:
     """Each partition of n -> its position in partitions_of(n), in order."""
     return {part: i for i, part in enumerate(partitions_of(n))}
 
 
-def _ledger_shape(text, n: int, shapes: dict, where: str) -> Partition:
-    """The partition of n a ledger document names, parsed once per name."""
-    shape = shapes.get(text) if isinstance(text, str) else None
-    if shape is None:
+def _ledger_shape(text, n: int, shapes: dict, where: str) -> tuple[Partition, int]:
+    """(partition, its index in partitions_of(n)) a ledger names, parsed once per name."""
+    found = shapes.get(text) if isinstance(text, str) else None
+    if found is None:
         try:
             shape = parse_partition(text)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         if shape.n != n:
             raise ValueError(f"{where} {text!r} is not a partition of {n}")
-        shapes[text] = shape
-    return shape
+        found = shapes[text] = shape, _partition_index(n)[shape]
+    return found
 
 
 def _entry(sigma: Partition, tau: Partition, code: int, witness, margin: float,
@@ -534,20 +537,16 @@ class RelationLedger:
     def close_transitively(self) -> None:
         """Add proved entries implied by chaining existing proved ones.
 
-        Warshall's algorithm on the p x p proved mask: for each middle
-        element b in turn, every pair (a, c) with a proved above b and c
-        proved below b (a, b, c distinct) and no entry yet is proved, all at
-        once by one masked outer product. Refuted pairs are never
-        overwritten and never link a chain; the new pairs are tagged
+        `_closure` of the p x p proved mask over the undecided off-diagonal
+        cells: every pair (a, c) with a proved above b and c proved below b
+        (a, b, c distinct) and no entry yet is proved. Refuted pairs are
+        never overwritten and never link a chain; the new pairs are tagged
         "transitive" by one masked assignment.
         """
         proved, decided = self._grid()
-        links = proved.copy()
         free = ~decided
         np.fill_diagonal(free, False)
-        for b in range(len(links)):
-            links |= np.outer(links[:, b], links[b]) & free
-        self.code[links & ~proved] = _CODES["transitive"]
+        self.code[_closure(proved, free) & ~proved] = _CODES["transitive"]
 
     def _grid(self) -> tuple[np.ndarray, np.ndarray]:
         """(proved, decided): p x p bool masks of the proved cells and of
@@ -638,9 +637,11 @@ class RelationLedger:
         MAX_LEDGER_PAIRS ordered pairs of partitions, entries a list
         of objects whose sigma and tau are two different partitions of n
         (to_json writes no pair of a shape with itself) and whose status
-        is proved, refuted or unknown, and a refuted entry's witness an
-        object, its margin a finite real and its exact (default false) a
-        bool, checked with the tags by set_proved and set_refuted."""
+        is proved, refuted or unknown, no pair given twice whatever its
+        status (to_json writes each pair once; a second record would go
+        unchecked), and a refuted entry's witness an object, its margin a
+        finite real and its exact (default false) a bool, checked with the
+        tags by set_proved and set_refuted."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError('ledger JSON must be {"n": int, "entries": [...]}')
@@ -652,14 +653,18 @@ class RelationLedger:
         if not isinstance(records, list):
             raise ValueError("ledger entries must be a list")
         ledger = cls(n)
-        shapes: dict = {}
+        p = len(ledger.code)
+        shapes, given = {}, bytearray(p * p)  # a flag per cell: a set cost 4x as much
         for i, record in enumerate(records):
             if not isinstance(record, dict):
                 raise ValueError(f"entry {i} must be an object, got {record!r}")
-            sigma, tau = (_ledger_shape(record.get(key), n, shapes, f"entry {i} {key}")
-                          for key in ("sigma", "tau"))
-            if sigma == tau:
+            (sigma, a), (tau, b) = (_ledger_shape(record.get(key), n, shapes, f"entry {i} {key}")
+                                    for key in ("sigma", "tau"))
+            if a == b:
                 raise ValueError(f"entry {i}: sigma and tau are the same partition")
+            if given[a * p + b]:
+                raise ValueError(f"entry {i}: ({sigma}) >= ({tau}) given twice")
+            given[a * p + b] = 1
             status = record.get("status")
             try:
                 if status == "proved":
@@ -763,8 +768,8 @@ def seed_known(n: int) -> RelationLedger:
     dominance-comparable pairs through the complete graph (ds81), the other
     lexicographically ordered pairs through the fast-decaying nested-star
     weights (remark1), and the two-column against one-column hook family
-    through the full star (cor:asympval). An n whose ledger has over
-    MAX_LEDGER_PAIRS pairs raises ValueError, as in from_json.
+    through the full star (cor:asympval), all from one exact walk. An n
+    whose ledger has over MAX_LEDGER_PAIRS pairs raises ValueError.
 
     Pairs are handled by their indices (i, j) into partitions_of(n), which
     is in descending lexicographic order: parts[i] is lexicographically
@@ -801,29 +806,23 @@ def seed_known(n: int) -> RelationLedger:
 
     # every lexicographically ascending pair (i > j) is refuted through the
     # complete graph (all-ones weights) if dominance orders it, else the
-    # separator, both lambda_1 vectors from one walk over the two weightings;
-    # the two-column hook family through the full star, from the exact
-    # spectra of its two small shapes
-    separator = remark_weights(n)
-    scales, rows = nested_star_lambda1_scaled(parts, [[1] * (n - 1), separator])
-    complete, remark = (np.array([row[w] for row in rows], dtype=object) for w in (0, 1))
+    # separator, and the two-column hook family through the full star (its
+    # nested weights: a_n = 1); the three lambda_1 vectors come from one walk
+    weightings = [[1] * (n - 1), remark_weights(n), [0] * (n - 2) + [1]]
+    scales, rows = nested_star_lambda1_scaled(parts, weightings)
+    complete, remark, full = (np.array([row[w] for row in rows], dtype=object) for w in range(3))
     ascending = np.tri(p, k=-1, dtype=bool)
     by_complete = dominance_table(n).T  # [i, j]: parts[j] dominates parts[i]
     refuting = [("ds81", {"kind": "family", "family": "complete", "n": n}, complete, scales[0],
                  ascending & by_complete),
-                ("remark1", {"kind": "quasi", "n": n, "weights": [str(w) for w in separator]},
+                ("remark1", {"kind": "quasi", "n": n, "weights": [str(w) for w in weightings[1]]},
                  remark, scales[1], ascending & ~by_complete)]
     if n >= 4:
         star = {"kind": "family", "family": "star", "n": n, "params": {"k": n}}
         pair = index[Partition([2, 2] + [1] * (n - 4))], index[Partition([2] + [1] * (n - 2))]
-        weights = [0] * (n - 2) + [1]  # the star's nested weights: a_n = 1
-        values = [quasi_complete_spectrum(parts[i], weights)[0] for i in pair]
-        scale = math.lcm(*(value.denominator for value in values))
-        lam1 = np.zeros(p, dtype=object)
-        lam1[list(pair)] = [int(value * scale) for value in values]
         scope = np.zeros((p, p), dtype=bool)
         scope[pair] = True
-        refuting.append(("cor:asympval", star, lam1, scale, scope))
+        refuting.append(("cor:asympval", star, full, scales[2], scope))
     proved = ledger._grid()[0]
     for tag, witness, lam1, scale, scope in refuting:
         refuted, contradicted = _refutations(lam1, scale, scope, proved)
@@ -1047,24 +1046,23 @@ def check_invariant_vector_bounds(instances, tol: float = DEFAULT_TOL) -> list[B
 
 def export_dot(ledger: RelationLedger) -> str:
     """DOT digraph: transitive reduction of the proved relation, with
-    mutually refuted pairs annotated as dotted non-arrows."""
-    import networkx as nx
-
-    parts = list(partitions_of(ledger.n))
-    dag = nx.DiGraph()
-    dag.add_nodes_from(str(p) for p in parts)
-    for sigma, tau in ledger.proved_pairs():
-        dag.add_edge(str(sigma), str(tau))
-    if not nx.is_directed_acyclic_graph(dag):
+    mutually refuted pairs annotated as dotted non-arrows. A proved pair is
+    drawn unless a longer proved path joins its ends, closed or not: a
+    float32 product of the mask and its `_closure` counts them, exactly for
+    p < 2^24. A proved cycle raises LedgerConflict."""
+    parts = partitions_of(ledger.n)
+    names = [str(part) for part in parts]
+    proved = ledger._grid()[0]
+    reach = _closure(proved)
+    if reach.diagonal().any():
         raise LedgerConflict("proved relation contains a cycle")
-    reduced = nx.transitive_reduction(dag)
+    covers = proved & ~(proved.astype(np.float32) @ reach.astype(np.float32) > 0)
 
     lines = [f"digraph aldous_order_n{ledger.n} {{", '  rankdir=TB;']
-    lines += [f'  "{p}" [label="{p.compact_str()}"];' for p in parts]
-    lines += [f'  "{sigma}" -> "{tau}";' for sigma in parts for tau in parts
-              if reduced.has_edge(str(sigma), str(tau))]
+    lines += [f'  "{name}" [label="{part.compact_str()}"];' for name, part in zip(names, parts)]
+    lines += [f'  "{names[i]}" -> "{names[j]}";' for i, j in zip(*_cells(covers))]
     refuted = ledger.code > _PROVED
-    lines += [f'  "{parts[i]}" -> "{parts[j]}" [style=dotted, dir=none, label=incomparable];'
+    lines += [f'  "{names[i]}" -> "{names[j]}" [style=dotted, dir=none, label=incomparable];'
               for i, j in zip(*_cells(np.triu(refuted & refuted.T)))]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,13 +1,14 @@
 """Independent references the tests check the package against: a standard
-tableau enumerator, the unmemoized corner-removal game, and the reducing
-lemmas (reducing graphs, matching irreducibility, star decompositions),
-which no command runs."""
+tableau enumerator, the unmemoized corner-removal game, the Hasse diagram
+drawn through networkx, and the reducing lemmas (reducing graphs, matching
+irreducibility, star decompositions), which no command runs."""
 
+import networkx as nx
 import numpy as np
 
 from aldous.graphs import WeightedGraph, support_matching_number
-from aldous.order import DEFAULT_TOL, lambda_extremes
-from aldous.partitions import Partition, corners, remove_box
+from aldous.order import DEFAULT_TOL, LedgerConflict, RelationLedger, lambda_extremes
+from aldous.partitions import Partition, corners, partitions_of, remove_box
 
 
 def tableaux(shape: Partition) -> list[tuple[tuple[int, int], ...]]:
@@ -53,6 +54,31 @@ def game_winner_brute(sigma: Partition, tau: Partition) -> bool:
         )
 
     return rec(sigma, tau)
+
+
+def export_dot_networkx(ledger: RelationLedger) -> str:
+    """order.export_dot through networkx: the proved pairs as a DiGraph keyed
+    by partition names, its acyclicity check and transitive reduction, and
+    a has_edge query for every ordered pair."""
+    parts = list(partitions_of(ledger.n))
+    dag = nx.DiGraph()
+    dag.add_nodes_from(str(p) for p in parts)
+    for sigma, tau in ledger.proved_pairs():
+        dag.add_edge(str(sigma), str(tau))
+    if not nx.is_directed_acyclic_graph(dag):
+        raise LedgerConflict("proved relation contains a cycle")
+    reduced = nx.transitive_reduction(dag)
+
+    lines = [f"digraph aldous_order_n{ledger.n} {{", '  rankdir=TB;']
+    lines += [f'  "{p}" [label="{p.compact_str()}"];' for p in parts]
+    lines += [f'  "{sigma}" -> "{tau}";' for sigma in parts for tau in parts
+              if reduced.has_edge(str(sigma), str(tau))]
+    index = {p: i for i, p in enumerate(parts)}
+    lines += [f'  "{sigma}" -> "{tau}" [style=dotted, dir=none, label=incomparable];'
+              for sigma, tau in ledger.refuted_pairs()
+              if index[sigma] < index[tau] and ledger.status(tau, sigma) == "refuted"]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def check_reducing(h: WeightedGraph, sigma: Partition, tau: Partition,

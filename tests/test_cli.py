@@ -594,6 +594,26 @@ def test_hasse_rejects_a_malformed_ledger(capsys, tmp_path, text, message):
     assert message in err
 
 
+def test_hasse_refuses_a_pair_given_twice(capsys, tmp_path):
+    from aldous.order import seed_known
+
+    ledger = tmp_path / "ledger.json"
+    data = json.loads(seed_known(5).to_json())
+    refuted = next(record for record in data["entries"] if record["status"] == "refuted")
+    proved = next(record for record in data["entries"] if record["status"] == "proved")
+    # a refuted record again with its margin doubled, which went unchecked,
+    # and a proved pair refuted again, which raised a conflict naming no entry
+    for second in ({**refuted, "margin": 2 * refuted["margin"]},
+                   {**proved, "status": "refuted", "tag": "scan", "margin": 1.0, "exact": True,
+                    "witness": {"kind": "family", "family": "complete", "n": 5}}):
+        ledger.write_text(json.dumps({**data, "entries": data["entries"] + [second]}),
+                          encoding="utf-8")
+        code, out, err = run(capsys, "hasse", "--in", str(ledger))
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"error: entry {len(data['entries'])}: ({second['sigma']}) >= "
+                       f"({second['tau']}) given twice\n")
+
+
 def _refuted_by(witness: dict, margin: float = 3.0) -> str:
     """An n = 3 ledger whose one record refutes 2,1 >= 3 by the witness."""
     return json.dumps({"n": 3, "entries": [{

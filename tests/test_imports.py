@@ -37,13 +37,21 @@ def test_imports_are_stdlib_declared_dependencies_or_the_package():
     assert found == {}
 
 
-def test_importing_the_package_does_not_load_networkx():
-    # networkx is imported lazily by the two functions that need it; loading
-    # it at import time would add about as much as the whole start-up costs
+def test_importing_the_package_does_not_load_networkx(tmp_path):
+    # networkx is imported lazily by the one function that needs it,
+    # graphs.support_matching_number; loading it at import time would add
+    # about as much as the whole start-up costs. Drawing a Hasse diagram
+    # needs no graph library either
+    ledger, dot = tmp_path / "ledger.json", tmp_path / "order.dot"
+    ledger.write_text('{"n": 4, "entries": [{"sigma": "4", "tau": "3,1", '
+                      '"status": "proved", "tag": "main"}]}', encoding="utf-8")
     code = ("import sys, aldous, aldous.cli\n"
-            "sys.exit('networkx loaded' if 'networkx' in sys.modules else 0)\n")
+            "assert 'networkx' not in sys.modules, 'networkx loaded by import'\n"
+            "assert aldous.cli.main(['hasse', '--in', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "assert 'networkx' not in sys.modules, 'networkx loaded by hasse'\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code, str(ledger), str(dot)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert '"4" -> "3,1";' in dot.read_text(encoding="utf-8")

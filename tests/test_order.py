@@ -27,6 +27,7 @@ import aldous.order as order
 from aldous.order import (
     SCAN_FAMILIES,
     LedgerConflict,
+    RelationEntry,
     RelationLedger,
     ScanReport,
     _family_graphs,
@@ -53,7 +54,7 @@ from aldous.symrep import (
     rep_transposition,
 )
 
-from references import check_reducing, is_h_irreducible, star_decompose
+from references import check_reducing, export_dot_networkx, is_h_irreducible, star_decompose
 
 
 def test_graph_families():
@@ -157,6 +158,17 @@ def test_check_pair_cycle_counterexample():
     ref = check_pair(Partition([4, 2]), Partition([3, 3]), cycle_graph(6))
     assert ref is not None and not ref.exact
     assert ref.margin > 1e-6
+
+
+def test_check_pair_entry_rechecks_to_its_own_margin():
+    # one exact pair (a star) and one numeric pair (a cycle)
+    for sigma, tau, graph, exact in (
+            (Partition([2, 2]), Partition([2, 1, 1]), star_graph(4, 4), True),
+            (Partition([4, 2]), Partition([3, 3]), cycle_graph(6), False)):
+        ref = check_pair(sigma, tau, graph)
+        assert ref == RelationEntry(sigma, tau, "refuted", "scan", graph_witness(graph),
+                                    ref.margin, exact)
+        assert recheck_witness(ref) == ref.margin
 
 
 def test_check_pair_trivial_rep_never_refuted():
@@ -643,6 +655,10 @@ def test_to_json_byte_cases_cover_every_witness_kind():
     ('{"n": 3, "entries": [{"sigma": "3", "tau": "2,1", "status": "proved", "tag": "clr"}, '
      '{"sigma": "2,1", "tau": "2,1", "status": "unknown"}]}',
      "^entry 1: sigma and tau are the same partition$"),
+    # a pair given twice, whatever its status: to_json writes each pair once
+    ('{"n": 3, "entries": [{"sigma": "3", "tau": "2,1", "status": "unknown"}, '
+     '{"sigma": "3", "tau": "2,1", "status": "unknown"}]}',
+     r"^entry 1: \(3\) >= \(2,1\) given twice$"),
 ])
 def test_ledger_from_json_rejects_bad_documents(text, message):
     with pytest.raises(ValueError, match=message):
@@ -1440,6 +1456,60 @@ def test_export_dot_structure_and_determinism():
 def test_export_dot_empty_ledger():
     dot = export_dot(RelationLedger(4))
     assert "digraph" in dot and "->" not in dot.replace("rankdir", "")
+
+
+# indices into partitions_of(6) of a chain that runs against their order
+_CHAIN_6 = (9, 4, 7, 1, 10, 2)
+
+
+def _shortcut_ledger() -> RelationLedger:
+    """The proved chain _CHAIN_6 plus one proved shortcut over three of its
+    links, not closed transitively, and one mutually refuted pair."""
+    parts = partitions_of(6)
+    chain = [parts[i] for i in _CHAIN_6]
+    ledger = RelationLedger(6)
+    for a, b in zip(chain, chain[1:]):
+        ledger.set_proved(a, b, "main")
+    ledger.set_proved(chain[1], chain[4], "clr")
+    witness = {"kind": "family", "family": "complete", "n": 6}
+    ledger.set_refuted(parts[3], parts[5], witness, 1.0, True)
+    ledger.set_refuted(parts[5], parts[3], witness, 1.0, True)
+    return ledger
+
+
+_DOT_LEDGERS = {
+    **{f"seed_known({n})": lambda n=n: seed_known(n) for n in range(2, 13)},
+    # the ledgers of `aldous scan --n 5` and `--n 6` with --budget 200 --seed 42
+    **{f"scan({n})": lambda n=n: scan(n, budget=200, seed=42)[0] for n in (5, 6)},
+    "shortcut": _shortcut_ledger,
+}
+
+
+@pytest.mark.parametrize("name", _DOT_LEDGERS)
+def test_export_dot_is_the_networkx_transitive_reduction(name):
+    ledger = _DOT_LEDGERS[name]()
+    assert export_dot(ledger) == export_dot_networkx(ledger)
+
+
+def test_export_dot_draws_no_shortcut_of_an_unclosed_ledger():
+    dot = export_dot(_shortcut_ledger())
+    parts = partitions_of(6)
+    chain = [parts[i] for i in _CHAIN_6]
+    # the chain's links only, row by row: each shape starts at most one
+    links = sorted(zip(chain, chain[1:]), key=lambda link: parts.index(link[0]))
+    assert [line for line in dot.splitlines() if "->" in line] == [
+        *(f'  "{a}" -> "{b}";' for a, b in links),
+        f'  "{parts[3]}" -> "{parts[5]}" [style=dotted, dir=none, label=incomparable];']
+
+
+def test_export_dot_refuses_a_proved_cycle():
+    parts = partitions_of(5)
+    ledger = RelationLedger(5)
+    for a, b in ((1, 4), (4, 2), (2, 1)):
+        ledger.set_proved(parts[a], parts[b], "main")
+    for draw in (export_dot, export_dot_networkx):
+        with pytest.raises(LedgerConflict, match="^proved relation contains a cycle$"):
+            draw(ledger)
 
 
 def test_witness_graph_round_trip():
