@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import partitions as pt
 from . import spectral, symrep
-from .graphs import WeightedGraph, graph_family, quasi_complete_weights
+from .graphs import GRAPH_FAMILIES, WeightedGraph, graph_family, quasi_complete_weights
 from .order import (
     LedgerConflict,
     RelationLedger,
@@ -98,9 +98,16 @@ def _load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     return config
 
 
+# the family flags (by dest) and the GRAPH_FAMILIES parameter each one gives
+FAMILY_FLAGS = {"k": "k", "m": "m", "weights": "a", "density": "density"}
+
+
 def _load_graph(args: argparse.Namespace, n: int, config: RunConfig) -> WeightedGraph:
     """The graph named by the --graph or --family flags."""
     if args.graph:
+        for flag in ("family", *FAMILY_FLAGS):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--graph takes no --{flag}")
         with open(args.graph, "r", encoding="utf-8") as handle:
             graph = WeightedGraph.from_json(handle.read())
         if graph.n != n:
@@ -108,18 +115,12 @@ def _load_graph(args: argparse.Namespace, n: int, config: RunConfig) -> Weighted
         return graph
     if not args.family:
         raise ValueError("need --graph FILE or --family NAME")
-    if args.family in ("quasi", "weighted_star") and not args.weights:
-        raise ValueError(f"family {args.family!r} requires --weights")
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.m is not None:
-        params["m"] = args.m
-    if args.weights:
-        params["a"] = [float(w) for w in args.weights.split(",")]
-    if args.family == "random":
+    params = {key: getattr(args, flag) for flag, key in FAMILY_FLAGS.items()
+              if getattr(args, flag) is not None}
+    if "a" in params:
+        params["a"] = [float(w) for w in params["a"].split(",")]
+    if "seed" in GRAPH_FAMILIES.get(args.family, (None, {}))[1]:
         params["seed"] = config.seed
-        params["density"] = args.density
     return graph_family(args.family, n, **params)
 
 
@@ -129,8 +130,8 @@ def _graph_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="family parameter k")
     parser.add_argument("--m", type=int, help="family parameter m")
     parser.add_argument("--weights", help="comma-separated family weights")
-    parser.add_argument("--density", type=float, default=0.5,
-                        help="edge density for random graphs")
+    parser.add_argument("--density", type=float,
+                        help="family edge density (default 0.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:

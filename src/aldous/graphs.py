@@ -207,74 +207,63 @@ def weighted_star_graph(n: int, a) -> WeightedGraph:
     a = list(a)
     if len(a) != n - 1:
         raise ValueError(f"need n-1 = {n - 1} weights, got {len(a)}")
-    return WeightedGraph.from_edges(
-        n, [(1, i, float(a[i - 2])) for i in range(2, n + 1) if a[i - 2] > 0]
-    )
+    return WeightedGraph.from_edges(n, [(1, i, a[i - 2]) for i in range(2, n + 1)])
 
 
-def random_graph(n: int, seed: int, density: float = 0.5,
-                 distribution: str = "uniform") -> WeightedGraph:
+def random_graph(n: int, seed: int, density: float = 0.5) -> WeightedGraph:
     """Seeded random graph; each edge present independently with the given
-    density, weights drawn uniform(0,1] or exponential(1).
+    density, weights drawn uniform(0,1].
 
     Pairs (i, j) are visited in row order, each drawing a coin and, when
-    the coin lands, its weight. Uniform weights come from the same stream
-    of uniform draws as the coins, all taken in one call."""
+    the coin lands, its weight, all from one call's stream of uniform
+    draws."""
     if not (_is_real(density) and 0 <= density <= 1):
         raise ValueError(f"density must be in [0, 1], got {density!r}")
-    if distribution not in ("uniform", "exponential"):
-        raise ValueError(f"unknown weight distribution {distribution!r}")
-    rng = np.random.default_rng(seed)
-    if distribution == "uniform":
-        # coins and weights share one stream, at most two draws per pair
-        draws = iter(rng.random(n * (n - 1)).tolist())
-        coin, weight = draws.__next__, lambda: 1.0 - next(draws)
-    else:
-        coin, weight = rng.random, lambda: rng.exponential(1.0)
+    # coins and weights share one stream, at most two draws per pair
+    draws = iter(np.random.default_rng(seed).random(n * (n - 1)).tolist())
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if coin() < density:
-                w[i, j] = w[j, i] = weight()
+            if next(draws) < density:
+                w[i, j] = w[j, i] = 1.0 - next(draws)
     return WeightedGraph(w)
 
 
-# the parameters graph_family reads for each family; a stored family
-# witness may carry no others
-FAMILY_PARAMS = {
-    "complete": set(), "star": {"k"}, "clique": {"k"}, "cycle": set(),
-    "path": set(), "matching": {"m"}, "quasi": {"a"}, "weighted_star": {"a"},
-    "random": {"seed", "density", "distribution"},
+# The one family table: name -> (constructor, the parameters it takes after
+# n, each mapped to its default as a function of n, or to None if required).
+# graph_family, stored "family" witnesses and the CLI's --family all read it.
+GRAPH_FAMILIES = {
+    "complete": (complete_graph, {}),
+    "star": (star_graph, {"k": lambda n: n}),
+    "clique": (complete_on_first, {"k": lambda n: n}),
+    "cycle": (cycle_graph, {}),
+    "path": (path_graph, {}),
+    "matching": (matching_graph, {"m": lambda n: n // 2}),
+    "quasi": (quasi_complete_graph, {"a": None}),
+    "weighted_star": (weighted_star_graph, {"a": None}),
+    "random": (random_graph, {"seed": None, "density": lambda n: 0.5}),
 }
 
 
 def graph_family(name: str, n: int, **params) -> WeightedGraph:
-    """The one name -> constructor dispatch: CLI --family flags and stored
-    "family" witnesses both come through here."""
-    if name == "complete":
-        return complete_graph(n)
-    if name == "star":
-        return star_graph(n, params.get("k", n))
-    if name == "clique":
-        return complete_on_first(n, params.get("k", n))
-    if name == "cycle":
-        return cycle_graph(n)
-    if name == "path":
-        return path_graph(n)
-    if name == "matching":
-        return matching_graph(n, params.get("m", n // 2))
-    if name == "quasi":
-        return quasi_complete_graph(n, params["a"])
-    if name == "weighted_star":
-        return weighted_star_graph(n, params["a"])
-    if name == "random":
-        return random_graph(
-            n,
-            params["seed"],
-            params.get("density", 0.5),
-            params.get("distribution", "uniform"),
-        )
-    raise ValueError(f"unknown graph family {name!r}")
+    """The graph GRAPH_FAMILIES builds for a family name at n. Raises
+    ValueError for a name not in the table, a parameter the family does not
+    take, a required one missing, or values its constructor refuses,
+    whether with a ValueError or a TypeError."""
+    if not isinstance(name, str) or name not in GRAPH_FAMILIES:
+        raise ValueError(f"unknown graph family {name!r}")
+    make, takes = GRAPH_FAMILIES[name]
+    if not params.keys() <= takes.keys():
+        raise ValueError(f"family {name!r} params must be a mapping of its known keys "
+                         f"({', '.join(sorted(takes)) or 'none'}), got {params!r}")
+    for key, default in takes.items():
+        if default is None and key not in params:
+            raise ValueError(f"family {name!r} needs param {key!r}")
+    try:
+        return make(n, **{key: params[key] if key in params else default(n)
+                          for key, default in takes.items()})
+    except TypeError as exc:
+        raise ValueError(f"family {name!r} params {params!r}: {exc}") from None
 
 
 def quasi_complete_weights(graph: WeightedGraph):

@@ -10,7 +10,7 @@ import pytest
 
 import aldous
 from aldous.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from aldous.graphs import random_graph
+from aldous.graphs import GRAPH_FAMILIES, random_graph
 from aldous.order import RelationLedger
 
 
@@ -756,6 +756,67 @@ def test_bad_density_is_a_usage_error(capsys, density):
                          "--density", density)
     assert code == EXIT_USAGE
     assert "density must be in [0, 1]" in err and "Traceback" not in err
+
+
+# the family flags each graph family reads, and a value it accepts at n = 4
+_FLAG_VALUES = {"--k": "3", "--m": "1", "--weights": "1,2,3", "--density": "0.3"}
+_FAMILY_READS = {"complete": (), "star": ("--k",), "clique": ("--k",), "cycle": (),
+                 "path": (), "matching": ("--m",), "quasi": ("--weights",),
+                 "weighted_star": ("--weights",), "random": ("--density",)}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_VALUES))
+@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+def test_a_family_flag_the_family_does_not_take_is_a_usage_error(capsys, family, flag):
+    assert set(_FAMILY_READS) == set(GRAPH_FAMILIES)
+    code, out, err = run(capsys, "spectrum", "--shape", "2,1,1", "--family", family,
+                         flag, _FLAG_VALUES[flag])
+    if flag in _FAMILY_READS[family]:
+        assert code == EXIT_OK and out.startswith("shape,2,1,1\n") and err == ""
+    else:
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: family '{family}' ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--shape", "2,1"],
+    ["check-pair", "--sigma", "2,1", "--tau", "3"],
+])
+@pytest.mark.parametrize("weights, message", [
+    ("1,-1", "negative weight on edge (1,3)"),
+    ("1,nan", "weights must be finite"),
+    ("inf,1", "weights must be finite"),
+])
+def test_bad_weighted_star_weights_are_usage_errors(capsys, argv, weights, message):
+    code, out, err = run(capsys, *argv, "--family", "weighted_star", "--weights", weights)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_hasse_refuses_a_weighted_star_witness_with_a_negative_weight(capsys, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    # on the two unit edges alone, lambda_1 of 2,2 is 1 and that of 4 is 0
+    for a, expected in (([1, 1, 0], EXIT_OK), ([1, 1, -5], EXIT_USAGE)):
+        witness = {"kind": "family", "family": "weighted_star", "n": 4, "params": {"a": a}}
+        ledger.write_text(json.dumps({"n": 4, "entries": [{
+            "sigma": "2,2", "tau": "4", "status": "refuted", "margin": 1.0,
+            "exact": False, "witness": witness}]}), encoding="utf-8")
+        code, out, err = run(capsys, "hasse", "--in", str(ledger))
+        assert code == expected
+    assert out == ""
+    assert err == "error: (2,2) >= (4): negative weight on edge (1,4)\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--family", "star"), ("--k", "3"), ("--m", "1"),
+                                         ("--weights", "1,1"), ("--density", "0.5")])
+def test_graph_file_takes_no_family_flag(capsys, tmp_path, flag, value):
+    path = tmp_path / "g.json"
+    path.write_text(random_graph(3, 5).to_json(), encoding="utf-8")
+    for argv in (["spectrum", "--shape", "2,1"], ["check-pair", "--sigma", "2,1", "--tau", "3"]):
+        code, out, err = run(capsys, *argv, "--graph", str(path), flag, value)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --graph takes no {flag}\n"
 
 
 def test_consistency_suite_below_its_smallest_n_is_a_usage_error(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aldous.graphs import (
+    GRAPH_FAMILIES,
     WeightedGraph,
     complete_graph,
     complete_on_first,
@@ -89,7 +90,7 @@ def test_graph_validation_and_json():
 
 @pytest.mark.parametrize("weights", [
     random_graph(6, 3).weights,
-    random_graph(9, 4, density=0.2, distribution="exponential").weights,
+    random_graph(9, 4, density=0.2).weights,
     star_graph(7, 5).weights,
     matching_graph(8, 3).weights,
     np.zeros((5, 5)),
@@ -717,7 +718,7 @@ def test_seed_known_and_scan_refuse_a_ledger_over_max_pairs(monkeypatch):
     ({"kind": "family", "family": "cycle", "n": 3, "params": {"k": 3}},
      "known keys"),
     ({"kind": "family", "family": "star", "n": 3, "params": {"k": "3"}},
-     "witness params"),
+     "family 'star' params"),
     ({"kind": "quasi", "n": 3, "weights": [1]}, "list of 2"),
     ({"kind": "quasi", "n": 3, "weights": [1, -1]}, "nonnegative rationals"),
     ({"kind": "quasi", "n": 3, "weights": [1, True]}, "nonnegative rationals"),
@@ -726,10 +727,52 @@ def test_seed_known_and_scan_refuse_a_ledger_over_max_pairs(monkeypatch):
     ({"kind": "quasi", "n": 3, "weights": [1, "nan"]}, "nonnegative rationals"),
     ({"kind": "quasi", "n": 3, "weights": [1, [1]]}, "nonnegative rationals"),
     ({"kind": "tree", "n": 3}, "unknown witness kind"),
+    ({"kind": "family", "family": "random", "n": 3}, "needs param 'seed'"),
+    ({"kind": "family", "family": "weighted_star", "n": 3, "params": {"a": [1, -5]}},
+     r"negative weight on edge \(1,3\)"),
+    ({"kind": "family", "family": "weighted_star", "n": 3, "params": {"a": [1, float("nan")]}},
+     "weights must be finite"),
 ])
 def test_witness_graph_rejects_malformed_witnesses(witness, message):
     with pytest.raises(ValueError, match=message):
         witness_graph(witness, 3)
+
+
+# each table family at n = 5 with its required params only, and the graph
+# the direct constructor call builds
+_MINIMAL_FAMILIES = {
+    "complete": ({}, complete_graph(5)),
+    "star": ({}, star_graph(5, 5)),
+    "clique": ({}, complete_on_first(5, 5)),
+    "cycle": ({}, cycle_graph(5)),
+    "path": ({}, path_graph(5)),
+    "matching": ({}, matching_graph(5, 2)),
+    "quasi": ({"a": [1, 0, 2, 0.5]}, quasi_complete_graph(5, [1, 0, 2, 0.5])),
+    "weighted_star": ({"a": [1, 0, 2, 0.5]}, weighted_star_graph(5, [1, 0, 2, 0.5])),
+    "random": ({"seed": 3}, random_graph(5, 3, 0.5)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+def test_family_witness_with_minimal_params_is_the_constructor_graph(family):
+    assert set(_MINIMAL_FAMILIES) == set(GRAPH_FAMILIES)
+    params, expected = _MINIMAL_FAMILIES[family]
+    witness = {"kind": "family", "family": family, "n": 5, "params": params}
+    assert witness_graph(witness, 5) == expected
+    assert graph_family(family, 5, **params) == expected
+    for key in params:
+        with pytest.raises(ValueError, match=f"needs param '{key}'"):
+            graph_family(family, 5, **{k: v for k, v in params.items() if k != key})
+
+
+def test_structured_scan_families_sweep_table_params_only():
+    for name, (family, params_at) in order._STRUCTURED_FAMILIES.items():
+        assert name in SCAN_FAMILIES and family in GRAPH_FAMILIES
+        takes = GRAPH_FAMILIES[family][1]
+        for n in range(2, 13):  # scan needs n >= 2
+            for params in params_at(n):
+                assert params.keys() <= takes.keys()
+                graph_family(family, n, **params)
 
 
 def test_witness_graph_checks_n_only_against_a_given_ledger_n():
