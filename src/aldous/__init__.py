@@ -54,7 +54,7 @@ from .order import (
     RelationEntry,
     RelationLedger,
     check_matching_bound,
-    check_onestar_bound,
+    check_onestar_bounds,
     check_pair,
     export_dot,
     scan,

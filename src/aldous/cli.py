@@ -117,10 +117,21 @@ def _load_graph(args: argparse.Namespace, n: int, config: RunConfig) -> Weighted
         raise ValueError("need --graph FILE or --family NAME")
     params = {key: getattr(args, flag) for flag, key in FAMILY_FLAGS.items()
               if getattr(args, flag) is not None}
+    if args.family in GRAPH_FAMILIES:
+        # name the flags, not the table's parameters: a user typed the one
+        takes = GRAPH_FAMILIES[args.family][1]
+        flags = {key: f"--{flag}" for flag, key in FAMILY_FLAGS.items() if key in takes}
+        for flag, key in FAMILY_FLAGS.items():
+            if key in params and key not in takes:
+                raise ValueError(f"family {args.family!r} does not take --{flag} "
+                                 f"(it takes {', '.join(flags.values()) or 'none'})")
+        for key, flag in flags.items():
+            if takes[key] is None and key not in params:
+                raise ValueError(f"family {args.family!r} needs {flag}")
+        if "seed" in takes:
+            params["seed"] = config.seed
     if "a" in params:
         params["a"] = [float(w) for w in params["a"].split(",")]
-    if "seed" in GRAPH_FAMILIES.get(args.family, (None, {}))[1]:
-        params["seed"] = config.seed
     return graph_family(args.family, n, **params)
 
 

@@ -78,6 +78,31 @@ class WeightedGraph:
         self.wt = wt
 
     @classmethod
+    def from_stack(cls, stack) -> list["WeightedGraph"]:
+        """WeightedGraph(w) for each matrix w of a (G, n, n) stack, checked
+        by one pass over the stack: the same graphs, wt to the bit (each
+        row of the flattened upper triangles is reduced as one matrix is),
+        and the first failing matrix's error when one fails."""
+        stack = np.array(stack, dtype=float)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError("need a (G, n, n) stack of weight matrices")
+        count, n = stack.shape[:2]
+        upper = np.where(_strict_upper(n), stack, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            wts = np.add.reduce(upper.reshape(count, n * n), axis=1)
+        if not ((upper + upper.swapaxes(1, 2) == stack).all()
+                and upper.min(initial=0.0) >= 0 and np.isfinite(2 * wts).all()):
+            for weights in stack:
+                cls(weights)
+        stack.setflags(write=False)
+        graphs = []
+        for weights, wt in zip(stack, wts.tolist()):
+            graph = cls.__new__(cls)
+            graph.n, graph.weights, graph.wt = n, weights, wt
+            graphs.append(graph)
+        return graphs
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
         if not _is_int(n) or n < 0:
             raise ValueError(f"n must be a nonnegative int, got {n!r}")

@@ -55,7 +55,6 @@ from .graphs import (
     quasi_complete_graph,
     quasi_complete_weights,
     random_graph,
-    weighted_star_graph,
 )
 from .partitions import (
     Partition,
@@ -991,22 +990,50 @@ def check_matching_bound(sigma: Partition, k: int, trials: int = 1,
                        max(1, trials))
 
 
-def check_onestar_bound(sigma: Partition, k: int, l: int) -> BoundReport:
-    """Largest star eigenvalue (l edges) stays at or below l + k, exactly."""
-    _require_row_class(sigma, k)
-    if not 1 <= l <= sigma.n - 1:
-        raise ValueError(f"need 1 <= l <= {sigma.n - 1}, got {l}")
-    star = [0] * (sigma.n - 1)
-    star[l - 1] = 1  # the star at vertex l + 1
-    lam_max = nested_star_extremes(sigma, star)[1]
-    return BoundReport("onestar", lam_max <= l + k, l + k, float(lam_max))
+def check_onestar_bounds(instances) -> list[BoundReport]:
+    """One-star bound, per (sigma, k, l) instance: on the star joining
+    vertex l + 1 to 1..l, the largest eigenvalue stays at or below l + k,
+    exactly. The star's total weight is l, so by duality lambda_max(sigma) =
+    2l - lambda_1(sigma'); each size makes one `nested_star_lambda1_scaled`
+    walk, over its distinct shapes' conjugates and its size - 1 unit stars,
+    whose lambda_1 values are integers."""
+    instances = list(instances)
+    shapes: dict[int, dict[Partition, None]] = {}  # the distinct shapes per size
+    for sigma, k, l in instances:
+        _require_row_class(sigma, k)
+        if not 1 <= l <= sigma.n - 1:
+            raise ValueError(f"need 1 <= l <= {sigma.n - 1}, got {l}")
+        shapes.setdefault(sigma.n, {})[sigma] = None
+    lam1_conj = {}
+    for n, distinct in shapes.items():
+        stars = [[int(j == l) for j in range(1, n)] for l in range(1, n)]
+        _, rows = nested_star_lambda1_scaled([conjugate(s) for s in distinct], stars)
+        lam1_conj.update(zip(distinct, rows))
+    reports = []
+    for sigma, k, l in instances:
+        lam_max = 2 * l - lam1_conj[sigma][l - 1]
+        reports.append(BoundReport("onestar", lam_max <= l + k, l + k, float(lam_max)))
+    return reports
+
+
+def _weighted_stars(weightings: list[list[float]]) -> list[WeightedGraph]:
+    """weighted_star_graph(len(a) + 1, a) for each list a of checked
+    weights, built as one stack per size."""
+    graphs = {}
+    for m in {len(a) for a in weightings}:
+        indices = [idx for idx, a in enumerate(weightings) if len(a) == m]
+        stack = np.zeros((len(indices), m + 1, m + 1))
+        stack[:, 0, 1:] = stack[:, 1:, 0] = [weightings[idx] for idx in indices]
+        graphs.update(zip(indices, WeightedGraph.from_stack(stack)))
+    return [graphs[idx] for idx in range(len(weightings))]
 
 
 def check_weightedstar_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
     """Weighted-star bound, per (sigma, k, a) instance: the largest
     eigenvalue stays at or below twice the k heaviest edges plus the rest.
-    The graphs are evaluated together by `_many`."""
-    shapes, graphs, bounds = [], [], []
+    The stars are built one stack per size and evaluated together by
+    `_many`."""
+    shapes, weightings, bounds = [], [], []
     for sigma, k, a in instances:
         _require_row_class(sigma, k)
         a = [float(x) for x in a]
@@ -1015,10 +1042,11 @@ def check_weightedstar_bounds(instances, tol: float = DEFAULT_TOL) -> list[Bound
         if any(a[i] < a[i + 1] for i in range(len(a) - 1)) or a[-1] < 0:
             raise ValueError("weights must be sorted nonincreasing and nonnegative")
         shapes.append(sigma)
-        graphs.append(weighted_star_graph(sigma.n, a))
+        weightings.append(a)
         bounds.append(2 * sum(a[:k]) + sum(a[k:]))
     return [BoundReport("weightedstar", lam_max <= bound + tol, bound, float(lam_max))
-            for (_, lam_max, _), bound in zip(_many(shapes, graphs), bounds)]
+            for (_, lam_max, _), bound in zip(_many(shapes, _weighted_stars(weightings)),
+                                              bounds)]
 
 
 def check_invariant_vector_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:

@@ -5,10 +5,18 @@ eigensolver, character identities, the decomposition oracle, the bound
 lemmas, duality, or the order engine's internal consistency. Suites return
 a SuiteResult whose checks list one dict per claim instance; the CLI turns
 a failed suite into exit code 1.
+
+Random instances are drawn with one array call per drawn quantity and
+evaluated one batch per (size, shape): a batch's operators are stacked and
+solved together, and its exact values come from one nested-star walk or
+one chain table per weighting. `hooks`, `oracle`, `dual`, `bounds` and the
+gap check draw from one generator per suite (`_suite_rng`); `qc` and the
+even-split check draw from `default_rng(seed)`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -25,11 +33,11 @@ from .characters import (
     wedge_character,
 )
 from .game import game_winner
-from .graphs import quasi_complete_graph, random_graph, star_graph
+from .graphs import WeightedGraph, star_graph
 from .order import (
     check_invariant_vector_bounds,
     check_matching_bound,
-    check_onestar_bound,
+    check_onestar_bounds,
     check_pair,
     check_weightedstar_bounds,
     hook,
@@ -45,15 +53,15 @@ from .partitions import (
     partitions_of,
 )
 from .spectral import (
+    _chain_counts,
+    _chain_table,
     irrep_spectra,
-    laplacian_gap,
     multiset_distance,
     nested_star_extremes,
     nested_star_lambda1_scaled,
-    quasi_complete_spectrum,
     remark_weights,
+    spectra,
     spectrum,
-    subset_sum_spectrum,
 )
 from .symrep import regular_delta
 
@@ -72,15 +80,61 @@ class SuiteResult:
         return [c for c in self.checks if not c["ok"]]
 
 
+def _suite_rng(seed: int, suite: str) -> np.random.Generator:
+    """The generator of one suite's random instances. Its entropy is the
+    seed followed by the suite name's bytes, so no two suites draw the same
+    instances at one seed."""
+    return np.random.default_rng([seed, *suite.encode()])
+
+
+def _random_weights(rng, count: int, size: int) -> np.ndarray:
+    """A (count, size, size) stack of random graphs' weights, drawn as
+    `random_graph` draws a graph: each pair joined with probability 1/2,
+    with a weight uniform on (0, 1]. One draw of coins and one of weights
+    serve the whole stack, and the first s vertices of each graph make a
+    random graph on s vertices."""
+    joined = rng.random((count, size, size)) < 0.5
+    weights = np.triu(np.where(joined, 1.0 - rng.random((count, size, size)), 0.0), 1)
+    return weights + weights.swapaxes(1, 2)
+
+
+def _distances(expected, found) -> list[float]:
+    """multiset_distance of each row of `expected` to the same row of
+    `found`, two (G, d) arrays, from one sorted-array difference."""
+    return np.abs(np.sort(expected, axis=1) - np.sort(found, axis=1)).max(axis=1).tolist()
+
+
+def _formula_spectra(weighting, shapes) -> list[list[float]]:
+    """quasi_complete_spectrum(shape, weighting) of each shape as floats,
+    ascending, from the weighting's one `_chain_table`. Each value
+    (wt - chain sum) / scale is an exact integer division, which rounds
+    as float(Fraction) does."""
+    scale, columns, wt, _, counts = _chain_table(tuple(weighting))
+    found = []
+    for shape in shapes:
+        sums = _chain_counts(shape.parts, shape.n, columns[:, 0], counts)
+        values: list[float] = []
+        for total in sorted(sums, reverse=True):
+            values += [(wt - total) / scale] * sums[total]
+        found.append(values)
+    return found
+
+
 def suite_lemma9(n: int, tol: float = 1e-8) -> SuiteResult:
-    """Star spectra from the tableau formula against the eigensolver."""
+    """Star spectra from the tableau formula against the eigensolver. The
+    unit stars are outermost, so each one's chain table serves every
+    shape, and each (size, shape) batch is compared at once."""
     result = SuiteResult("lemma9")
     for size in range(4, n + 1):
+        parts = partitions_of(size)
         stars = [star_graph(size, k) for k in range(2, size + 1)]
-        for shape in partitions_of(size):
-            for k, numeric in enumerate(irrep_spectra(shape, stars), start=2):
-                star = [int(j == k) for j in range(2, size + 1)]  # a_k = 1, else 0
-                dist = multiset_distance(quasi_complete_spectrum(shape, star), numeric)
+        numeric = [irrep_spectra(shape, stars) for shape in parts]
+        # a_k = 1, else 0
+        formulas = [_formula_spectra([int(j == k) for j in range(2, size + 1)], parts)
+                    for k in range(2, size + 1)]
+        for i, shape in enumerate(parts):
+            dists = _distances([f[i] for f in formulas], numeric[i])
+            for k, dist in enumerate(dists, start=2):
                 result.add(f"lemma9 n={size} shape={shape} k={k}", dist < tol,
                            distance=dist)
     return result
@@ -88,19 +142,26 @@ def suite_lemma9(n: int, tol: float = 1e-8) -> SuiteResult:
 
 def suite_qc(n: int, samples: int = 50, seed: int = 0, tol: float = 1e-8) -> SuiteResult:
     """Nested-star formula against the eigensolver, and the exact
-    lexicographic separation by fast-decaying weights."""
+    lexicographic separation by fast-decaying weights. Each size draws its
+    weightings in one call, builds their graphs as one stack and compares
+    each shape's batch at once."""
     result = SuiteResult("qc")
     rng = np.random.default_rng(seed)
     for size in range(3, min(n, 6) + 1):
-        weights = [rng.random(size - 1) for _ in range(samples)]
-        graphs = [quasi_complete_graph(size, a) for a in weights]
-        numeric = [irrep_spectra(shape, graphs) for shape in partitions_of(size)]
+        weights = rng.random((samples, size - 1))
+        # edge (i, j), i < j, weighs a_j
+        stack = np.zeros((samples, size, size))
+        stack[:, :, 1:] = weights[:, None, :]
+        stack = np.triu(stack, 1)
+        graphs = WeightedGraph.from_stack(stack + stack.swapaxes(1, 2))
+        parts = partitions_of(size)
         # weightings outermost, so each one's chain tables serve every shape
-        for sample, a in enumerate(weights):
-            dist = max(
-                multiset_distance(quasi_complete_spectrum(shape, list(a)), found[sample])
-                for shape, found in zip(partitions_of(size), numeric)
-            )
+        formulas = [_formula_spectra(a, parts) for a in weights.tolist()]
+        worst = np.zeros(samples)
+        for i, shape in enumerate(parts):
+            worst = np.maximum(worst, _distances([f[i] for f in formulas],
+                                                 irrep_spectra(shape, graphs)))
+        for dist in worst.tolist():
             result.add(f"qc formula n={size}", dist < tol, distance=dist)
     for size in range(2, min(n, 7) + 1):
         weights = remark_weights(size)
@@ -121,16 +182,20 @@ def suite_qc(n: int, samples: int = 50, seed: int = 0, tol: float = 1e-8) -> Sui
 def suite_hooks(n: int, graphs: int = 20, seed: int = 0, tol: float = 1e-6) -> SuiteResult:
     """Subset-sum hook spectra against the eigensolver."""
     result = SuiteResult("hooks")
+    rng = _suite_rng(seed, "hooks")
     for size in range(3, n + 1):
-        batch = [random_graph(size, seed + 1000 * size + g) for g in range(graphs)]
+        batch = WeightedGraph.from_stack(_random_weights(rng, graphs, size))
         numeric = [irrep_spectra(hook(size, k), batch) for k in range(size)]
-        for g in range(graphs):
-            base = numeric[1][g]  # the hook [size-1, 1] itself
-            worst = 0.0
-            for k in range(size):
-                expected = subset_sum_spectrum(base, k)
-                worst = max(worst, multiset_distance(expected, numeric[k][g]))
-            result.add(f"hooks n={size} graph={g}", worst < tol, distance=worst)
+        base = np.array(numeric[1])  # the hook [size-1, 1] itself
+        worst = np.zeros(graphs)
+        for k in range(size):
+            # each k-subset summed left to right, as subset_sum_spectrum does
+            expected = np.zeros((graphs, 1))
+            for column in np.array(list(combinations(range(size - 1), k))).T:
+                expected = expected + base[:, column]
+            worst = np.maximum(worst, _distances(expected, numeric[k]))
+        for g, dist in enumerate(worst.tolist()):
+            result.add(f"hooks n={size} graph={g}", dist < tol, distance=dist)
     return result
 
 
@@ -169,8 +234,9 @@ def suite_characters(n: int) -> SuiteResult:
 def suite_oracle(n: int, graphs: int = 10, seed: int = 0, tol: float = 1e-7) -> SuiteResult:
     """Regular-representation spectrum against the per-irreducible union."""
     result = SuiteResult("oracle")
+    rng = _suite_rng(seed, "oracle")
     for size in range(3, min(n, 5) + 1):
-        batch = [random_graph(size, seed + 100 * size + g) for g in range(graphs)]
+        batch = WeightedGraph.from_stack(_random_weights(rng, graphs, size))
         irreps = {shape: irrep_spectra(shape, batch) for shape in partitions_of(size)}
         for g, graph in enumerate(batch):
             full = spectrum(regular_delta(graph))
@@ -188,63 +254,75 @@ def _row_class(size: int, k: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(size) if p.parts[0] >= size - k)
 
 
-def _random_row_class_shape(rng, size: int, k: int) -> Partition:
-    choices = _row_class(size, k)
-    return choices[int(rng.integers(0, len(choices)))]
+def _row_class_picks(rng, sizes: np.ndarray, ks: np.ndarray) -> list[Partition]:
+    """One shape per (size, k) entry, uniform on its row class, from one
+    draw of the picks."""
+    classes = [_row_class(size, k) for size, k in zip(sizes.tolist(), ks.tolist())]
+    picks = rng.integers(0, [len(choices) for choices in classes])
+    return [choices[pick] for choices, pick in zip(classes, picks.tolist())]
 
 
 def suite_bounds(n: int, trials: int = 1000, seed: int = 0,
                  tol: float = 1e-9) -> SuiteResult:
-    """Randomized instances of the four bound lemmas."""
+    """Randomized instances of the four bound lemmas, `trials` of each.
+
+    Each lemma draws its instances from the suite's generator with one
+    array call per quantity (sizes, k, row-class picks, l, sorted weights,
+    graphs, vertex subsets) and evaluates them in batches: one exact
+    nested-star walk per size for the one-star lemma, one check per
+    distinct (sigma, k) for the matching lemma (its one trial is the fixed
+    matching), and one stack per shape for the weighted-star and
+    invariant-vector lemmas."""
     if n < 5:
         raise ValueError("the bounds suite needs n >= 5")
     result = SuiteResult("bounds")
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(seed, "bounds")
     analytic_max = min(n, 12)
     numeric_max = min(n, 8)
 
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        size = int(rng.integers(5, analytic_max + 1))
-        k = int(rng.integers(1, min(4, size - 1) + 1))
-        sigma = _random_row_class_shape(rng, size, k)
-        l = int(rng.integers(1, size))
-        report = check_onestar_bound(sigma, k, l)
-        failures += 0 if report.ok else 1
-        worst = max(worst, report.worst - report.bound)
+    sizes = rng.integers(5, analytic_max + 1, size=trials)
+    ks = rng.integers(1, np.minimum(4, sizes - 1) + 1)
+    shapes = _row_class_picks(rng, sizes, ks)
+    ls = rng.integers(1, sizes)
+    reports = check_onestar_bounds(zip(shapes, ks.tolist(), ls.tolist()))
+    failures = sum(not report.ok for report in reports)
+    worst = max([0.0] + [report.worst - report.bound for report in reports])
     result.add("onestar bound", failures == 0, violations=failures, worst_excess=worst)
 
-    failures = 0
-    for _ in range(trials):
-        k = int(rng.integers(1, max(1, numeric_max // 4) + 1))
-        size = int(rng.integers(4 * k, numeric_max + 1))
-        sigma = _random_row_class_shape(rng, size, k)
-        report = check_matching_bound(sigma, k, trials=1, tol=tol,
-                                      seed=int(rng.integers(0, 2**31)))
-        failures += 0 if report.ok else 1
+    ks = rng.integers(1, max(1, numeric_max // 4) + 1, size=trials)
+    sizes = rng.integers(4 * ks, numeric_max + 1)
+    drawn = Counter(zip(_row_class_picks(rng, sizes, ks), ks.tolist()))
+    failures = sum(count for (sigma, k), count in drawn.items()
+                   if not check_matching_bound(sigma, k, trials=1, tol=tol).ok)
     result.add("matching bound", failures == 0, violations=failures)
 
-    # the last two lemmas draw all their instances first, then evaluate
-    # each shape's graphs together
-    instances = []
-    for _ in range(trials):
-        size = int(rng.integers(4, numeric_max + 1))
-        k = int(rng.integers(1, (3 if size <= 6 else 2) + 1))
-        sigma = _random_row_class_shape(rng, size, k)
-        a = sorted((float(x) for x in rng.random(size - 1)), reverse=True)
-        instances.append((sigma, k, a))
+    sizes = rng.integers(4, numeric_max + 1, size=trials)
+    ks = rng.integers(1, np.where(sizes <= 6, 3, 2) + 1)
+    shapes = _row_class_picks(rng, sizes, ks)
+    # each row keeps its first size - 1 draws, sorted nonincreasing
+    weights = rng.random((trials, numeric_max - 1))
+    weights[np.arange(numeric_max - 1) >= sizes[:, None] - 1] = -1.0
+    weights = -np.sort(-weights, axis=1)
+    instances = [(sigma, k, a[:size - 1]) for sigma, k, a, size
+                 in zip(shapes, ks.tolist(), weights.tolist(), sizes.tolist())]
     failures = sum(not r.ok for r in check_weightedstar_bounds(instances, tol=tol))
     result.add("weightedstar bound", failures == 0, violations=failures)
 
+    sizes = rng.integers(4, numeric_max + 1, size=trials)
+    ks = rng.integers(1, 3, size=trials)
+    shapes = _row_class_picks(rng, sizes, ks)
+    stack = _random_weights(rng, trials, numeric_max)
+    # k vertices uniform among the first `size`: those of the k lowest keys
+    keys = rng.random((trials, numeric_max))
+    keys[np.arange(numeric_max) >= sizes[:, None]] = 2.0
+    vertices = (np.argsort(keys, axis=1) + 1).tolist()
+    ks = ks.tolist()
     instances = []
-    for _ in range(trials):
-        size = int(rng.integers(4, numeric_max + 1))
-        k = int(rng.integers(1, 3))
-        sigma = _random_row_class_shape(rng, size, k)
-        graph = random_graph(size, int(rng.integers(0, 2**31)))
-        vertices = [int(v) + 1 for v in rng.choice(size, size=k, replace=False)]
-        instances.append((sigma, k, graph, vertices))
+    for size in sorted(set(sizes.tolist())):
+        (members,) = np.nonzero(sizes == size)
+        graphs = WeightedGraph.from_stack(stack[members, :size, :size])
+        instances += [(shapes[i], ks[i], graph, vertices[i][:ks[i]])
+                      for i, graph in zip(members.tolist(), graphs)]
     failures = sum(not r.ok for r in check_invariant_vector_bounds(instances, tol=tol))
     result.add("invariant vector bound", failures == 0, violations=failures)
     return result
@@ -262,25 +340,18 @@ def suite_dual(n: int, graphs: int = 50, seed: int = 0, tol: float = 1e-8,
     `qc` and `oracle`, and the transposition-sum test of the test suite.
     """
     result = SuiteResult("dual")
+    rng = _suite_rng(seed, "dual")
     for size in range(2, n + 1):
-        worst_dual = 0.0
-        worst_triv = -float("inf")
-        batch = [random_graph(size, seed + 997 * size + g) for g in range(graphs)]
-        # (lambda_1, lambda_max) per shape and graph
-        extremes = {
-            shape: [(s[0], s[-1]) for s in irrep_spectra(shape, batch)]
-            for shape in partitions_of(size)
-        }
-        for g, graph in enumerate(batch):
-            for shape in partitions_of(size):
-                lam_max = extremes[shape][g][1]
-                lam1_conj = extremes[conjugate(shape)][g][0]
-                worst_dual = max(worst_dual,
-                                 abs(lam_max - (2 * graph.wt - lam1_conj)))
-                worst_triv = max(worst_triv, lam_max - 2 * graph.wt)
-        result.add(f"duality n={size}", worst_dual < tol, distance=worst_dual)
+        batch = WeightedGraph.from_stack(_random_weights(rng, graphs, size))
+        twice_wt = 2 * np.array([graph.wt for graph in batch])
+        found = {shape: np.array(irrep_spectra(shape, batch)) for shape in partitions_of(size)}
+        # per shape and graph: lambda_max against 2 wt - lambda_1 of the conjugate
+        worst_dual = max(0.0, *(np.abs(spec[:, -1] - (twice_wt - found[conjugate(shape)][:, 0]))
+                                .max() for shape, spec in found.items()))
+        worst_triv = max((spec[:, -1] - twice_wt).max() for spec in found.values())
+        result.add(f"duality n={size}", worst_dual < tol, distance=float(worst_dual))
         result.add(f"trivial bound n={size}", worst_triv <= triv_tol,
-                   excess=worst_triv)
+                   excess=float(worst_triv))
     return result
 
 
@@ -323,23 +394,25 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
                     for w, e, scale in zip(wide, even, scales))
         result.add(f"even split remark n={n}", worst <= tol, excess=worst)
 
-    rng = np.random.default_rng(seed + 1)
-    by_size: dict[int, list] = {}
-    for _ in range(graphs):
-        size = int(rng.integers(3, min(n, 7) + 1))
-        by_size.setdefault(size, []).append(random_graph(size, int(rng.integers(0, 2**31))))
+    rng = _suite_rng(seed, "gap")
+    top = min(n, 7)
+    sizes = rng.integers(3, top + 1, size=graphs)
+    stack = _random_weights(rng, graphs, top)
     worst_gap = 0.0
     argmin_ok = True
-    for size, batch in by_size.items():
-        lam_std = [s[0] for s in irrep_spectra(Partition([size - 1, 1]), batch)]
-        for shape in partitions_of(size):
-            if shape == Partition([size]):
-                continue
-            for lam, std in zip((s[0] for s in irrep_spectra(shape, batch)), lam_std):
-                if lam < std - tol:
-                    argmin_ok = False
-        for graph, std in zip(batch, lam_std):
-            worst_gap = max(worst_gap, abs(std - laplacian_gap(graph)))
+    for size in sorted(set(sizes.tolist())):
+        weights = stack[sizes == size, :size, :size]
+        batch = WeightedGraph.from_stack(weights)
+        lam1 = {shape: np.array([s[0] for s in irrep_spectra(shape, batch)])
+                for shape in partitions_of(size)[1:]}  # all but the trivial [size]
+        lam_std = lam1[Partition([size - 1, 1])]
+        argmin_ok &= all((lam >= lam_std - tol).all() for lam in lam1.values())
+        # the Laplacians diag(row sums) - weights, solved as one stack
+        laplacians = np.zeros_like(weights)
+        laplacians[:, range(size), range(size)] = weights.sum(axis=2)
+        laplacians -= weights
+        gaps = np.array([s[1] for s in spectra(laplacians)])
+        worst_gap = max(worst_gap, float(np.abs(lam_std - gaps).max()))
     result.add("gap attained at standard rep", argmin_ok and worst_gap < tol,
                worst_gap=worst_gap)
     return result
@@ -389,8 +462,9 @@ SUITES = {
 
 def run_suite(name: str, n: int, **params) -> SuiteResult:
     """Run the named suite at n. A seed is dropped where the suite takes
-    none; any other parameter it does not take is an error, and so is a
-    run with no checks, which would have verified nothing."""
+    none; any other parameter it does not take is an error, and so are a
+    count below one and a run with no checks, which would have verified
+    nothing."""
     import inspect
 
     if name not in SUITES:
@@ -402,6 +476,9 @@ def run_suite(name: str, n: int, **params) -> SuiteResult:
     unused = sorted(set(params) - accepted)
     if unused:
         raise ValueError(f"suite {name!r} does not take {', '.join(unused)}")
+    for key in ("budget", "trials", "samples", "graphs"):
+        if key in params and not params[key] >= 1:
+            raise ValueError(f"{key} must be positive, got {params[key]!r}")
     result = fn(n, **params)
     if not result.checks:
         raise ValueError(f"suite {name!r} has no checks at n = {n}")

@@ -156,3 +156,37 @@ def test_from_edges_accepts_numpy_and_exact_numbers():
 def test_from_json_rejects_bad_documents(text, message):
     with pytest.raises(ValueError, match=message):
         WeightedGraph.from_json(text)
+
+
+def test_from_stack_is_one_weighted_graph_per_matrix():
+    rng = np.random.default_rng(4)
+    for n in (0, 1, 5, 12):
+        stack = np.where(rng.random((30, n, n)) < 0.5, rng.random((30, n, n)) * 1e3, 0.0)
+        stack = np.triu(stack, 1)
+        stack = stack + stack.swapaxes(1, 2)
+        found = WeightedGraph.from_stack(stack)
+        assert len(found) == 30
+        for graph, weights in zip(found, stack):
+            one = WeightedGraph(weights)
+            assert graph == one and graph.n == n and graph.wt == one.wt
+            assert not graph.weights.flags.writeable
+    assert stack.flags.writeable  # from_stack froze its own copy
+    assert WeightedGraph.from_stack(stack[:0]) == []
+
+
+@pytest.mark.parametrize("entry, message", [
+    (-1.0, "weights must be nonnegative"),
+    (float("nan"), "weights must be finite"),
+    (float("inf"), "weights must be finite"),
+])
+def test_from_stack_names_the_first_failing_matrix(entry, message):
+    stack = np.ones((3, 4, 4)) - np.eye(4)
+    stack[1, 0, 2] = stack[1, 2, 0] = entry
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph.from_stack(stack)
+    stack[1, 2, 0] = 0.5
+    with pytest.raises(ValueError, match="weight matrix must be symmetric"
+                       if entry == -1.0 else message):
+        WeightedGraph.from_stack(stack)
+    with pytest.raises(ValueError, match=r"need a \(G, n, n\) stack"):
+        WeightedGraph.from_stack(np.zeros((3, 4)))

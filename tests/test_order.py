@@ -27,6 +27,7 @@ from aldous.graphs import (
 import aldous.order as order
 from aldous.order import (
     SCAN_FAMILIES,
+    BoundReport,
     LedgerConflict,
     RelationEntry,
     RelationLedger,
@@ -34,7 +35,7 @@ from aldous.order import (
     _family_graphs,
     check_invariant_vector_bounds,
     check_matching_bound,
-    check_onestar_bound,
+    check_onestar_bounds,
     check_pair,
     check_weightedstar_bounds,
     export_dot,
@@ -46,7 +47,7 @@ from aldous.order import (
     seed_known,
     witness_graph,
 )
-from aldous.partitions import Partition, conjugate, content_sum, partitions_of
+from aldous.partitions import Partition, conjugate, content_sum, in_row_class, partitions_of
 from aldous.symrep import (
     DEFAULT_DIM_CAP,
     STACK_FLOATS,
@@ -1278,12 +1279,36 @@ def test_check_matching_bound():
 def test_check_onestar_bound():
     # lambda_max([n-1,1], star with l edges) = l + 1, tight
     for n in (6, 9):
-        for l in range(1, n):
-            report = check_onestar_bound(Partition([n - 1, 1]), 1, l)
+        reports = check_onestar_bounds([(Partition([n - 1, 1]), 1, l) for l in range(1, n)])
+        for l, report in enumerate(reports, start=1):
             assert report.ok and report.worst == l + 1
-    assert check_onestar_bound(Partition([12]), 0, 5).worst == 0
-    report = check_onestar_bound(Partition([10, 1, 1]), 2, 3)
+    (report,) = check_onestar_bounds([(Partition([12]), 0, 5)])
+    assert report.worst == 0
+    (report,) = check_onestar_bounds([(Partition([10, 1, 1]), 2, 3)])
     assert report.ok and report.worst <= 5
+    assert check_onestar_bounds([]) == []
+    with pytest.raises(ValueError, match="first-row >= n-1 class"):
+        check_onestar_bounds([(Partition([6]), 0, 1), (Partition([4, 2]), 1, 1)])
+    for l in (0, 6):
+        with pytest.raises(ValueError, match="need 1 <= l <= 5"):
+            check_onestar_bounds([(Partition([5, 1]), 1, l)])
+
+
+def test_check_onestar_bounds_is_nested_star_extremes_per_instance():
+    from aldous.spectral import nested_star_extremes
+
+    instances = [(sigma, k, l)
+                 for n in range(5, 13)
+                 for k in range(0, 5)
+                 for sigma in partitions_of(n) if in_row_class(sigma, k)
+                 for l in range(1, n)]
+    reports = check_onestar_bounds(reversed(instances))[::-1]
+    assert len(reports) == len(instances)
+    for (sigma, k, l), report in zip(instances, reports):
+        star = [int(j == l) for j in range(1, sigma.n)]
+        lam_max = nested_star_extremes(sigma, star)[1]
+        assert report == BoundReport("onestar", lam_max <= l + k, l + k, float(lam_max))
+        assert report.ok
 
 
 def test_check_weightedstar_bound():
