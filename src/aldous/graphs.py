@@ -13,7 +13,6 @@ upgrade a numeric check to an exact one.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
@@ -52,8 +51,27 @@ def _first_failed_check(weights: np.ndarray) -> str:
     return "weights too large: twice their total overflows a float"
 
 
+def _checked_wts(stack: np.ndarray) -> list[float]:
+    """wt (the sum of np.triu(w, 1)) of each matrix w of a (G, n, n) float
+    stack, after one pass of the checks; the first failing w raises."""
+    count, n = stack.shape[:2]
+    upper = np.where(_strict_upper(n), stack, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wts = np.add.reduce(upper.reshape(count, n * n), axis=1)
+        # upper + upper^T is the matrix only if it is symmetric with a zero
+        # diagonal (a NaN never compares equal), and an infinite weight makes
+        # wt infinite. Every eigenvalue of the swap operator lies in
+        # [0, 2 wt], so 2 wt must be finite too
+        ok = (np.isfinite(2 * wts) & (upper.min(axis=(1, 2), initial=0.0) >= 0)
+              & (upper + upper.swapaxes(1, 2) == stack).all(axis=(1, 2)))
+    if not ok.all():
+        raise ValueError(_first_failed_check(stack[np.argmin(ok)]))
+    return wts.tolist()
+
+
 class WeightedGraph:
-    """Symmetric nonnegative weight matrix with zero diagonal."""
+    """Symmetric nonnegative weight matrix with zero diagonal, checked by
+    the check `from_stack` runs, on a stack of one."""
 
     __slots__ = ("n", "weights", "wt")
 
@@ -61,44 +79,24 @@ class WeightedGraph:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValueError("weight matrix must be square")
-        upper = np.where(_strict_upper(weights.shape[0]), weights, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the sum np.triu(weights, 1) gives, without building its mask
-            wt = float(np.add.reduce(upper, axis=None))
-        # one pass for the common case: upper + upper^T is the matrix only if
-        # it is symmetric with a zero diagonal (a NaN never compares equal),
-        # and an infinite weight makes wt infinite. Every eigenvalue of the
-        # swap operator lies in [0, 2 wt], so 2 wt must be finite too
-        if not ((upper + upper.T == weights).all() and upper.min(initial=0.0) >= 0
-                and math.isfinite(2 * wt)):
-            raise ValueError(_first_failed_check(weights))
-        self.n = weights.shape[0]
-        self.weights = weights
-        self.weights.setflags(write=False)
-        self.wt = wt
+        (self.wt,) = _checked_wts(weights[None])
+        self.n, self.weights = len(weights), weights
+        weights.setflags(write=False)
 
     @classmethod
     def from_stack(cls, stack) -> list["WeightedGraph"]:
         """WeightedGraph(w) for each matrix w of a (G, n, n) stack, checked
-        by one pass over the stack: the same graphs, wt to the bit (each
-        row of the flattened upper triangles is reduced as one matrix is),
-        and the first failing matrix's error when one fails."""
+        by one pass over the stack: the same graphs, wt to the bit, and the
+        first failing matrix's error when one fails."""
         stack = np.array(stack, dtype=float)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("need a (G, n, n) stack of weight matrices")
-        count, n = stack.shape[:2]
-        upper = np.where(_strict_upper(n), stack, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            wts = np.add.reduce(upper.reshape(count, n * n), axis=1)
-        if not ((upper + upper.swapaxes(1, 2) == stack).all()
-                and upper.min(initial=0.0) >= 0 and np.isfinite(2 * wts).all()):
-            for weights in stack:
-                cls(weights)
+        wts = _checked_wts(stack)
         stack.setflags(write=False)
         graphs = []
-        for weights, wt in zip(stack, wts.tolist()):
+        for weights, wt in zip(stack, wts):
             graph = cls.__new__(cls)
-            graph.n, graph.weights, graph.wt = n, weights, wt
+            graph.n, graph.weights, graph.wt = len(weights), weights, wt
             graphs.append(graph)
         return graphs
 
@@ -180,13 +178,11 @@ def complete_on_first(n: int, k: int) -> WeightedGraph:
 
 
 def star_graph(n: int, k: int) -> WeightedGraph:
-    """Vertex k joined to each of 1..k-1 with unit weight."""
+    """Vertex k joined to each of 1..k-1 with unit weight: the nested star
+    a_k = 1, else 0."""
     if not 2 <= k <= n:
         raise ValueError(f"star needs 2 <= k <= n, got k={k}, n={n}")
-    w = np.zeros((n, n))
-    w[: k - 1, k - 1] = 1.0
-    w[k - 1, : k - 1] = 1.0
-    return WeightedGraph(w)
+    return quasi_complete_graph(n, [int(j == k) for j in range(2, n + 1)])
 
 
 def cycle_graph(n: int) -> WeightedGraph:
@@ -209,22 +205,29 @@ def matching_graph(n: int, m: int) -> WeightedGraph:
     return WeightedGraph.from_edges(n, [(2 * i - 1, 2 * i, 1.0) for i in range(1, m + 1)])
 
 
+def quasi_complete_stack(weights) -> np.ndarray:
+    """The (G, n, n) weight matrices of the nested-star combinations whose
+    a[2..n] are the rows of a (G, n - 1) array: a[max(i, j)] at i != j."""
+    weights = np.asarray(weights, dtype=float)
+    vertex = np.arange(weights.shape[1] + 1)
+    per_vertex = np.concatenate((np.zeros((len(weights), 1)), weights), axis=1)
+    stack = np.take(per_vertex, np.maximum.outer(vertex, vertex), axis=1)
+    stack[:, vertex, vertex] = 0.0
+    return stack
+
+
 def quasi_complete_graph(n: int, a) -> WeightedGraph:
     """Nested-star combination: edge (i, j), i < j, gets weight a[j].
 
     a is indexed by vertex 2..n (length n-1). Fraction weights are kept
-    exactly only by the spectral formulas; the stored matrix is float.
-    """
+    exactly only by the spectral formulas; the stored matrix is float, the
+    one row of `quasi_complete_stack`."""
     a = list(a)
     if len(a) != n - 1:
         raise ValueError(f"need n-1 = {n - 1} weights, got {len(a)}")
     if any(x < 0 for x in a):
         raise ValueError("weights must be nonnegative")
-    w = np.zeros((n, n))
-    for j in range(2, n + 1):
-        w[: j - 1, j - 1] = float(a[j - 2])
-        w[j - 1, : j - 1] = float(a[j - 2])
-    return WeightedGraph(w)
+    return WeightedGraph(quasi_complete_stack([a])[0])
 
 
 def weighted_star_graph(n: int, a) -> WeightedGraph:

@@ -493,9 +493,12 @@ class RelationLedger:
                       float(self.margin[i, j]), bool(self.exact[i, j]))
 
     def set_proved(self, sigma: Partition, tau: Partition, tag: str) -> None:
+        self._prove(sigma, tau, tag, None)
+
+    def _prove(self, sigma, tau, tag, cell) -> None:
         if tag not in PROVED_TAGS:
             raise ValueError(f"unknown citation tag {tag!r}")
-        cell = self._cell(sigma, tau)
+        cell = cell or self._cell(sigma, tau)  # from_json passes the cell it knows
         if self.code[cell] > _PROVED:
             raise LedgerConflict(f"({sigma}) >= ({tau}) already refuted")
         if not self.code[cell]:
@@ -506,6 +509,9 @@ class RelationLedger:
         """Refute sigma >= tau. A witness that is not a dict, a margin that
         is not a finite real or an exact that is not a bool raises
         ValueError: to_json could not write it so that from_json loads it."""
+        self._refute(sigma, tau, witness, margin, exact, tag, None)
+
+    def _refute(self, sigma, tau, witness, margin, exact, tag, cell) -> None:
         if tag not in REFUTED_TAGS:
             raise ValueError(f"unknown refutation tag {tag!r}")
         if not isinstance(witness, dict):
@@ -518,7 +524,7 @@ class RelationLedger:
             raise ValueError(f"margin must be a finite real, got {margin!r}")
         if not isinstance(exact, bool):
             raise ValueError(f"exact must be a bool, got {exact!r}")
-        cell = self._cell(sigma, tau)
+        cell = cell or self._cell(sigma, tau)
         if self.code[cell]:
             if self.code[cell] <= _PROVED:
                 raise LedgerConflict(f"({sigma}) >= ({tau}) already proved")
@@ -662,10 +668,10 @@ class RelationLedger:
             status = record.get("status")
             try:
                 if status == "proved":
-                    ledger.set_proved(sigma, tau, record.get("tag"))
+                    ledger._prove(sigma, tau, record.get("tag"), (a, b))
                 elif status == "refuted":
-                    ledger.set_refuted(sigma, tau, record.get("witness"), record.get("margin"),
-                                       record.get("exact", False), record.get("tag", "scan"))
+                    ledger._refute(sigma, tau, record.get("witness"), record.get("margin"),
+                                   record.get("exact", False), record.get("tag", "scan"), (a, b))
                 elif status != "unknown":
                     raise ValueError(f"status must be proved, refuted or unknown, "
                                      f"got {status!r}")

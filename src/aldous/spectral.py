@@ -12,20 +12,14 @@ nested star operators on the canonical tableau basis:
     the shape, so those eigenvalues are wt minus sums along chains, and one
     memoized recursion over subdiagrams (corner removal) finds them without
     listing a tableau: `_chains` keeps the heaviest chain of each
-    subdiagram, `quasi_complete_spectrum` every chain sum with its
-    multiplicity. Both run in integers: each weighting is scaled once by
-    the common denominator of its weights, and Fractions are built only
-    for the returned values. The extremes walk
-    (`_chains`) runs on integer columns, one entry per weighting, so
-    `nested_star_lambda1_scaled` gives lambda_1 of every shape under every
-    weighting of a sweep from one walk, as the scaled integers themselves
-    for sweeps that only compare lambda_1 across shapes, and
-    `nested_star_extremes` is its one-column case, with the tables of a
-    weighting shared by every shape it is evaluated on. Transposing a
-    tableau negates every content, so the lightest chain of a shape is
-    minus the heaviest chain of its conjugate: a single-shape
-    `nested_star_extremes` call also walks the conjugate's subdiagrams,
-    for lambda_max;
+    subdiagram and `_chain_counts` every chain sum with its multiplicity,
+    both in integers (each weighting scaled once by the common denominator
+    of its weights). `_chains` runs on integer columns, one per weighting,
+    so `nested_star_lambda1_scaled` gives lambda_1 of every shape under
+    every weighting of a sweep from one walk, and `nested_star_extremes` is
+    its one-column case. Transposing a tableau negates every content, so
+    the lightest chain of a shape is minus the heaviest chain of its
+    conjugate, which gives lambda_max;
   * the complete graph acts by the scalar C(n,2) - content sum;
   * the spectrum on a hook [n-k, 1^k] consists of the k-subset sums of
     the spectrum on [n-1, 1].
@@ -37,11 +31,14 @@ ascending tuple of floats LAPACK gives: [0] is lambda_1, [-1] lambda_max.
 Exact spectra are ascending tuples of Fractions. `spectra` does the same for a
 (G, d, d) stack in one call, and `irrep_spectra` solves one irreducible for
 a list of graphs by stacking their operators (`symrep.delta_matrices`),
-`symrep.graphs_per_stack` graphs at a time. The verify suites that compare
-full spectra call it directly, spending little per-call overhead on the
-thousands of tiny operators they check, and so do the order engine's
-bound checks (`order._many`); `order.scan` stacks its operators block by
-block itself.
+`symrep.graphs_per_stack` graphs at a time, for the verify suites and the
+order engine's bound checks (`order._many`); `order.scan` stacks its
+operators block by block itself. The suites' other kernels take rows too:
+`subset_sum_spectrum`, `laplacian_gap` and `multiset_distance` are the
+one-row cases of `subset_sum_spectra`, `laplacian_gaps` and
+`multiset_distances`, and `_chain_spectrum` expands a weighting's chain
+counts into a spectrum, Fractions for `quasi_complete_spectrum` and floats
+for the suites.
 """
 
 from __future__ import annotations
@@ -137,17 +134,23 @@ def _checked_weights(n: int, weightings) -> list[list]:
 def quasi_complete_spectrum(shape: Partition, a) -> tuple[Fraction, ...]:
     """Spectrum of the nested-star combination with weights a[2..n] as an
     ascending tuple of exact Fractions: wt - sum_k a_k * content(box of k)
-    per standard tableau, counted by the chain recursion and emitted from
-    the heaviest chain sum down. It lists one value per tableau, so shapes
-    above partitions.TABLEAU_CAP tableaux are refused."""
+    per standard tableau, from `_chain_spectrum`. It lists one value per
+    tableau, so shapes above partitions.TABLEAU_CAP tableaux are refused."""
     (a,) = _checked_weights(shape.n, [a])
     capped_tableau_count(shape)
+    return tuple(_chain_spectrum(shape, a, Fraction))
+
+
+def _chain_spectrum(shape: Partition, a, value) -> list:
+    """The spectrum of the shape under the nested-star weighting a, ascending:
+    value(wt - chain sum, scale) per tableau, in the integers of a's one
+    `_chain_table`. Fraction gives exact values, operator.truediv floats."""
     scale, columns, wt, _, counts = _chain_table(tuple(a))
     sums = _chain_counts(shape.parts, shape.n, columns[:, 0], counts)
     values = []
     for total in sorted(sums, reverse=True):
-        values += [Fraction(wt - total, scale)] * sums[total]
-    return tuple(values)
+        values += [value(wt - total, scale)] * sums[total]
+    return values
 
 
 def nested_star_extremes(shape: Partition, a) -> tuple[Fraction, Fraction]:
@@ -268,22 +271,48 @@ def complete_graph_eigenvalue(shape: Partition) -> int:
     return n * (n - 1) // 2 - content_sum(shape)
 
 
+def subset_sum_spectra(bases, k: int) -> np.ndarray:
+    """subset_sum_spectrum of each row of a (G, d) array, as the rows of a
+    (G, C(d, k)) array, each k-subset summed left to right as sum() does."""
+    bases = np.asarray(bases, dtype=float)
+    subsets = list(combinations(range(bases.shape[1]), k))
+    sums = np.zeros((len(bases), len(subsets)))
+    for column in zip(*subsets):  # the p-th member of every subset
+        sums += bases[:, column]
+    return np.sort(sums, axis=1)
+
+
 def subset_sum_spectrum(base: Sequence[float], k: int) -> tuple[float, ...]:
     """The k-subset sums of a spectrum on [n-1, 1], ascending: the spectrum
-    on the hook [n-k, 1^k] of the same graph."""
-    return tuple(sorted(sum(combo) for combo in combinations(base, k)))
+    on the hook [n-k, 1^k] of the same graph. One row of subset_sum_spectra."""
+    return tuple(subset_sum_spectra([base], k)[0].tolist())
+
+
+def laplacian_gaps(stack, tol: float = DEFAULT_TOL) -> list[float]:
+    """Second-smallest eigenvalue of diag(row sums) - weights for each
+    weight matrix of a (G, n, n) stack, from one stacked solve."""
+    stack = np.asarray(stack, dtype=float)
+    laplacians = np.eye(stack.shape[-1]) * stack.sum(axis=2)[:, :, None] - stack
+    return [values[1] for values in spectra(laplacians, tol)]
 
 
 def laplacian_gap(graph: WeightedGraph, tol: float = DEFAULT_TOL) -> float:
-    """Second-smallest eigenvalue of diag(row sums) - weights."""
-    lap = np.diag(graph.weights.sum(axis=1)) - graph.weights
-    return spectrum(lap, tol)[1]
+    """Second-smallest eigenvalue of diag(row sums) - weights: the one-graph
+    case of laplacian_gaps."""
+    return laplacian_gaps(graph.weights[None], tol)[0]
+
+
+def multiset_distances(xs, ys) -> list[float]:
+    """multiset_distance of each row of xs to the same row of ys, two
+    (G, d) arrays, from one sorted-array difference: inf for every row if
+    the rows' lengths differ, 0.0 for rows of length 0, NaN passed on."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape[1] != ys.shape[1]:
+        return [math.inf] * len(xs)
+    return np.abs(np.sort(xs, axis=1) - np.sort(ys, axis=1)).max(axis=1, initial=0.0).tolist()
 
 
 def multiset_distance(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Max absolute difference after sorting; inf on length mismatch."""
-    if len(xs) != len(ys):
-        return float("inf")
-    if not xs:
-        return 0.0
-    return float(np.max(np.abs(np.sort(np.asarray(xs, float)) - np.sort(np.asarray(ys, float)))))
+    """Max absolute difference after sorting; inf on length mismatch. The
+    one-row case of multiset_distances."""
+    return multiset_distances([xs], [ys])[0]

@@ -9,9 +9,12 @@ a failed suite into exit code 1.
 Random instances are drawn with one array call per drawn quantity and
 evaluated one batch per (size, shape): a batch's operators are stacked and
 solved together, and its exact values come from one nested-star walk or
-one chain table per weighting. `hooks`, `oracle`, `dual`, `bounds` and the
-gap check draw from one generator per suite (`_suite_rng`); `qc` and the
-even-split check draw from `default_rng(seed)`.
+one chain table per weighting. The batch kernels live in the layers that
+own their jobs (`graphs.quasi_complete_stack`, `WeightedGraph.from_stack`,
+and `spectral`'s `multiset_distances`, `subset_sum_spectra`,
+`laplacian_gaps` and `_chain_spectrum`). `hooks`, `oracle`, `dual`,
+`bounds` and the gap check draw from one generator per suite
+(`_suite_rng`); `qc` and the even-split check draw from `default_rng(seed)`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from operator import truediv
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .characters import (
     wedge_character,
 )
 from .game import game_winner
-from .graphs import WeightedGraph, star_graph
+from .graphs import WeightedGraph, quasi_complete_stack, star_graph
 from .order import (
     check_invariant_vector_bounds,
     check_matching_bound,
@@ -53,15 +57,15 @@ from .partitions import (
     partitions_of,
 )
 from .spectral import (
-    _chain_counts,
-    _chain_table,
+    _chain_spectrum,
     irrep_spectra,
-    multiset_distance,
+    laplacian_gaps,
+    multiset_distances,
     nested_star_extremes,
     nested_star_lambda1_scaled,
     remark_weights,
-    spectra,
     spectrum,
+    subset_sum_spectra,
 )
 from .symrep import regular_delta
 
@@ -98,42 +102,24 @@ def _random_weights(rng, count: int, size: int) -> np.ndarray:
     return weights + weights.swapaxes(1, 2)
 
 
-def _distances(expected, found) -> list[float]:
-    """multiset_distance of each row of `expected` to the same row of
-    `found`, two (G, d) arrays, from one sorted-array difference."""
-    return np.abs(np.sort(expected, axis=1) - np.sort(found, axis=1)).max(axis=1).tolist()
-
-
-def _formula_spectra(weighting, shapes) -> list[list[float]]:
-    """quasi_complete_spectrum(shape, weighting) of each shape as floats,
-    ascending, from the weighting's one `_chain_table`. Each value
-    (wt - chain sum) / scale is an exact integer division, which rounds
-    as float(Fraction) does."""
-    scale, columns, wt, _, counts = _chain_table(tuple(weighting))
-    found = []
-    for shape in shapes:
-        sums = _chain_counts(shape.parts, shape.n, columns[:, 0], counts)
-        values: list[float] = []
-        for total in sorted(sums, reverse=True):
-            values += [(wt - total) / scale] * sums[total]
-        found.append(values)
-    return found
+def _formula_distances(weightings: list) -> dict:
+    """{shape: multiset_distances of each weighting's formula spectrum to
+    the eigensolver's} for a list of nested-star weightings of one size,
+    their graphs built as one stack and each shape's batch solved at once."""
+    parts = partitions_of(len(weightings[0]) + 1)
+    graphs = WeightedGraph.from_stack(quasi_complete_stack(weightings))
+    # weightings outermost, so each one's cached chain tables serve every shape
+    formulas = [[_chain_spectrum(shape, a, truediv) for shape in parts] for a in weightings]
+    return {shape: multiset_distances([f[i] for f in formulas], irrep_spectra(shape, graphs))
+            for i, shape in enumerate(parts)}
 
 
 def suite_lemma9(n: int, tol: float = 1e-8) -> SuiteResult:
-    """Star spectra from the tableau formula against the eigensolver. The
-    unit stars are outermost, so each one's chain table serves every
-    shape, and each (size, shape) batch is compared at once."""
+    """Star spectra from the tableau formula against the eigensolver: the
+    unit star at k is the nested-star weighting a_k = 1, else 0."""
     result = SuiteResult("lemma9")
     for size in range(4, n + 1):
-        parts = partitions_of(size)
-        stars = [star_graph(size, k) for k in range(2, size + 1)]
-        numeric = [irrep_spectra(shape, stars) for shape in parts]
-        # a_k = 1, else 0
-        formulas = [_formula_spectra([int(j == k) for j in range(2, size + 1)], parts)
-                    for k in range(2, size + 1)]
-        for i, shape in enumerate(parts):
-            dists = _distances([f[i] for f in formulas], numeric[i])
+        for shape, dists in _formula_distances(np.eye(size - 1, dtype=int).tolist()).items():
             for k, dist in enumerate(dists, start=2):
                 result.add(f"lemma9 n={size} shape={shape} k={k}", dist < tol,
                            distance=dist)
@@ -143,25 +129,12 @@ def suite_lemma9(n: int, tol: float = 1e-8) -> SuiteResult:
 def suite_qc(n: int, samples: int = 50, seed: int = 0, tol: float = 1e-8) -> SuiteResult:
     """Nested-star formula against the eigensolver, and the exact
     lexicographic separation by fast-decaying weights. Each size draws its
-    weightings in one call, builds their graphs as one stack and compares
-    each shape's batch at once."""
+    weightings in one call; each reports its worst distance over shapes."""
     result = SuiteResult("qc")
     rng = np.random.default_rng(seed)
     for size in range(3, min(n, 6) + 1):
-        weights = rng.random((samples, size - 1))
-        # edge (i, j), i < j, weighs a_j
-        stack = np.zeros((samples, size, size))
-        stack[:, :, 1:] = weights[:, None, :]
-        stack = np.triu(stack, 1)
-        graphs = WeightedGraph.from_stack(stack + stack.swapaxes(1, 2))
-        parts = partitions_of(size)
-        # weightings outermost, so each one's chain tables serve every shape
-        formulas = [_formula_spectra(a, parts) for a in weights.tolist()]
-        worst = np.zeros(samples)
-        for i, shape in enumerate(parts):
-            worst = np.maximum(worst, _distances([f[i] for f in formulas],
-                                                 irrep_spectra(shape, graphs)))
-        for dist in worst.tolist():
+        dists = _formula_distances(rng.random((samples, size - 1)).tolist())
+        for dist in np.max(list(dists.values()), axis=0).tolist():
             result.add(f"qc formula n={size}", dist < tol, distance=dist)
     for size in range(2, min(n, 7) + 1):
         weights = remark_weights(size)
@@ -186,14 +159,9 @@ def suite_hooks(n: int, graphs: int = 20, seed: int = 0, tol: float = 1e-6) -> S
     for size in range(3, n + 1):
         batch = WeightedGraph.from_stack(_random_weights(rng, graphs, size))
         numeric = [irrep_spectra(hook(size, k), batch) for k in range(size)]
-        base = np.array(numeric[1])  # the hook [size-1, 1] itself
-        worst = np.zeros(graphs)
-        for k in range(size):
-            # each k-subset summed left to right, as subset_sum_spectrum does
-            expected = np.zeros((graphs, 1))
-            for column in np.array(list(combinations(range(size - 1), k))).T:
-                expected = expected + base[:, column]
-            worst = np.maximum(worst, _distances(expected, numeric[k]))
+        # numeric[1] is the hook [size-1, 1] itself
+        worst = np.max([multiset_distances(subset_sum_spectra(numeric[1], k), numeric[k])
+                        for k in range(size)], axis=0)
         for g, dist in enumerate(worst.tolist()):
             result.add(f"hooks n={size} graph={g}", dist < tol, distance=dist)
     return result
@@ -237,13 +205,11 @@ def suite_oracle(n: int, graphs: int = 10, seed: int = 0, tol: float = 1e-7) -> 
     rng = _suite_rng(seed, "oracle")
     for size in range(3, min(n, 5) + 1):
         batch = WeightedGraph.from_stack(_random_weights(rng, graphs, size))
-        irreps = {shape: irrep_spectra(shape, batch) for shape in partitions_of(size)}
-        for g, graph in enumerate(batch):
-            full = spectrum(regular_delta(graph))
-            expected: list[float] = []
-            for shape, found in irreps.items():
-                expected.extend(found[g] * num_standard_tableaux(shape))
-            dist = multiset_distance(full, expected)
+        # each irreducible's spectrum, once per dimension
+        expected = np.hstack([np.tile(irrep_spectra(shape, batch), num_standard_tableaux(shape))
+                              for shape in partitions_of(size)])
+        full = [spectrum(regular_delta(graph)) for graph in batch]
+        for g, dist in enumerate(multiset_distances(full, expected)):
             result.add(f"oracle n={size} graph={g}", dist < tol, distance=dist)
     return result
 
@@ -407,12 +373,7 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
                 for shape in partitions_of(size)[1:]}  # all but the trivial [size]
         lam_std = lam1[Partition([size - 1, 1])]
         argmin_ok &= all((lam >= lam_std - tol).all() for lam in lam1.values())
-        # the Laplacians diag(row sums) - weights, solved as one stack
-        laplacians = np.zeros_like(weights)
-        laplacians[:, range(size), range(size)] = weights.sum(axis=2)
-        laplacians -= weights
-        gaps = np.array([s[1] for s in spectra(laplacians)])
-        worst_gap = max(worst_gap, float(np.abs(lam_std - gaps).max()))
+        worst_gap = max(worst_gap, float(np.abs(lam_std - laplacian_gaps(weights)).max()))
     result.add("gap attained at standard rep", argmin_ok and worst_gap < tol,
                worst_gap=worst_gap)
     return result

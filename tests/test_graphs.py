@@ -2,6 +2,7 @@
 graph input from outside: edge lists, JSON documents, random-graph
 arguments."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -190,3 +191,85 @@ def test_from_stack_names_the_first_failing_matrix(entry, message):
         WeightedGraph.from_stack(stack)
     with pytest.raises(ValueError, match=r"need a \(G, n, n\) stack"):
         WeightedGraph.from_stack(np.zeros((3, 4)))
+
+
+def _graph_matrices():
+    """(id, matrix) cases for the one graph check: random valid matrices of
+    several sizes, n = 0 included, and one matrix failing each check."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for n in (0, 1, 2, 5, 12):
+        w = np.triu(np.where(rng.random((n, n)) < 0.5, rng.random((n, n)), 0.0), 1)
+        cases.append((f"valid n={n}", w + w.T))
+    ones = np.ones((4, 4)) - np.eye(4)
+    for name, (i, j), value in [("negative", (0, 2), -1.0), ("nan", (0, 2), float("nan")),
+                                ("inf", (0, 2), float("inf")), ("diagonal", (1, 1), 1.0),
+                                ("overflow", (0, 2), 1e308)]:
+        w = ones.copy()
+        w[i, j] = w[j, i] = value
+        cases.append((name, w))
+    w = ones.copy()
+    w[0, 2] = 0.5
+    cases.append(("asymmetric", w))
+    return cases
+
+
+@pytest.mark.parametrize("weights", [w for _, w in _graph_matrices()],
+                         ids=[name for name, _ in _graph_matrices()])
+def test_weighted_graph_is_the_one_matrix_case_of_from_stack(weights):
+    try:
+        one = WeightedGraph(weights)
+    except ValueError as exc:
+        message = str(exc)
+        # the first failing matrix of a stack raises the same error
+        valid = np.zeros_like(weights)
+        for stack in ([weights], [valid, weights, weights * np.nan]):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                WeightedGraph.from_stack(stack)
+        return
+    (row,) = WeightedGraph.from_stack([weights])
+    assert row.weights.tobytes() == one.weights.tobytes() and row.n == one.n
+    assert row.wt.hex() == one.wt.hex() == reference_wt(weights).hex()
+
+
+def test_from_stack_overflow_is_an_error_without_a_warning():
+    huge = np.array([[[0, 1e308], [1e308, 0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: WeightedGraph.from_stack(huge), lambda: WeightedGraph(huge[0])):
+            with pytest.raises(ValueError, match="twice their total overflows a float"):
+                build()
+
+
+def reference_quasi_complete(n, a):
+    """Column by column: edge (i, j), i < j, weighs a[j]."""
+    w = np.zeros((n, n))
+    for j in range(2, n + 1):
+        w[: j - 1, j - 1] = w[j - 1, : j - 1] = float(a[j - 2])
+    return w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+def test_quasi_complete_graph_is_one_row_of_quasi_complete_stack(n):
+    rng = np.random.default_rng(n)
+    rows = rng.random((7, n - 1)) * 10.0 ** rng.integers(-3, 4, size=(7, 1))
+    rows[1] = 0.0
+    rows[2, ::2] = 0.0
+    stack = graphs.quasi_complete_stack(rows)
+    assert stack.shape == (7, n, n) and stack.flags.c_contiguous
+    for a, weights in zip(rows.tolist(), stack):
+        expected = reference_quasi_complete(n, a)
+        assert weights.tobytes() == expected.tobytes()
+        assert quasi_complete_graph(n, a).weights.tobytes() == expected.tobytes()
+    assert graphs.quasi_complete_stack(np.zeros((0, n - 1))).shape == (0, n, n)
+
+
+@pytest.mark.parametrize("bad, message", [(-0.5, "weights must be nonnegative"),
+                                          (float("nan"), "weights must be finite"),
+                                          (float("inf"), "weights must be finite")])
+def test_quasi_complete_graph_and_its_stack_refuse_alike(bad, message):
+    a = [0.5, bad, 1.0]
+    with pytest.raises(ValueError, match=message):
+        quasi_complete_graph(4, a)
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph.from_stack(graphs.quasi_complete_stack([[1.0, 1.0, 1.0], a]))

@@ -606,6 +606,18 @@ def test_from_json_restores_the_ledger_arrays(build):
     assert {type(e.margin) for e in loaded.entries.values() if e.status == "refuted"} == {float}
 
 
+def test_from_json_writes_the_cells_it_parsed(monkeypatch):
+    # the loader knows each record's cell, so it never looks one up again
+    ledger = scan(7, budget=12, seed=7)[0]
+    text = ledger.to_json()
+
+    def no_lookup(self, sigma, tau):
+        raise AssertionError("from_json looked a cell up")
+
+    monkeypatch.setattr(RelationLedger, "_cell", no_lookup)
+    assert RelationLedger.from_json(text).to_json() == text
+
+
 def test_to_json_byte_cases_cover_every_witness_kind():
     kinds = set()
     for n in range(4, 8):

@@ -504,3 +504,88 @@ def test_spectrum_symmetry_floor_for_tiny_matrices():
     # an exactly symmetric matrix passes with tol 0, whatever its size
     assert len(spectrum(np.diag([1e300, 2.0]), tol=0.0)) == 2
     assert spectrum(np.zeros((0, 0))) == ()
+
+
+def _spectrum_weightings():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 4, 6):
+        yield n, [0] * (n - 1)
+        yield n, rng.random(n - 1).tolist()
+        yield n, [Fraction(int(x), 7) for x in rng.integers(0, 9, n - 1)]
+
+
+@pytest.mark.parametrize("n, a", list(_spectrum_weightings()))
+def test_quasi_complete_spectrum_and_the_suites_floats_share_one_expansion(n, a):
+    from operator import truediv
+
+    for shape in partitions_of(n):
+        exact = quasi_complete_spectrum(shape, a)
+        assert list(exact) == spectral._chain_spectrum(shape, a, Fraction)
+        floats = spectral._chain_spectrum(shape, a, truediv)
+        # the exact integer division rounds as float(Fraction) does
+        assert [x.hex() for x in floats] == [float(x).hex() for x in exact]
+
+
+def _rows(rng, count, width):
+    return (rng.random((count, width)) * 4 - 1).tolist()
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 8])
+def test_multiset_distance_is_one_row_of_multiset_distances(width):
+    rng = np.random.default_rng(width)
+    xs, ys = _rows(rng, 6, width), _rows(rng, 6, width)
+    if width:
+        xs[2][0] = float("nan")
+        ys[3] = list(reversed(xs[3]))
+    found = spectral.multiset_distances(xs, ys)
+    expected = [multiset_distance(x, y) for x, y in zip(xs, ys)]
+    assert [d.hex() for d in found] == [d.hex() for d in expected]
+    if width:
+        assert np.isnan(found[2]) and found[3] == 0.0
+    else:
+        assert found == [0.0] * 6
+    # rows of unequal length are infinitely far apart, whatever their values
+    longer = _rows(rng, 6, width + 1)
+    assert spectral.multiset_distances(xs, longer) == [float("inf")] * 6
+    assert multiset_distance(xs[0], longer[0]) == float("inf")
+
+
+def test_multiset_distances_does_not_broadcast_rows_of_unequal_length():
+    assert spectral.multiset_distances([[1.0]], [[1.0, 2.0]]) == [float("inf")]
+    assert spectral.multiset_distances([[1.0, 2.0]], [[1.0]]) == [float("inf")]
+
+
+@pytest.mark.parametrize("width", [0, 1, 4, 7])
+def test_subset_sum_spectrum_is_one_row_of_subset_sum_spectra(width):
+    from itertools import combinations
+
+    rng = np.random.default_rng(width)
+    bases = _rows(rng, 5, width)
+    for k in range(width + 2):
+        found = spectral.subset_sum_spectra(bases, k)
+        assert found.shape == (5, len(list(combinations(range(width), k))))
+        for base, row in zip(bases, found.tolist()):
+            # each subset summed left to right, as sum() adds it
+            expected = sorted(sum(combo) for combo in combinations(base, k))
+            assert [x.hex() for x in row] == [float(x).hex() for x in expected]
+            assert subset_sum_spectrum(base, k) == tuple(row)
+    assert subset_sum_spectrum(bases[0], width + 1) == ()
+    for evaluate in (lambda: subset_sum_spectrum(bases[0], -1),
+                     lambda: spectral.subset_sum_spectra(bases, -1)):
+        with pytest.raises(ValueError, match="r must be non-negative"):
+            evaluate()
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 11])
+def test_laplacian_gap_is_one_graph_of_laplacian_gaps(n):
+    graphs = [random_graph(n, seed) for seed in range(5)] + [complete_graph(n)]
+    stack = np.stack([graph.weights for graph in graphs])
+    for graph, gap in zip(graphs, spectral.laplacian_gaps(stack)):
+        # diag(row sums) - weights, solved on its own
+        alone = spectrum(np.diag(graph.weights.sum(axis=1)) - graph.weights)[1]
+        assert laplacian_gap(graph).hex() == gap.hex() == alone.hex()
+    single = complete_graph(1)
+    for evaluate in (lambda: laplacian_gap(single),
+                     lambda: spectral.laplacian_gaps(single.weights[None])):
+        with pytest.raises(IndexError, match="index out of range"):
+            evaluate()
