@@ -76,7 +76,9 @@ class WeightedGraph:
     __slots__ = ("n", "weights", "wt")
 
     def __init__(self, weights: np.ndarray):
-        weights = np.asarray(weights, dtype=float)
+        # a C-ordered copy: equal graphs then share their spectra to the bit,
+        # and the caller's array stays writable
+        weights = np.array(weights, dtype=float, order="C")
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValueError("weight matrix must be square")
         (self.wt,) = _checked_wts(weights[None])
@@ -87,8 +89,9 @@ class WeightedGraph:
     def from_stack(cls, stack) -> list["WeightedGraph"]:
         """WeightedGraph(w) for each matrix w of a (G, n, n) stack, checked
         by one pass over the stack: the same graphs, wt to the bit, and the
-        first failing matrix's error when one fails."""
-        stack = np.array(stack, dtype=float)
+        first failing matrix's error when one fails. Like the constructor,
+        it keeps a C-ordered copy of the stack."""
+        stack = np.array(stack, dtype=float, order="C")
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("need a (G, n, n) stack of weight matrices")
         wts = _checked_wts(stack)

@@ -838,13 +838,12 @@ def seed_known(n: int) -> RelationLedger:
 
 # -- scanning -----------------------------------------------------------------
 
-SCAN_FAMILIES = ("stars", "cliques", "cycles", "paths", "matchings", "quasi", "random")
+SCAN_FAMILIES = ("splits", "cliques", "cycles", "paths", "matchings", "random")
 
 
 # structured scan family -> (a GRAPH_FAMILIES name, the parameter dicts the
 # scan sweeps it over at n)
 _STRUCTURED_FAMILIES = {
-    "stars": ("star", lambda n: [{"k": k} for k in range(2, n + 1)]),
     "cliques": ("clique", lambda n: [{"k": k} for k in range(3, n + 1)]),
     "cycles": ("cycle", lambda n: [{}] if n >= 3 else []),
     "paths": ("path", lambda n: [{}]),
@@ -865,13 +864,9 @@ def _family_graphs(name: str, n: int, budget: int, seed: int):
             if params:
                 witness["params"] = params
             yield witness_graph(witness), witness
-    elif name == "quasi":
-        rng = np.random.default_rng(seed)
-        for _ in range(min(budget, 25)):
-            a = [int(x) for x in rng.integers(0, 4, size=n - 1)]
-            if not any(a):
-                a[0] = 1
-            witness = {"kind": "quasi", "n": n, "weights": [str(x) for x in a]}
+    elif name == "splits":  # S_m: the last m vertices joined to every vertex
+        for m in range(1, n):
+            witness = {"kind": "quasi", "n": n, "weights": ["0"] * (n - 1 - m) + ["1"] * m}
             yield witness_graph(witness), witness
     else:  # "random", as scan checks
         for i in range(budget):

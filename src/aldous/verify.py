@@ -47,7 +47,6 @@ from .order import (
     hook,
     recheck_ledger,
     scan,
-    SCAN_FAMILIES,
 )
 from .partitions import (
     Partition,
@@ -330,7 +329,7 @@ def suite_consistency(n: int, budget: int = 200, seed: int = 0,
         raise ValueError("the consistency suite needs n >= 3")
     result = SuiteResult("consistency")
 
-    ledger, report = scan(n, SCAN_FAMILIES, budget=budget, seed=seed, tol=tol)
+    ledger, report = scan(n, budget=budget, seed=seed, tol=tol)
     result.add(f"scan audit n={n}", report.consistent,
                contradictions=report.contradictions,
                graphs=report.graphs_tried,

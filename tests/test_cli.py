@@ -200,11 +200,10 @@ def test_tableau_cap_option_is_gone(capsys, tmp_path):
     assert "unknown config key 'tableau_cap'" in err
 
 
-# sha256 of the ledger this scan wrote when --workers still set a thread
-# count; every refutation in it is exact
-EXACT_SCAN = ["scan", "--n", "6", "--families", "stars,cliques,quasi", "--budget", "10",
+# sha256 of the ledger this scan writes; every refutation in it is exact
+EXACT_SCAN = ["scan", "--n", "6", "--families", "splits,cliques", "--budget", "10",
               "--seed", "3"]
-EXACT_SCAN_SHA256 = "4e6251242cf8fd506c9bab622ae0fbcfe72082b987fcf98a462463940cbfec4a"
+EXACT_SCAN_SHA256 = "689179f73244de6d09963fb7bf028927dbe97f46562f815aa9ea266a0ec1eeba"
 
 
 def test_workers_option_is_gone(capsys, tmp_path):
@@ -344,7 +343,7 @@ def test_bad_config_values_are_usage_errors(capsys, tmp_path, content, message):
     (["--tol", "-1"], "tol must be finite and nonnegative, got -1.0"),
     (["scan", "--n", "4", "--budget", "-3"], "budget must be nonnegative, got -3"),
     (["scan", "--n", "3", "--seed", "-5"], "seed must be nonnegative, got -5"),
-    (["scan", "--n", "4", "--families", "stars", "--seed", "-5"],
+    (["scan", "--n", "4", "--families", "splits", "--seed", "-5"],
      "seed must be nonnegative, got -5"),
     (["verify", "--suite", "hooks", "--n", "4", "--seed", "-5"],
      "seed must be nonnegative, got -5"),
@@ -361,7 +360,10 @@ def test_bad_tol_and_budget_flags_are_usage_errors(capsys, argv, message):
 
 
 @pytest.mark.parametrize("families, message", [
-    ("stars,cliques,quasi,bogus", "unknown scan family 'bogus'"),
+    ("splits,cliques,bogus", "unknown scan family 'bogus'"),
+    # retired: the splits decide every pair they did
+    ("stars", "unknown scan family 'stars'"),
+    ("splits,cliques,quasi", "unknown scan family 'quasi'"),
     ("random,random", "repeated scan family 'random'"),
     ("", "--families names no scan family"),
     (",,", "--families names no scan family"),
@@ -629,6 +631,8 @@ def _refuted_by(witness: dict, margin: float = 3.0) -> str:
     ({"kind": "family", "family": "complete", "n": 3, "params": {"q": 1}},
      "params must be a mapping of its known keys"),
     ({"kind": "quasi", "n": 3, "weights": "12"}, "weights must be a list of 2"),
+    # the split S_2 = ["1", "1"] (the triangle, margin 3) with its weights zeroed
+    ({"kind": "quasi", "n": 3, "weights": ["0", "0"]}, "no longer refutes"),
 ])
 def test_hasse_rejects_a_tampered_family_or_quasi_witness(capsys, tmp_path, witness,
                                                           message):

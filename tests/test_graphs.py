@@ -175,6 +175,26 @@ def test_from_stack_is_one_weighted_graph_per_matrix():
     assert WeightedGraph.from_stack(stack[:0]) == []
 
 
+def test_graph_weights_do_not_depend_on_the_callers_memory_layout():
+    # graphs that compare equal key lambda_extremes' cache as one, so their
+    # spectra must agree to the bit whatever the strides of the input
+    from aldous.partitions import partitions_of
+    from aldous.spectral import irrep_spectra
+
+    stack = graphs.quasi_complete_stack(np.random.default_rng(0).random((50, 3)))
+    c_graphs = WeightedGraph.from_stack(stack)
+    for f_graphs in (WeightedGraph.from_stack(np.asfortranarray(stack)),
+                     [WeightedGraph(np.asfortranarray(w)) for w in stack]):
+        assert f_graphs == c_graphs
+        for shape in partitions_of(4):
+            assert ([np.array(s).tobytes() for s in irrep_spectra(shape, f_graphs)]
+                    == [np.array(s).tobytes() for s in irrep_spectra(shape, c_graphs)])
+    weights = np.ones((3, 3)) - np.eye(3)
+    graph = WeightedGraph(weights)
+    weights[0, 1] = weights[1, 0] = 2.0  # the caller's array stays writable
+    assert graph.weights[0, 1] == 1.0 and not graph.weights.flags.writeable
+
+
 @pytest.mark.parametrize("entry, message", [
     (-1.0, "weights must be nonnegative"),
     (float("nan"), "weights must be finite"),

@@ -386,7 +386,7 @@ def _ledgers_to_recheck():
     yield seed_known(9)
     for n in (5, 6, 7):
         yield scan(n)[0]
-    yield scan(12, families=("stars", "cliques", "quasi"), budget=5, seed=0)[0]
+    yield scan(12, families=EXACT_FAMILIES, budget=5, seed=0)[0]
 
 
 def test_recheck_ledger_margins_are_those_of_recheck_witness(monkeypatch):
@@ -619,11 +619,14 @@ def test_from_json_writes_the_cells_it_parsed(monkeypatch):
 
 
 def test_to_json_byte_cases_cover_every_witness_kind():
+    # the splits refute every pair a random graph refutes in the default
+    # scans, so the random-graph witnesses come from random-only scans
     kinds = set()
     for n in range(4, 8):
-        for entry in scan(n, budget=12, seed=n)[0].entries.values():
-            if entry.status == "refuted":
-                kinds.add((entry.witness["kind"], "params" in entry.witness))
+        for families in (SCAN_FAMILIES, ("random",)):
+            for entry in scan(n, families, budget=12, seed=n)[0].entries.values():
+                if entry.status == "refuted":
+                    kinds.add((entry.witness["kind"], "params" in entry.witness))
     assert {("graph", False), ("quasi", False), ("family", False),
             ("family", True)} <= kinds
 
@@ -934,7 +937,7 @@ class ScanRecorder:
         return all(solved < size for alive in self.alive for _, solved, size in alive)
 
 
-EXACT_FAMILIES = ("stars", "cliques", "quasi")
+EXACT_FAMILIES = ("splits", "cliques")
 # (n, budget, dim_cap, families, blocks): blocks, if set, patches
 # STACK_FLOATS to blocks n^2, so that the scan reads the candidates
 # `blocks` graphs at a time, and each stack holds at most that many
@@ -951,6 +954,7 @@ LOOP_CASES = [
     (6, 40, DEFAULT_DIM_CAP, SCAN_FAMILIES, 8),
     (7, 15, 20, SCAN_FAMILIES, 6),
     (8, 5, DEFAULT_DIM_CAP, EXACT_FAMILIES, 5),  # one walk per block of 5 nested stars
+    (12, 5, DEFAULT_DIM_CAP, EXACT_FAMILIES, None),  # the scan test_exact_family_scan_is_pinned pins
 ]
 
 
@@ -1213,19 +1217,19 @@ def test_scan_solves_match_the_replayed_evaluations(monkeypatch, n, budget, seed
     assert asdict(report) == asdict(plain_report)
 
 
-# scan(n, budget=b, seed=42) as recorded before the scan's evaluation moved
-# into Evaluator: the count and sha256 of its refuted entries, each as
+# scan(n, budget=b, seed=42) with the default families: the count and
+# sha256 of its refuted entries, each as
 # [sigma, tau, tag, witness, exact, margin if exact else None] in pairs()
 # order and dumped with sorted keys, and its report but the numeric margin
 SCAN_PINS = {
-    (6, 1000): (66, "2ca23d242a75d7a050b94533a4c28531e001d812617903255b8cc0a296044d75",
-                {"n": 6, "graphs_tried": 1039, "refutations_found": 10, "skipped_shapes": 0,
-                 "numeric_evaluations": 11044, "refutations_exact": 60,
-                 "refutations_numeric": 6, "contradictions": []}),
-    (7, 100): (119, "562fe044f07ca9107f2de4097adfcba19d0a594cc99eb94bdb0ad6b0488c3763",
-               {"n": 7, "graphs_tried": 141, "refutations_found": 13, "skipped_shapes": 0,
-                "numeric_evaluations": 1560, "refutations_exact": 114,
-                "refutations_numeric": 5, "contradictions": []}),
+    (6, 1000): (66, "48ff766fed2dc8e06f4040ab65763546d83c0e17eec54fe7aeb0ce921d16a9c7",
+                {"n": 6, "graphs_tried": 1014, "refutations_found": 10, "skipped_shapes": 0,
+                 "numeric_evaluations": 11044, "refutations_exact": 62,
+                 "refutations_numeric": 4, "contradictions": []}),
+    (7, 100): (123, "201ece1da4fc1ac82fc804de4f2c3fff719b15204a88f9059e89cbf4278b3e25",
+               {"n": 7, "graphs_tried": 116, "refutations_found": 17, "skipped_shapes": 0,
+                "numeric_evaluations": 1560, "refutations_exact": 120,
+                "refutations_numeric": 3, "contradictions": []}),
 }
 
 
@@ -1242,14 +1246,14 @@ def test_scan_ledger_and_report_are_pinned(n, budget):
 
 
 def test_exact_family_scan_is_pinned():
-    # recorded while the scan still decided pairs one at a time through
-    # Fractions and refutes; every candidate is a nested star
+    # every candidate is a nested star; reference_scan gives the same bytes
+    # (LOOP_CASES)
     ledger, report = scan(12, families=EXACT_FAMILIES, budget=5, seed=0)
     digest = hashlib.sha256(ledger.to_json().encode("utf-8")).hexdigest()
-    assert digest == "c87e5227a20e17ca3cde52367dd09e8e20f1b8a88cad5469ffbdf538269c7863"
+    assert digest == "efdcbcd59937c6f54e33fd64025eb3ccf6cf532aed46a3c606aea485ea11c625"
     assert asdict(report) == {
-        "n": 12, "graphs_tried": 26, "refutations_found": 336, "skipped_shapes": 0,
-        "numeric_evaluations": 0, "refutations_exact": 3263, "refutations_numeric": 0,
+        "n": 12, "graphs_tried": 21, "refutations_found": 546, "skipped_shapes": 0,
+        "numeric_evaluations": 0, "refutations_exact": 3473, "refutations_numeric": 0,
         "min_numeric_margin": None, "contradictions": []}
 
 
@@ -1259,7 +1263,10 @@ def test_scan_refuses_unknown_and_repeated_families_before_seeding(monkeypatch):
 
     monkeypatch.setattr(order, "seed_known", seeded)
     with pytest.raises(ValueError, match="^unknown scan family 'bogus'$"):
-        scan(12, families=("stars", "cliques", "quasi", "bogus"), budget=5)
+        scan(12, families=("splits", "cliques", "bogus"), budget=5)
+    for retired in ("stars", "quasi"):
+        with pytest.raises(ValueError, match=f"^unknown scan family '{retired}'$"):
+            scan(12, families=("splits", retired), budget=5)
     with pytest.raises(ValueError, match="^repeated scan family 'random'$"):
         scan(6, families=("random", "random"), budget=2)
 

@@ -280,6 +280,28 @@ def test_nested_star_lambda1_scaled_walks_every_weighting_at_once():
                 assert Fraction(numerator, scale) == nested_star_extremes(shape, a)[0]
 
 
+def test_split_lambda1_has_a_closed_form():
+    # the split S_m (weights 0...0 1...1, the last m vertices joined to every
+    # vertex) has lambda_1(sigma) = wt - content(sigma) + the least content
+    # of a shape of n - m boxes inside sigma
+    cases = 0
+    for n in range(2, 10):
+        shapes = partitions_of(n)
+        splits = [[0] * (n - 1 - m) + [1] * m for m in range(1, n)]
+        scales, rows = nested_star_lambda1_scaled(shapes, splits)
+        assert scales == [1] * (n - 1)
+        for sigma, row in zip(shapes, rows):
+            for m, lam1 in zip(range(1, n), row):
+                inside = [mu for mu in partitions_of(n - m)
+                          if len(mu.parts) <= len(sigma.parts)
+                          and all(a <= b for a, b in zip(mu.parts, sigma.parts))]
+                wt = sum(range(n - m, n))  # vertex k has k - 1 earlier neighbours
+                assert lam1 == (wt - partitions.content_sum(sigma)
+                                + min(partitions.content_sum(mu) for mu in inside))
+                cases += 1
+    assert cases == 590
+
+
 def test_nested_star_lambda1_scaled_stays_exact_past_int64():
     # the separator's scale n^(2n) passes 2^63 from n = 10 on
     for n in (10, 11, 12):

@@ -353,8 +353,8 @@ PINNED_CHECKS = {
     ("characters", 1000003): "98f0229e4fc41771236a3518587c52fa1b22f69f28886a842d6bc0268f441385",
     ("game", 0): "5f12a73ba2ce067d873bff4ad3c806bff94356ea82ed3efc1585839464855ef9",
     ("game", 1000003): "5f12a73ba2ce067d873bff4ad3c806bff94356ea82ed3efc1585839464855ef9",
-    ("consistency", 0): "2e166e43831b2a7916c7549f384a92b6354b1a8ab6b74899cd4f41581125c02f",
-    ("consistency", 1000003): "1026bf18e7267e7dfd4bc2f08308188b5757562c427bb9e2e1d9693ef6c7683d",
+    ("consistency", 0): "329e35907a11a24ba6ae3bbc9690623b8ac90515b9f2d42a59978973e6f194f1",
+    ("consistency", 1000003): "bf9c4963885c439829cda4e38e3f586bf9f06a657c3257dcb8eb819c82cb7e69",
 }
 
 
