@@ -363,7 +363,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         raise ValueError(f"unhandled command {args.command}")
-    except (ValueError, OSError, KeyError, LedgerConflict) as exc:
+    # RecursionError: a JSON file nested too deep, or a shape too long for
+    # the recursions over its diagram
+    except (ValueError, OSError, KeyError, LedgerConflict, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

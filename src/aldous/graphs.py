@@ -210,8 +210,13 @@ def matching_graph(n: int, m: int) -> WeightedGraph:
 
 def quasi_complete_stack(weights) -> np.ndarray:
     """The (G, n, n) weight matrices of the nested-star combinations whose
-    a[2..n] are the rows of a (G, n - 1) array: a[max(i, j)] at i != j."""
-    weights = np.asarray(weights, dtype=float)
+    a[2..n] are the rows of a (G, n - 1) array: a[max(i, j)] at i != j. A
+    weight beyond float range, such as the int or Fraction 10**400, raises
+    ValueError as an infinite one does."""
+    try:
+        weights = np.asarray(weights, dtype=float)
+    except OverflowError:
+        raise ValueError("weights must be finite") from None
     vertex = np.arange(weights.shape[1] + 1)
     per_vertex = np.concatenate((np.zeros((len(weights), 1)), weights), axis=1)
     stack = np.take(per_vertex, np.maximum.outer(vertex, vertex), axis=1)

@@ -7,11 +7,11 @@ some witness graph gives sigma a strictly larger lowest eigenvalue, and
 citation tags; no amount of failed searching promotes a pair.
 
 Every lambda_1 is evaluated exactly on nested-star graphs, by the dense
-eigensolver otherwise (`_extremes`): one graph at a time through the cached
-`lambda_extremes`, a few shapes on one graph through `_lambda1` (the path of
-`check_pair` and of every witness re-check), a batch known up front through
-`_many`, and a scan's candidate stream block by block through
-`_lambda1_blocks`.
+eigensolver otherwise: a batch known up front through `_many`, one graph at
+a time through the cached `lambda_extremes` (`_many`'s one-pair case), a few
+shapes on one graph through `_lambda1` (the path of `check_pair` and of
+every witness re-check), and a scan's candidate stream block by block
+through `_lambda1_blocks`.
 
 Refutation rule (`_clears`, the one place it is written): witnesses
 evaluated in exact rational arithmetic (nested-star graphs, including plain
@@ -26,13 +26,15 @@ kernel of the scan and of seeding, every pair of a scope at once.
 
 `RelationLedger` keeps its decisions on p x p arrays over partitions_of(n),
 the index grid the kernel, seeding's rule layers and the scan's mask of open
-pairs use: they write whole masks of cells at once, `close_transitively` and
+pairs use: they write whole masks of cells at once, and so does `from_json`
+once its records are parsed and checked. `close_transitively` and
 `export_dot` (the Hasse diagram) read the proved mask through one Warshall
 closure, `_closure`, and `to_json` walks the arrays row by row. Per-pair
 `RelationEntry` objects are built only on demand, by `entry` and `entries`.
-`recheck_ledger` decides a ledger's refutations again from their stored
-witnesses, one evaluation per distinct witness, and also checks each
-stored margin and exact flag; `recheck_witness` is its one-entry case.
+A ledger holds one dict per distinct witness, whether seeded, scanned or
+loaded. `recheck_ledger` decides its refutations again from their stored
+witnesses, one evaluation per witness object, and also checks each stored
+margin and exact flag; `recheck_witness` is its one-entry case.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ from .symrep import (
     _derived_from,
     conjugate_operators,
     delta_matrices,
-    delta_matrix,
     graphs_per_stack,
 )
 
@@ -108,39 +109,33 @@ class LedgerConflict(RuntimeError):
 
 # -- eigenvalue evaluation ----------------------------------------------------
 
-def _extremes(shape: Partition, nested, solve):
-    """(lambda_1, lambda_max, exact) of the shape on a graph: exactly from
-    its nested-star weights `nested`, or from solve() when those are None."""
-    if nested is not None:
-        return (*nested_star_extremes(shape, nested), True)
-    values = solve()
-    return values[0], values[-1], False
-
-
-def _many(shapes: Sequence[Partition], graphs: Sequence[WeightedGraph]) -> list:
-    """lambda_extremes(shape, graph) for each (shape, graph) pair of the two
-    lists, each shape's numeric graphs stacked by `irrep_spectra`: the same
-    floats, one assembly and solve per stack. Not cached."""
+def _many(shapes: Sequence[Partition], graphs: Sequence[WeightedGraph],
+          dim_cap: int = DEFAULT_DIM_CAP) -> list:
+    """(lambda_1, lambda_max, exact) of each (shape, graph) pair of the two
+    lists: exactly from the graph's nested-star weights when it has them,
+    else from its spectrum, each shape's numeric graphs stacked by
+    `irrep_spectra` (one assembly and solve per stack; a one-graph stack
+    gives the floats of one `spectrum` call). Not cached."""
     nested = [quasi_complete_weights(graph) for graph in graphs]
     pending: dict[Partition, list[int]] = {}
     for idx, (shape, a) in enumerate(zip(shapes, nested, strict=True)):
         if a is None:
             pending.setdefault(shape, []).append(idx)
-    solved = {}
+    found = [None] * len(graphs)
     for shape, indices in pending.items():
-        solved.update(zip(indices, irrep_spectra(shape, [graphs[idx] for idx in indices])))
-    return [_extremes(shape, a, lambda idx=idx: solved[idx])
-            for idx, (shape, a) in enumerate(zip(shapes, nested))]
+        for idx, values in zip(indices, irrep_spectra(
+                shape, [graphs[idx] for idx in indices], dim_cap=dim_cap)):
+            found[idx] = values[0], values[-1], False
+    return [(*nested_star_extremes(shape, a), True) if a is not None else solved
+            for shape, a, solved in zip(shapes, nested, found)]
 
 
 @lru_cache(maxsize=4096)
 def lambda_extremes(shape: Partition, graph: WeightedGraph,
                     dim_cap: int = DEFAULT_DIM_CAP):
-    """(lambda_1, lambda_max, exact) on one irreducible: exactly on a nested
-    star, else by one `spectrum` call. Cached; graphs are immutable after
-    construction."""
-    return _extremes(shape, quasi_complete_weights(graph), lambda: spectrum(
-        delta_matrix(shape, graph, dim_cap=dim_cap)))
+    """(lambda_1, lambda_max, exact) on one irreducible: the one-pair case
+    of `_many`. Cached; graphs are immutable after construction."""
+    return _many((shape,), (graph,), dim_cap)[0]
 
 
 def _lambda1(graph: WeightedGraph, weights: Optional[list], shapes: Sequence[Partition],
@@ -416,17 +411,15 @@ def _partition_index(n: int) -> dict[Partition, int]:
 
 
 def _ledger_shape(text, n: int, shapes: dict, where: str) -> tuple[Partition, int]:
-    """(partition, its index in partitions_of(n)) a ledger names, parsed once per name."""
-    found = shapes.get(text) if isinstance(text, str) else None
-    if found is None:
-        try:
-            shape = parse_partition(text)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        if shape.n != n:
-            raise ValueError(f"{where} {text!r} is not a partition of {n}")
-        found = shapes[text] = shape, _partition_index(n)[shape]
-    return found
+    """(partition, its index in partitions_of(n)) a ledger names, parsed and
+    kept in shapes under the name."""
+    try:
+        shape = parse_partition(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if shape.n != n:
+        raise ValueError(f"{where} {text!r} is not a partition of {n}")
+    return shapes.setdefault(text, (shape, _partition_index(n)[shape]))
 
 
 def _entry(sigma: Partition, tau: Partition, code: int, witness, margin: float,
@@ -435,6 +428,32 @@ def _entry(sigma: Partition, tau: Partition, code: int, witness, margin: float,
     if code <= _PROVED:
         return RelationEntry(sigma, tau, "proved", _TAGS[code - 1])
     return RelationEntry(sigma, tau, "refuted", _TAGS[code - 1], witness, margin, exact)
+
+
+def _code(tag, proved: bool) -> int:
+    """The cell code of a tag of PROVED_TAGS, or of REFUTED_TAGS."""
+    if tag not in (PROVED_TAGS if proved else REFUTED_TAGS):
+        raise ValueError(f"unknown {'citation' if proved else 'refutation'} tag {tag!r}")
+    return _CODES[tag]
+
+
+def _refuted_fields(witness, margin, exact, tag) -> tuple[int, float, bool]:
+    """(code, margin as a float, exact) of a refutation. A tag not in
+    REFUTED_TAGS, a witness that is not a dict, a margin that is not a
+    finite real or an exact that is not a bool raises ValueError: to_json
+    could not write it so that from_json loads it."""
+    code = _code(tag, proved=False)
+    if not isinstance(witness, dict):
+        raise ValueError(f"witness must be an object, got {witness!r}")
+    try:
+        finite = not isinstance(margin, bool) and math.isfinite(margin)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"margin must be a finite real, got {margin!r}")
+    if not isinstance(exact, bool):
+        raise ValueError(f"exact must be a bool, got {exact!r}")
+    return code, float(margin), exact
 
 
 class RelationLedger:
@@ -493,46 +512,25 @@ class RelationLedger:
                       float(self.margin[i, j]), bool(self.exact[i, j]))
 
     def set_proved(self, sigma: Partition, tau: Partition, tag: str) -> None:
-        self._prove(sigma, tau, tag, None)
-
-    def _prove(self, sigma, tau, tag, cell) -> None:
-        if tag not in PROVED_TAGS:
-            raise ValueError(f"unknown citation tag {tag!r}")
-        cell = cell or self._cell(sigma, tau)  # from_json passes the cell it knows
-        if self.code[cell] > _PROVED:
-            raise LedgerConflict(f"({sigma}) >= ({tau}) already refuted")
-        if not self.code[cell]:
-            self.code[cell] = _CODES[tag]
+        self._decide(sigma, tau, _code(tag, proved=True))
 
     def set_refuted(self, sigma: Partition, tau: Partition, witness: dict,
                     margin: float, exact: bool, tag: str = "scan") -> None:
-        """Refute sigma >= tau. A witness that is not a dict, a margin that
-        is not a finite real or an exact that is not a bool raises
-        ValueError: to_json could not write it so that from_json loads it."""
-        self._refute(sigma, tau, witness, margin, exact, tag, None)
+        """Refute sigma >= tau. The fields are checked by `_refuted_fields`,
+        as from_json checks a refuted record's."""
+        self._decide(sigma, tau, *_refuted_fields(witness, margin, exact, tag), witness)
 
-    def _refute(self, sigma, tau, witness, margin, exact, tag, cell) -> None:
-        if tag not in REFUTED_TAGS:
-            raise ValueError(f"unknown refutation tag {tag!r}")
-        if not isinstance(witness, dict):
-            raise ValueError(f"witness must be an object, got {witness!r}")
-        try:
-            finite = not isinstance(margin, bool) and math.isfinite(margin)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise ValueError(f"margin must be a finite real, got {margin!r}")
-        if not isinstance(exact, bool):
-            raise ValueError(f"exact must be a bool, got {exact!r}")
-        cell = cell or self._cell(sigma, tau)
-        if self.code[cell]:
-            if self.code[cell] <= _PROVED:
-                raise LedgerConflict(f"({sigma}) >= ({tau}) already proved")
-            return
-        self.code[cell] = _CODES[tag]
-        self.margin[cell] = float(margin)
-        self.exact[cell] = exact
-        self.witness[cell] = witness
+    def _decide(self, sigma, tau, code, margin=0.0, exact=False, witness=None) -> None:
+        """Decide one pair: its code and, for a refutation, its margin, exact
+        flag and witness (a proved pair keeps an unknown cell's 0.0, False
+        and None). A pair decided the same way before keeps its first
+        entry; one decided the other way raises LedgerConflict."""
+        cell, proved = self._cell(sigma, tau), code <= _PROVED
+        if self.code[cell] and (self.code[cell] <= _PROVED) != proved:
+            raise LedgerConflict(f"({sigma}) >= ({tau}) already {'refuted' if proved else 'proved'}")
+        if not self.code[cell]:
+            self.code[cell], self.margin[cell], self.exact[cell] = code, margin, exact
+            self.witness[cell] = witness
 
     def close_transitively(self) -> None:
         """Add proved entries implied by chaining existing proved ones.
@@ -639,27 +637,43 @@ class RelationLedger:
         (to_json writes no pair of a shape with itself) and whose status
         is proved, refuted or unknown, no pair given twice whatever its
         status (to_json writes each pair once; a second record would go
-        unchecked), and a refuted entry's witness an object, its margin a
-        finite real and its exact (default false) a bool, checked with the
-        tags by set_proved and set_refuted."""
+        unchecked), a proved entry's tag one of PROVED_TAGS, and a refuted
+        entry's fields those `_refuted_fields` checks for set_refuted.
+
+        The record loop only parses and checks; the decided cells are then
+        written by mask, one fancy-index assignment per array, as seeding
+        and the scan write theirs. No cell is written twice, since a pair
+        given twice is refused. Witnesses equal as sorted JSON text share
+        one dict, as a seeded or scanned ledger's do, so `to_json` encodes
+        and `recheck_ledger` decides each distinct witness once."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError('ledger JSON must be {"n": int, "entries": [...]}')
         n = data.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"ledger n must be an int >= 1, got {n!r}")
-        _require_ledger_size(n)
+        ledger = cls(n)  # no larger than MAX_LEDGER_PAIRS
         records = data.get("entries")
         if not isinstance(records, list):
             raise ValueError("ledger entries must be a list")
-        ledger = cls(n)
         p = len(ledger.code)
         shapes, given = {}, bytearray(p * p)  # a flag per cell: a set cost 4x as much
+        # the one dict of each distinct witness, by its repr (equal reprs
+        # give equal JSON texts) and by its sorted JSON text
+        seen, texts = {}, {}
+        # row, column, code, margin, exact and witness of each decided cell in
+        # turn, in one flat list: a tuple per cell is one more container for
+        # the garbage collector to walk on each pass, 0.06-0.1 s more for
+        # the 89,120 refutations of an n = 18 exact-family scan
+        decided = []
         for i, record in enumerate(records):
             if not isinstance(record, dict):
                 raise ValueError(f"entry {i} must be an object, got {record!r}")
-            (sigma, a), (tau, b) = (_ledger_shape(record.get(key), n, shapes, f"entry {i} {key}")
-                                    for key in ("sigma", "tau"))
+            try:  # the names of earlier records, parsed once
+                (sigma, a), (tau, b) = shapes[record.get("sigma")], shapes[record.get("tau")]
+            except (KeyError, TypeError):
+                (sigma, a), (tau, b) = (_ledger_shape(record.get(k), n, shapes, f"entry {i} {k}")
+                                        for k in ("sigma", "tau"))
             if a == b:
                 raise ValueError(f"entry {i}: sigma and tau are the same partition")
             if given[a * p + b]:
@@ -668,15 +682,22 @@ class RelationLedger:
             status = record.get("status")
             try:
                 if status == "proved":
-                    ledger._prove(sigma, tau, record.get("tag"), (a, b))
+                    decided += a, b, _code(record.get("tag"), proved=True), 0.0, False, None
                 elif status == "refuted":
-                    ledger._refute(sigma, tau, record.get("witness"), record.get("margin"),
-                                   record.get("exact", False), record.get("tag", "scan"), (a, b))
+                    witness = record.get("witness")
+                    fields = _refuted_fields(witness, record.get("margin"),
+                                             record.get("exact", False), record.get("tag", "scan"))
+                    if (key := repr(witness)) not in seen:
+                        seen[key] = texts.setdefault(json.dumps(witness, sort_keys=True), witness)
+                    decided += a, b, *fields, seen[key]
                 elif status != "unknown":
                     raise ValueError(f"status must be proved, refuted or unknown, "
                                      f"got {status!r}")
             except ValueError as exc:
                 raise ValueError(f"entry {i} {exc}") from None
+        rows, cols = decided[0::6], decided[1::6]
+        for k, name in enumerate(("code", "margin", "exact", "witness"), 2):
+            getattr(ledger, name)[rows, cols] = decided[k::6]
         return ledger
 
 
@@ -732,16 +753,16 @@ def recheck_ledger(ledger: RelationLedger, tol: float = DEFAULT_TOL
                    ) -> list[tuple[tuple[Partition, Partition], str]]:
     """(pair, message) of each problem `recheck_witness` would raise on a
     refutation of the ledger, in `pairs` order. The refuted cells are
-    grouped by witness, keyed by its sorted JSON text (a loaded ledger
-    holds one dict per record), and each group is decided again by one
-    `_recheck` on the shapes of its own pairs: one evaluation per distinct
-    witness. A malformed witness is reported at its first pair."""
+    grouped by witness object, as `to_json` groups them (seeding, the scan
+    and from_json share one dict per distinct witness), and each group is
+    decided again by one `_recheck` on the shapes of its own pairs: one
+    evaluation per distinct witness, with no JSON encoding. A malformed
+    witness is reported at its first pair."""
     parts = partitions_of(ledger.n)
     rows, cols = np.nonzero(ledger.code > _PROVED)
-    key = json.JSONEncoder(sort_keys=True).encode  # json.dumps(sort_keys=True)
-    groups: dict[str, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for k, witness in enumerate(ledger.witness[rows, cols].tolist()):
-        groups.setdefault(key(witness), []).append(k)
+        groups.setdefault(id(witness), []).append(k)
     problems = []
     for cells in groups.values():
         i, j = rows[cells], cols[cells]

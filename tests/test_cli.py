@@ -326,6 +326,9 @@ def test_verify_suite_with_no_checks_is_a_usage_error(capsys, suite, n):
     ('{"budget": -1}', "budget must be nonnegative, got -1"),
     ('{"seed": -5}', "seed must be nonnegative, got -5"),
     ('{"format": "xml"}', "format must be one of csv, json, got 'xml'"),
+    # nested past the recursion limit: a RecursionError is a usage error
+    pytest.param("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded",
+                 id="nested-too-deep"),
 ])
 def test_bad_config_values_are_usage_errors(capsys, tmp_path, content, message):
     config = tmp_path / "config.json"
@@ -398,6 +401,13 @@ def test_usage_errors(capsys):
     assert run(capsys, "--format", "dot", "print-config")[0] == EXIT_USAGE
     assert run(capsys, "check-pair", "--sigma", "3", "--tau", "2,2",
                "--family", "complete")[0] == EXIT_USAGE
+    # shapes too long for the recursions over their diagrams
+    for argv in (["spectrum", "--shape", "1200", "--family", "complete"],
+                 ["game", "--sigma", "1200", "--tau", "1199,1"],
+                 ["check-pair", "--sigma", "1200", "--tau", "1199,1", "--family", "star"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
 
 
 def test_graph_shape_size_mismatch(capsys, tmp_path):
@@ -434,6 +444,8 @@ PAIR_4 = ["check-pair", "--sigma", "2,2", "--tau", "3,1"]
     (["spectrum", "--shape", "2,1"], 3, "[[1.5, 2, 1.0]]", "vertices must be ints"),
     (["spectrum", "--shape", "2,1"], "3.0", "[[1, 2, 1.0]]", "n must be a nonnegative int"),
     (["spectrum", "--shape", "2,1"], 3, "[[1, 2, 1.0], [1, 2, 0.5]]", "given twice"),
+    pytest.param(PAIR_3, 3, "[" * 100000 + "]" * 100000, "maximum recursion depth exceeded",
+                 id="nested-too-deep"),
 ])
 def test_non_finite_weights_are_usage_errors(capsys, tmp_path, argv, n, edges,
                                              message):
@@ -585,6 +597,11 @@ _REFUTED_BY_A_STRING = ('{"n": 5, "entries": [{"sigma": "3,2", "tau": "4,1", '
     ('{"n": 3, "entries": [{"sigma": "3", "tau": "3", "status": "refuted", "tag": "scan", '
      '"margin": 1.0, "exact": true, "witness": {"kind": "family", "family": "complete", '
      '"n": 3}}]}', "error: entry 0: sigma and tau are the same partition\n"),
+    # nested past the recursion limit, the document or a record's witness
+    pytest.param("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded",
+                 id="nested-too-deep"),
+    pytest.param(_REFUTED_BY_A_STRING.replace('"complete"', "[" * 100000 + "]" * 100000),
+                 "maximum recursion depth exceeded", id="witness-nested-too-deep"),
 ])
 def test_hasse_rejects_a_malformed_ledger(capsys, tmp_path, text, message):
     ledger = tmp_path / "ledger.json"
@@ -633,6 +650,11 @@ def _refuted_by(witness: dict, margin: float = 3.0) -> str:
     ({"kind": "quasi", "n": 3, "weights": "12"}, "weights must be a list of 2"),
     # the split S_2 = ["1", "1"] (the triangle, margin 3) with its weights zeroed
     ({"kind": "quasi", "n": 3, "weights": ["0", "0"]}, "no longer refutes"),
+    # rationals beyond float range
+    ({"kind": "quasi", "n": 3, "weights": ["1e400", "0"]}, "weights must be finite"),
+    ({"kind": "quasi", "n": 3, "weights": [10**400, 0]}, "weights must be finite"),
+    ({"kind": "family", "family": "quasi", "n": 3, "params": {"a": [10**400, 0]}},
+     "weights must be finite"),
 ])
 def test_hasse_rejects_a_tampered_family_or_quasi_witness(capsys, tmp_path, witness,
                                                           message):

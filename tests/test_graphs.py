@@ -286,7 +286,12 @@ def test_quasi_complete_graph_is_one_row_of_quasi_complete_stack(n):
 
 @pytest.mark.parametrize("bad, message", [(-0.5, "weights must be nonnegative"),
                                           (float("nan"), "weights must be finite"),
-                                          (float("inf"), "weights must be finite")])
+                                          (float("inf"), "weights must be finite"),
+                                          # beyond float range, not infinite
+                                          pytest.param(10**400, "weights must be finite",
+                                                       id="int-1e400"),
+                                          pytest.param(Fraction("1e400"), "weights must be finite",
+                                                       id="fraction-1e400")])
 def test_quasi_complete_graph_and_its_stack_refuse_alike(bad, message):
     a = [0.5, bad, 1.0]
     with pytest.raises(ValueError, match=message):

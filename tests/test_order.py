@@ -466,13 +466,18 @@ def test_seed_known_reaches_n16():
 
 def test_ledger_conflict_detection():
     ledger = seed_known(4)
-    with pytest.raises(LedgerConflict):
+    with pytest.raises(LedgerConflict, match=r"^\(2,2\) >= \(2,1,1\) already refuted$"):
         ledger.set_proved(Partition([2, 2]), Partition([2, 1, 1]), "clr")
-    with pytest.raises(LedgerConflict):
+    with pytest.raises(LedgerConflict, match=r"^\(4\) >= \(3,1\) already proved$"):
         ledger.set_refuted(
             Partition([4]), Partition([3, 1]),
             {"kind": "family", "family": "complete", "n": 4}, 1.0, True,
         )
+    # a pair decided the same way again keeps its first entry
+    text = ledger.to_json()
+    ledger.set_proved(Partition([4]), Partition([3, 1]), "main")
+    ledger.set_refuted(Partition([2, 2]), Partition([2, 1, 1]), {}, 5.0, False)
+    assert ledger.to_json() == text
 
 
 def test_ledger_json_round_trip():
@@ -607,15 +612,71 @@ def test_from_json_restores_the_ledger_arrays(build):
 
 
 def test_from_json_writes_the_cells_it_parsed(monkeypatch):
-    # the loader knows each record's cell, so it never looks one up again
-    ledger = scan(7, budget=12, seed=7)[0]
-    text = ledger.to_json()
+    # the loader parses and checks its records, then writes each array by
+    # one mask, as seeding and the scan do: it calls no method of the
+    # ledger, so it neither looks a cell up again (`_cell`) nor writes one
+    # cell at a time (`set_proved`, `set_refuted`)
+    def no_call(*args, **kwargs):
+        raise AssertionError("from_json called a ledger method")
 
-    def no_lookup(self, sigma, tau):
-        raise AssertionError("from_json looked a cell up")
+    for ledger in (seed_known(9), scan(7, budget=12, seed=7)[0],
+                   scan(6, ("random",), budget=20, seed=1)[0],
+                   RelationLedger.from_json(_AWKWARD_LEDGER)):
+        text = ledger.to_json()
+        with monkeypatch.context() as m:
+            for name, attr in vars(RelationLedger).items():
+                if callable(attr) and name not in ("__init__", "from_json"):
+                    m.setattr(RelationLedger, name, no_call)
+            loaded = RelationLedger.from_json(text)
+        assert loaded.to_json() == text
 
-    monkeypatch.setattr(RelationLedger, "_cell", no_lookup)
-    assert RelationLedger.from_json(text).to_json() == text
+
+def _witness_objects(ledger):
+    """The distinct witness objects of a ledger's refuted cells, by id."""
+    return {id(w): w for w in ledger.witness[ledger.code > len(order.PROVED_TAGS)].tolist()}
+
+
+def test_a_loaded_ledger_shares_one_dict_per_distinct_witness():
+    for ledger in _ledgers_to_recheck():
+        loaded = RelationLedger.from_json(ledger.to_json())
+        texts = [json.dumps(w, sort_keys=True) for w in _witness_objects(loaded).values()]
+        assert len(texts) == len(set(texts)) == len(_witness_objects(ledger))
+    # equal as sorted JSON text, whatever the key order, is one dict; an
+    # int and a float of one value, or 0.0 and -0.0, are two
+    star = {"kind": "family", "family": "star", "n": 4, "params": {"k": 4}}
+    witnesses = [star, dict(reversed(star.items())), {**star, "params": {"k": 4.0}},
+                 {"kind": "graph", "n": 4, "edges": [[1, 2, 0.0]]},
+                 {"kind": "graph", "n": 4, "edges": [[1, 2, -0.0]]}, {}, {}]
+    pairs = list(RelationLedger(4).pairs())[:len(witnesses)]
+    loaded = RelationLedger.from_json(json.dumps({"n": 4, "entries": [
+        {"sigma": str(s), "tau": str(t), "status": "refuted", "margin": 1.0, "witness": w}
+        for (s, t), w in zip(pairs, witnesses)]}))
+    held = [loaded.entry(*pair).witness for pair in pairs]
+    assert held == witnesses
+    assert [id(w) for w in held] == [id(held[k]) for k in (0, 0, 2, 3, 4, 5, 5)]
+    assert list(held[1]) == list(star)  # the first record's dict is the one kept
+
+
+def test_recheck_ledger_groups_by_identity_with_no_json_encoding(monkeypatch):
+    ledgers = [RelationLedger.from_json(ledger.to_json()) for ledger in _ledgers_to_recheck()]
+    expected = [order.recheck_ledger(ledger) for ledger in ledgers]
+    witnesses = []
+    recheck = order._recheck
+
+    def recorded(witness, *args):
+        witnesses.append(witness)
+        return recheck(witness, *args)
+
+    def no_encoding(self, o):
+        raise AssertionError("the re-check encoded JSON")
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", no_encoding)
+    monkeypatch.setattr(order, "_recheck", recorded)
+    for ledger, problems in zip(ledgers, expected):
+        witnesses.clear()
+        assert order.recheck_ledger(ledger) == problems == []
+        # one evaluation per witness object, and each object once
+        assert sorted(map(id, witnesses)) == sorted(_witness_objects(ledger))
 
 
 def test_to_json_byte_cases_cover_every_witness_kind():
@@ -1379,6 +1440,8 @@ def test_lambda_extremes_many_is_lambda_extremes_per_pair(monkeypatch):
 
     monkeypatch.setattr(order, "irrep_spectra", counted)
     found = order._many(shapes, graphs)
+    # counted before lambda_extremes, whose one-pair calls solve through _many too
+    batched = list(solved)
     assert found == [lambda_extremes(s, g) for s, g in zip(shapes, graphs)]
     exact = [f for f, g in zip(found, graphs) if quasi_complete_weights(g) is not None]
     assert exact and all(e[2] and isinstance(e[0], Fraction) for e in exact)
@@ -1386,8 +1449,8 @@ def test_lambda_extremes_many_is_lambda_extremes_per_pair(monkeypatch):
                if quasi_complete_weights(g) is None)
     assert order._many([], []) == []
     # each numeric (shape, graph) pair solved once, no nested star solved
-    assert len(solved) == len(found) - len(exact)
-    assert all(quasi_complete_weights(g) is None for g in solved)
+    assert len(batched) == len(found) - len(exact)
+    assert all(quasi_complete_weights(g) is None for g in batched)
 
 
 def test_bound_checks_over_many_instances_match_single_checks():
