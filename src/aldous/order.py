@@ -68,9 +68,11 @@ from .partitions import (
     partitions_of,
 )
 from .spectral import (
+    complete_graph_eigenvalue,
     irrep_spectra,
     nested_star_extremes,
     nested_star_lambda1_scaled,
+    remark_lambda1_scaled,
     remark_weights,
     spectrum,
 )
@@ -789,8 +791,11 @@ def seed_known(n: int) -> RelationLedger:
     dominance-comparable pairs through the complete graph (ds81), the other
     lexicographically ordered pairs through the fast-decaying nested-star
     weights (remark1), and the two-column against one-column hook family
-    through the full star (cor:asympval), all from one exact walk. An n
-    whose ledger has over MAX_LEDGER_PAIRS pairs raises ValueError.
+    through the full star (cor:asympval). Each witness's lambda_1 comes
+    from an exact O(n) closed form per shape, in integers, with no walk of
+    the Young lattice; `recheck_ledger` re-decides every such entry through
+    the walk. An n whose ledger has over MAX_LEDGER_PAIRS pairs raises
+    ValueError.
 
     Pairs are handled by their indices (i, j) into partitions_of(n), which
     is in descending lexicographic order: parts[i] is lexicographically
@@ -814,36 +819,38 @@ def seed_known(n: int) -> RelationLedger:
     hooks = [index[hook(n, k)] for k in range(n)]
     rules[1][np.ix_(hooks, hooks)] = np.triu(np.ones((n, n), dtype=bool), 1)
     rules[2, 1, 2:] = True
-    first = np.array([part[0] for part in parts])
-    length = np.array([len(part) for part in parts])
-    k = 1
-    while n >= 4 * k * k + 4 * k:
-        # the row class has first row >= n - k, the column class first
-        # column; no partition is in both, which needs n <= 2k + 1
-        rules[3] |= np.outer(first >= n - k, length >= n - k)
-        k += 1
+    # the row class has first row >= n - k, the column class first column;
+    # no partition is in both, which needs n <= 2k + 1. The classes grow with
+    # k, so the largest k with n >= 4k^2 + 4k, i.e. (2k + 1)^2 <= n + 1,
+    # holds every smaller k's pairs. At k = 0 its one pair is the top above
+    # the bottom, which cor:n1n tags first
+    k = (math.isqrt(n + 1) - 1) // 2
+    rules[3] = np.outer([s[0] >= n - k for s in parts], [len(s) >= n - k for s in parts])
     ledger.code[...] = np.where(rules.any(axis=0), rules.argmax(axis=0) + 1, 0)
     ledger.close_transitively()
 
     # every lexicographically ascending pair (i > j) is refuted through the
     # complete graph (all-ones weights) if dominance orders it, else the
     # separator, and the two-column hook family through the full star (its
-    # nested weights: a_n = 1); the three lambda_1 vectors come from one walk
-    weightings = [[1] * (n - 1), remark_weights(n), [0] * (n - 2) + [1]]
-    scales, rows = nested_star_lambda1_scaled(parts, weightings)
-    complete, remark, full = (np.array([row[w] for row in rows], dtype=object) for w in range(3))
+    # nested weights: a_n = 1). Each lambda_1 vector is a closed form, scaled
+    # as a nested-star walk scales it (1, n^(2n), 1). The full star's is
+    # n - 1 minus the largest content of a corner, that of the last box of
+    # the first row block: parts[0] - (the number of rows of that length)
+    complete, remark, full = (np.array(column, dtype=object) for column in zip(*(
+        (complete_graph_eigenvalue(s), remark_lambda1_scaled(s),
+         n - 1 - s[0] + s.parts.count(s[0])) for s in parts)))
     ascending = np.tri(p, k=-1, dtype=bool)
     by_complete = dominance_table(n).T  # [i, j]: parts[j] dominates parts[i]
-    refuting = [("ds81", {"kind": "family", "family": "complete", "n": n}, complete, scales[0],
+    refuting = [("ds81", {"kind": "family", "family": "complete", "n": n}, complete, 1,
                  ascending & by_complete),
-                ("remark1", {"kind": "quasi", "n": n, "weights": [str(w) for w in weightings[1]]},
-                 remark, scales[1], ascending & ~by_complete)]
+                ("remark1", {"kind": "quasi", "n": n, "weights": list(map(str, remark_weights(n)))},
+                 remark, n ** (2 * n), ascending & ~by_complete)]
     if n >= 4:
         star = {"kind": "family", "family": "star", "n": n, "params": {"k": n}}
         pair = index[Partition([2, 2] + [1] * (n - 4))], index[Partition([2] + [1] * (n - 2))]
         scope = np.zeros((p, p), dtype=bool)
         scope[pair] = True
-        refuting.append(("cor:asympval", star, full, scales[2], scope))
+        refuting.append(("cor:asympval", star, full, 1, scope))
     proved = ledger._grid()[0]
     for tag, witness, lam1, scale, scope in refuting:
         refuted, contradicted = _refutations(lam1, scale, scope, proved)

@@ -141,7 +141,8 @@ def corners(p: Partition) -> list[Box]:
 @lru_cache(maxsize=None)
 def _removals(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Box], ...]:
     """(diagram without the box, box) per corner of `parts`, bottom row first:
-    the corner walk of `corners`, `_label_tables` and the chain recursions."""
+    the corner walk of `corners`, `remove_box`, `_label_tables` and the chain
+    recursions."""
     out = []
     for row in range(len(parts) - 1, -1, -1):
         part = parts[row]
@@ -153,15 +154,11 @@ def _removals(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Box], ...]
 
 
 def remove_box(p: Partition, box: Box) -> Partition:
-    """Diagram with one corner removed."""
-    i = box.row - 1
-    if i >= len(p.parts) or p.parts[i] != box.col:
-        raise ValueError(f"{box} is not a corner of {p}")
-    parts = list(p.parts)
-    parts[i] -= 1
-    if parts[i] == 0:
-        parts.pop(i)
-    return Partition(parts)
+    """Diagram with one corner removed, from the corner walk `_removals`."""
+    for rest, corner in _removals(p.parts):
+        if corner == box:
+            return Partition(rest)
+    raise ValueError(f"{box} is not a corner of {p}")
 
 
 @lru_cache(maxsize=None)
@@ -176,17 +173,36 @@ def num_standard_tableaux(p: Partition) -> int:
 
 
 def content_sum(p: Partition) -> int:
-    """Sum of col - row over all boxes.
+    """Sum of col - row over all boxes: maxc(p, n), the quantity subtracted
+    from wt(K_n) in the complete-graph scalar."""
+    return sum(reading_contents(p))
 
-    Equals sum_j [C(l_j - j + 1, 2) - C(j, 2)] over rows of length l_j, the
-    quantity subtracted from wt(K_n) in the complete-graph scalar: row j
-    contributes (1-j) + ... + (l_j - j) = C(l_j - j + 1, 2) - C(1 - j, 2)
-    and C(1 - j, 2) = C(j, 2) for the halved falling factorial.
+
+def reading_contents(p: Partition) -> list[int]:
+    """The contents of p's boxes in row-reading order (top row first, each
+    row left to right): c_k is the content of label k in the row-reading
+    tableau."""
+    return [col - row for row, part in enumerate(p.parts) for col in range(part)]
+
+
+def maxc(p: Partition, k: int) -> int:
+    """The largest content sum of a subdiagram of p with k boxes, 0 <= k <= n.
+
+    It is that of top(p, k), which fills p's rows greedily from the top,
+    mu_i = min(p_i, k - mu_1 - ... - mu_{i-1}): the first k boxes in
+    row-reading order. Its partial sums are as large as any k-box
+    subdiagram allows, so it dominates each of them, and content strictly
+    increases along dominance.
     """
-    return sum(
-        part * (part + 1) // 2 - row * part
-        for row, part in enumerate(p.parts, start=1)
-    )
+    if not 0 <= k <= p.n:
+        raise ValueError(f"need 0 <= k <= {p.n}, got k={k}")
+    return sum(reading_contents(p)[:k])
+
+
+def minc(p: Partition, k: int) -> int:
+    """The smallest content sum of a subdiagram of p with k boxes: transposing
+    negates every content, so it is -maxc(p', k)."""
+    return -maxc(conjugate(p), k)
 
 
 def in_row_class(p: Partition, k: int) -> bool:

@@ -20,7 +20,14 @@ nested star operators on the canonical tableau basis:
     its one-column case. Transposing a tableau negates every content, so
     the lightest chain of a shape is minus the heaviest chain of its
     conjugate, which gives lambda_max;
-  * the complete graph acts by the scalar C(n,2) - content sum;
+  * some weightings need no walk. The complete graph acts by the scalar
+    C(n,2) - content sum, the clique on the first k vertices has
+    lambda_1 = C(k,2) - partitions.maxc(shape, k), and the full star (a_n
+    = 1) has n - 1 minus the largest content of a corner. Under the
+    fast-decaying `remark_weights` the heaviest chain is the row-reading
+    tableau, so `remark_lambda1_scaled` is one Horner sum over its
+    contents. `order.seed_known` takes its lambda_1 vectors from these
+    closed forms;
   * the spectrum on a hook [n-k, 1^k] consists of the k-subset sums of
     the spectrum on [n-1, 1].
 
@@ -52,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import WeightedGraph
-from .partitions import Partition, _removals, capped_tableau_count, conjugate, content_sum
+from .partitions import Partition, _removals, capped_tableau_count, conjugate, reading_contents
 from .symrep import DEFAULT_DIM_CAP, STACK_FLOATS, delta_matrices, graphs_per_stack
 
 DEFAULT_TOL = 1e-12
@@ -260,15 +267,29 @@ def remark_weights(n: int) -> list[Fraction]:
     return [Fraction(1, n ** (2 * k)) for k in range(2, n + 1)]
 
 
+def remark_lambda1_scaled(shape: Partition) -> int:
+    """lambda_1 of the shape under remark_weights(n) times their common
+    denominator n^(2n), in closed form: sum_k (k - 1 - c_k) n^(2n-2k), with
+    c_k the content of the k-th box in row-reading order, summed by Horner in
+    n^2. Each weight a_k exceeds the most that the later labels' contents
+    can move the chain sum, so the heaviest chain is the lexicographically
+    largest content sequence: the row-reading tableau."""
+    n, total, contents = shape.n, 0, reading_contents(shape)
+    for k in range(1, n):  # the box of label k + 1, weighted k
+        total = total * n * n + k - contents[k]
+    return total
+
+
 def complete_graph_eigenvalue(shape: Partition) -> int:
     """Scalar action of the unit complete graph: C(n,2) - content sum.
 
     For a partition of m this is also the scalar by which the clique on the
     first m vertices acts on that component of the restriction, so the shape
-    alone determines the value.
+    alone determines the value. On the clique K_k of the first k vertices,
+    lambda_1 of a shape of n is C(k,2) - maxc(shape, k): the restriction's
+    constituents are its k-box subdiagrams, and this is the case k = n.
     """
-    n = shape.n
-    return n * (n - 1) // 2 - content_sum(shape)
+    return math.comb(shape.n, 2) - sum(reading_contents(shape))
 
 
 def subset_sum_spectra(bases, k: int) -> np.ndarray:

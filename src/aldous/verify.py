@@ -60,7 +60,6 @@ from .spectral import (
     irrep_spectra,
     laplacian_gaps,
     multiset_distances,
-    nested_star_extremes,
     nested_star_lambda1_scaled,
     remark_weights,
     spectrum,
@@ -136,17 +135,13 @@ def suite_qc(n: int, samples: int = 50, seed: int = 0, tol: float = 1e-8) -> Sui
         for dist in np.max(list(dists.values()), axis=0).tolist():
             result.add(f"qc formula n={size}", dist < tol, distance=dist)
     for size in range(2, min(n, 7) + 1):
-        weights = remark_weights(size)
         parts = partitions_of(size)
-        lam1 = [nested_star_extremes(p, weights)[0] for p in parts]
-        # partitions_of is descending lexicographic: parts[i] is
-        # lexicographically below parts[j] exactly when i > j
-        bad = [
-            (str(parts[i]), str(parts[j]))
-            for i in range(len(parts))
-            for j in range(i)
-            if not lam1[i] > lam1[j]
-        ]
+        # one walk gives every shape's lambda_1 (times one scale); partitions_of
+        # is descending lexicographic: parts[i] is lexicographically below
+        # parts[j] exactly when i > j
+        lam1 = [row[0] for row in nested_star_lambda1_scaled(parts, [remark_weights(size)])[1]]
+        bad = [(str(parts[i]), str(parts[j])) for i in range(len(parts)) for j in range(i)
+               if not lam1[i] > lam1[j]]
         result.add(f"qc lex separation n={size}", not bad, failing_pairs=bad)
     return result
 

@@ -284,7 +284,9 @@ def test_close_transitively_equals_the_status_walk(n, refuted):
 
 # sha256 of seed_known(n).to_json(), n <= 14 recorded before the seeding and
 # the writer worked on partition indices, n = 15..18 before the ledger kept
-# its decisions on p x p arrays; a deliberate format change updates them
+# its decisions on p x p arrays, n = 19 and 20 before seeding took its
+# lambda_1 vectors from closed forms instead of a nested-star walk; a
+# deliberate format change updates them
 SEEDED_SHA256 = {
     2: "5e1d4f46bf662d357ce0f41770fc6111388fc67f12e21afc5b56d4c195f509e0",
     3: "2a927c3acad4d855795ecd5be9a4577531fb0ce6972619dc244e36d44590be81",
@@ -303,6 +305,8 @@ SEEDED_SHA256 = {
     16: "b01d80398f54fdbe14799b3f6a4df829406155d7c5e84201d4d361ee6c17aa47",
     17: "2865bf0c9666ed58266d7c239339d140c908b175fb73a22b2b782ff7da5fbf1e",
     18: "ed8c8bca2dc8f696947faf51b666f483088ad1152d925de897c97586266cd696",
+    19: "10b1b22e318b94cf4f0c45e8e70123db4cb0c313d6197ee2843cec247e8bcca0",
+    20: "7c8263b6f2192526350d50b26359be5be5a48d6f0125e3a764d56f1a3ad7f25c",
 }
 
 
@@ -329,19 +333,32 @@ def test_seed_known_refuses_a_witness_without_a_positive_margin(monkeypatch, tag
     # the first lexicographically ascending pair (i > j) the tag decides
     i, j = next((i, j) for i in range(len(parts)) for j in range(i)
                 if table[j, i] == (tag == "ds81"))
-    column = 0 if tag == "ds81" else 1
-    lambda1 = order.nested_star_lambda1_scaled
+    # the closed form that gives the tag's lambda_1 column, tied at (i, j)
+    source = "complete_graph_eigenvalue" if tag == "ds81" else "remark_lambda1_scaled"
+    column = getattr(order, source)
 
-    def tied(shapes, weightings):
-        scales, rows = lambda1(shapes, weightings)
-        rows = [row.copy() for row in rows]
-        rows[i][column] = rows[j][column]
-        return scales, rows
+    def tied(shape):
+        return column(parts[j] if shape == parts[i] else shape)
 
-    monkeypatch.setattr(order, "nested_star_lambda1_scaled", tied)
+    monkeypatch.setattr(order, source, tied)
     with pytest.raises(LedgerConflict,
                        match=f"^{tag} witness fails on {parts[i]} vs {parts[j]}$"):
         seed_known(n)
+
+
+def test_seed_known_makes_no_nested_star_walk(monkeypatch):
+    # every seeded lambda_1 is a closed form: a walk anywhere in seeding fails
+    import aldous.spectral as spectral
+
+    def walk(*args):
+        raise AssertionError("seed_known walked the Young lattice")
+
+    monkeypatch.setattr(order, "nested_star_lambda1_scaled", walk)
+    monkeypatch.setattr(spectral, "nested_star_lambda1_scaled", walk)
+    monkeypatch.setattr(spectral, "_chains", walk)
+    for n in range(2, 13):
+        text = seed_known(n).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEEDED_SHA256[n]
 
 
 def test_relation_entries_are_slotted():

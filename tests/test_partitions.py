@@ -10,9 +10,13 @@ from aldous.partitions import (
     dominance_table,
     dominates,
     in_row_class,
+    maxc,
+    minc,
     num_standard_tableaux,
     parse_partition,
     partitions_of,
+    reading_contents,
+    remove_box,
 )
 
 from itertools import accumulate
@@ -177,6 +181,50 @@ def test_content_sum_strictly_decreases_down_dominance():
             for q in partitions_of(n):
                 if p != q and dominates(p, q):
                     assert content_sum(p) > content_sum(q)
+
+
+def _subdiagrams(p, k):
+    """Every partition of k whose diagram lies inside p's."""
+    return [mu for mu in partitions_of(k) if len(mu) <= len(p)
+            and all(a <= b for a, b in zip(mu.parts, p.parts))]
+
+
+def test_maxc_and_minc_match_every_subdiagram():
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            for k in range(n + 1):
+                sums = [content_sum(mu) for mu in _subdiagrams(p, k)]
+                assert maxc(p, k) == max(sums)
+                assert minc(p, k) == min(sums)
+            assert maxc(p, n) == content_sum(p) == minc(p, n)
+            with pytest.raises(ValueError, match=r"need 0 <= k <="):
+                maxc(p, n + 1)
+            with pytest.raises(ValueError, match=r"need 0 <= k <="):
+                minc(p, -1)
+
+
+def test_reading_contents_fill_rows_in_order():
+    assert reading_contents(Partition([3, 2, 1])) == [0, 1, 2, -1, 0, -2]
+    assert reading_contents(Partition([1, 1])) == [0, -1]
+    for n in range(1, 8):
+        for p in partitions_of(n):
+            assert reading_contents(p) == [Box(col, row).content
+                                           for row, part in enumerate(p.parts, 1)
+                                           for col in range(1, part + 1)]
+
+
+def test_remove_box_removes_corners_only():
+    for n in range(1, 8):
+        for p in partitions_of(n):
+            for box in corners(p):
+                rest = list(p.parts)
+                rest[box.row - 1] -= 1
+                assert remove_box(p, box) == Partition([part for part in rest if part])
+            inner = [Box(col, row) for row, part in enumerate(p.parts, 1)
+                     for col in range(1, part + 1) if Box(col, row) not in corners(p)]
+            for box in inner + [Box(1, len(p) + 1), Box(p[0] + 1, 1)]:
+                with pytest.raises(ValueError, match="is not a corner of"):
+                    remove_box(p, box)
 
 
 def test_in_row_class():

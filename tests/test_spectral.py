@@ -22,6 +22,7 @@ from aldous.spectral import (
     nested_star_extremes,
     nested_star_lambda1_scaled,
     quasi_complete_spectrum,
+    remark_lambda1_scaled,
     remark_weights,
     spectra,
     spectrum,
@@ -300,6 +301,43 @@ def test_split_lambda1_has_a_closed_form():
                                 + min(partitions.content_sum(mu) for mu in inside))
                 cases += 1
     assert cases == 590
+
+
+def test_clique_split_and_full_star_lambda1_have_closed_forms():
+    # the walk's integers against the greedy subdiagrams of `partitions`: the
+    # clique on the first k vertices (weights 1 up to vertex k, then 0) has
+    # lambda_1 = C(k,2) - maxc(sigma, k), the split S_m wt - content(sigma) +
+    # minc(sigma, n - m), and the full star S_1 n - 1 minus the largest
+    # content of a corner, the last box of sigma's first row block
+    for n in range(2, 11):
+        shapes = partitions_of(n)
+        cliques = [[int(j <= k) for j in range(2, n + 1)] for k in range(1, n + 1)]
+        splits = [[0] * (n - 1 - m) + [1] * m for m in range(1, n)]
+        scales, rows = nested_star_lambda1_scaled(shapes, cliques + splits)
+        assert scales == [1] * (2 * n - 1)
+        for sigma, row in zip(shapes, rows):
+            assert row[:n].tolist() == [k * (k - 1) // 2 - partitions.maxc(sigma, k)
+                                        for k in range(1, n + 1)]
+            assert row[n - 1] == complete_graph_eigenvalue(sigma)
+            assert row[n:].tolist() == [
+                sum(range(n - m, n)) - partitions.content_sum(sigma)
+                + partitions.minc(sigma, n - m) for m in range(1, n)]
+            corner = max(box.content for box in partitions.corners(sigma))
+            assert corner == sigma[0] - sigma.parts.count(sigma[0])
+            assert row[n] == n - 1 - corner
+
+
+def test_remark_lambda1_has_a_closed_form():
+    # the separator's lambda_1 times n^(2n) is a Horner sum over the contents
+    # in row-reading order; the walk's integers agree at every shape
+    for n in range(2, 13):
+        shapes = partitions_of(n)
+        (scale,), rows = nested_star_lambda1_scaled(shapes, [remark_weights(n)])
+        assert scale == n ** (2 * n)
+        assert [remark_lambda1_scaled(shape) for shape in shapes] == [row[0] for row in rows]
+    assert remark_lambda1_scaled(Partition([1])) == 0
+    # [2, 1]: labels 2 and 3 have contents 1 and -1, scaled weights 3^2 and 1
+    assert remark_lambda1_scaled(Partition([2, 1])) == (1 - 1) * 9 + (2 + 1)
 
 
 def test_nested_star_lambda1_scaled_stays_exact_past_int64():
