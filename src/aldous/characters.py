@@ -53,11 +53,6 @@ class ClassFunction:
             self.n, {c: self.values[c] + other.values[c] for c in self.values}
         )
 
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(
-            self.n, {c: self.values[c] - other.values[c] for c in self.values}
-        )
-
     def inner(self, other: "ClassFunction") -> int:
         """Class-size weighted inner product; exact integer for characters."""
         total = sum(

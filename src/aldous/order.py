@@ -7,11 +7,12 @@ some witness graph gives sigma a strictly larger lowest eigenvalue, and
 citation tags; no amount of failed searching promotes a pair.
 
 Every lambda_1 is evaluated exactly on nested-star graphs, by the dense
-eigensolver otherwise: a batch known up front through `_many`, one graph at
-a time through the cached `lambda_extremes` (`_many`'s one-pair case), a few
-shapes on one graph through `_lambda1` (the path of `check_pair` and of
-every witness re-check), and a scan's candidate stream block by block
-through `_lambda1_blocks`.
+eigensolver otherwise: a batch known up front through `_many` (the bound
+lemmas, and the few shapes on one graph of `_lambda1`, the path of
+`check_pair` and of every witness re-check), and a scan's candidate stream
+block by block through `_lambda1_blocks`. `lambda_extremes` is `_many`'s
+cached one-pair case, kept for callers outside this package; no path of
+the engine calls it.
 
 Refutation rule (`_clears`, the one place it is written): witnesses
 evaluated in exact rational arithmetic (nested-star graphs, including plain
@@ -136,7 +137,8 @@ def _many(shapes: Sequence[Partition], graphs: Sequence[WeightedGraph],
 def lambda_extremes(shape: Partition, graph: WeightedGraph,
                     dim_cap: int = DEFAULT_DIM_CAP):
     """(lambda_1, lambda_max, exact) on one irreducible: the one-pair case
-    of `_many`. Cached; graphs are immutable after construction."""
+    of `_many`. Cached; graphs are immutable after construction, and equal
+    graphs hash alike, so they share a key."""
     return _many((shape,), (graph,), dim_cap)[0]
 
 
@@ -146,12 +148,12 @@ def _lambda1(graph: WeightedGraph, weights: Optional[list], shapes: Sequence[Par
     `_lambda1_blocks` gives it, Python ints times scale from one
     `nested_star_lambda1_scaled` walk over just these shapes if the graph
     has exact nested-star weights (`weights`, else quasi_complete_weights),
-    else floats from `lambda_extremes`, scale None. A pair's margin is
+    else floats from one `_many` call, scale None. A pair's margin is
     (lam1[i] - lam1[j]) / scale, the float that `_refute` stores."""
     if weights is None:
         weights = quasi_complete_weights(graph)
     if weights is None:
-        return [lambda_extremes(shape, graph, dim_cap=dim_cap)[0] for shape in shapes], None
+        return [lam1 for lam1, _, _ in _many(shapes, [graph] * len(shapes), dim_cap)], None
     (scale,), rows = nested_star_lambda1_scaled(shapes, [weights])
     return [row[0] for row in rows], scale
 
@@ -981,7 +983,6 @@ class BoundReport:
     ok: bool
     bound: float
     worst: float
-    trials: int = 1
 
 
 def _require_row_class(sigma: Partition, k: int) -> None:
@@ -989,34 +990,30 @@ def _require_row_class(sigma: Partition, k: int) -> None:
         raise ValueError(f"{sigma} is not in the first-row >= n-{k} class")
 
 
-@lru_cache(maxsize=None)
-def _lemma_matching(n: int, m: int) -> WeightedGraph:
-    """The matching lemma's first graph, built once: the same object then
-    keys lambda_extremes' cache by identity on every later instance."""
-    return matching_graph(n, m)
+def check_matching_bounds(instances, tol: float = DEFAULT_TOL) -> list[BoundReport]:
+    """Matching bound, per (sigma, k) instance with n >= 4k: the largest
+    eigenvalue of a 2k-edge matching stays at or below 2k. Relabelling the
+    vertices conjugates the operator by an orthogonal matrix, so
+    `matching_graph(n, 2k)` stands for every such matching; each distinct
+    one is built once and all are evaluated together by `_many`."""
+    shapes, graphs, ks, matchings = [], [], [], {}
+    for sigma, k in instances:
+        _require_row_class(sigma, k)
+        if sigma.n < 4 * k:
+            raise ValueError(f"need n >= 4k = {4 * k}, got {sigma.n}")
+        if (sigma.n, k) not in matchings:
+            matchings[sigma.n, k] = matching_graph(sigma.n, 2 * k)
+        shapes.append(sigma)
+        graphs.append(matchings[sigma.n, k])
+        ks.append(k)
+    worsts = [max(0.0, float(lam_max)) for _, lam_max, _ in _many(shapes, graphs)]
+    return [BoundReport("matching", worst <= 2 * k + tol, 2 * k, worst)
+            for k, worst in zip(ks, worsts)]
 
 
-def check_matching_bound(sigma: Partition, k: int, trials: int = 1,
-                         tol: float = DEFAULT_TOL, seed: int = 0) -> BoundReport:
-    """Largest eigenvalue of a 2k-edge matching stays at or below 2k."""
-    n = sigma.n
-    _require_row_class(sigma, k)
-    if n < 4 * k:
-        raise ValueError(f"need n >= 4k = {4 * k}, got {n}")
-    # the first trial is the fixed matching; only the relabelled ones draw
-    rng = np.random.default_rng(seed) if trials > 1 else None
-    worst = 0.0
-    for t in range(max(1, trials)):
-        if t == 0:
-            graph = _lemma_matching(n, 2 * k)
-        else:
-            # 2k disjoint edges on a random relabelling of the vertices
-            ends = np.sort(rng.permutation(n)[:4 * k].reshape(2 * k, 2) + 1, axis=1)
-            graph = WeightedGraph.from_edges(n, [(i, j, 1.0) for i, j in ends.tolist()])
-        _, lam_max, _ = lambda_extremes(sigma, graph)
-        worst = max(worst, float(lam_max))
-    return BoundReport("matching", worst <= 2 * k + tol, 2 * k, worst,
-                       max(1, trials))
+def check_matching_bound(sigma: Partition, k: int, tol: float = DEFAULT_TOL) -> BoundReport:
+    """The one-instance case of `check_matching_bounds`."""
+    return check_matching_bounds([(sigma, k)], tol)[0]
 
 
 def check_onestar_bounds(instances) -> list[BoundReport]:

@@ -68,7 +68,6 @@ def graphs_per_stack(shape: Partition, floats: int, dim_cap: int) -> int:
     return max(1, floats // max(check_dim(shape, dim_cap), shape.n) ** 2)
 
 
-@lru_cache(maxsize=None)
 def _adjacent_factors(shape: Partition, i: int):
     """Young's orthogonal form of (i, i+1) as three per-row arrays.
 

@@ -40,7 +40,7 @@ from .game import game_winner
 from .graphs import WeightedGraph, quasi_complete_stack, star_graph
 from .order import (
     check_invariant_vector_bounds,
-    check_matching_bound,
+    check_matching_bounds,
     check_onestar_bounds,
     check_pair,
     check_weightedstar_bounds,
@@ -229,10 +229,9 @@ def suite_bounds(n: int, trials: int = 1000, seed: int = 0,
     Each lemma draws its instances from the suite's generator with one
     array call per quantity (sizes, k, row-class picks, l, sorted weights,
     graphs, vertex subsets) and evaluates them in batches: one exact
-    nested-star walk per size for the one-star lemma, one check per
-    distinct (sigma, k) for the matching lemma (its one trial is the fixed
-    matching), and one stack per shape for the weighted-star and
-    invariant-vector lemmas."""
+    nested-star walk per size for the one-star lemma, and one stack per
+    shape for the matching, weighted-star and invariant-vector lemmas; the
+    matching lemma checks each distinct (sigma, k) once."""
     if n < 5:
         raise ValueError("the bounds suite needs n >= 5")
     result = SuiteResult("bounds")
@@ -252,8 +251,9 @@ def suite_bounds(n: int, trials: int = 1000, seed: int = 0,
     ks = rng.integers(1, max(1, numeric_max // 4) + 1, size=trials)
     sizes = rng.integers(4 * ks, numeric_max + 1)
     drawn = Counter(zip(_row_class_picks(rng, sizes, ks), ks.tolist()))
-    failures = sum(count for (sigma, k), count in drawn.items()
-                   if not check_matching_bound(sigma, k, trials=1, tol=tol).ok)
+    failures = sum(count for count, report in zip(drawn.values(),
+                                                  check_matching_bounds(drawn, tol=tol))
+                   if not report.ok)
     result.add("matching bound", failures == 0, violations=failures)
 
     sizes = rng.integers(4, numeric_max + 1, size=trials)

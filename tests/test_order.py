@@ -35,6 +35,7 @@ from aldous.order import (
     _family_graphs,
     check_invariant_vector_bounds,
     check_matching_bound,
+    check_matching_bounds,
     check_onestar_bounds,
     check_pair,
     check_weightedstar_bounds,
@@ -1363,14 +1364,36 @@ def test_incomparable_two_column_chain():
 
 
 def test_check_matching_bound():
-    assert check_matching_bound(Partition([7, 1]), 1, trials=4, seed=2).ok
+    assert check_matching_bound(Partition([7, 1]), 1).ok
     assert check_matching_bound(Partition([8]), 1).ok
-    report = check_matching_bound(Partition([10, 2]), 2, trials=2, seed=3)
+    report = check_matching_bound(Partition([10, 2]), 2)
     assert report.ok and report.bound == 4
     with pytest.raises(ValueError):
         check_matching_bound(Partition([5, 3]), 1)  # not in the k=1 row class
     with pytest.raises(ValueError):
         check_matching_bound(Partition([5, 1, 1]), 2)  # n=7 < 4k=8
+
+
+def test_check_matching_bounds_is_lambda_max_of_the_fixed_matching():
+    instances = [(sigma, k) for k in (1, 2) for n in range(4 * k, 11)
+                 for sigma in partitions_of(n) if in_row_class(sigma, k)]
+    reports = check_matching_bounds(instances)
+    rng = np.random.default_rng(0)
+    for (sigma, k), report in zip(instances, reports, strict=True):
+        graph = matching_graph(sigma.n, 2 * k)
+        _, lam_max, exact = lambda_extremes(sigma, graph)
+        assert not exact and report.worst == lam_max
+        assert report == BoundReport("matching", lam_max <= 2 * k + 1e-9, 2 * k, lam_max)
+        assert report.ok
+        # relabelling the vertices conjugates the operator by an orthogonal
+        # matrix, so one fixed matching stands for all of them
+        labels = (rng.permutation(sigma.n) + 1).tolist()
+        relabelled = WeightedGraph.from_edges(
+            sigma.n, [(*sorted((labels[i - 1], labels[j - 1])), w) for i, j, w in graph.edges()])
+        assert abs(lambda_extremes(sigma, relabelled)[1] - lam_max) <= 1e-9
+    assert check_matching_bounds([]) == []
+    with pytest.raises(ValueError, match="need n >= 4k = 8, got 7"):
+        check_matching_bounds(instances[:3] + [(Partition([5, 1, 1]), 2)])
 
 
 def test_check_onestar_bound():

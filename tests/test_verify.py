@@ -309,21 +309,9 @@ def test_bounds_suite_makes_every_draw_of_the_single_instance_loop(monkeypatch):
     assert suite == reference
     # one generator and one call per drawn quantity: four lemmas, with
     # sizes, k and picks each, plus l, the weights, the graphs' coins and
-    # weights, and the vertex keys; a one-trial matching check draws nothing
+    # weights, and the vertex keys; the matching check draws nothing
     assert len(suite) == 1
     assert len(suite[0]) == 4 * 3 + 1 + 1 + 3
-
-
-def test_matching_bound_draws_only_for_relabelled_trials(monkeypatch):
-    from aldous import order
-
-    expected = check_matching_bound(Partition([7, 1]), 1)
-    logs = draw_logs(monkeypatch, lambda: check_matching_bound(Partition([7, 1]), 1, seed=5))
-    assert logs == []
-    assert check_matching_bound(Partition([7, 1]), 1, seed=5) == expected
-    logs = draw_logs(monkeypatch, lambda: check_matching_bound(Partition([8]), 1, trials=3))
-    assert [name for name, *_ in logs[0]] == ["permutation", "permutation"]
-    assert order._lemma_matching(8, 2) is order._lemma_matching(8, 2)
 
 
 def test_consistency_suite_states_the_smallest_n():
@@ -409,21 +397,17 @@ def test_bounds_suite_draws_every_size_and_k_of_each_lemma(monkeypatch):
             return check(instances, *args, **kwargs)
         return wrapped
 
-    matching = Counter()
-
-    def recording_matching(sigma, k, **kwargs):
-        matching[sigma.n, k] += 1
-        return check_matching_bound(sigma, k, **kwargs)
-
-    for name in ("check_onestar_bounds", "check_weightedstar_bounds",
-                 "check_invariant_vector_bounds"):
+    for name in ("check_onestar_bounds", "check_matching_bounds",
+                 "check_weightedstar_bounds", "check_invariant_vector_bounds"):
         monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
-    monkeypatch.setattr(verify, "check_matching_bound", recording_matching)
     assert suite_bounds(12, trials=1000, seed=0).passed
 
     assert set(seen["check_onestar_bounds"]) == {
         (size, k) for size in range(5, 13) for k in range(1, min(4, size - 1) + 1)}
-    assert set(matching) == {(size, 1) for size in range(4, 9)} | {(8, 2)}
+    # the matching lemma is checked once per distinct (sigma, k) drawn: the
+    # row classes of k = 1 at n = 4..8 and of k = 2 at n = 8 hold 14 shapes
+    matching = seen.pop("check_matching_bounds")
+    assert matching == {**{(size, 1): 2 for size in range(4, 9)}, (8, 2): 4}
     assert set(seen["check_weightedstar_bounds"]) == {
         (size, k) for size in range(4, 9) for k in range(1, (3 if size <= 6 else 2) + 1)}
     assert set(seen["check_invariant_vector_bounds"]) == {
