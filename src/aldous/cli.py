@@ -363,8 +363,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         raise ValueError(f"unhandled command {args.command}")
-    # RecursionError: a JSON file nested too deep, or a shape too long for
-    # the recursions over its diagram
+    # RecursionError: a JSON file nested too deep
     except (ValueError, OSError, KeyError, LedgerConflict, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -5,11 +5,14 @@ of his diagram and announces its content (col - row), then A removes a
 corner of hers; A survives the round when her content is at least B's,
 ties included. A wins by surviving all rounds.
 
-Only the two remaining shapes matter, so the minimax recursion memoizes
-on that pair. Game results are consistency-tested against nested-star
-eigenvalue comparisons but never converted into order entries: the
-equivalence between the two is an unproved remark, and the engine does
-not lean on it in either direction.
+Only the two remaining shapes matter, so the minimax is one
+`partitions._walk` over pairs of diagrams, one round per level, with no
+recursion: the table `_REPLIES` keeps, for each pair met, A's first
+winning reply to each of B's corners, and both `game_winner` and
+`game_trace` read it. Game results are consistency-tested against
+nested-star eigenvalue comparisons but never converted into order entries:
+the equivalence between the two is an unproved remark, and the engine
+does not lean on it in either direction.
 """
 
 from __future__ import annotations
@@ -21,22 +24,36 @@ from itertools import product
 
 import numpy as np
 
-from .partitions import Box, Partition, corners, remove_box
+from .partitions import Box, Partition, _removals, _walk, corners, remove_box
 from .spectral import nested_star_lambda1_scaled
 
 
-def _replies(a_shape: Partition, b_shape: Partition, b_box: Box):
-    """A's corners that survive B's removal of b_box, lazily: of content at
-    least b_box's, and leaving A a winning position."""
-    b_rest = remove_box(b_shape, b_box)
-    return (a_box for a_box in corners(a_shape) if a_box.content >= b_box.content
-            and _a_wins(remove_box(a_shape, a_box), b_rest))
+def _round(pair: tuple) -> list:
+    """The positions one round under `pair` (A's diagram, B's diagram), each
+    labelled (B's corner, A's reply): B removes any corner, then A any corner
+    of content at least its content, both top row first."""
+    a, b = pair
+    return [((a_rest, b_rest), (b_box, a_box)) for b_rest, b_box in reversed(_removals(b))
+            for a_rest, a_box in reversed(_removals(a)) if a_box.content >= b_box.content]
+
+
+def _winning_replies(pair: tuple, below: list) -> dict:
+    """{B's corner: A's first reply that leaves her a winning position, or
+    None}, B's corners top row first. A wins when no value is None."""
+    replies = dict.fromkeys(box for _, box in reversed(_removals(pair[1])))
+    for after, (b_box, a_box) in below:
+        if replies[b_box] is None and None not in after.values():
+            replies[b_box] = a_box
+    return replies
+
+
+_REPLIES: dict = {}  # _winning_replies of every position walked so far
 
 
 @lru_cache(maxsize=None)
 def _a_wins(a_shape: Partition, b_shape: Partition) -> bool:
-    return a_shape.n == 0 or all(any(_replies(a_shape, b_shape, b_box))
-                                 for b_box in corners(b_shape))
+    return None not in _walk((a_shape.parts, b_shape.parts), _REPLIES, _winning_replies,
+                             _round).values()
 
 
 def game_winner(sigma: Partition, tau: Partition) -> bool:
@@ -52,11 +69,9 @@ def game_trace(sigma: Partition, tau: Partition) -> list[tuple[Box, Box]]:
     moves = []
     a_shape, b_shape = sigma, tau
     while b_shape.n:
-        b_choice = next((b_box for b_box in corners(b_shape)
-                         if not any(_replies(a_shape, b_shape, b_box))), corners(b_shape)[0])
-        a_choice = next(_replies(a_shape, b_shape, b_choice), None)
-        if a_choice is None:
-            a_choice = max(corners(a_shape), key=lambda b: b.content)
+        replies = _walk((a_shape.parts, b_shape.parts), _REPLIES, _winning_replies, _round)
+        b_choice = next((box for box in replies if replies[box] is None), next(iter(replies)))
+        a_choice = replies[b_choice] or max(corners(a_shape), key=lambda box: box.content)
         moves.append((b_choice, a_choice))
         a_shape, b_shape = remove_box(a_shape, a_choice), remove_box(b_shape, b_choice)
     return moves

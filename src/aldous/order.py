@@ -8,11 +8,12 @@ citation tags; no amount of failed searching promotes a pair.
 
 Every lambda_1 is evaluated exactly on nested-star graphs, by the dense
 eigensolver otherwise: a batch known up front through `_many` (the bound
-lemmas, and the few shapes on one graph of `_lambda1`, the path of
-`check_pair` and of every witness re-check), and a scan's candidate stream
-block by block through `_lambda1_blocks`. `lambda_extremes` is `_many`'s
-cached one-pair case, kept for callers outside this package; no path of
-the engine calls it.
+lemmas), the few shapes on one graph through `_lambda1` (the path of
+`check_pair` and of every witness re-check: the graph's weights detected
+once, then one walk, or one solve per shape), and a scan's candidate
+stream block by block through `_lambda1_blocks`. `lambda_extremes` is
+`_many`'s cached one-pair case, kept for callers outside this package; no
+path of the engine calls it.
 
 Refutation rule (`_clears`, the one place it is written): witnesses
 evaluated in exact rational arithmetic (nested-star graphs, including plain
@@ -147,13 +148,14 @@ def _lambda1(graph: WeightedGraph, weights: Optional[list], shapes: Sequence[Par
     """(lam1, scale): lambda_1 of each shape on one graph as
     `_lambda1_blocks` gives it, Python ints times scale from one
     `nested_star_lambda1_scaled` walk over just these shapes if the graph
-    has exact nested-star weights (`weights`, else quasi_complete_weights),
-    else floats from one `_many` call, scale None. A pair's margin is
+    has exact nested-star weights (`weights`, else quasi_complete_weights,
+    detected once), else floats from one one-graph `irrep_spectra` call per
+    shape, the call `_many` makes for them, scale None. A pair's margin is
     (lam1[i] - lam1[j]) / scale, the float that `_refute` stores."""
     if weights is None:
         weights = quasi_complete_weights(graph)
     if weights is None:
-        return [lam1 for lam1, _, _ in _many(shapes, [graph] * len(shapes), dim_cap)], None
+        return [irrep_spectra(shape, [graph], dim_cap=dim_cap)[0][0] for shape in shapes], None
     (scale,), rows = nested_star_lambda1_scaled(shapes, [weights])
     return [row[0] for row in rows], scale
 

@@ -6,6 +6,15 @@ standard tableaux of a shape are its label tables (`_label_tables`): one
 row per tableau, in the canonical basis order, giving the row and the
 content of the box of each label.
 
+Everything computed over the subdiagrams of a shape goes through one
+iterative walk, `_walk`: it fills a table from the smallest diagrams up,
+one step per diagram, each from the values of the diagrams one corner
+removal (`_removals`) below it. Its steps are the label tables here, the
+heaviest chains and chain-sum counts of `spectral`, and, walking pairs of
+diagrams one round at a time, the corner game of `game`. It keeps no
+Python stack, so a shape's length is limited by memory, not by the
+recursion limit.
+
 Dominance is decided by the prefix-sum criterion: p dominates q iff
 sum(p[:m]) >= sum(q[:m]) for every m. This is the standard equivalent of
 reachability by single box drops to lower rows (each drop moves one box
@@ -141,16 +150,15 @@ def corners(p: Partition) -> list[Box]:
 @lru_cache(maxsize=None)
 def _removals(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Box], ...]:
     """(diagram without the box, box) per corner of `parts`, bottom row first:
-    the corner walk of `corners`, `remove_box`, `_label_tables` and the chain
-    recursions."""
+    the `below` of the Young-lattice walk `_walk`, and the corner walk of
+    `corners` and `remove_box`. Each run of equal rows ends in a corner; the
+    runs' last rows come from one dict, not a Python pass over the rows, as
+    a walk down a long shape lists the corners of every subdiagram."""
     out = []
-    for row in range(len(parts) - 1, -1, -1):
-        part = parts[row]
-        if row + 1 < len(parts) and parts[row + 1] == part:
-            continue
-        rest = parts[:row] + (part - 1,) + parts[row + 1:] if part > 1 else parts[:row]
-        out.append((rest, Box(part, row + 1)))
-    return tuple(out)
+    for part, row in dict(zip(parts, range(1, len(parts) + 1))).items():
+        rest = parts[:row - 1] + (part - 1,) + parts[row:] if part > 1 else parts[:row - 1]
+        out.append((rest, Box(part, row)))
+    return tuple(reversed(out))
 
 
 def remove_box(p: Partition, box: Box) -> Partition:
@@ -245,33 +253,56 @@ def capped_tableau_count(p: Partition) -> int:
 @lru_cache(maxsize=None)
 def content_matrix(p: Partition) -> np.ndarray:
     """f x n integer array; row t, column k-1 is the content of box k in
-    tableau t (canonical order); the reference for the spectral recursions."""
+    tableau t (canonical order); the reference for the spectral walks."""
     capped_tableau_count(p)
     return _label_tables(p.parts)[1].astype(np.int64)
 
 
-@lru_cache(maxsize=None)
-def _label_tables(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, contents) of the standard tableaux of `parts`, two read-only
-    f x n int16 arrays: row t, column k-1 holds the row, and the content, of
-    the box of label k in tableau t (canonical order). Built by recursion
-    over `_removals`, one block of rows per corner holding label n, bottom
-    row first, so the canonical order sorts `symrep._row_keys` descending
-    (the first tableau of [2,1] is 12/3); every smaller diagram met on the
-    way is cached too."""
-    m = sum(parts)
-    if m <= 1:
-        rows, contents = np.ones((1, m), dtype=np.int16), np.zeros((1, m), dtype=np.int16)
-    else:
-        blocks = [(_label_tables(rest), box) for rest, box in _removals(parts)]
-        count = sum(len(sub[0]) for sub, _ in blocks)
-        rows, contents = np.empty((2, count, m), dtype=np.int16)
-        start = 0
-        for (sub_rows, sub_contents), box in blocks:
-            block = slice(start, start + len(sub_rows))
-            rows[block, :-1], rows[block, -1] = sub_rows, box.row
-            contents[block, :-1], contents[block, -1] = sub_contents, box.content
-            start = block.stop
+def _walk(top, table, step, below=_removals):
+    """table[top] after filling table[x] = step(x, [(table[y], label) for y,
+    label in below(x)]) for top and every node under it that table lacks,
+    lower nodes first: the one walk of the Young lattice, with no recursion.
+    Every y of below(x) is one level under x (a box fewer, or a game round
+    on), so the nodes found level by level, each expanded once, are filled in
+    the reverse of the order they were found."""
+    if top not in table:
+        found, order = {top: below(top)}, [top]
+        for node in order:  # grows while it is read: one level after another
+            for lower, _ in found[node]:
+                if lower not in table and lower not in found:
+                    found[lower] = below(lower)
+                    order.append(lower)
+        for node in reversed(order):
+            table[node] = step(node, [(table[lower], label) for lower, label in found[node]])
+    return table[top]
+
+
+def _stacked_tables(parts: tuple[int, ...], below) -> tuple[np.ndarray, np.ndarray]:
+    """The label tables of `parts` from those of its corner removals `below`:
+    one block of rows per corner holding label n, in their order. The empty
+    diagram has no corner and one empty tableau."""
+    count = sum(len(sub[0]) for sub, _ in below) or 1
+    rows, contents = np.empty((2, count, sum(parts)), dtype=np.int16)
+    start = 0
+    for (sub_rows, sub_contents), box in below:
+        block = slice(start, start + len(sub_rows))
+        rows[block, :-1], rows[block, -1] = sub_rows, box.row
+        contents[block, :-1], contents[block, -1] = sub_contents, box.content
+        start = block.stop
     for table in (rows, contents):
         table.setflags(write=False)
     return rows, contents
+
+
+_TABLES: dict = {}  # the label tables of every diagram walked so far
+
+
+def _label_tables(parts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, contents) of the standard tableaux of `parts`, two read-only
+    f x n int16 arrays: row t, column k-1 holds the row, and the content, of
+    the box of label k in tableau t (canonical order). Built by the walk
+    `_walk` over `_removals`, one block of rows per corner holding label n,
+    bottom row first, so the canonical order sorts `symrep._row_keys`
+    descending (the first tableau of [2,1] is 12/3); every smaller diagram
+    met on the way is kept in the module's table too."""
+    return _walk(parts, _TABLES, _stacked_tables)

@@ -10,14 +10,15 @@ nested star operators on the canonical tableau basis:
     complete graph the all-ones one;
   * a standard tableau is a saturated chain of diagrams from one box up to
     the shape, so those eigenvalues are wt minus sums along chains, and one
-    memoized recursion over subdiagrams (corner removal) finds them without
-    listing a tableau: `_chains` keeps the heaviest chain of each
-    subdiagram and `_chain_counts` every chain sum with its multiplicity,
-    both in integers (each weighting scaled once by the common denominator
-    of its weights). `_chains` runs on integer columns, one per weighting,
-    so `nested_star_lambda1_scaled` gives lambda_1 of every shape under
-    every weighting of a sweep from one walk, and `nested_star_extremes` is
-    its one-column case. Transposing a tableau negates every content, so
+    walk over subdiagrams (corner removal, `partitions._walk`, iterative,
+    so any number of boxes) finds them without listing a tableau:
+    `_chains` keeps the heaviest chain of each subdiagram and
+    `_chain_counts` every chain sum with its multiplicity, both in integers
+    (each weighting scaled once by the common denominator of its weights).
+    `_chains` runs on integer columns, one per weighting, so
+    `nested_star_lambda1_scaled` gives lambda_1 of every shape under every
+    weighting of a sweep from one walk, and `nested_star_extremes` is its
+    one-column case. Transposing a tableau negates every content, so
     the lightest chain of a shape is minus the heaviest chain of its
     conjugate, which gives lambda_max;
   * some weightings need no walk. The complete graph acts by the scalar
@@ -52,14 +53,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .graphs import WeightedGraph
-from .partitions import Partition, _removals, capped_tableau_count, conjugate, reading_contents
+from .partitions import Partition, _walk, capped_tableau_count, conjugate, reading_contents
 from .symrep import DEFAULT_DIM_CAP, STACK_FLOATS, delta_matrices, graphs_per_stack
 
 DEFAULT_TOL = 1e-12
@@ -153,7 +154,7 @@ def _chain_spectrum(shape: Partition, a, value) -> list:
     value(wt - chain sum, scale) per tableau, in the integers of a's one
     `_chain_table`. Fraction gives exact values, operator.truediv floats."""
     scale, columns, wt, _, counts = _chain_table(tuple(a))
-    sums = _chain_counts(shape.parts, shape.n, columns[:, 0], counts)
+    sums = _chain_counts(shape.parts, columns[:, 0], counts)
     values = []
     for total in sorted(sums, reverse=True):
         values += [value(wt - total, scale)] * sums[total]
@@ -169,8 +170,8 @@ def nested_star_extremes(shape: Partition, a) -> tuple[Fraction, Fraction]:
     heaviest chain of its conjugate."""
     (a,) = _checked_weights(shape.n, [a])
     scale, columns, wt, table, _ = _chain_table(tuple(a))
-    heaviest = _chains(shape.parts, shape.n, columns, table)[0]
-    lightest = -_chains(conjugate(shape).parts, shape.n, columns, table)[0]
+    heaviest = _chains(shape.parts, columns, table)[0]
+    lightest = -_chains(conjugate(shape).parts, columns, table)[0]
     return Fraction(wt - heaviest, scale), Fraction(wt - lightest, scale)
 
 
@@ -189,8 +190,8 @@ def nested_star_lambda1_scaled(shapes, weightings) -> tuple[list[int], list[np.n
         if shape.n != n:
             raise ValueError(f"shapes of mixed size: {shape} is not of size {n}")
     scales, columns, wt = _integer_columns(n, _checked_weights(n, rows))
-    table = {}
-    return scales, [wt - _chains(shape.parts, n, columns, table) for shape in shapes]
+    table = {(1,): np.zeros(len(rows), dtype=object)}
+    return scales, [wt - _chains(shape.parts, columns, table) for shape in shapes]
 
 
 def _scaled(a: list) -> tuple[int, list[int]]:
@@ -222,44 +223,36 @@ def _chain_table(a: tuple) -> tuple[int, np.ndarray, int, dict, dict]:
     (also times scale). Equal weights hash equal whatever their type, so
     0.5 and Fraction(1, 2) share an entry."""
     (scale,), columns, (wt,) = _integer_columns(len(a) + 1, [list(a)])
-    return scale, columns, wt, {}, {(1,): {0: 1}}
+    return scale, columns, wt, {(1,): np.zeros(1, dtype=object)}, {(1,): {0: 1}}
 
 
-def _chains(parts: tuple[int, ...], size: int, columns: np.ndarray, table: dict):
-    """The max over standard tableaux of the diagram `parts` (size boxes)
-    of sum_{k >= 2} a_k * content(box of k), for every weighting at once:
-    row k - 2 of `columns` holds a_k of each weighting, and each entry is an
+def _chains(parts: tuple[int, ...], columns: np.ndarray, table: dict):
+    """The max over standard tableaux of the diagram `parts` of
+    sum_{k >= 2} a_k * content(box of k), for every weighting at once: row
+    k - 2 of `columns` holds a_k of each weighting, and each entry is an
     object array of Python ints, one per weighting, so the sums are exact
-    at any scale. The box of label `size` is one of the corners, and the
-    rest is a chain of the diagram without it."""
-    found = table.get(parts)
-    if found is not None:
-        return found
-    if size == 1:  # no label above 1: the one-box chain weighs 0
-        return np.zeros(columns.shape[1], dtype=object)
-    weight = columns[size - 2]
-    heaviest = None
-    for rest, (col, row) in _removals(parts):
-        chain = _chains(rest, size - 1, columns, table) + weight * (col - row)
-        heaviest = chain if heaviest is None else np.maximum(heaviest, chain)
-    table[parts] = heaviest
-    return heaviest
+    at any scale. One `_walk` over the subdiagrams `table` lacks (it holds
+    the one-box diagram, whose chain weighs 0): the box of label k is one
+    of the corners of a k-box diagram, and the rest is a chain of the
+    diagram without it."""
+    def heaviest(sub: tuple[int, ...], below) -> np.ndarray:
+        weight = columns[sum(sub) - 2]
+        return reduce(np.maximum, [chain + weight * (col - row) for chain, (col, row) in below])
+    return _walk(parts, table, heaviest)
 
 
-def _chain_counts(parts: tuple[int, ...], size: int, weights, table: dict) -> dict:
+def _chain_counts(parts: tuple[int, ...], weights, table: dict) -> dict:
     """{sum_{k >= 2} a_k * content(box of k): number of standard tableaux}
-    of the diagram `parts` (size boxes), by the corner split of `_chains`."""
-    found = table.get(parts)
-    if found is not None:
+    of the diagram `parts`, by the corner split of `_chains`, in one `_walk`
+    over the subdiagrams `table` lacks (it holds the one-box diagram)."""
+    def counts(sub: tuple[int, ...], below) -> dict:
+        weight, found = weights[sum(sub) - 2], {}
+        for sums, (col, row) in below:
+            step = weight * (col - row)
+            for total, multiplicity in sums.items():
+                found[total + step] = found.get(total + step, 0) + multiplicity
         return found
-    weight = weights[size - 2]
-    counts: dict[int, int] = {}
-    for rest, (col, row) in _removals(parts):
-        step = weight * (col - row)
-        for total, multiplicity in _chain_counts(rest, size - 1, weights, table).items():
-            counts[total + step] = counts.get(total + step, 0) + multiplicity
-    table[parts] = counts
-    return counts
+    return _walk(parts, table, counts)
 
 
 def remark_weights(n: int) -> list[Fraction]:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,26 @@ def test_trace_is_a_legal_winning_line():
     assert len(moves) == 3
     for b_box, a_box in moves:
         assert a_box.content >= b_box.content
+
+
+# sha256 of game_trace on every pair of equal size n <= 7, one line
+# "sigma tau trace" each, recorded from the recursive minimax it replaced
+GAME_TRACE_SHA256 = "27a884c30f24014ea6c79b0a7a99e3220d603b17517e018acfe6586276235d2a"
+
+
+def test_game_trace_is_pinned_on_every_pair_up_to_seven_boxes():
+    lines = [f"{sigma} {tau} {game_trace(sigma, tau)}" for n in range(1, 8)
+             for sigma in partitions_of(n) for tau in partitions_of(n)]
+    assert len(lines) == 434
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GAME_TRACE_SHA256
+
+
+def test_the_game_walk_has_no_recursion_cap():
+    # 2000 rounds, a walk 2000 levels deep: no recursion limit applies
+    sigma, tau = Partition([2000]), Partition([1999, 1])
+    assert game_winner(sigma, tau)
+    moves = game_trace(sigma, tau)
+    assert len(moves) == 2000 and all(a.content >= b.content for b, a in moves)
 
 
 def test_game_vs_spectra_consistency():
@@ -236,9 +257,9 @@ def _count_walks(monkeypatch):
     tables = {}
     chains = spectral._chains
 
-    def spy(parts, size, columns, table):
+    def spy(parts, columns, table):
         tables[id(table)] = table
-        return chains(parts, size, columns, table)
+        return chains(parts, columns, table)
 
     monkeypatch.setattr(spectral, "_chains", spy)
     return tables

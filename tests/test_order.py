@@ -697,6 +697,24 @@ def test_recheck_ledger_groups_by_identity_with_no_json_encoding(monkeypatch):
         assert sorted(map(id, witnesses)) == sorted(_witness_objects(ledger))
 
 
+def test_recheck_ledger_detects_nested_star_weights_once_per_witness(monkeypatch):
+    # each witness graph is tested for nested-star weights once, not again per
+    # shape: 9 of the 10 witnesses store no weights (six random graphs, the
+    # complete graph, the cycle and a star), and the tenth is a quasi witness
+    ledger, _ = scan(8, ("random", "cycles"), budget=10, seed=1)
+    assert len(_witness_objects(ledger)) == 10
+    graphs = []
+    detect = order.quasi_complete_weights
+
+    def counted(graph):
+        graphs.append(graph)
+        return detect(graph)
+
+    monkeypatch.setattr(order, "quasi_complete_weights", counted)
+    assert order.recheck_ledger(ledger) == []
+    assert len(graphs) == len(set(map(id, graphs))) == 9
+
+
 def test_to_json_byte_cases_cover_every_witness_kind():
     # the splits refute every pair a random graph refutes in the default
     # scans, so the random-graph witnesses come from random-only scans

@@ -4,6 +4,7 @@ from aldous.partitions import (
     Box,
     Partition,
     _label_tables,
+    _walk,
     conjugate,
     content_sum,
     corners,
@@ -166,6 +167,24 @@ def test_label_tables_equal_the_placement_reference(n):
         want = tableaux(p)
         assert rows.tolist() == [[row for row, _ in cells] for cells in want]
         assert contents.tolist() == [[col - row for row, col in cells] for cells in want]
+
+
+def test_walk_steps_once_per_diagram_lower_diagrams_first():
+    # one table over the down-sets of every partition of 8: each diagram of
+    # at most 8 boxes is stepped exactly once, after the diagrams under it
+    # (the step reads their values), and counting the chains gives f^lambda
+    table, stepped = {}, []
+
+    def count(parts, below):
+        stepped.append(parts)
+        return sum(lower for lower, _ in below) or 1
+
+    for p in partitions_of(8):
+        assert _walk(p.parts, table, count) == num_standard_tableaux(p)
+    diagrams = [q.parts for k in range(9) for q in partitions_of(k)]
+    assert sorted(stepped) == sorted(diagrams)
+    assert table == {q: num_standard_tableaux(Partition(q)) for q in diagrams}
+    assert _walk((4, 4), table, count) == 14 and len(stepped) == len(diagrams)
 
 
 def test_content_sum_examples():

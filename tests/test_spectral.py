@@ -327,6 +327,22 @@ def test_clique_split_and_full_star_lambda1_have_closed_forms():
             assert row[n] == n - 1 - corner
 
 
+def test_nested_star_extremes_reach_past_the_old_recursion_cap():
+    # the full star S_1 on [1999, 1], whose conjugate has 1999 rows, against
+    # the closed forms above: lambda_1 is n - 1 minus the largest corner
+    # content, which is also the split form, and lambda_max = 2 wt -
+    # lambda_1 of the conjugate
+    n, sigma = 2000, Partition([1999, 1])
+    star = [0] * (n - 2) + [1]
+    lam1, lam_max = nested_star_extremes(sigma, star)
+    contents = [box.content for box in partitions.corners(sigma)]
+    assert lam1 == n - 1 - max(contents) == 1
+    assert lam1 == n - 1 - partitions.content_sum(sigma) + partitions.minc(sigma, n - 1)
+    assert lam_max == n - 1 - min(contents) == 2000
+    conjugate_corners = [box.content for box in partitions.corners(partitions.conjugate(sigma))]
+    assert lam_max == 2 * (n - 1) - (n - 1 - max(conjugate_corners))
+
+
 def test_remark_lambda1_has_a_closed_form():
     # the separator's lambda_1 times n^(2n) is a Horner sum over the contents
     # in row-reading order; the walk's integers agree at every shape

@@ -209,6 +209,15 @@ def test_jucys_murphy_diagonality():
                 assert np.abs(np.diag(m) - expected).max() < 1e-10
 
 
+def test_tableau_basis_of_a_long_row_or_column():
+    # 1200 boxes in one row or one column: one tableau each, from a walk
+    # 1200 levels deep, past Python's default recursion limit of 1000
+    for shape in (Partition([1200]), conjugate(Partition([1200]))):
+        rows, contents = tableau_basis(shape)
+        assert rows.shape == contents.shape == (1, 1200)
+        assert contents[0].tolist() == [k if len(shape) == 1 else -k for k in range(1200)]
+
+
 def test_delta_matrix_input_validation():
     with pytest.raises(ValueError):
         delta_matrix(Partition([3, 1]), complete_graph(5))
