@@ -7,11 +7,12 @@ some witness graph gives sigma a strictly larger lowest eigenvalue, and
 citation tags; no amount of failed searching promotes a pair.
 
 Every lambda_1 is evaluated exactly on nested-star graphs, by the dense
-eigensolver otherwise: a batch known up front through `_many` (the bound
-lemmas), the few shapes on one graph through `_lambda1` (the path of
-`check_pair` and of every witness re-check: the graph's weights detected
-once, then one walk, or one solve per shape), and a scan's candidate
-stream block by block through `_lambda1_blocks`. `lambda_extremes` is
+eigensolver otherwise, by one of two evaluators: `_many` for the bound
+lemmas' batches, which need lambda_max too, and `_lambda1_blocks` for
+everything else. The latter reads a stream of candidates, each a graph
+with the shapes it wants, block by block: the scan's graphs on every
+shape, `check_pair`'s one graph on its two shapes, and the re-check's
+stored witnesses on the shapes of their own pairs. `lambda_extremes` is
 `_many`'s cached one-pair case, kept for callers outside this package; no
 path of the engine calls it.
 
@@ -35,8 +36,9 @@ closure, `_closure`, and `to_json` walks the arrays row by row. Per-pair
 `RelationEntry` objects are built only on demand, by `entry` and `entries`.
 A ledger holds one dict per distinct witness, whether seeded, scanned or
 loaded. `recheck_ledger` decides its refutations again from their stored
-witnesses, one evaluation per witness object, and also checks each stored
-margin and exact flag; `recheck_witness` is its one-entry case.
+witnesses, one candidate of one `_lambda1_blocks` stream per witness
+object, and also checks each stored margin and exact flag;
+`recheck_witness` is its one-entry case.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -83,6 +85,7 @@ from .symrep import (
     STACK_FLOATS,
     DimensionCapExceeded,
     _derived_from,
+    check_dim,
     conjugate_operators,
     delta_matrices,
     graphs_per_stack,
@@ -143,81 +146,68 @@ def lambda_extremes(shape: Partition, graph: WeightedGraph,
     return _many((shape,), (graph,), dim_cap)[0]
 
 
-def _lambda1(graph: WeightedGraph, weights: Optional[list], shapes: Sequence[Partition],
-             dim_cap: int = DEFAULT_DIM_CAP) -> tuple[list, Optional[int]]:
-    """(lam1, scale): lambda_1 of each shape on one graph as
-    `_lambda1_blocks` gives it, Python ints times scale from one
-    `nested_star_lambda1_scaled` walk over just these shapes if the graph
-    has exact nested-star weights (`weights`, else quasi_complete_weights,
-    detected once), else floats from one one-graph `irrep_spectra` call per
-    shape, the call `_many` makes for them, scale None. A pair's margin is
-    (lam1[i] - lam1[j]) / scale, the float that `_refute` stores."""
-    if weights is None:
-        weights = quasi_complete_weights(graph)
-    if weights is None:
-        return [irrep_spectra(shape, [graph], dim_cap=dim_cap)[0][0] for shape in shapes], None
-    (scale,), rows = nested_star_lambda1_scaled(shapes, [weights])
-    return [row[0] for row in rows], scale
-
-
 def _lambda1_blocks(candidates, report: "ScanReport", dim_cap: int):
-    """(graph, witness, lam1, scale) for each (graph, witness) candidate of
-    a stream, lam1 the lambda_1 of every shape of report.n over
-    partitions_of(n): Python ints times `scale` on a nested star, else
-    floats with scale None, NaN on a shape above dim_cap.
+    """(graph, tag, lam1, scale) for each (graph, weights, shapes, tag)
+    candidate of a stream, lam1[k] the lambda_1 of shapes[k] on the graph:
+    Python ints times `scale` (an object array) on a nested star, else
+    floats with scale None, NaN on a shape above dim_cap. weights are the
+    graph's exact nested-star weights, or None to have them detected once
+    (quasi_complete_weights). A pair's margin is (lam1[i] - lam1[j]) /
+    scale, the float that `_refute` stores.
 
     The stream is read in blocks of as many graphs as the largest stack
-    `graphs_per_stack` allows. A block's nested stars take one
-    `nested_star_lambda1_scaled` walk together. Its numeric graphs are
-    stacked `graphs_per_stack` at a time for each canonical or
-    self-conjugate shape; the mate's stack is derived from the canonical
-    one by `conjugate_operators`, and each slice is solved by one
+    `graphs_per_stack` allows, and no shape is listed that no candidate of
+    a block wants (check_pair on 2000 boxes lists two). A block's nested
+    stars take one `nested_star_lambda1_scaled` walk together, over the
+    union of the block's shapes. For each canonical or self-conjugate
+    shape, the block's numeric graphs that want it or its mate are stacked
+    `graphs_per_stack` at a time: the canonical stack is assembled, the
+    mate's derived from it by `conjugate_operators` when some graph of the
+    stack wants the mate, and each wanted (shape, graph) is solved by one
     `spectrum` call. Each stack is freed before the next is assembled. The
     report counts the graphs read, the numeric evaluations and those
     skipped over dim_cap."""
-    n = report.n
-    parts = partitions_of(n)
-    index = _partition_index(n)
-    # (index, shape, mate) of each canonical or self-conjugate shape, the
-    # largest first, so that its stacks go up while the least memory is
-    # held: scan(10, ["random"], budget=2) peaks at 62 MB, against 64-65 MB
-    # in the order of partitions_of(n)
-    jobs = sorted(((i, shape, conjugate(shape)) for i, shape in enumerate(parts)
-                   if _derived_from(shape) is None),
-                  key=lambda job: -num_standard_tableaux(job[1]))
     candidates = iter(candidates)
-    while block := list(islice(candidates, max(1, STACK_FLOATS // (n * n)))):
+    while block := list(islice(candidates, max(1, STACK_FLOATS // report.n ** 2))):
         report.graphs_tried += len(block)
-        nested = [quasi_complete_weights(graph) for graph, _ in block]
-        found = [None] * len(block)
-        exact = [k for k, a in enumerate(nested) if a is not None]
-        if exact:
-            scales, rows = nested_star_lambda1_scaled(parts, [nested[k] for k in exact])
-            for k, scale, row in zip(exact, scales, np.stack(rows, axis=1)):
-                found[k] = row, scale
-        numeric = [k for k, a in enumerate(nested) if a is None]
-        graphs = [block[k][0] for k in numeric]
-        lam1 = np.full((len(graphs), len(parts)), np.nan)
-        for i, shape, mate in jobs if graphs else ():
-            count = len(graphs) * (1 if mate == shape else 2)
-            try:
-                step = graphs_per_stack(shape, STACK_FLOATS, dim_cap)
-            except DimensionCapExceeded:
-                report.skipped_shapes += count
-                continue
-            report.numeric_evaluations += count
-            for start in range(0, len(graphs), step):
-                run = graphs[start:start + step]
-                stack = delta_matrices(shape, run, dim_cap)
-                lam1[start:start + step, i] = [spectrum(m)[0] for m in stack]
-                if mate != shape:
-                    stack = conjugate_operators(mate, stack, run)
-                    lam1[start:start + step, index[mate]] = [spectrum(m)[0] for m in stack]
+        nested = [quasi_complete_weights(graph) if a is None else a for graph, a, _, _ in block]
+        # each shape of the block -> its column of the block's tables
+        where: dict[Partition, int] = {}
+        cols = [[where.setdefault(shape, len(where)) for shape in shapes]
+                for _, _, shapes, _ in block]
+        shapes, walked = list(where), {}
+        if exact := [k for k, a in enumerate(nested) if a is not None]:
+            scales, rows = nested_star_lambda1_scaled(shapes, [nested[k] for k in exact])
+            walked = dict(zip(exact, zip(np.stack(rows, axis=1), scales)))
+        # want[k, c]: numeric graph k wants shape c; no graph wants column -1
+        want = np.zeros((len(block), len(shapes) + 1), dtype=bool)
+        for k, a in enumerate(nested):
+            want[k, cols[k]] = a is None
+        lam1 = np.full(want.shape, np.nan)
+        # the canonical shapes some graph wants, itself or its mate, the
+        # largest first, so that their stacks go up while the least memory is
+        # held: scan(10, ["random"], budget=2) peaks at 62 MB, against 64-65
+        # MB in the order of partitions_of(n). A shape above dim_cap is left NaN
+        for shape in sorted({_derived_from(s) or s for s in compress(shapes, want.any(axis=0))
+                             if num_standard_tableaux(s) <= dim_cap},
+                            key=lambda s: (num_standard_tableaux(s), s.parts), reverse=True):
+            i, j = where.get(shape, -1), where.get(conjugate(shape), -1)
+            takers = np.flatnonzero(want[:, i] | want[:, j])
+            step = graphs_per_stack(shape, STACK_FLOATS, dim_cap)
+            for run in np.split(takers, range(step, len(takers), step)):
+                graphs = [block[k][0] for k in run.tolist()]
+                stack = delta_matrices(shape, graphs, dim_cap)
+                for at in dict.fromkeys((i, j)):  # the shape, then its mate
+                    solved = want[run, at]
+                    if at != i and solved.any():
+                        stack = conjugate_operators(conjugate(shape), stack, graphs)
+                    lam1[run[solved], at] = [spectrum(m)[0] for m, s in zip(stack, solved) if s]
                 del stack
-        for k, row in zip(numeric, lam1):
-            found[k] = row, None
-        for (graph, witness), (row, scale) in zip(block, found):
-            yield graph, witness, row, scale
+        report.skipped_shapes += int(np.isnan(lam1[want]).sum())
+        report.numeric_evaluations += int(np.isfinite(lam1[want]).sum())
+        for k, (graph, _, _, tag) in enumerate(block):
+            row, scale = walked.get(k, (lam1[k], None))
+            yield graph, tag, row[cols[k]], scale
 
 
 def graph_witness(graph: WeightedGraph) -> dict:
@@ -237,6 +227,8 @@ def witness_graph(witness: dict, n: Optional[int] = None) -> WeightedGraph:
 def _materialize(witness: dict, n: Optional[int]) -> tuple[WeightedGraph, Optional[list]]:
     """(graph, exact weights) of witness_graph: the exact weights are those a
     "quasi" descriptor stores, parsed once, and None for other kinds."""
+    if not isinstance(witness, dict):
+        raise ValueError(f"witness must be an object, got {witness!r}")
     kind, size = witness.get("kind"), witness.get("n")
     if isinstance(size, bool) or not isinstance(size, int) or size < 0 or (
             n is not None and size != n):
@@ -324,12 +316,17 @@ def check_pair(sigma: Partition, tau: Partition, graph: WeightedGraph,
                dim_cap: int = DEFAULT_DIM_CAP) -> Optional[RelationEntry]:
     """Refute sigma above-tau if the graph separates their lowest eigenvalues
     by a margin that passes `refutes`: a refuted "scan" entry witnessed by
-    the graph, else None. lambda_1 of the two shapes comes from `_lambda1`:
-    on a nested star one exact walk over their subdiagrams, no lambda_max."""
+    the graph, else None. lambda_1 of the two shapes comes from one
+    candidate of `_lambda1_blocks`: on a nested star one exact walk over
+    their subdiagrams, no lambda_max. A numeric shape above dim_cap raises
+    DimensionCapExceeded."""
     if sigma.n != tau.n or sigma.n != graph.n:
         raise ValueError("shapes and graph must share one n")
-    (lam_s, lam_t), scale = _lambda1(graph, None, (sigma, tau), dim_cap)
-    margin, exact = lam_s - lam_t, scale is not None
+    (_, _, lam1, scale), = _lambda1_blocks([(graph, None, (sigma, tau), None)],
+                                           ScanReport(graph.n), dim_cap)
+    for shape in (sigma, tau) if scale is None else ():  # numeric: within the cap
+        check_dim(shape, dim_cap)
+    margin, exact = lam1[0] - lam1[1], scale is not None
     if refutes(margin, exact, sigma, tau, graph.wt, tol):
         return RelationEntry(sigma, tau, "refuted", "scan", graph_witness(graph),
                              float(margin / scale if exact else margin), exact)
@@ -707,77 +704,93 @@ class RelationLedger:
         return ledger
 
 
-def _recheck(witness: dict, n: int, shapes: list[Partition], i: np.ndarray, j: np.ndarray,
-             margins: np.ndarray, flags: np.ndarray, tol: float) -> tuple[list, list]:
-    """Decide again, from one stored witness (one `_materialize`, one
-    `_lambda1`), the refutations (shapes[i[k]], shapes[j[k]]) with their
-    stored margins and exact flags. Returns the recomputed margins and
-    (k, message) for each that fails `refutes`, or whose flag is not the
-    witness's exactness, or whose margin is not the recomputed one (to
-    MARGIN_RTOL if numeric). A malformed witness is one problem, at k = 0."""
-    try:
-        graph, weights = _materialize(witness, n)
-        lam1, scale = _lambda1(graph, weights, shapes)
-    except ValueError as exc:
-        return [], [(0, f"({shapes[i[0]]}) >= ({shapes[j[0]]}): {exc}")]
-    exact = scale is not None
-    lam1 = np.array(lam1, dtype=object if exact else float)
-    dims = np.array([num_standard_tableaux(shape) for shape in shapes])
-    diff = lam1[i] - lam1[j]
-    found = (diff / scale if exact else diff).astype(float)
-    fails = ~_clears(diff, exact, np.maximum(dims[i], dims[j]), graph.wt, tol)
-    moved = (found != margins if exact else np.abs(found - margins)
-             > MARGIN_RTOL * np.maximum(np.abs(found), np.abs(margins)))
-    found, margins = found.tolist(), margins.tolist()
-    problems = []
-    for k in np.flatnonzero(fails | (flags != exact) | moved).tolist():
-        pair = f"({shapes[i[k]]}) >= ({shapes[j[k]]})"
-        if fails[k]:
-            problem = f"stored witness no longer refutes {pair}: margin {found[k]!r}"
-        elif flags[k] != exact:
-            problem = (f"stored exact flag {not exact} of {pair} does not match its "
-                       f"{'exact' if exact else 'numeric'} witness")
-        else:
-            problem = f"stored margin {margins[k]!r} of {pair} is not the recomputed {found[k]!r}"
-        problems.append((k, problem))
-    return found, problems
+def _recheck(n: int, shapes: Sequence[Partition], rows: np.ndarray, cols: np.ndarray,
+             witnesses: list, margins: np.ndarray, flags: np.ndarray,
+             tol: float) -> tuple[np.ndarray, list]:
+    """Decide again the refutations (shapes[rows[k]], shapes[cols[k]]) from
+    their stored witnesses, margins and exact flags. The cells are grouped
+    by witness object (seeding, the scan and from_json share one dict per
+    distinct witness), and each well-formed witness is one candidate of one
+    `_lambda1_blocks` stream, on its own pairs' shapes, sigmas then taus,
+    with the exact weights a "quasi" witness stores; no JSON is encoded.
+    Returns the recomputed margins and, sorted by k, (k, message) for each
+    pair that fails `refutes`, or whose flag is not the witness's
+    exactness, or whose margin is not the recomputed one (to MARGIN_RTOL if
+    numeric). A malformed witness, or a numeric shape above
+    DEFAULT_DIM_CAP, is one problem, at the witness's first pair."""
+    groups: dict[int, list[int]] = {}  # the cells of each witness object
+    for k, witness in enumerate(witnesses):
+        groups.setdefault(id(witness), []).append(k)
+    # each pair's dim, the larger of its two shapes'
+    dim = np.maximum(*np.array([num_standard_tableaux(shape) for shape in shapes])[[rows, cols]])
+    found, problems = np.zeros(len(rows)), []
+
+    def pair(cell):
+        return f"({shapes[rows[cell]]}) >= ({shapes[cols[cell]]})"
+
+    def candidates():
+        for cells in map(np.array, groups.values()):
+            try:
+                graph, weights = _materialize(witnesses[cells[0]], n)
+            except ValueError as exc:
+                problems.append((cells[0], f"{pair(cells[0])}: {exc}"))
+                continue
+            wanted = [shapes[s] for s in [*rows[cells].tolist(), *cols[cells].tolist()]]
+            yield graph, weights, wanted, (cells, wanted)
+
+    for graph, (cells, wanted), lam1, scale in _lambda1_blocks(
+            candidates(), ScanReport(n), DEFAULT_DIM_CAP):
+        try:
+            for shape in dict.fromkeys(wanted) if scale is None else ():  # numeric: within the cap
+                check_dim(shape, DEFAULT_DIM_CAP)
+        except DimensionCapExceeded as exc:
+            problems.append((cells[0], f"{pair(cells[0])}: {exc}"))
+            continue
+        exact, diff = scale is not None, lam1[:len(cells)] - lam1[len(cells):]
+        found[cells] = (diff / scale if exact else diff).astype(float)
+        fails = ~_clears(diff, exact, dim[cells], graph.wt, tol)
+        got, stored = found[cells], margins[cells]
+        moved = (got != stored if exact else np.abs(got - stored)
+                 > MARGIN_RTOL * np.maximum(np.abs(got), np.abs(stored)))
+        for k in np.flatnonzero(fails | (flags[cells] != exact) | moved).tolist():
+            pair_k = pair(cells[k])
+            if fails[k]:
+                problem = f"stored witness no longer refutes {pair_k}: margin {got[k].item()!r}"
+            elif flags[cells[k]] != exact:
+                problem = (f"stored exact flag {not exact} of {pair_k} does not match its "
+                           f"{'exact' if exact else 'numeric'} witness")
+            else:
+                problem = (f"stored margin {stored[k].item()!r} of {pair_k} is not the "
+                           f"recomputed {got[k].item()!r}")
+            problems.append((cells[k], problem))
+    return found, sorted(problems)
 
 
 def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL) -> float:
     """Re-evaluate one refutation from its stored witness and decide it
     again: the one-entry case of `recheck_ledger`. Returns the recomputed
-    margin; raises LedgerConflict on the first problem it finds."""
-    found, problems = _recheck(entry.witness, entry.sigma.n, [entry.sigma, entry.tau],
-                               np.array([0]), np.array([1]), np.array([entry.margin]),
+    margin; raises LedgerConflict on the first problem it finds, a witness
+    that is not a dict (a proved entry's None) included."""
+    found, problems = _recheck(entry.sigma.n, [entry.sigma, entry.tau], np.array([0]),
+                               np.array([1]), [entry.witness], np.array([entry.margin]),
                                np.array([entry.exact]), tol)
     if problems:
         raise LedgerConflict(problems[0][1])
-    return found[0]
+    return found.item()
 
 
 def recheck_ledger(ledger: RelationLedger, tol: float = DEFAULT_TOL
                    ) -> list[tuple[tuple[Partition, Partition], str]]:
     """(pair, message) of each problem `recheck_witness` would raise on a
-    refutation of the ledger, in `pairs` order. The refuted cells are
-    grouped by witness object, as `to_json` groups them (seeding, the scan
-    and from_json share one dict per distinct witness), and each group is
-    decided again by one `_recheck` on the shapes of its own pairs: one
-    evaluation per distinct witness, with no JSON encoding. A malformed
-    witness is reported at its first pair."""
+    refutation of the ledger, in `pairs` order: one `_recheck` of every
+    refuted cell, so each distinct witness is evaluated once, on the
+    shapes of its own pairs, and the nested stars of a block share one
+    walk. A malformed witness is reported at its first pair."""
     parts = partitions_of(ledger.n)
     rows, cols = np.nonzero(ledger.code > _PROVED)
-    groups: dict[int, list[int]] = {}
-    for k, witness in enumerate(ledger.witness[rows, cols].tolist()):
-        groups.setdefault(id(witness), []).append(k)
-    problems = []
-    for cells in groups.values():
-        i, j = rows[cells], cols[cells]
-        touched, local = np.unique(np.concatenate([i, j]), return_inverse=True)
-        problems += [(cells[k], message) for k, message in _recheck(
-            ledger.witness[i[0], j[0]], ledger.n, [parts[s] for s in touched.tolist()],
-            local[:len(cells)], local[len(cells):], ledger.margin[i, j],
-            ledger.exact[i, j], tol)[1]]
-    return [((parts[rows[k]], parts[cols[k]]), message) for k, message in sorted(problems)]
+    problems = _recheck(ledger.n, parts, rows, cols, ledger.witness[rows, cols].tolist(),
+                        ledger.margin[rows, cols], ledger.exact[rows, cols], tol)[1]
+    return [((parts[rows[k]], parts[cols[k]]), message) for k, message in problems]
 
 
 # -- seeding ------------------------------------------------------------------
@@ -955,7 +968,8 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     np.fill_diagonal(todo, False)
     dims = [num_standard_tableaux(shape) for shape in parts]
     dim = np.maximum.outer(dims, dims)
-    stream = (c for family in families for c in _family_graphs(family, n, budget, seed))
+    stream = ((graph, None, parts, witness) for family in families
+              for graph, witness in _family_graphs(family, n, budget, seed))
     for graph, witness, lam1, scale in _lambda1_blocks(stream, report, dim_cap):
         refuted, contradicted = _refutations(lam1, scale, todo, proved, graph.wt, dim, tol)
         if refuted.any() or contradicted.any():

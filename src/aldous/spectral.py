@@ -40,13 +40,14 @@ Exact spectra are ascending tuples of Fractions. `spectra` does the same for a
 (G, d, d) stack in one call, and `irrep_spectra` solves one irreducible for
 a list of graphs by stacking their operators (`symrep.delta_matrices`),
 `symrep.graphs_per_stack` graphs at a time, for the verify suites and the
-order engine's bound checks (`order._many`); `order.scan` stacks its
-operators block by block itself. The suites' other kernels take rows too:
-`subset_sum_spectrum`, `laplacian_gap` and `multiset_distance` are the
-one-row cases of `subset_sum_spectra`, `laplacian_gaps` and
-`multiset_distances`, and `_chain_spectrum` expands a weighting's chain
-counts into a spectrum, Fractions for `quasi_complete_spectrum` and floats
-for the suites.
+order engine's bound checks (`order._many`); the engine's other
+evaluator, `order._lambda1_blocks` (the scan, `check_pair` and the ledger
+re-check), stacks its operators block by block itself. The suites' other
+kernels take rows too: `subset_sum_spectrum`, `laplacian_gap` and
+`multiset_distance` are the one-row cases of `subset_sum_spectra`,
+`laplacian_gaps` and `multiset_distances`, and `_chain_spectrum` expands a
+weighting's chain counts into a spectrum, Fractions for
+`quasi_complete_spectrum` and floats for the suites.
 """
 
 from __future__ import annotations

@@ -256,18 +256,6 @@ def _assemble(shape: Partition, graphs: Sequence[WeightedGraph],
     return m
 
 
-def _operators(shape: Partition, graphs: Sequence[WeightedGraph],
-               dim_cap: int) -> np.ndarray:
-    """delta_matrices without the public entry point, which delta_matrix
-    calls so that per-function timings keep one-graph and stacked assembly
-    apart: the chain for a canonical or self-conjugate shape, the
-    derivation from its canonical mate's chain for the other shapes."""
-    mate = _derived_from(shape)
-    if mate is None:
-        return _assemble(shape, graphs, dim_cap)
-    return conjugate_operators(shape, _assemble(mate, graphs, dim_cap), graphs)
-
-
 def conjugate_operators(shape: Partition, stack: np.ndarray,
                         graphs: Sequence[WeightedGraph]) -> np.ndarray:
     """The (G, d, d) stack of the shape's swap operators on G graphs, from
@@ -315,7 +303,7 @@ def delta_matrix(shape: Partition, graph: WeightedGraph,
     stack, one weighted image per graph, and three chain buffers. Callers
     that stack graphs take `graphs_per_stack` of them per stack.
     """
-    return _operators(shape, (graph,), dim_cap)[0]
+    return delta_matrices(shape, (graph,), dim_cap)[0]
 
 
 def delta_matrices(shape: Partition, graphs: Sequence[WeightedGraph],
@@ -323,8 +311,13 @@ def delta_matrices(shape: Partition, graphs: Sequence[WeightedGraph],
     """The (G, dim, dim) stack of delta_matrix(shape, graph) over G graphs
     on shape.n vertices, slice for slice the same floats: each image of the
     chain is formed once and every graph of the stack subtracts its share,
-    and a non-canonical shape's stack is derived from its mate's at once."""
-    return _operators(shape, graphs, dim_cap)
+    and a non-canonical shape's stack is derived from its mate's at once:
+    the chain runs for a canonical or self-conjugate shape, and the other
+    shapes' stacks come from their canonical mate's chain."""
+    mate = _derived_from(shape)
+    if mate is None:
+        return _assemble(shape, graphs, dim_cap)
+    return conjugate_operators(shape, _assemble(mate, graphs, dim_cap), graphs)
 
 
 REGULAR_HARD_CAP = 6

@@ -56,6 +56,14 @@ def test_check_pair_refutation_exit_code(capsys):
     assert "no refutation" in out
 
 
+def test_check_pair_dimension_cap(capsys):
+    argv = ("--dim-cap", "2", "check-pair", "--sigma", "3,1", "--tau", "2,2", "--family")
+    assert run(capsys, *argv, "cycle") == (EXIT_USAGE, "", "error: dim 3 of 3,1 exceeds cap 2\n")
+    # a nested star is evaluated exactly, with no operator to cap
+    assert run(capsys, *argv, "star") == (
+        EXIT_OK, "no refutation: (3,1) >= (2,2) consistent with this graph\n", "")
+
+
 def test_game_command(capsys):
     code, out, _ = run(capsys, "game", "--sigma", "3", "--tau", "2,1", "--trace")
     assert code == EXIT_OK
@@ -690,7 +698,7 @@ def test_hasse_builds_each_distinct_witness_once(capsys, tmp_path, monkeypatch):
     distinct = {json.dumps(record["witness"], sort_keys=True) for record in refuted}
     kinds = [json.loads(key)["kind"] for key in distinct]
     assert {"graph", "family", "quasi"} <= set(kinds) and len(distinct) < len(refuted)
-    calls = {"materialize": 0, "quasi": 0, "lambda1": 0}
+    calls = {"materialize": 0, "quasi": 0, "candidates": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -698,13 +706,23 @@ def test_hasse_builds_each_distinct_witness_once(capsys, tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    blocks = order._lambda1_blocks
+
+    def streamed(candidates, *args):
+        def each():
+            for candidate in candidates:
+                calls["candidates"] += 1
+                yield candidate
+        return blocks(each(), *args)
+
     monkeypatch.setattr(order, "_materialize", counted("materialize", order._materialize))
     monkeypatch.setattr(order, "_quasi_weights", counted("quasi", order._quasi_weights))
-    monkeypatch.setattr(order, "_lambda1", counted("lambda1", order._lambda1))
+    monkeypatch.setattr(order, "_lambda1_blocks", streamed)
     assert run(capsys, "hasse", "--in", str(ledger))[0] == EXIT_OK
-    # each distinct witness is built and evaluated once, for all its entries
+    # each distinct witness is built once and streamed to the evaluator as
+    # one candidate, for all its entries
     assert calls == {"materialize": len(distinct), "quasi": kinds.count("quasi"),
-                     "lambda1": len(distinct)}
+                     "candidates": len(distinct)}
 
     # a shared witness evaluated once still has every entry's margin compared
     shared = json.dumps(refuted[0]["witness"], sort_keys=True)

@@ -174,6 +174,23 @@ def test_check_pair_entry_rechecks_to_its_own_margin():
         assert recheck_witness(ref) == ref.margin
 
 
+def test_recheck_ledger_reports_a_numeric_shape_over_the_dimension_cap(monkeypatch):
+    # a stored numeric witness is evaluated under the re-check's cap, and a
+    # shape above it is one problem at its pair, in check_dim's words
+    def rechecked(sigma, tau):
+        ledger = RelationLedger(sigma.n)
+        ledger.set_refuted(sigma, tau, {"kind": "family", "family": "cycle", "n": sigma.n},
+                           1.0, False)
+        return order.recheck_ledger(ledger)
+
+    sigma, tau = Partition([12]), Partition([5, 3, 2, 1, 1])
+    assert rechecked(sigma, tau) == [
+        ((sigma, tau), "(12) >= (5,3,2,1,1): dim 7700 of 5,3,2,1,1 exceeds cap 5000")]
+    monkeypatch.setattr(order, "DEFAULT_DIM_CAP", 2)
+    sigma, tau = Partition([3, 1]), Partition([2, 2])
+    assert rechecked(sigma, tau) == [((sigma, tau), "(3,1) >= (2,2): dim 3 of 3,1 exceeds cap 2")]
+
+
 def test_check_pair_trivial_rep_never_refuted():
     for tau in partitions_of(4):
         if tau == Partition([4]):
@@ -411,10 +428,10 @@ def test_recheck_ledger_margins_are_those_of_recheck_witness(monkeypatch):
     found = {}
     recheck = order._recheck
 
-    def recorded(witness, n, shapes, i, j, margins, flags, tol):
-        margins_found, problems = recheck(witness, n, shapes, i, j, margins, flags, tol)
-        for k, margin in enumerate(margins_found):
-            found[shapes[i[k]], shapes[j[k]]] = margin
+    def recorded(n, shapes, rows, cols, *args):
+        margins_found, problems = recheck(n, shapes, rows, cols, *args)
+        for k, margin in enumerate(margins_found.tolist()):
+            found[shapes[rows[k]], shapes[cols[k]]] = margin
         return margins_found, problems
 
     monkeypatch.setattr(order, "_recheck", recorded)
@@ -678,23 +695,73 @@ def test_a_loaded_ledger_shares_one_dict_per_distinct_witness():
 def test_recheck_ledger_groups_by_identity_with_no_json_encoding(monkeypatch):
     ledgers = [RelationLedger.from_json(ledger.to_json()) for ledger in _ledgers_to_recheck()]
     expected = [order.recheck_ledger(ledger) for ledger in ledgers]
-    witnesses = []
-    recheck = order._recheck
+    witnesses, streamed = [], []
+    materialize, blocks = order._materialize, order._lambda1_blocks
 
     def recorded(witness, *args):
         witnesses.append(witness)
-        return recheck(witness, *args)
+        return materialize(witness, *args)
+
+    def counted(candidates, *args):
+        for graph, tag, lam1, scale in blocks(candidates, *args):
+            streamed.append(graph)
+            yield graph, tag, lam1, scale
 
     def no_encoding(self, o):
         raise AssertionError("the re-check encoded JSON")
 
     monkeypatch.setattr(json.JSONEncoder, "encode", no_encoding)
-    monkeypatch.setattr(order, "_recheck", recorded)
+    monkeypatch.setattr(order, "_materialize", recorded)
+    monkeypatch.setattr(order, "_lambda1_blocks", counted)
     for ledger, problems in zip(ledgers, expected):
         witnesses.clear()
+        streamed.clear()
         assert order.recheck_ledger(ledger) == problems == []
         # one evaluation per witness object, and each object once
         assert sorted(map(id, witnesses)) == sorted(_witness_objects(ledger))
+        assert len(streamed) == len(witnesses)
+
+
+def test_recheck_ledger_walks_once_per_block_of_nested_stars(monkeypatch):
+    # the 25 witnesses of the n = 16 exact-family scan, all nested stars,
+    # fit in one block of STACK_FLOATS // 16^2 = 64 graphs: one walk
+    ledger, _ = scan(16, EXACT_FAMILIES, budget=5, seed=0)
+    assert len(_witness_objects(ledger)) == 25 <= STACK_FLOATS // 16 ** 2
+    walks = []
+    walk = order.nested_star_lambda1_scaled
+
+    def counted(shapes, weightings):
+        walks.append(len(weightings))
+        return walk(shapes, weightings)
+
+    monkeypatch.setattr(order, "nested_star_lambda1_scaled", counted)
+    assert order.recheck_ledger(ledger) == []
+    assert walks == [25]
+
+
+def test_recheck_ledger_assembles_each_conjugate_pair_once_per_graph(monkeypatch):
+    # random, cycle and path witnesses re-checked in one stream: each stack
+    # is a canonical shape's, and a graph wanting both members of a
+    # conjugate pair is assembled once, its mate derived
+    ledger, _ = scan(8, ("random", "cycles", "paths"), budget=10, seed=1)
+    stacks, derived = [], []
+    assemble, derive = order.delta_matrices, order.conjugate_operators
+
+    def recorded(shape, graphs, *args):
+        stacks.append((shape, [id(graph) for graph in graphs]))
+        return assemble(shape, graphs, *args)
+
+    def counted(shape, stack, graphs):
+        derived.append(shape)
+        return derive(shape, stack, graphs)
+
+    monkeypatch.setattr(order, "delta_matrices", recorded)
+    monkeypatch.setattr(order, "conjugate_operators", counted)
+    assert order.recheck_ledger(ledger) == []
+    assert stacks and all(_derived_from(shape) is None for shape, _ in stacks)
+    assert derived and all(_derived_from(shape) is not None for shape in derived)
+    assembled = [(shape, graph) for shape, graphs in stacks for graph in graphs]
+    assert len(assembled) == len(set(assembled))
 
 
 def test_recheck_ledger_detects_nested_star_weights_once_per_witness(monkeypatch):
@@ -895,6 +962,18 @@ def test_witness_graph_checks_n_only_against_a_given_ledger_n():
         witness_graph(complete, 3)
     quasi = {"kind": "quasi", "n": 3, "weights": [0.5, "1/4"]}
     assert witness_graph(quasi, 3) == quasi_complete_graph(3, [0.5, 0.25])
+
+
+def test_a_witness_that_is_not_a_dict_is_refused():
+    for witness in (None, ["kind"]):
+        with pytest.raises(ValueError, match=r"witness must be an object, got "):
+            witness_graph(witness)
+    # a proved entry has no witness: re-checking it is a conflict, not a crash
+    entry = seed_known(5).entry(Partition([5]), Partition([4, 1]))
+    assert entry.status == "proved" and entry.witness is None
+    with pytest.raises(LedgerConflict, match=r"^\(5\) >= \(4,1\): witness must be an object, "
+                                             r"got None$"):
+        recheck_witness(entry)
 
 
 def test_scan_consistency_small():
