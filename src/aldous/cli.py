@@ -40,7 +40,7 @@ FORMATS = ("csv", "json")
 # other command, one is a usage error (config-file and ALDOUS_DIM_CAP values
 # are shared defaults). The verify suites carry their own tolerances.
 READS = {"spectrum": ("dim_cap", "format"), "check-pair": ("tol", "dim_cap"),
-         "scan": ("tol", "dim_cap"), "hasse": ("tol",),
+         "scan": ("tol", "dim_cap"), "hasse": ("tol", "dim_cap"),
          "print-config": ("tol", "dim_cap", "format")}
 
 
@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.infile, "r", encoding="utf-8") as handle:
                 ledger = RelationLedger.from_json(handle.read())
             # stored witnesses are evidence, not trusted: decide them again
-            problems = recheck_ledger(ledger, tol=config.tol)
+            problems = recheck_ledger(ledger, tol=config.tol, dim_cap=config.dim_cap)
             if problems:
                 raise LedgerConflict(problems[0][1])
             _emit(export_dot(ledger), args.out)

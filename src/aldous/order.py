@@ -83,7 +83,6 @@ from .spectral import (
 from .symrep import (
     DEFAULT_DIM_CAP,
     STACK_FLOATS,
-    DimensionCapExceeded,
     _derived_from,
     check_dim,
     conjugate_operators,
@@ -151,9 +150,10 @@ def _lambda1_blocks(candidates, report: "ScanReport", dim_cap: int):
     candidate of a stream, lam1[k] the lambda_1 of shapes[k] on the graph:
     Python ints times `scale` (an object array) on a nested star, else
     floats with scale None, NaN on a shape above dim_cap. weights are the
-    graph's exact nested-star weights, or None to have them detected once
-    (quasi_complete_weights). A pair's margin is (lam1[i] - lam1[j]) /
-    scale, the float that `_refute` stores.
+    graph's exact nested-star weights, as a "quasi" witness stores them or
+    quasi_complete_weights detects them, or None for a numeric graph. A
+    pair's margin is (lam1[i] - lam1[j]) / scale, the float that `_refute`
+    stores.
 
     The stream is read in blocks of as many graphs as the largest stack
     `graphs_per_stack` allows, and no shape is listed that no candidate of
@@ -170,7 +170,7 @@ def _lambda1_blocks(candidates, report: "ScanReport", dim_cap: int):
     candidates = iter(candidates)
     while block := list(islice(candidates, max(1, STACK_FLOATS // report.n ** 2))):
         report.graphs_tried += len(block)
-        nested = [quasi_complete_weights(graph) if a is None else a for graph, a, _, _ in block]
+        nested = [a for _, a, _, _ in block]
         # each shape of the block -> its column of the block's tables
         where: dict[Partition, int] = {}
         cols = [[where.setdefault(shape, len(where)) for shape in shapes]
@@ -318,14 +318,15 @@ def check_pair(sigma: Partition, tau: Partition, graph: WeightedGraph,
     by a margin that passes `refutes`: a refuted "scan" entry witnessed by
     the graph, else None. lambda_1 of the two shapes comes from one
     candidate of `_lambda1_blocks`: on a nested star one exact walk over
-    their subdiagrams, no lambda_max. A numeric shape above dim_cap raises
-    DimensionCapExceeded."""
+    their subdiagrams, no lambda_max. On any other graph a shape above
+    dim_cap raises DimensionCapExceeded before anything is solved."""
     if sigma.n != tau.n or sigma.n != graph.n:
         raise ValueError("shapes and graph must share one n")
-    (_, _, lam1, scale), = _lambda1_blocks([(graph, None, (sigma, tau), None)],
-                                           ScanReport(graph.n), dim_cap)
-    for shape in (sigma, tau) if scale is None else ():  # numeric: within the cap
+    weights = quasi_complete_weights(graph)
+    for shape in (sigma, tau) if weights is None else ():
         check_dim(shape, dim_cap)
+    (_, _, lam1, scale), = _lambda1_blocks([(graph, weights, (sigma, tau), None)],
+                                           ScanReport(graph.n), dim_cap)
     margin, exact = lam1[0] - lam1[1], scale is not None
     if refutes(margin, exact, sigma, tau, graph.wt, tol):
         return RelationEntry(sigma, tau, "refuted", "scan", graph_witness(graph),
@@ -706,18 +707,21 @@ class RelationLedger:
 
 def _recheck(n: int, shapes: Sequence[Partition], rows: np.ndarray, cols: np.ndarray,
              witnesses: list, margins: np.ndarray, flags: np.ndarray,
-             tol: float) -> tuple[np.ndarray, list]:
+             tol: float, dim_cap: Optional[int] = None) -> tuple[np.ndarray, list]:
     """Decide again the refutations (shapes[rows[k]], shapes[cols[k]]) from
     their stored witnesses, margins and exact flags. The cells are grouped
     by witness object (seeding, the scan and from_json share one dict per
     distinct witness), and each well-formed witness is one candidate of one
     `_lambda1_blocks` stream, on its own pairs' shapes, sigmas then taus,
-    with the exact weights a "quasi" witness stores; no JSON is encoded.
-    Returns the recomputed margins and, sorted by k, (k, message) for each
-    pair that fails `refutes`, or whose flag is not the witness's
-    exactness, or whose margin is not the recomputed one (to MARGIN_RTOL if
-    numeric). A malformed witness, or a numeric shape above
-    DEFAULT_DIM_CAP, is one problem, at the witness's first pair."""
+    with the exact weights a "quasi" witness stores or, for any other
+    witness, those detected once; no JSON is encoded. Returns the recomputed
+    margins and, sorted by k, (k, message) for each pair that fails
+    `refutes`, or whose flag is not the witness's exactness, or whose margin
+    is not the recomputed one (to MARGIN_RTOL if numeric). A malformed
+    witness, or a shape above dim_cap on a numeric one, is one problem, at
+    the witness's first pair, and nothing of that witness is solved.
+    dim_cap defaults to DEFAULT_DIM_CAP as it stands when called."""
+    dim_cap = DEFAULT_DIM_CAP if dim_cap is None else dim_cap
     groups: dict[int, list[int]] = {}  # the cells of each witness object
     for k, witness in enumerate(witnesses):
         groups.setdefault(id(witness), []).append(k)
@@ -730,22 +734,18 @@ def _recheck(n: int, shapes: Sequence[Partition], rows: np.ndarray, cols: np.nda
 
     def candidates():
         for cells in map(np.array, groups.values()):
+            wanted = [shapes[s] for s in [*rows[cells].tolist(), *cols[cells].tolist()]]
             try:
                 graph, weights = _materialize(witnesses[cells[0]], n)
-            except ValueError as exc:
+                if weights is None and (weights := quasi_complete_weights(graph)) is None:
+                    for shape in dict.fromkeys(wanted):
+                        check_dim(shape, dim_cap)
+            except ValueError as exc:  # DimensionCapExceeded included
                 problems.append((cells[0], f"{pair(cells[0])}: {exc}"))
                 continue
-            wanted = [shapes[s] for s in [*rows[cells].tolist(), *cols[cells].tolist()]]
-            yield graph, weights, wanted, (cells, wanted)
+            yield graph, weights, wanted, cells
 
-    for graph, (cells, wanted), lam1, scale in _lambda1_blocks(
-            candidates(), ScanReport(n), DEFAULT_DIM_CAP):
-        try:
-            for shape in dict.fromkeys(wanted) if scale is None else ():  # numeric: within the cap
-                check_dim(shape, DEFAULT_DIM_CAP)
-        except DimensionCapExceeded as exc:
-            problems.append((cells[0], f"{pair(cells[0])}: {exc}"))
-            continue
+    for graph, cells, lam1, scale in _lambda1_blocks(candidates(), ScanReport(n), dim_cap):
         exact, diff = scale is not None, lam1[:len(cells)] - lam1[len(cells):]
         found[cells] = (diff / scale if exact else diff).astype(float)
         fails = ~_clears(diff, exact, dim[cells], graph.wt, tol)
@@ -779,17 +779,19 @@ def recheck_witness(entry: RelationEntry, tol: float = DEFAULT_TOL) -> float:
     return found.item()
 
 
-def recheck_ledger(ledger: RelationLedger, tol: float = DEFAULT_TOL
+def recheck_ledger(ledger: RelationLedger, tol: float = DEFAULT_TOL,
+                   dim_cap: Optional[int] = None
                    ) -> list[tuple[tuple[Partition, Partition], str]]:
     """(pair, message) of each problem `recheck_witness` would raise on a
     refutation of the ledger, in `pairs` order: one `_recheck` of every
     refuted cell, so each distinct witness is evaluated once, on the
     shapes of its own pairs, and the nested stars of a block share one
-    walk. A malformed witness is reported at its first pair."""
+    walk, under dim_cap as `_recheck` reads it. A malformed witness is
+    reported at its first pair."""
     parts = partitions_of(ledger.n)
     rows, cols = np.nonzero(ledger.code > _PROVED)
     problems = _recheck(ledger.n, parts, rows, cols, ledger.witness[rows, cols].tolist(),
-                        ledger.margin[rows, cols], ledger.exact[rows, cols], tol)[1]
+                        ledger.margin[rows, cols], ledger.exact[rows, cols], tol, dim_cap)[1]
     return [((parts[rows[k]], parts[cols[k]]), message) for k, message in problems]
 
 
@@ -883,39 +885,29 @@ def seed_known(n: int) -> RelationLedger:
 
 # -- scanning -----------------------------------------------------------------
 
-SCAN_FAMILIES = ("splits", "cliques", "cycles", "paths", "matchings", "random")
-
-
-# structured scan family -> (a GRAPH_FAMILIES name, the parameter dicts the
-# scan sweeps it over at n)
-_STRUCTURED_FAMILIES = {
-    "cliques": ("clique", lambda n: [{"k": k} for k in range(3, n + 1)]),
-    "cycles": ("cycle", lambda n: [{}] if n >= 3 else []),
-    "paths": ("path", lambda n: [{}]),
-    "matchings": ("matching", lambda n: [{"m": m} for m in range(1, n // 2 + 1)]),
+# scan family -> the witness descriptors it tries at n, in the default
+# order of the families. "random" has none: it draws `budget` seeded graphs,
+# stored as edge lists only if they refute something. A split S_m joins the
+# last m vertices to every vertex
+SCAN_FAMILIES = {
+    "splits": lambda n: [{"kind": "quasi", "n": n, "weights": ["0"] * (n - 1 - m) + ["1"] * m}
+                         for m in range(1, n)],
+    "cliques": lambda n: [{"kind": "family", "family": "clique", "n": n, "params": {"k": k}}
+                          for k in range(3, n + 1)],
+    "cycles": lambda n: [{"kind": "family", "family": "cycle", "n": n}] if n >= 3 else [],
+    "paths": lambda n: [{"kind": "family", "family": "path", "n": n}],
+    "random": None,
 }
 
 
 def _family_graphs(name: str, n: int, budget: int, seed: int):
-    """Deterministic (graph, witness) candidates, structured families first.
-
-    Random graphs come with witness None; they are stored as edge lists
-    only if they refute something.
-    """
-    if name in _STRUCTURED_FAMILIES:
-        family, params_at = _STRUCTURED_FAMILIES[name]
-        for params in params_at(n):
-            witness = {"kind": "family", "family": family, "n": n}
-            if params:
-                witness["params"] = params
-            yield witness_graph(witness), witness
-    elif name == "splits":  # S_m: the last m vertices joined to every vertex
-        for m in range(1, n):
-            witness = {"kind": "quasi", "n": n, "weights": ["0"] * (n - 1 - m) + ["1"] * m}
-            yield witness_graph(witness), witness
-    else:  # "random", as scan checks
-        for i in range(budget):
-            yield random_graph(n, seed + i), None
+    """The (graph, witness) candidates of one scan family, in order: each
+    `SCAN_FAMILIES` descriptor with its graph, or for "random" `budget`
+    seeded graphs with witness None."""
+    witnesses = SCAN_FAMILIES[name]
+    if witnesses is None:
+        return ((random_graph(n, seed + i), None) for i in range(budget))
+    return ((witness_graph(witness), witness) for witness in witnesses(n))
 
 
 @dataclass
@@ -939,7 +931,7 @@ class ScanReport:
         return not self.contradictions
 
 
-def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
+def scan(n: int, families: Sequence[str] = tuple(SCAN_FAMILIES), budget: int = 100,
          tol: float = DEFAULT_TOL, seed: int = 0,
          dim_cap: int = DEFAULT_DIM_CAP):
     """Search family and random graphs for refutations of undecided pairs.
@@ -968,7 +960,7 @@ def scan(n: int, families: Sequence[str] = SCAN_FAMILIES, budget: int = 100,
     np.fill_diagonal(todo, False)
     dims = [num_standard_tableaux(shape) for shape in parts]
     dim = np.maximum.outer(dims, dims)
-    stream = ((graph, None, parts, witness) for family in families
+    stream = ((graph, quasi_complete_weights(graph), parts, witness) for family in families
               for graph, witness in _family_graphs(family, n, budget, seed))
     for graph, witness, lam1, scale in _lambda1_blocks(stream, report, dim_cap):
         refuted, contradicted = _refutations(lam1, scale, todo, proved, graph.wt, dim, tol)

@@ -56,12 +56,37 @@ def test_check_pair_refutation_exit_code(capsys):
     assert "no refutation" in out
 
 
-def test_check_pair_dimension_cap(capsys):
+def test_check_pair_dimension_cap(capsys, monkeypatch):
+    # the cap is checked before any solve: 2,2 is within it, yet nothing is
+    # assembled once 3,1 is above it
+    from aldous import order
+
+    monkeypatch.setattr(order, "delta_matrices", lambda *args: pytest.fail("assembled"))
     argv = ("--dim-cap", "2", "check-pair", "--sigma", "3,1", "--tau", "2,2", "--family")
     assert run(capsys, *argv, "cycle") == (EXIT_USAGE, "", "error: dim 3 of 3,1 exceeds cap 2\n")
     # a nested star is evaluated exactly, with no operator to cap
     assert run(capsys, *argv, "star") == (
         EXIT_OK, "no refutation: (3,1) >= (2,2) consistent with this graph\n", "")
+
+
+def test_hasse_re_checks_under_the_dimension_cap(capsys, monkeypatch, tmp_path):
+    # a numeric witness on 3,1 (dim 3) passes under the default cap, and a
+    # cap of 2, from the flag or from ALDOUS_DIM_CAP, refuses it
+    from aldous.graphs import cycle_graph
+    from aldous.order import check_pair
+    from aldous.partitions import Partition
+
+    sigma, tau = Partition([3, 1]), Partition([4])
+    ledger = RelationLedger(4)
+    ledger.set_refuted(sigma, tau, {"kind": "family", "family": "cycle", "n": 4},
+                       check_pair(sigma, tau, cycle_graph(4)).margin, False)
+    path = tmp_path / "ledger.json"
+    path.write_text(ledger.to_json(), encoding="utf-8")
+    assert run(capsys, "hasse", "--in", str(path))[0] == EXIT_OK
+    refused = (EXIT_USAGE, "", "error: (3,1) >= (4): dim 3 of 3,1 exceeds cap 2\n")
+    assert run(capsys, "--dim-cap", "2", "hasse", "--in", str(path)) == refused
+    monkeypatch.setenv("ALDOUS_DIM_CAP", "2")
+    assert run(capsys, "hasse", "--in", str(path)) == refused
 
 
 def test_game_command(capsys):
@@ -278,7 +303,8 @@ GAME = ["game", "--sigma", "3,1", "--tau", "2,2"]
     (["--dim-cap", "9"], GAME),
     (["--tol", "1e-3"], GAME),
     (["--format", "json"], GAME),
-    (["--dim-cap", "9"], ["hasse", "--in", "LEDGER"]),
+    # hasse always writes DOT: even the default format, given, is refused
+    (["--format", "csv"], ["hasse", "--in", "LEDGER"]),
     (["--format", "json"], ["hasse", "--in", "LEDGER"]),
     (["--tol", "0.5"], ["spectrum", "--shape", "3,1", "--family", "star"]),
     (["--format", "json"], ["scan", "--n", "4", "--budget", "1"]),
@@ -375,6 +401,8 @@ def test_bad_tol_and_budget_flags_are_usage_errors(capsys, argv, message):
     # retired: the splits decide every pair they did
     ("stars", "unknown scan family 'stars'"),
     ("splits,cliques,quasi", "unknown scan family 'quasi'"),
+    # retired: first witness of no refuted pair at n = 5..11
+    ("matchings", "unknown scan family 'matchings'"),
     ("random,random", "repeated scan family 'random'"),
     ("", "--families names no scan family"),
     (",,", "--families names no scan family"),

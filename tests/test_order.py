@@ -946,13 +946,19 @@ def test_family_witness_with_minimal_params_is_the_constructor_graph(family):
 
 
 def test_structured_scan_families_sweep_table_params_only():
-    for name, (family, params_at) in order._STRUCTURED_FAMILIES.items():
-        assert name in SCAN_FAMILIES and family in GRAPH_FAMILIES
-        takes = GRAPH_FAMILIES[family][1]
+    # every family of the one table but "random" lists witness descriptors,
+    # and each materialises through witness_graph, a family descriptor with
+    # parameters its GRAPH_FAMILIES entry takes
+    assert [name for name, witnesses in SCAN_FAMILIES.items() if witnesses is None] == ["random"]
+    for witnesses in filter(None, SCAN_FAMILIES.values()):
         for n in range(2, 13):  # scan needs n >= 2
-            for params in params_at(n):
-                assert params.keys() <= takes.keys()
-                graph_family(family, n, **params)
+            for witness in witnesses(n):
+                if witness["kind"] == "family":
+                    takes = GRAPH_FAMILIES[witness["family"]][1]
+                    assert witness.get("params", {}).keys() <= takes.keys()
+                else:
+                    assert witness["kind"] == "quasi"
+                assert witness_graph(witness, n).n == n
 
 
 def test_witness_graph_checks_n_only_against_a_given_ledger_n():
@@ -1170,11 +1176,14 @@ def test_scan_equals_the_one_graph_at_a_time_loop(monkeypatch, n, budget, dim_ca
 def test_scan_assembles_a_block_ahead_and_solves_per_evaluation(monkeypatch):
     from aldous.partitions import num_standard_tableaux
 
+    # the default families with the cliques moved between the cycle and
+    # the path: exact graphs sit between numeric ones, and a stack runs
+    # across them
+    families = ("splits", "cycles", "cliques", "paths", "random")
     recorder = ScanRecorder(monkeypatch)
-    ledger, report = scan(6, budget=150, seed=0)
-    candidates = [c for family in SCAN_FAMILIES for c in _family_graphs(family, 6, 150, 0)]
+    ledger, report = scan(6, families, budget=150, seed=0)
+    candidates = [c for family in families for c in _family_graphs(family, 6, 150, 0)]
     numeric = [graph for graph, _ in candidates if quasi_complete_weights(graph) is None]
-    # exact graphs sit between numeric ones: a stack runs across them
     kinds = [quasi_complete_weights(graph) is None for graph, _ in candidates]
     assert any(kinds[k] and not kinds[k + 1] and any(kinds[k + 2:])
                for k in range(len(kinds) - 1))
@@ -1291,7 +1300,7 @@ def test_scan_solves_every_shape_after_its_pairs_are_refuted(monkeypatch, n):
     std, hook = Partition([n - 1, 1]), Partition([n - 2, 1, 1])
     open_pairs = {(bottom, top), (hook, std), (std, hook)}
     monkeypatch.setattr(order, "seed_known", _ledger_open_only_at(open_pairs))
-    families = ("paths", "matchings", "random")
+    families = ("paths", "cycles", "random")
     lambda_extremes.cache_clear()
     expected, expected_report = reference_scan(n, families, budget=30, seed=4)
     recorder = ScanRecorder(monkeypatch)
@@ -1399,12 +1408,12 @@ def test_scan_solves_match_the_replayed_evaluations(monkeypatch, n, budget, seed
 # order and dumped with sorted keys, and its report but the numeric margin
 SCAN_PINS = {
     (6, 1000): (66, "48ff766fed2dc8e06f4040ab65763546d83c0e17eec54fe7aeb0ce921d16a9c7",
-                {"n": 6, "graphs_tried": 1014, "refutations_found": 10, "skipped_shapes": 0,
-                 "numeric_evaluations": 11044, "refutations_exact": 62,
+                {"n": 6, "graphs_tried": 1011, "refutations_found": 10, "skipped_shapes": 0,
+                 "numeric_evaluations": 11022, "refutations_exact": 62,
                  "refutations_numeric": 4, "contradictions": []}),
     (7, 100): (123, "201ece1da4fc1ac82fc804de4f2c3fff719b15204a88f9059e89cbf4278b3e25",
-               {"n": 7, "graphs_tried": 116, "refutations_found": 17, "skipped_shapes": 0,
-                "numeric_evaluations": 1560, "refutations_exact": 120,
+               {"n": 7, "graphs_tried": 113, "refutations_found": 17, "skipped_shapes": 0,
+                "numeric_evaluations": 1530, "refutations_exact": 120,
                 "refutations_numeric": 3, "contradictions": []}),
 }
 
@@ -1419,6 +1428,13 @@ def test_scan_ledger_and_report_are_pinned(n, budget):
     fields = asdict(report)
     del fields["min_numeric_margin"]
     assert (len(records), digest, fields) == SCAN_PINS[n, budget]
+
+
+def test_default_scan_ledger_bytes_are_pinned():
+    # the default-family scan of the frontier table at n = 8, by its ledger
+    # bytes
+    digest = hashlib.sha256(scan(8, budget=40, seed=42)[0].to_json().encode("utf-8"))
+    assert digest.hexdigest() == "9ad5ce3e91efd198af3a5721aae04963690e7493bcac8fcb23a801d563a38c16"
 
 
 def test_exact_family_scan_is_pinned():

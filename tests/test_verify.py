@@ -341,8 +341,8 @@ PINNED_CHECKS = {
     ("characters", 1000003): "98f0229e4fc41771236a3518587c52fa1b22f69f28886a842d6bc0268f441385",
     ("game", 0): "5f12a73ba2ce067d873bff4ad3c806bff94356ea82ed3efc1585839464855ef9",
     ("game", 1000003): "5f12a73ba2ce067d873bff4ad3c806bff94356ea82ed3efc1585839464855ef9",
-    ("consistency", 0): "329e35907a11a24ba6ae3bbc9690623b8ac90515b9f2d42a59978973e6f194f1",
-    ("consistency", 1000003): "bf9c4963885c439829cda4e38e3f586bf9f06a657c3257dcb8eb819c82cb7e69",
+    ("consistency", 0): "ac12eca05fdb7a928bda7aec9285f7fa03c1dea465aa5e5e95ff248d2995520c",
+    ("consistency", 1000003): "5bb4d1c6353747550c46b9850f632e6875936008cfd33bd11ee3e5d397eafabe",
 }
 
 
